@@ -43,10 +43,8 @@ __all__ = [
     "OperatorSpace",
     "vec",
     "unvec",
-    "mult_matrix",
     "commutation_constraint",
     "invariance_constraint",
-    "corner_constraint",
     "nullspace_of_constraints",
     "matrix_units",
     "save_operator",
@@ -387,13 +385,6 @@ def unvec(v, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def mult_matrix(left, right) -> np.ndarray:
-    """Matrix of X -> left @ X @ right on column-major vectorizations."""
-    left = as_operator(left)
-    right = as_operator(right)
-    return np.kron(right.T, left)
-
-
 def commutation_constraint(g) -> np.ndarray:
     """Matrix of X -> X g - g X; its nullspace is the commutant of g."""
     g = as_operator(g)
@@ -401,18 +392,16 @@ def commutation_constraint(g) -> np.ndarray:
     return np.kron(g.T, eye) - np.kron(eye, g)
 
 
-def invariance_constraint(p) -> np.ndarray:
-    """Matrix of X -> (I - P) X P; nullspace = operators leaving range(P) invariant."""
-    p = as_operator(p)
-    eye = np.eye(p.shape[0])
-    return np.kron(p.T, eye - p)
+def invariance_constraint(v) -> np.ndarray:
+    """Matrix of X -> (I - P) X V, where the columns of V are an orthonormal
+    basis of a subspace and P = V V*; nullspace = operators leaving it invariant.
 
-
-def corner_constraint(e) -> np.ndarray:
-    """Matrix of X -> X - E X E; nullspace = operators supported in the corner."""
-    e = as_operator(e)
-    d2 = e.shape[0] ** 2
-    return np.eye(d2) - np.kron(e.T, e)
+    It has k * d rows for a k-dimensional subspace of C^d, against d * d for
+    the equivalent map X -> (I - P) X P.
+    """
+    v = np.asarray(v, dtype=complex)
+    p = v @ v.conj().T
+    return np.kron(v.T, np.eye(v.shape[0]) - p)
 
 
 def matrix_units(dim: int) -> list[np.ndarray]:
@@ -420,65 +409,54 @@ def matrix_units(dim: int) -> list[np.ndarray]:
     return [unvec(col, dim) for col in np.eye(dim * dim).T]
 
 
-def _materialize(constraint, dim: int) -> np.ndarray:
-    """Turn a callable linear map on operators into its stacked matrix."""
-    cols = []
-    for unit in matrix_units(dim):
-        out = np.asarray(constraint(unit), dtype=complex)
-        cols.append(out.reshape(-1, order="F"))
-    return np.stack(cols, axis=1)
-
-
 def nullspace_of_constraints(
-    constraints, dim: int, tol: TolerancePolicy | None = None, scale: float | None = None
+    constraints,
+    dim: int,
+    tol: TolerancePolicy | None = None,
+    scale: float | None = None,
+    within: OperatorSpace | None = None,
 ) -> OperatorSpace:
-    """Orthonormal basis of {X : C @ vec(X) = 0 for every constraint C}.
+    """Orthonormal basis of {X in W : C @ vec(X) = 0 for every constraint C}.
 
-    Each constraint is either a 2-D ndarray with ``dim*dim`` columns or a
-    callable linear map on operators (materialized against the matrix
-    units).  Rank is decided by ``rank_cutoff`` relative to the largest
-    singular value of the stacked constraint matrix, floored by the
-    optional problem ``scale``: a caller that knows the natural magnitude
-    of its constraints should pass it, so a stack that is pure roundoff
-    noise (for example the commutant of a numerically scalar operator) is
-    treated as zero instead of as a noise matrix of spurious full rank.
-    With no constraints the full matrix space is returned; a trivial
-    solution space yields an empty basis.  Very tall stacks are
-    compressed by intermediate QR factorizations, which preserve singular
-    values.
+    Each constraint is a 2-D ndarray with ``dim*dim`` columns.  W is the
+    span of ``within`` when given, else the whole matrix space.  The
+    solution is narrowed one constraint at a time (an intersection of
+    null spaces): the constraint is restricted to the current orthonormal
+    null basis B, the SVD of C @ B is taken, and B is replaced by B times
+    the right singular vectors past the rank.  Rank is decided per step:
+    singular values above ``rank_cutoff * max(scale, s_max)`` count, where
+    s_max is the largest singular value of any restricted constraint seen
+    so far.  A caller that knows the natural magnitude of its constraints
+    should pass ``scale``, so a constraint that is pure roundoff noise
+    (for example the commutant of a numerically scalar operator), or one
+    that earlier constraints already imply, is treated as zero instead of
+    as a noise matrix of spurious full rank.  With no constraints the
+    starting space is returned; a trivial solution space yields an empty
+    basis.
     """
     tol = tol or DEFAULT_TOL
     d2 = dim * dim
-    blocks: list[np.ndarray] = []
-    rows = 0
-
-    def compress(mats):
-        stacked = np.vstack(mats)
-        if stacked.shape[0] <= d2:
-            return stacked
-        return np.linalg.qr(stacked, mode="r")
-
+    basis = None if within is None else within._q  # None: the whole matrix space
+    largest = 0.0
     for c in constraints:
-        mat = np.asarray(c, dtype=complex) if not callable(c) else _materialize(c, dim)
+        mat = np.asarray(c, dtype=complex)
         if mat.ndim != 2 or mat.shape[1] != d2:
             raise ValueError(f"constraint matrix must have {d2} columns, got {mat.shape}")
-        blocks.append(mat)
-        rows += mat.shape[0]
-        if rows > 6 * d2:
-            blocks = [compress(blocks)]
-            rows = blocks[0].shape[0]
+        restricted = mat if basis is None else mat @ basis
+        rows, cols = restricted.shape
+        if min(rows, cols) == 0:
+            continue
+        # wide: only the full V holds the null vectors; tall: the thin SVD has all of V
+        _, s, vh = np.linalg.svd(restricted, full_matrices=rows < cols)
+        largest = max(largest, float(s[0]))
+        threshold = tol.rank_cutoff * max(largest, scale or 0.0)
+        rank = int(np.sum(s > threshold)) if threshold > 0 else int(np.sum(s > 0))
+        null = vh[rank:].conj().T
+        basis = null if basis is None else basis @ null
 
-    if not blocks:
+    if basis is None:
         return OperatorSpace(dim, tuple(matrix_units(dim)))
-
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    threshold = tol.rank_cutoff * max(smax, scale or 0.0)
-    rank = int(np.sum(s > threshold)) if threshold > 0 else int(np.sum(s > 0))
-    null_vecs = vh[rank:].conj()
-    basis = tuple(unvec(row, dim) for row in null_vecs)
-    return OperatorSpace(dim, basis)
+    return OperatorSpace(dim, tuple(unvec(col, dim) for col in basis.T))
 
 
 def save_operator(path, a, extra: dict | None = None) -> None:

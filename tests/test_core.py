@@ -250,12 +250,6 @@ def test_nullspace_commutant_of_distinct_diagonal():
     assert space.equals(expected, tol=1e-12)
 
 
-def test_nullspace_accepts_callable_constraints():
-    g = np.diag([1.0, 2.0])
-    space = nullspace_of_constraints([lambda x: x @ g - g @ x], 2)
-    assert space.dim == 2
-
-
 def test_nullspace_residuals_and_brute_force_rank():
     rng = np.random.default_rng(5)
     g = rng_hermitian(rng, 3)
@@ -270,9 +264,71 @@ def test_nullspace_residuals_and_brute_force_rank():
 def test_nullspace_tall_stack_compression():
     rng = np.random.default_rng(6)
     g = np.diag([1.0, 2.0, 3.0])
-    constraints = [commutation_constraint(g) for _ in range(40)]  # 360 rows, 9 cols
+    # 360 rows, 9 cols; every repeat after the first is roundoff on the null basis
+    constraints = [commutation_constraint(g) for _ in range(40)]
     space = nullspace_of_constraints(constraints, 3)
     assert space.dim == 3
+
+
+def _random_flag_family(rng, dim):
+    """A random flag (nested subspaces) plus one unrelated random subspace."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    family = [Subspace.from_columns(z[:, :k]) for k in range(1, dim)]
+    k = int(rng.integers(1, dim))
+    family.append(Subspace.from_columns(rng.standard_normal((dim, k))))
+    return family[int(rng.integers(0, 2)) :]  # sometimes drop the 1-dim member
+
+
+def _dense_oracle(constraints, dim, within=None):
+    """Null space of the vstacked constraints by one SVD, as orthonormal columns."""
+    d2 = dim * dim
+    rows = list(constraints)
+    if within is not None:
+        q = np.stack([vec(b) for b in within.basis_elements], axis=1)
+        q, _ = np.linalg.qr(q)
+        rows.append(np.eye(d2) - q @ q.conj().T)  # X in within
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    return vh[rank:].conj().T
+
+
+def _span_distance(space, columns):
+    q = np.stack([vec(b) for b in space.basis_elements], axis=1)
+    q, _ = np.linalg.qr(q)
+    return operator_norm(q @ q.conj().T - columns @ columns.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nullspace_matches_dense_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    dim = 3 + seed % 2
+    family = _random_flag_family(rng, dim)
+    constraints = [invariance_constraint(sub.basis) for sub in family]
+    space = nullspace_of_constraints(constraints, dim, scale=1.0)
+    oracle = _dense_oracle(constraints, dim)
+    assert space.dim == oracle.shape[1] > 0
+    assert _span_distance(space, oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nullspace_within_matches_dense_oracle(seed):
+    rng = np.random.default_rng(200 + seed)
+    dim = 3 + seed % 2
+    constraints = [invariance_constraint(sub.basis) for sub in _random_flag_family(rng, dim)]
+    cut = int(rng.integers(1, len(constraints)))
+    outer = nullspace_of_constraints(constraints[:cut], dim, scale=1.0)
+    space = nullspace_of_constraints(constraints[cut:], dim, scale=1.0, within=outer)
+    oracle = _dense_oracle(constraints[cut:], dim, within=outer)
+    assert outer.dim > space.dim == oracle.shape[1] > 0
+    assert _span_distance(space, oracle) <= 1e-10
+    # narrowing in two calls matches imposing every constraint in one
+    assert _span_distance(space, _dense_oracle(constraints, dim)) <= 1e-10
+
+
+def test_nullspace_within_no_constraints_keeps_the_space():
+    diag = OperatorSpace(2, (np.diag([1.0, 0.0]), np.diag([1.0, 1.0])))
+    space = nullspace_of_constraints([], 2, within=diag)
+    assert space.equals(diag, tol=1e-12)
 
 
 def test_vec_unvec_column_major():
@@ -284,9 +340,10 @@ def test_vec_unvec_column_major():
 def test_invariance_constraint_matches_direct_evaluation():
     rng = np.random.default_rng(7)
     sub = Subspace.from_columns(rng.standard_normal((4, 2)))
-    c = invariance_constraint(sub.projection)
+    c = invariance_constraint(sub.basis)
+    assert c.shape == (2 * 4, 16)  # k * d rows
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    direct = (np.eye(4) - sub.projection) @ x @ sub.projection
+    direct = (np.eye(4) - sub.projection) @ x @ sub.basis
     np.testing.assert_allclose(c @ vec(x), vec(direct), atol=1e-12)
 
 

@@ -12,7 +12,6 @@ from opderiv.core import (
 )
 from opderiv.derivation import derivative_chain
 from opderiv.reflexivity import (
-    InvariantFamily,
     LatGenerationFailed,
     ReflexivityViolation,
     VonNeumannAlgebraSpec,
@@ -25,7 +24,8 @@ from opderiv.reflexivity import (
     lat_family,
     reflexivity_check,
 )
-from opderiv.triangular import triangular_representation
+from opderiv.scenarios import random_scenario
+from opderiv.triangular import corner_exponential, triangular_representation
 
 
 def rng_generator(rng, n, spread=1.0):
@@ -230,6 +230,8 @@ def test_invariant_family_labels_n1():
     assert any(l.startswith("lat_M") for l in labels)
     without = fam.without_q()
     assert not any(l.startswith("Q_") for l in without.labels)
+    only = fam.only_q()
+    assert only.labels == ("Q_1",) and only.ambient_dim == fam.ambient_dim
 
 
 def test_invariant_family_residuals_small():
@@ -271,7 +273,7 @@ def test_alg_of_family_corner_constrained_reconstruction():
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
     fam = invariant_family(spec, d, 1)
-    space = alg_of_family(fam, corner_constraint_order=1)
+    space = alg_of_family(fam)
     assert space.dim == 4
     for x in space.basis_elements:
         rep = triangular_representation(derivative_chain(d, x[:2, :2], 1))
@@ -280,18 +282,8 @@ def test_alg_of_family_corner_constrained_reconstruction():
 
 def test_alg_of_family_closure_check_runs():
     axis = Subspace(2, np.eye(2)[:, :1])
-    space = alg_of_family([axis], verify_closure=True)
+    space = alg_of_family([axis])
     assert space.product_closure_residual() <= 1e-10
-
-
-def test_alg_of_family_corner_reduces_to_leading_blocks():
-    # corner order 0 inside a 2-block ambient keeps only the (0,0) block
-    fam = InvariantFamily((), (), base_dim=2, order=1)
-    space = alg_of_family(fam, corner_constraint_order=0)
-    assert space.dim == 4
-    for x in space.basis_elements:
-        assert operator_norm(x[2:, :]) <= 1e-12
-        assert operator_norm(x[:, 2:]) <= 1e-12
 
 
 # ------------------------------------------------------------ reflexivity check
@@ -338,16 +330,48 @@ def test_dropping_q_never_shrinks_the_solution():
         spec = VonNeumannAlgebraSpec(kind, 3)
         for n in (1, 2):
             fam = invariant_family(spec, d, n)
-            full = alg_of_family(fam, corner_constraint_order=n)
-            reduced = alg_of_family(fam.without_q(), corner_constraint_order=n)
+            full = alg_of_family(fam)
+            reduced = alg_of_family(fam.without_q())
             assert reduced.dim >= full.dim
+            # imposing the Q_j inside the reduced solution gives the full one
+            narrowed = alg_of_family(fam.only_q(), within=reduced)
+            assert narrowed.dim == full.dim and narrowed.equals(full, tol=1e-9)
 
 
-def test_lat_family_cap_exhaustion_raises():
+def test_lat_family_cap_exhaustion_raises(monkeypatch):
+    # a solver that only ever finds span{I} can never certify the 2-dim masa
+    attempts = []
+
+    def scalars_only(subspaces, ambient_dim=None, tol=None, within=None):
+        attempts.append(subspaces)
+        return OperatorSpace(ambient_dim, (np.eye(ambient_dim, dtype=complex),))
+
+    monkeypatch.setattr("opderiv.reflexivity.alg_of_family", scalars_only)
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    impossible = DEFAULT_TOL.replace(tol_alg=1e-300)
     with pytest.raises(LatGenerationFailed):
-        lat_family(spec, tol=impossible, max_extra=1)
+        lat_family(spec, max_extra=1)
+    assert len(attempts) == 2  # the first attempt plus max_extra retries
+
+
+def test_reflexivity_full_c8_n2_seed302_generator():
+    # one SVD of all constraints stacked fails to converge on this generator
+    spec = VonNeumannAlgebraSpec("full", 8)
+    seed = 1857855642
+    gen, _ = random_scenario(8, seed)
+    report = reflexivity_check(spec, gen, 2, seed=seed)
+    assert report.passed and report.dim_computed == 64 and report.needed_Q
+
+
+def test_reflexivity_reports_deciding_tolerance():
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
+    d = eig_hermitian(np.diag([0.3, 1.1, 2.7]))
+    report = reflexivity_check(spec, d, 2)
+    fwd, bwd = corner_exponential(d, 2)
+    assert report.tolerance == DEFAULT_TOL.alg(fwd.norm(), bwd.norm())
+    assert report.tolerance > DEFAULT_TOL.alg()
+    assert set(report.to_json()) == {
+        "scenario", "n", "dim_expected", "dim_computed", "max_residual", "needed_Q", "pass"
+    }
 
 
 def test_reflexivity_generated_algebra():

@@ -168,6 +168,29 @@ def test_run_checks_reflexivity_dimension():
     assert report.results[0].details["dim_computed"] == 9
 
 
+def test_run_checks_reflexivity_reports_deciding_tolerance():
+    # the verdict is judged against tol_alg * (1 + ||exp S|| ||exp -S||), not tol_alg * 1
+    raw = base_config(scenario={"kind": "circle_fourier", "N": 3}, checks=["reflexivity"], n=2)
+    cfg = ScenarioConfig.from_dict(raw)
+    result = run_checks(cfg).results[0]
+    assert result.passed
+    assert result.tolerance > 10 * cfg.tol.alg()
+    assert max(result.residuals) <= result.tolerance
+
+
+@pytest.mark.parametrize("k,degenerate", [(0, True), (1, False)])
+def test_fd_checks_pass_when_x_commutes_with_d(k, degenerate):
+    # the shift by k = 0 is the identity: every fd error is roundoff
+    raw = base_config(
+        scenario={"kind": "circle_fourier", "N": 3, "x_kind": {"kind": "shift", "k": k}},
+        checks=["fd_first", "fd_higher"],
+        n=2,
+    )
+    for result in run_checks(ScenarioConfig.from_dict(raw)).results:
+        assert result.passed, result.check
+        assert result.details["degenerate"] is degenerate
+
+
 def test_run_checks_all_random_scenario():
     raw = base_config(
         scenario={"kind": "random", "N": 3, "x_kind": "general"}, checks=["all"], n=2
