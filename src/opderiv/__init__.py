@@ -61,8 +61,6 @@ from .scenarios import (
 )
 from .triangular import (
     CornerOperator,
-    NilpotentShift,
-    TriangularRep,
     ad_expansion_check,
     amplify,
     conjugation_identity_check,

@@ -18,9 +18,10 @@ Conventions
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,9 @@ class TolerancePolicy:
     rank_cutoff: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tol_herm", "tol_eig", "tol_alg", "tol_fd", "rank_cutoff"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if not self.rank_cutoff < 1:
             raise ValueError("rank_cutoff must be < 1")
 
@@ -96,15 +97,7 @@ class TolerancePolicy:
         return self.tol_eig * (1.0 + math.prod(norms))
 
     def replace(self, **kwargs) -> "TolerancePolicy":
-        fields = {
-            "tol_herm": self.tol_herm,
-            "tol_eig": self.tol_eig,
-            "tol_alg": self.tol_alg,
-            "tol_fd": self.tol_fd,
-            "rank_cutoff": self.rank_cutoff,
-        }
-        fields.update(kwargs)
-        return TolerancePolicy(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -130,12 +123,6 @@ def operator_norm(a) -> float:
 def hermitian_part(a) -> np.ndarray:
     a = as_operator(a)
     return (a + a.conj().T) / 2.0
-
-
-def _check_same_dim(*ops):
-    dims = {op.shape[0] for op in ops}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"dimensions differ: {sorted(dims)}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +249,7 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    projection: np.ndarray | None = None
+    projection: np.ndarray = field(init=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -342,9 +329,6 @@ class OperatorSpace:
         q = self._q
         resid = v - q @ (q.conj().T @ v)
         return float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(v)))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.membership_residual(x) <= tol
 
     def equals(self, other: "OperatorSpace", tol: float = 1e-9) -> bool:
         """Same span: equal dimensions plus mutual membership of the bases."""

@@ -91,10 +91,7 @@ def iterated_derivative(
 ) -> np.ndarray:
     """k-fold commutator derivative, k >= 1."""
     _check_order(k, max_order)
-    out = as_operator(x)
-    for _ in range(k):
-        out = commutator_derivative(d, out)
-    return out
+    return derivative_chain(d, x, k).delta(k)
 
 
 def binomial_derivative(
@@ -176,11 +173,12 @@ class BandMatrix:
 
     ``blocks[(r, c)]`` is the block of x between bands r and c expressed in
     the band eigenbases; ``diagonal_generators[r]`` is the (diagonal)
-    restriction of D to band r, stored as its eigenvalue vector.
+    restriction of D to band r, stored as its eigenvalue vector;
+    ``band_vectors[r]`` holds the eigenvectors of band r.  All three are
+    keyed by the nonempty bands in ascending order.
     """
 
     dim: int
-    bands: tuple
     blocks: dict
     diagonal_generators: dict
     band_vectors: dict
@@ -208,7 +206,6 @@ def band_embed(d: SelfAdjointGenerator, x) -> BandMatrix:
             blocks[(r, c)] = vr.conj().T @ x @ vc
     return BandMatrix(
         dim=d.dim,
-        bands=tuple(groups),
         blocks=blocks,
         diagonal_generators=lams,
         band_vectors=vectors,
@@ -235,7 +232,6 @@ def band_derivation(bm: BandMatrix, k: int, max_order: int = MAX_DERIVATIVE_ORDE
         new_blocks[(r, c)] = (1j**k) * acc
     return BandMatrix(
         dim=bm.dim,
-        bands=bm.bands,
         blocks=new_blocks,
         diagonal_generators=bm.diagonal_generators,
         band_vectors=bm.band_vectors,

@@ -3,21 +3,26 @@
 Every check name maps one-to-one onto an operation of the calculus /
 representation / reflexivity modules; the harness only generates the
 scenario operands, invokes the operation, and collects the reports.
-Identical config and seed reproduce identical numerical report fields
-(timings excluded) on one platform.
+Each kind of decision lives in one registry: ``_CHECKS`` maps check
+names, in report order, to their operations (``CHECK_NAMES`` is its key
+tuple); ``_SCENARIOS`` maps scenario kinds to their builders; algebra
+kinds and their field rules belong to ``VonNeumannAlgebraSpec``.  A
+malformed config raises ConfigError from ``ScenarioConfig.from_dict`` or
+``build_scenario``.  Identical config and seed reproduce identical
+numerical report fields (timings excluded) on one platform.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, TolerancePolicy, operator_norm
+from .core import DEFAULT_TOL, TolerancePolicy, load_operator, operator_norm
 from .derivation import (
     binomial_derivative,
     band_derivation,
@@ -69,101 +74,6 @@ __all__ = [
 
 REPORT_SCHEMA = "opderiv-report/1"
 
-CHECK_NAMES = (
-    "leibniz",
-    "binomial_eq",
-    "band_eq",
-    "fd_first",
-    "fd_higher",
-    "lipschitz",
-    "uniform_conv",
-    "phi_hom",
-    "phi_conj",
-    "norm_sandwich",
-    "ad_identity",
-    "invariance",
-    "reflexivity",
-)
-
-
-@dataclass
-class ScenarioConfig:
-    """Validated run configuration (scenario, algebra, order, checks)."""
-
-    scenario: dict
-    algebra: dict
-    n: int = 1
-    seed: int = 0
-    checks: tuple = CHECK_NAMES
-    tol: TolerancePolicy = DEFAULT_TOL
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        scenario = raw.get("scenario")
-        if not isinstance(scenario, dict) or "kind" not in scenario:
-            raise ConfigError("config.scenario must be an object with a 'kind'")
-        if scenario["kind"] not in ("circle_fourier", "random", "custom"):
-            raise ConfigError(f"unknown scenario kind {scenario['kind']!r}")
-        if scenario["kind"] in ("circle_fourier", "random"):
-            if int(scenario.get("N", 0)) < 1:
-                raise ConfigError("scenario.N must be >= 1")
-        algebra = raw.get("algebra", {"kind": "full"})
-        if isinstance(algebra, str):
-            algebra = {"kind": algebra}
-        if algebra.get("kind") not in ("full", "diagonal_masa", "block_diagonal", "generated"):
-            raise ConfigError(f"unknown algebra kind {algebra.get('kind')!r}")
-        n = int(raw.get("n", 1))
-        if n < 0:
-            raise ConfigError("n must be >= 0")
-        seed = int(raw.get("seed", 0))
-        checks = raw.get("checks", ["all"])
-        if isinstance(checks, str):
-            checks = [checks]
-        if checks == ["all"]:
-            checks = list(CHECK_NAMES)
-        if not checks:
-            raise ConfigError("checks list must not be empty")
-        unknown = [c for c in checks if c not in CHECK_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}; valid names: {list(CHECK_NAMES)}")
-        tol_overrides = raw.get("tolerances", {})
-        if not isinstance(tol_overrides, dict):
-            raise ConfigError("tolerances must be an object")
-        try:
-            tol = DEFAULT_TOL.replace(**{k: float(v) for k, v in tol_overrides.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tolerance overrides: {exc}") from exc
-        return cls(scenario=dict(scenario), algebra=dict(algebra), n=n, seed=seed,
-                   checks=tuple(checks), tol=tol)
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algebra": self.algebra,
-            "n": self.n,
-            "seed": self.seed,
-            "checks": list(self.checks),
-            "tolerances": {
-                "tol_herm": self.tol.tol_herm,
-                "tol_eig": self.tol.tol_eig,
-                "tol_alg": self.tol.tol_alg,
-                "tol_fd": self.tol.tol_fd,
-                "rank_cutoff": self.tol.rank_cutoff,
-            },
-        }
-
 
 @dataclass
 class ScenarioData:
@@ -176,59 +86,6 @@ class ScenarioData:
     algebra: VonNeumannAlgebraSpec
     n: int
     seed: int
-
-
-def _algebra_spec(algebra: dict, dim: int) -> VonNeumannAlgebraSpec:
-    kind = algebra["kind"]
-    if kind == "block_diagonal":
-        pattern = algebra.get("pattern")
-        if not pattern:
-            raise ConfigError("block_diagonal algebra requires a 'pattern' list")
-        if sum(int(k) for k in pattern) != dim:
-            raise ConfigError(f"block pattern {pattern} does not sum to the dimension {dim}")
-        return VonNeumannAlgebraSpec("block_diagonal", dim, pattern=tuple(int(k) for k in pattern))
-    if kind == "generated":
-        paths = algebra.get("paths")
-        if not paths:
-            raise ConfigError("generated algebra requires generator file 'paths'")
-        from .core import load_operator
-
-        try:
-            gens = tuple(load_operator(p) for p in paths)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"could not load algebra generators: {exc}") from exc
-        return VonNeumannAlgebraSpec("generated", dim, generators=gens)
-    return VonNeumannAlgebraSpec(kind, dim)
-
-
-def build_scenario(config: ScenarioConfig) -> ScenarioData:
-    """Generate (D, x) per the config plus a companion operator y."""
-    kind = config.scenario["kind"]
-    if kind == "circle_fourier":
-        n_modes = int(config.scenario["N"])
-        x_kind = config.scenario.get("x_kind", {"kind": "shift", "k": 1})
-        gen, x = circle_scenario(n_modes, x_kind)
-        degree = min(2, 2 * n_modes)
-        y = toeplitz_from_symbol(
-            n_modes, random_symbol_coeffs(config.seed + 1, degree)
-        )
-        label = f"circle_fourier(N={n_modes},{x_kind.get('kind', '?')})"
-    elif kind == "random":
-        dim = int(config.scenario["N"])
-        x_kind = config.scenario.get("x_kind", "general")
-        gen, x = random_scenario(dim, config.seed, x_kind, tol=config.tol)
-        y = random_operator(dim, np.random.default_rng(config.seed + 1000003), "general")
-        label = f"random(N={dim},seed={config.seed},{x_kind})"
-    elif kind == "custom":
-        gen, x = custom_scenario(
-            config.scenario["d_path"], config.scenario["x_path"], tol=config.tol
-        )
-        y = random_operator(gen.dim, np.random.default_rng(config.seed + 1000003), "general")
-        label = f"custom({config.scenario['d_path']})"
-    else:  # pragma: no cover - validated in from_dict
-        raise ConfigError(f"unknown scenario kind {kind!r}")
-    algebra = _algebra_spec(config.algebra, gen.dim)
-    return ScenarioData(label, gen, x, y, algebra, config.n, config.seed)
 
 
 def _unit_vectors(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +128,7 @@ def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         tolerance = max(tolerance, bound)
         passed = passed and resid <= bound
     return CheckReport(
-        "band_eq", data.label, residuals, tolerance, passed, details={"bands": list(bm.bands)}
+        "band_eq", data.label, residuals, tolerance, passed, details={"bands": list(bm.band_vectors)}
     )
 
 
@@ -395,7 +252,8 @@ def _check_reflexivity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     )
 
 
-_CHECK_FUNS = {
+# The check registry: name -> operation, in report order.
+_CHECKS = {
     "leibniz": _check_leibniz,
     "binomial_eq": _check_binomial_eq,
     "band_eq": _check_band_eq,
@@ -410,6 +268,146 @@ _CHECK_FUNS = {
     "invariance": _check_invariance,
     "reflexivity": _check_reflexivity,
 }
+CHECK_NAMES = tuple(_CHECKS)
+
+
+@dataclass
+class ScenarioConfig:
+    """Validated run configuration (scenario, algebra, order, checks)."""
+
+    scenario: dict
+    algebra: dict
+    n: int = 1
+    seed: int = 0
+    checks: tuple = CHECK_NAMES
+    tol: TolerancePolicy = DEFAULT_TOL
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        scenario = raw.get("scenario")
+        if not isinstance(scenario, dict) or not isinstance(scenario.get("kind"), str):
+            raise ConfigError("config.scenario must be an object with a 'kind'")
+        if scenario["kind"] not in _SCENARIOS:
+            raise ConfigError(f"unknown scenario kind {scenario['kind']!r}")
+        if scenario["kind"] in ("circle_fourier", "random"):
+            _int_field(scenario, "N", 0, lowest=1)
+        algebra = raw.get("algebra", {"kind": "full"})
+        if isinstance(algebra, str):
+            algebra = {"kind": algebra}
+        if not isinstance(algebra, dict):
+            raise ConfigError("config.algebra must be an object or a kind name")
+        if algebra.get("kind") not in VonNeumannAlgebraSpec.KINDS:
+            raise ConfigError(f"unknown algebra kind {algebra.get('kind')!r}")
+        n = _int_field(raw, "n", 1, lowest=0)
+        seed = _int_field(raw, "seed", 0, lowest=0)
+        checks = raw.get("checks", ["all"])
+        if isinstance(checks, str):
+            checks = [checks]
+        if not isinstance(checks, (list, tuple)):
+            raise ConfigError("checks must be a list of check names")
+        if checks == ["all"]:
+            checks = list(CHECK_NAMES)
+        if not checks:
+            raise ConfigError("checks list must not be empty")
+        unknown = [c for c in checks if c not in CHECK_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown checks: {unknown}; valid names: {list(CHECK_NAMES)}")
+        tol_overrides = raw.get("tolerances", {})
+        if not isinstance(tol_overrides, dict):
+            raise ConfigError("tolerances must be an object")
+        try:
+            tol = DEFAULT_TOL.replace(**{k: float(v) for k, v in tol_overrides.items()})
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tolerance overrides: {exc}") from exc
+        return cls(scenario=dict(scenario), algebra=dict(algebra), n=n, seed=seed,
+                   checks=tuple(checks), tol=tol)
+
+    @classmethod
+    def from_file(cls, path) -> "ScenarioConfig":
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(raw)
+
+    def to_dict(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "algebra": self.algebra,
+            "n": self.n,
+            "seed": self.seed,
+            "checks": list(self.checks),
+            "tolerances": asdict(self.tol),
+        }
+
+
+def _int_field(raw: dict, key: str, default: int, lowest: int) -> int:
+    """raw[key] (default when absent) as an integer >= lowest."""
+    try:
+        value = int(raw.get(key, default))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {raw.get(key)!r}") from exc
+    if value < lowest:
+        raise ConfigError(f"{key} must be >= {lowest}")
+    return value
+
+
+def _circle(scenario: dict, seed: int, tol: TolerancePolicy) -> tuple:
+    n_modes = int(scenario["N"])
+    x_kind = scenario.get("x_kind", {"kind": "shift", "k": 1})
+    gen, x = circle_scenario(n_modes, x_kind)
+    y = toeplitz_from_symbol(n_modes, random_symbol_coeffs(seed + 1, min(2, 2 * n_modes)))
+    return f"circle_fourier(N={n_modes},{x_kind.get('kind', '?')})", gen, x, y
+
+
+def _random(scenario: dict, seed: int, tol: TolerancePolicy) -> tuple:
+    dim = int(scenario["N"])
+    x_kind = scenario.get("x_kind", "general")
+    gen, x = random_scenario(dim, seed, x_kind, tol=tol)
+    y = random_operator(dim, np.random.default_rng(seed + 1000003), "general")
+    return f"random(N={dim},seed={seed},{x_kind})", gen, x, y
+
+
+def _custom(scenario: dict, seed: int, tol: TolerancePolicy) -> tuple:
+    gen, x = custom_scenario(scenario["d_path"], scenario["x_path"], tol=tol)
+    y = random_operator(gen.dim, np.random.default_rng(seed + 1000003), "general")
+    return f"custom({scenario['d_path']})", gen, x, y
+
+
+# The scenario registry: kind -> builder of (label, generator, x, y).
+_SCENARIOS = {"circle_fourier": _circle, "random": _random, "custom": _custom}
+
+
+def _algebra_spec(algebra: dict, dim: int) -> VonNeumannAlgebraSpec:
+    """The spec of a config's algebra block, with its generator files loaded."""
+    kind = algebra["kind"]
+    try:
+        if kind == "generated":
+            gens = tuple(load_operator(p) for p in algebra.get("paths") or ())
+            return VonNeumannAlgebraSpec(kind, dim, generators=gens)
+        pattern = algebra.get("pattern") if kind == "block_diagonal" else None
+        return VonNeumannAlgebraSpec(kind, dim, pattern=pattern)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {kind} algebra: {exc}") from exc
+
+
+def build_scenario(config: ScenarioConfig) -> ScenarioData:
+    """Generate (D, x) per the config plus a companion operator y."""
+    kind = config.scenario["kind"]
+    try:
+        label, gen, x, y = _SCENARIOS[kind](config.scenario, config.seed, config.tol)
+    except ConfigError:
+        raise
+    # a missing or malformed field, a non-Hermitian D, or a tol_eig no
+    # eigensolver can meet: the config, not a check, is at fault
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {kind} scenario: {type(exc).__name__}: {exc}") from exc
+    algebra = _algebra_spec(config.algebra, gen.dim)
+    return ScenarioData(label, gen, x, y, algebra, config.n, config.seed)
 
 
 @dataclass
@@ -461,7 +459,7 @@ def run_checks(config: ScenarioConfig) -> RunReport:
     timings = {}
     for name in config.checks:
         t0 = time.perf_counter()
-        cells[name] = _CHECK_FUNS[name](data, config.tol)
+        cells[name] = _CHECKS[name](data, config.tol)
         timings[name] = time.perf_counter() - t0
     ordered = [cells[name] for name in CHECK_NAMES if name in cells]
     overall = all(r.passed for r in ordered)

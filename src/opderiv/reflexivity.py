@@ -20,6 +20,7 @@ and runs out of memory at (16, 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,8 +85,11 @@ class VonNeumannAlgebraSpec:
 
     Kinds: ``full`` (all matrices), ``diagonal_masa`` (diagonal matrices),
     ``block_diagonal`` (full blocks of the given sizes, multiplicity
-    free), ``generated`` (bicommutant of explicit generators).
+    free), ``generated`` (bicommutant of explicit generators).  ``KINDS``
+    is the one list of kinds; every field rule is checked on construction.
     """
+
+    KINDS: ClassVar[tuple[str, ...]] = ("full", "diagonal_masa", "block_diagonal", "generated")
 
     kind: str
     ambient_dim: int
@@ -95,14 +99,14 @@ class VonNeumannAlgebraSpec:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be >= 1")
-        if self.kind not in ("full", "diagonal_masa", "block_diagonal", "generated"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == "block_diagonal":
             if not self.pattern:
                 raise ValueError("block_diagonal requires a block size pattern")
             pattern = tuple(int(k) for k in self.pattern)
             if any(k < 1 for k in pattern) or sum(pattern) != self.ambient_dim:
-                raise ValueError("block sizes must be positive and sum to ambient_dim")
+                raise ValueError(f"block sizes {pattern} must be positive and sum to {self.ambient_dim}")
             object.__setattr__(self, "pattern", pattern)
         if self.kind == "generated":
             if not self.generators:

@@ -110,6 +110,8 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
             coeffs[int(k)] = complex(c)
         if any(abs(k) > 2 * n_modes for k in coeffs):
             raise ConfigError("trig_poly coefficient index exceeds the truncation range")
+        if not np.all(np.isfinite(list(coeffs.values()))):
+            raise ConfigError("trig_poly coefficients must be finite")
         x = toeplitz_from_symbol(n_modes, coeffs)
     elif kind == "random_symbol":
         degree = int(x_kind["degree"])

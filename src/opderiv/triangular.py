@@ -9,7 +9,9 @@ the homomorphism property, the norm sandwich, and the underlying
 ad-expansion identity (valid in any associative algebra).
 
 Corner operators are stored as full dense matrices with block accessors;
-the block bookkeeping is a view, not a second representation.  Basis
+the block bookkeeping is a view, not a second representation.  The
+triangular representation and the corner exponentials are CornerOperator
+values and the nilpotent shift is a plain ndarray.  Basis
 ordering is block-major: all of the base space tensored with the first
 canonical vector, then the second, and so on, which keeps the leading
 corner projections contiguous.  An infinite tower of blocks extending the
@@ -37,11 +39,9 @@ from .derivation import DerivativeChain, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
-    "NilpotentShift",
     "nilpotent_shift",
     "CornerOperator",
     "amplify",
-    "TriangularRep",
     "triangular_representation",
     "corner_exponential",
     "conjugation_identity_check",
@@ -53,26 +53,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NilpotentShift:
+def nilpotent_shift(n: int) -> np.ndarray:
     """(n+1) x (n+1) matrix with ones on the first superdiagonal.
 
-    Satisfies matrix**(n+1) == 0 exactly and matrix**n != 0 for n >= 1.
+    Its (n+1)-th power is exactly 0 and its n-th power is nonzero for n >= 1.
     """
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        object.__setattr__(self, "matrix", as_operator(self.matrix))
-
-
-def nilpotent_shift(n: int) -> NilpotentShift:
     if n < 0:
         raise ValueError("order must be >= 0")
-    return NilpotentShift(order=n, matrix=np.eye(n + 1, k=1, dtype=complex))
+    return np.eye(n + 1, k=1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -102,10 +90,6 @@ class CornerOperator:
     def norm(self) -> float:
         return operator_norm(self.matrix)
 
-    @classmethod
-    def identity(cls, base_dim: int, order: int) -> "CornerOperator":
-        return cls(np.eye(base_dim * (order + 1), dtype=complex), base_dim, order)
-
 
 def amplify(x, order: int) -> CornerOperator:
     """Block-diagonal amplification of x: one copy of x per block."""
@@ -113,43 +97,23 @@ def amplify(x, order: int) -> CornerOperator:
     return CornerOperator(np.kron(np.eye(order + 1), x), x.shape[0], order)
 
 
-@dataclass(frozen=True)
-class TriangularRep:
-    """Triangular corner representation of a derivative chain.
-
-    Block (i, j) is delta^(j-i)(x) / (j-i)! for j >= i and zero below the
-    diagonal, so the diagonals are constant.
-    """
-
-    corner: CornerOperator
-    source_chain: DerivativeChain
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.corner.matrix
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.corner.block(i, j)
-
-    def norm(self) -> float:
-        return self.corner.norm()
-
-
-def triangular_representation(chain: DerivativeChain) -> TriangularRep:
+def triangular_representation(chain: DerivativeChain) -> CornerOperator:
     """Embed a chain as the block upper-triangular corner operator.
 
-    Equals ``sum_j kron(shift^j, delta^j(x) / j!)``; unital, injective
-    (block (0, 0) recovers x) and linear in the chain.
+    Block (i, j) is delta^(j-i)(x) / (j-i)! for j >= i and zero below the
+    diagonal, so the diagonals are constant.  Equals
+    ``sum_j kron(shift^j, delta^j(x) / j!)``; unital, injective (block
+    (0, 0) recovers x) and linear in the chain.
     """
     n = chain.order
     base = chain.x.shape[0]
-    shift = nilpotent_shift(n).matrix
+    shift = nilpotent_shift(n)
     acc = np.zeros((base * (n + 1), base * (n + 1)), dtype=complex)
     shift_pow = np.eye(n + 1, dtype=complex)
     for j in range(n + 1):
         acc += np.kron(shift_pow, chain.delta(j) / math.factorial(j))
         shift_pow = shift_pow @ shift
-    return TriangularRep(corner=CornerOperator(acc, base, n), source_chain=chain)
+    return CornerOperator(acc, base, n)
 
 
 def corner_exponential(
@@ -164,7 +128,7 @@ def corner_exponential(
     if n < 0:
         raise ValueError("order must be >= 0")
     base = d.base + float(shift) * np.eye(d.dim)
-    s = np.kron(nilpotent_shift(n).matrix, 1j * base)
+    s = np.kron(nilpotent_shift(n), 1j * base)
     dim = d.dim * (n + 1)
     fwd = np.eye(dim, dtype=complex)
     bwd = np.eye(dim, dtype=complex)

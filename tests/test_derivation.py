@@ -233,7 +233,7 @@ def test_band_embed_two_scalar_bands():
     d = eig_hermitian(np.diag([0.5, 1.5]))
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     bm = band_embed(d, x)
-    assert bm.bands == (1, 2)
+    assert tuple(bm.band_vectors) == (1, 2)
     # scalar blocks are just the entries (eigenbasis is the standard basis)
     assert bm.blocks[(1, 1)].shape == (1, 1)
     np.testing.assert_allclose(bm.blocks[(1, 2)], [[2.0]], atol=1e-14)
@@ -248,7 +248,7 @@ def test_band_embed_identity_and_single_band():
     single = eig_hermitian(np.diag([0.2, 0.7]))
     x = np.array([[1.0, 1.0], [0.0, 2.0]])
     bm2 = band_embed(single, x)
-    assert bm2.bands == (1,)
+    assert tuple(bm2.band_vectors) == (1,)
     np.testing.assert_allclose(bm2.assemble(), x, atol=1e-14)
 
 

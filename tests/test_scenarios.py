@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opderiv.cli import main as cli_main
 from opderiv.core import load_operator, save_operator, spectral_band_projections
-from opderiv.harness import CHECK_NAMES, ScenarioConfig, build_scenario, run_checks
+from opderiv.harness import CHECK_NAMES, ScenarioConfig, ScenarioData, build_scenario, run_checks
+from opderiv.reflexivity import VonNeumannAlgebraSpec
 from opderiv.scenarios import (
     ConfigError,
     circle_generator,
@@ -147,6 +150,78 @@ def test_build_scenario_block_pattern_must_match():
         build_scenario(ScenarioConfig.from_dict(raw))  # circle N=2 has dim 5
 
 
+# Config dicts mixing valid and invalid kinds, field types and missing
+# fields; sizes stay <= 3 and every path names a file that does not exist.
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([float("nan"), float("inf"), -0.5, 2.5, 10**400, "2", "x", ""]),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "a"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _mostly(valid):
+    """A value of ``valid`` seven times in eight, else junk."""
+    return st.integers(0, 7).flatmap(lambda i: _junk if i == 7 else valid)
+
+
+def _obj(**fields):
+    """A dict of the given fields, each one dropped one time in eight."""
+    keep = st.lists(st.integers(0, 7), min_size=len(fields), max_size=len(fields))
+    return st.tuples(st.fixed_dictionaries(fields), keep).map(
+        lambda pair: {k: v for (k, v), i in zip(pair[0].items(), pair[1]) if i != 7}
+    )
+
+
+_paths = _mostly(st.sampled_from(["no_such_dir/D.json", "no_such_dir/x.json"]))
+_coefficient = _mostly(st.lists(st.sampled_from([0.5, -1.0, float("inf"), float("nan")]), max_size=3))
+_x_kinds = _mostly(st.one_of(
+    _obj(
+        kind=_mostly(st.sampled_from(["shift", "trig_poly", "random_symbol", "bogus"])),
+        k=_mostly(st.integers(-5, 5)),
+        coeffs=_mostly(st.dictionaries(st.sampled_from(["0", "1", "-7", "a"]), _coefficient, max_size=2)),
+        seed=_mostly(st.integers(-1, 5)),
+        degree=_mostly(st.integers(-1, 5)),
+    ),
+    st.sampled_from(["general", "hermitian", "bogus"]),
+))
+_algebra_kinds = _mostly(st.sampled_from(VonNeumannAlgebraSpec.KINDS + ("bogus",)))
+_configs = _mostly(_obj(
+    scenario=_mostly(_obj(
+        kind=_mostly(st.sampled_from(["circle_fourier", "random", "custom", "bogus"])),
+        N=_mostly(st.integers(1, 3)),
+        x_kind=_x_kinds,
+        d_path=_paths,
+        x_path=_paths,
+    )),
+    algebra=_mostly(_algebra_kinds | _obj(
+        kind=_algebra_kinds,
+        pattern=_mostly(st.lists(_mostly(st.integers(0, 3)), max_size=3)),
+        paths=_mostly(st.lists(_paths, max_size=2)),
+    )),
+    n=_mostly(st.integers(-1, 4)),
+    seed=_mostly(st.integers(-1, 2**40)),
+    checks=_mostly(st.just("all") | st.lists(st.sampled_from(CHECK_NAMES + ("all", "bogus")), max_size=3)),
+    tolerances=_mostly(st.dictionaries(
+        st.sampled_from(["tol_herm", "tol_eig", "tol_alg", "tol_fd", "rank_cutoff", "bogus"]),
+        _mostly(st.sampled_from([1e-300, 1e-12, 1e-9, 1e-6, 0.0, -1.0, 2.0])),
+        max_size=2,
+    )),
+))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_configs)
+def test_config_builds_or_raises_config_error(raw):
+    try:
+        data = build_scenario(ScenarioConfig.from_dict(raw))
+    except ConfigError:
+        return
+    assert isinstance(data, ScenarioData)
+
+
 # ------------------------------------------------------------------ run_checks
 
 
@@ -252,12 +327,45 @@ def test_cli_run_check_failure_exit_1(tmp_path):
     assert code == 1
 
 
-def test_cli_run_config_error_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, base_config(checks=[]))
-    assert cli_main(["run", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
-    missing = tmp_path / "nope.json"
-    assert cli_main(["run", str(missing)]) == 2
+def _custom_non_hermitian(tmp_path):
+    save_operator(tmp_path / "D.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    save_operator(tmp_path / "x.json", np.eye(2))
+    return base_config(
+        scenario={"kind": "custom", "d_path": str(tmp_path / "D.json"), "x_path": str(tmp_path / "x.json")}
+    )
+
+
+# malformed config -> raw config dict (None: the config file is missing)
+CONFIG_ERRORS = {
+    "empty_checks": lambda tmp_path: base_config(checks=[]),
+    "missing_file": None,
+    "block_pattern_zero": lambda tmp_path: base_config(
+        algebra={"kind": "block_diagonal", "pattern": [0, 5]}
+    ),
+    "custom_without_d_path": lambda tmp_path: base_config(
+        scenario={"kind": "custom", "x_path": str(tmp_path / "x.json")}
+    ),
+    "shift_without_k": lambda tmp_path: base_config(
+        scenario={"kind": "circle_fourier", "N": 2, "x_kind": {"kind": "shift"}}
+    ),
+    "N_not_an_integer": lambda tmp_path: base_config(scenario={"kind": "circle_fourier", "N": "x"}),
+    "n_not_an_integer": lambda tmp_path: base_config(n="two"),
+    "algebra_is_a_list": lambda tmp_path: base_config(algebra=["full"]),
+    "trig_poly_infinite_coefficient": lambda tmp_path: base_config(
+        scenario={"kind": "circle_fourier", "N": 2,
+                  "x_kind": {"kind": "trig_poly", "coeffs": {"0": [float("inf"), 0.0]}}}
+    ),
+    "custom_non_hermitian": _custom_non_hermitian,
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_cli_run_config_error_exit_2(tmp_path, capsys, case):
+    make = CONFIG_ERRORS[case]
+    path = tmp_path / "nope.json" if make is None else write_config(tmp_path, make(tmp_path))
+    assert cli_main(["run", str(path), "--report", str(tmp_path / "r.json")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_run_overrides(tmp_path):

@@ -36,13 +36,13 @@ def rng_generator(rng, n, spread=2.0):
 
 
 def test_nilpotent_shift_small_orders():
-    assert nilpotent_shift(0).matrix.shape == (1, 1)
-    assert nilpotent_shift(0).matrix[0, 0] == 0.0
-    np.testing.assert_array_equal(nilpotent_shift(1).matrix, [[0.0, 1.0], [0.0, 0.0]])
+    assert nilpotent_shift(0).shape == (1, 1)
+    assert nilpotent_shift(0)[0, 0] == 0.0
+    np.testing.assert_array_equal(nilpotent_shift(1), [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_nilpotent_shift_powers():
-    b = nilpotent_shift(2).matrix
+    b = nilpotent_shift(2)
     b2 = b @ b
     expected = np.zeros((3, 3))
     expected[0, 2] = 1.0
@@ -52,7 +52,7 @@ def test_nilpotent_shift_powers():
 
 @pytest.mark.parametrize("n", range(5))
 def test_nilpotent_shift_index(n):
-    b = nilpotent_shift(n).matrix
+    b = nilpotent_shift(n)
     assert operator_norm(np.linalg.matrix_power(b, n + 1)) == 0.0
     if n >= 1:
         assert operator_norm(np.linalg.matrix_power(b, n)) > 0.0
@@ -312,7 +312,7 @@ def test_corner_operator_json_roundtrip(tmp_path):
     d = rng_generator(rng, 2)
     rep = triangular_representation(derivative_chain(d, rng_operator(rng, 2), 2))
     path = tmp_path / "corner.json"
-    save_corner_operator(path, rep.corner)
+    save_corner_operator(path, rep)
     payload = json.loads(path.read_text())
     assert payload["base_dim"] == 2 and payload["order"] == 2 and payload["dim"] == 6
     loaded = load_corner_operator(path)
