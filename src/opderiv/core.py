@@ -297,6 +297,10 @@ class Subspace:
         return Subspace(ambient_dim, basis)
 
 
+# Batched closure products are formed this many matrix entries at a time.
+_BATCH_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class OperatorSpace:
     """Linear space of operators given by a linearly independent basis."""
@@ -319,16 +323,24 @@ class OperatorSpace:
         else:
             object.__setattr__(self, "_q", np.zeros((self.ambient_dim**2, 0), dtype=complex))
 
+    @classmethod
+    def from_columns(cls, dim: int, columns: np.ndarray) -> "OperatorSpace":
+        """The span of the columns of a ``(dim*dim, m)`` array of vec'd operators."""
+        return cls(dim, tuple(unvec(col, dim) for col in columns.T))
+
     @property
     def dim(self) -> int:
         return len(self.basis_elements)
 
     def membership_residual(self, x) -> float:
         """Frobenius distance from x to the span, relative to 1 + ||x||_F."""
-        v = vec(as_operator(x))
+        return float(self._residuals(vec(as_operator(x))[:, None])[0])
+
+    def _residuals(self, cols: np.ndarray) -> np.ndarray:
+        """membership_residual of each column (a vec'd operator)."""
         q = self._q
-        resid = v - q @ (q.conj().T @ v)
-        return float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(v)))
+        resid = cols - q @ (q.conj().T @ cols)
+        return np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(cols, axis=0))
 
     def equals(self, other: "OperatorSpace", tol: float = 1e-9) -> bool:
         """Same span: equal dimensions plus mutual membership of the bases."""
@@ -343,20 +355,25 @@ class OperatorSpace:
 
         With ``max_pairs`` set, a deterministic sample of that many index
         pairs is checked instead of all dim**2 (which grows too costly for
-        large spaces).
+        large spaces).  The products are formed and projected in batches.
         """
-        k = self.dim
+        k, d = self.dim, self.ambient_dim
+        if k == 0:
+            return 0.0
         if max_pairs is None or k * k <= max_pairs:
-            pairs = [(i, j) for i in range(k) for j in range(k)]
+            left, right = np.divmod(np.arange(k * k), k)
         else:
             rng = np.random.default_rng(0)
-            idx = rng.integers(0, k, size=(max_pairs, 2))
-            pairs = [tuple(p) for p in idx]
+            left, right = rng.integers(0, k, size=(max_pairs, 2)).T
+        elems = np.stack(self.basis_elements)
         worst = 0.0
-        for i, j in pairs:
-            worst = max(
-                worst, self.membership_residual(self.basis_elements[i] @ self.basis_elements[j])
-            )
+        step = max(1, _BATCH_ENTRIES // (d * d))
+        for start in range(0, len(left), step):
+            i, j = left[start : start + step], right[start : start + step]
+            products = elems[i] @ elems[j]
+            # column-major vec of each product, one product per column
+            cols = products.transpose(2, 1, 0).reshape(d * d, -1)
+            worst = max(worst, float(self._residuals(cols).max()))
         return worst
 
 
@@ -377,15 +394,17 @@ def commutation_constraint(g) -> np.ndarray:
 
 
 def invariance_constraint(v) -> np.ndarray:
-    """Matrix of X -> (I - P) X V, where the columns of V are an orthonormal
-    basis of a subspace and P = V V*; nullspace = operators leaving it invariant.
+    """Matrix of X -> Qc* X V, where the columns of V are an orthonormal
+    basis of a subspace and those of Qc an orthonormal basis of its
+    complement; nullspace = operators leaving the subspace invariant.
 
-    It has k * d rows for a k-dimensional subspace of C^d, against d * d for
-    the equivalent map X -> (I - P) X P.
+    It has k * (d - k) rows for a k-dimensional subspace of C^d (none for
+    the zero or the whole space), against d * d for the equivalent map
+    X -> (I - P) X P.  Its rows are orthonormal.
     """
     v = np.asarray(v, dtype=complex)
-    p = v @ v.conj().T
-    return np.kron(v.T, np.eye(v.shape[0]) - p)
+    q, _ = np.linalg.qr(v, mode="complete")
+    return np.kron(v.T, q[:, v.shape[1] :].conj().T)
 
 
 def matrix_units(dim: int) -> list[np.ndarray]:
@@ -398,16 +417,18 @@ def nullspace_of_constraints(
     dim: int,
     tol: TolerancePolicy | None = None,
     scale: float | None = None,
-    within: OperatorSpace | None = None,
-) -> OperatorSpace:
-    """Orthonormal basis of {X in W : C @ vec(X) = 0 for every constraint C}.
+    within: np.ndarray | None = None,
+) -> np.ndarray:
+    """Orthonormal basis of {X in W : C @ vec(X) = 0 for every constraint C},
+    as the columns of a ``(dim*dim, m)`` array (vec coordinates).
 
     Each constraint is a 2-D ndarray with ``dim*dim`` columns.  W is the
-    span of ``within`` when given, else the whole matrix space.  The
-    solution is narrowed one constraint at a time (an intersection of
-    null spaces): the constraint is restricted to the current orthonormal
-    null basis B, the SVD of C @ B is taken, and B is replaced by B times
-    the right singular vectors past the rank.  Rank is decided per step:
+    span of ``within``, a ``(dim*dim, m)`` array with orthonormal columns,
+    when given, else the whole matrix space.  The solution is narrowed one
+    constraint at a time (an intersection of null spaces): the constraint
+    is restricted to the current orthonormal null basis B, the SVD of
+    C @ B is taken, and B is replaced by B times the right singular
+    vectors past the rank.  Rank is decided per step:
     singular values above ``rank_cutoff * max(scale, s_max)`` count, where
     s_max is the largest singular value of any restricted constraint seen
     so far.  A caller that knows the natural magnitude of its constraints
@@ -416,11 +437,11 @@ def nullspace_of_constraints(
     that earlier constraints already imply, is treated as zero instead of
     as a noise matrix of spurious full rank.  With no constraints the
     starting space is returned; a trivial solution space yields an empty
-    basis.
+    basis.  ``OperatorSpace.from_columns`` turns the result into a space.
     """
     tol = tol or DEFAULT_TOL
     d2 = dim * dim
-    basis = None if within is None else within._q  # None: the whole matrix space
+    basis = within  # None: the whole matrix space
     largest = 0.0
     for c in constraints:
         mat = np.asarray(c, dtype=complex)
@@ -438,9 +459,7 @@ def nullspace_of_constraints(
         null = vh[rank:].conj().T
         basis = null if basis is None else basis @ null
 
-    if basis is None:
-        return OperatorSpace(dim, tuple(matrix_units(dim)))
-    return OperatorSpace(dim, tuple(unvec(col, dim) for col in basis.T))
+    return np.eye(d2, dtype=complex) if basis is None else basis
 
 
 def save_operator(path, a, extra: dict | None = None) -> None:

@@ -136,9 +136,8 @@ class DerivativeChain:
             return self.x
         return self.derivatives[j - 1]
 
-    def validate(self, tol: TolerancePolicy | None = None) -> float:
+    def validate(self) -> float:
         """Max residual of the recursion derivatives[k] = i[D, derivatives[k-1]]."""
-        tol = tol or DEFAULT_TOL
         worst = 0.0
         for j in range(1, self.order + 1):
             resid = operator_norm(self.delta(j) - commutator_derivative(self.generator, self.delta(j - 1)))

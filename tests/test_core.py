@@ -228,23 +228,38 @@ def test_operator_space_rejects_dependent_basis():
         OperatorSpace(2, (np.eye(2), 2.0 * np.eye(2)))
 
 
+@pytest.mark.parametrize("max_pairs", (None, 7))
+def test_closure_residual_matches_pairwise_membership(max_pairs):
+    rng = np.random.default_rng(8)
+    space = OperatorSpace(3, tuple(rng.standard_normal((4, 3, 3)) + 0j))  # not closed
+    k = space.dim
+    if max_pairs is None:
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+    else:
+        pairs = np.random.default_rng(0).integers(0, k, size=(max_pairs, 2))
+    elems = space.basis_elements
+    expected = max(space.membership_residual(elems[i] @ elems[j]) for i, j in pairs)
+    assert expected > 0.1
+    assert space.product_closure_residual(max_pairs) == pytest.approx(expected, rel=1e-12)
+
+
 # ------------------------------------------------------- nullspace solving
 
 
 def test_nullspace_no_constraints_full_space():
     space = nullspace_of_constraints([], 2)
-    assert space.dim == 4
+    assert space.shape == (4, 4)
 
 
 def test_nullspace_zero_constraint_kills_everything():
     space = nullspace_of_constraints([np.eye(4)], 2)
-    assert space.dim == 0
+    assert space.shape == (4, 0)
 
 
 def test_nullspace_commutant_of_distinct_diagonal():
     # entrywise oracle: (lam_i - lam_j) x_ij = 0 forces x diagonal
     g = np.diag([1.0, 2.0])
-    space = nullspace_of_constraints([commutation_constraint(g)], 2)
+    space = OperatorSpace.from_columns(2, nullspace_of_constraints([commutation_constraint(g)], 2))
     assert space.dim == 2
     expected = OperatorSpace(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     assert space.equals(expected, tol=1e-12)
@@ -254,7 +269,7 @@ def test_nullspace_residuals_and_brute_force_rank():
     rng = np.random.default_rng(5)
     g = rng_hermitian(rng, 3)
     c = commutation_constraint(g)
-    space = nullspace_of_constraints([c], 3)
+    space = OperatorSpace.from_columns(3, nullspace_of_constraints([c], 3))
     for b in space.basis_elements:
         assert operator_norm(b @ g - g @ b) <= DEFAULT_TOL.alg(operator_norm(g))
     # dimension agrees with an independent rank computation
@@ -267,7 +282,7 @@ def test_nullspace_tall_stack_compression():
     # 360 rows, 9 cols; every repeat after the first is roundoff on the null basis
     constraints = [commutation_constraint(g) for _ in range(40)]
     space = nullspace_of_constraints(constraints, 3)
-    assert space.dim == 3
+    assert space.shape == (9, 3)
 
 
 def _random_flag_family(rng, dim):
@@ -284,17 +299,14 @@ def _dense_oracle(constraints, dim, within=None):
     d2 = dim * dim
     rows = list(constraints)
     if within is not None:
-        q = np.stack([vec(b) for b in within.basis_elements], axis=1)
-        q, _ = np.linalg.qr(q)
-        rows.append(np.eye(d2) - q @ q.conj().T)  # X in within
+        rows.append(np.eye(d2) - within @ within.conj().T)  # X in within
     _, s, vh = np.linalg.svd(np.vstack(rows))
     rank = int(np.sum(s > 1e-9 * s[0]))
     return vh[rank:].conj().T
 
 
-def _span_distance(space, columns):
-    q = np.stack([vec(b) for b in space.basis_elements], axis=1)
-    q, _ = np.linalg.qr(q)
+def _span_distance(q, columns):
+    """Distance of the projections onto two spans given by orthonormal columns."""
     return operator_norm(q @ q.conj().T - columns @ columns.conj().T)
 
 
@@ -306,7 +318,7 @@ def test_nullspace_matches_dense_oracle(seed):
     constraints = [invariance_constraint(sub.basis) for sub in family]
     space = nullspace_of_constraints(constraints, dim, scale=1.0)
     oracle = _dense_oracle(constraints, dim)
-    assert space.dim == oracle.shape[1] > 0
+    assert space.shape[1] == oracle.shape[1] > 0
     assert _span_distance(space, oracle) <= 1e-10
 
 
@@ -319,16 +331,16 @@ def test_nullspace_within_matches_dense_oracle(seed):
     outer = nullspace_of_constraints(constraints[:cut], dim, scale=1.0)
     space = nullspace_of_constraints(constraints[cut:], dim, scale=1.0, within=outer)
     oracle = _dense_oracle(constraints[cut:], dim, within=outer)
-    assert outer.dim > space.dim == oracle.shape[1] > 0
+    assert outer.shape[1] > space.shape[1] == oracle.shape[1] > 0
     assert _span_distance(space, oracle) <= 1e-10
     # narrowing in two calls matches imposing every constraint in one
     assert _span_distance(space, _dense_oracle(constraints, dim)) <= 1e-10
 
 
 def test_nullspace_within_no_constraints_keeps_the_space():
-    diag = OperatorSpace(2, (np.diag([1.0, 0.0]), np.diag([1.0, 1.0])))
+    diag = np.eye(4, dtype=complex)[:, [0, 3]]  # vec of the diagonal matrix units
     space = nullspace_of_constraints([], 2, within=diag)
-    assert space.equals(diag, tol=1e-12)
+    np.testing.assert_array_equal(space, diag)
 
 
 def test_vec_unvec_column_major():
@@ -341,10 +353,22 @@ def test_invariance_constraint_matches_direct_evaluation():
     rng = np.random.default_rng(7)
     sub = Subspace.from_columns(rng.standard_normal((4, 2)))
     c = invariance_constraint(sub.basis)
-    assert c.shape == (2 * 4, 16)  # k * d rows
+    assert c.shape == (2 * (4 - 2), 16)  # k * (d - k) rows
+    q, _ = np.linalg.qr(sub.basis, mode="complete")
+    complement = q[:, 2:]
+    np.testing.assert_allclose(complement.conj().T @ sub.basis, 0.0, atol=1e-12)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    direct = (np.eye(4) - sub.projection) @ x @ sub.basis
+    direct = complement.conj().T @ x @ sub.basis
     np.testing.assert_allclose(c @ vec(x), vec(direct), atol=1e-12)
+    # orthonormal rows whose Gram is the full-space map X -> (I - P) X P
+    np.testing.assert_allclose(c @ c.conj().T, np.eye(4), atol=1e-12)
+    p = sub.projection
+    np.testing.assert_allclose(c.conj().T @ c, np.kron(p.T, np.eye(4) - p), atol=1e-12)
+
+
+def test_invariance_constraint_trivial_subspaces_have_no_rows():
+    assert invariance_constraint(np.zeros((3, 0))).shape == (0, 9)
+    assert invariance_constraint(np.eye(3)).shape == (0, 9)
 
 
 def test_matrix_units_orthonormal():

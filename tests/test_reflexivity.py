@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from opderiv import reflexivity
 from opderiv.core import (
     DEFAULT_TOL,
     OperatorSpace,
     Subspace,
     eig_hermitian,
     operator_norm,
+    vec,
 )
 from opderiv.derivation import derivative_chain
 from opderiv.reflexivity import (
+    InvariantFamily,
     LatGenerationFailed,
     ReflexivityViolation,
     VonNeumannAlgebraSpec,
@@ -230,8 +233,7 @@ def test_invariant_family_labels_n1():
     assert any(l.startswith("lat_M") for l in labels)
     without = fam.without_q()
     assert not any(l.startswith("Q_") for l in without.labels)
-    only = fam.only_q()
-    assert only.labels == ("Q_1",) and only.ambient_dim == fam.ambient_dim
+    assert len(without.labels) == len(labels) - 1 and without.ambient_dim == fam.ambient_dim
 
 
 def test_invariant_family_residuals_small():
@@ -334,8 +336,93 @@ def test_dropping_q_never_shrinks_the_solution():
             reduced = alg_of_family(fam.without_q())
             assert reduced.dim >= full.dim
             # imposing the Q_j inside the reduced solution gives the full one
-            narrowed = alg_of_family(fam.only_q(), within=reduced)
+            q_members = [s for s, l in zip(fam.subspaces, fam.labels) if l.startswith("Q_")]
+            narrowed = alg_of_family(q_members, within=reduced)
             assert narrowed.dim == full.dim and narrowed.equals(full, tol=1e-9)
+            # so does imposing every member, unstructured, inside it
+            assert alg_of_family(list(fam.subspaces), within=reduced).equals(full, tol=1e-9)
+
+
+def _full_space_null(subspaces, dim):
+    """Operators leaving every member invariant, by one SVD of the vstacked
+    full-space constraints kron(P.T, I - P), as orthonormal vec columns."""
+    rows = [np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces]
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    return vh[rank:].conj().T
+
+
+def _oracle_spec(kind):
+    if kind == "block_diagonal":
+        return VonNeumannAlgebraSpec(kind, 3, pattern=(2, 1))
+    if kind == "generated":
+        u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((3, 3)))
+        return VonNeumannAlgebraSpec(kind, 3, generators=(u @ np.diag([1.0, 1.0, 2.0]) @ u.T,))
+    return VonNeumannAlgebraSpec(kind, 3)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
+    spec = _oracle_spec(kind)
+    d = rng_generator(np.random.default_rng(60), 3)
+    corner_solve, solves = reflexivity._corner_solve, []
+
+    def recording(family, tol):  # keeps the family and the solution of the check
+        out = corner_solve(family, tol)
+        solves.append((family, out[0]))
+        return out
+
+    monkeypatch.setattr(reflexivity, "_corner_solve", recording)
+    report = reflexivity_check(spec, d, n)
+    ((family, space),) = solves
+    dim = family.ambient_dim
+    oracle = _full_space_null(family.subspaces, dim)
+    without_q = _full_space_null(family.without_q().subspaces, dim)
+    assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
+    assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
+    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+    assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
+
+
+def _relabeled(family, label, sub):
+    subs = [sub if l == label else s for s, l in zip(family.subspaces, family.labels)]
+    return InvariantFamily(tuple(subs), family.labels, family.base_dim, family.order)
+
+
+def test_structured_solve_rejects_misshapen_members():
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    d = eig_hermitian(np.diag([0.0, 1.0]))
+    family = invariant_family(spec, d, 1)
+    axis = Subspace(2, np.eye(2)[:, :1])
+    # a lat member in the second block is not of the form L + 0
+    off_block = _relabeled(family, "lat_M[0]", axis.embedded(4, 2))
+    with pytest.raises(ValueError, match="first block"):
+        alg_of_family(off_block)
+    # H_0 must span the leading basis vectors
+    with pytest.raises(ValueError, match="leading"):
+        alg_of_family(_relabeled(family, "H_0", Subspace(4, np.eye(4)[:, 2:])))
+    # ... and whole blocks of them: a leading span inside the first block is no H_j
+    with pytest.raises(ValueError, match="leading"):
+        alg_of_family(_relabeled(family, "H_1", Subspace(4, np.eye(4)[:, :1])))
+    # the (0, 0)-block solve of the lat members relies on H_0
+    keep = [i for i, l in enumerate(family.labels) if l != "H_0"]
+    no_h0 = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep), tuple(family.labels[i] for i in keep), 2, 1
+    )
+    with pytest.raises(ValueError, match="H_0"):
+        alg_of_family(no_h0)
+    # an InvariantFamily has one solve; inside a space its members go as a list
+    with pytest.raises(ValueError, match="within"):
+        alg_of_family(family, within=alg_of_family(family))
+
+
+@pytest.mark.slow
+def test_reflexivity_full_c16_n3():
+    spec = VonNeumannAlgebraSpec("full", 16)
+    gen, _ = random_scenario(16, 1)
+    report = reflexivity_check(spec, gen, 3, seed=1)
+    assert report.passed and report.dim_computed == 256
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
