@@ -129,7 +129,7 @@ def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         tolerance = max(tolerance, bound)
         passed = passed and resid <= bound
     return CheckReport(
-        "band_eq", data.label, residuals, tolerance, passed, details={"bands": list(bm.band_vectors)}
+        "band_eq", data.label, residuals, tolerance, passed, details={"bands": list(bm.slices)}
     )
 
 

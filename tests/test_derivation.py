@@ -5,10 +5,21 @@ matrix-product computation shows D S_k - S_k D = k S_k, so every
 derivative of S_k has the closed form (ik)^j S_k.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opderiv.core import DEFAULT_TOL, DimensionMismatch, eig_hermitian, operator_norm
+from opderiv.core import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    SelfAdjointGenerator,
+    band_groups,
+    eig_hermitian,
+    operator_norm,
+)
 from opderiv.derivation import (
     automorphism,
     band_derivation,
@@ -24,7 +35,9 @@ from opderiv.derivation import (
     lipschitz_check,
     uniform_convergence_check,
 )
-from opderiv.scenarios import circle_generator, circle_shift
+from opderiv.harness import ScenarioData, _check_band_eq
+from opderiv.reflexivity import VonNeumannAlgebraSpec
+from opderiv.scenarios import circle_generator, circle_shift, random_scenario
 
 
 def rng_operator(rng, n):
@@ -286,6 +299,96 @@ def test_band_derivation_matches_iterated(k):
         band_derivation(band_embed(d, x), k).assemble() - iterated_derivative(d, x, k)
     )
     assert resid <= 1e-10 * (1.0 + d.norm() ** k * operator_norm(x))
+
+
+def _per_block_derivation(d, bm, k):
+    """The band derivation evaluated block by block, as a loop over band pairs."""
+    groups = band_groups(d.eigenvalues)
+    out = {}
+    for (r, c), y in bm.blocks.items():
+        lr, lc = d.eigenvalues[groups[r]], d.eigenvalues[groups[c]]
+        acc = np.zeros_like(y)
+        for j in range(k + 1):
+            weight = math.comb(k, j) * ((-1) ** (k - j))
+            acc += weight * ((lr**j)[:, None] * y * (lc ** (k - j))[None, :])
+        out[(r, c)] = (1j**k) * acc
+    return out
+
+
+def _oracle_scenarios():
+    for dim in (4, 12, 25):
+        yield random_scenario(dim, seed=dim)
+    d = circle_generator(3)
+    yield d, rng_operator(np.random.default_rng(9), d.dim)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_band_derivation_matches_per_block_oracle_exactly(case):
+    d, x = list(_oracle_scenarios())[case]
+    bm = band_embed(d, x)
+    groups = band_groups(d.eigenvalues)
+    # the slices are ascending, contiguous and tile the d x d array
+    slices = list(bm.slices.values())
+    assert list(bm.slices) == sorted(bm.slices)
+    assert slices[0].start == 0 and slices[-1].stop == d.dim
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    assert len(bm.blocks) == len(slices) ** 2
+    for (r, c), block in bm.blocks.items():
+        assert block.shape == (len(groups[r]), len(groups[c]))
+        assert np.shares_memory(block, bm.coeffs)
+    for k in range(1, 6):
+        der = band_derivation(bm, k)
+        expected = _per_block_derivation(d, bm, k)
+        for key, block in der.blocks.items():
+            assert np.array_equal(block, expected[key]), (k, key)
+
+
+def test_band_oracle_scenarios_have_multi_eigenvalue_bands():
+    assert any(
+        len(idx) > 1 for d, _ in _oracle_scenarios() for idx in band_groups(d.eigenvalues).values()
+    )
+
+
+_eigenvalue = st.one_of(
+    st.integers(-3, 4).map(float),
+    st.tuples(st.integers(-3, 4), st.sampled_from([-1e-12, 1e-12])).map(sum),
+    st.floats(-3.0, 4.0, allow_nan=False),
+)
+# drawn values, some of them repeated, ascending
+_spectra = st.tuples(st.lists(_eigenvalue, min_size=1, max_size=8), st.integers(0, 3)).map(
+    lambda pair: sorted(pair[0] + pair[0][: pair[1]])
+)
+
+
+def _generator_with_spectrum(eigenvalues, rng):
+    """D = U diag(eigenvalues) U* for a random unitary U, keeping the drawn eigenvalues."""
+    n = len(eigenvalues)
+    u, _ = np.linalg.qr(rng_operator(rng, n))
+    base = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return SelfAdjointGenerator((base + base.conj().T) / 2, eigenvalues, u)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_spectra, st.sampled_from(["random", "zero", "polynomial"]), st.integers(0, 2**32 - 1))
+@example([0.5], "random", 0)
+@example([0.1, 0.5, 1.0, 1.0], "random", 1)
+@example([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0], "polynomial", 2)
+def test_band_layer_properties(eigenvalues, x_kind, seed):
+    rng = np.random.default_rng(seed)
+    d = _generator_with_spectrum(eigenvalues, rng)
+    if x_kind == "random":
+        x = rng_operator(rng, d.dim)
+    elif x_kind == "zero":
+        x = np.zeros((d.dim, d.dim), dtype=complex)
+    else:
+        # a polynomial in D commutes with D
+        x = sum(c * np.linalg.matrix_power(d.base, p) for p, c in enumerate(rng.standard_normal(3)))
+    bm = band_embed(d, x)
+    for r, s in bm.slices.items():
+        assert np.all((r - 1 < d.eigenvalues[s]) & (d.eigenvalues[s] <= r))
+    data = ScenarioData("hypothesis", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 1, seed)
+    report = _check_band_eq(data, DEFAULT_TOL)
+    assert report.passed, report.residuals
 
 
 # ------------------------------------------------------------ finite differences
