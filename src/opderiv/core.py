@@ -332,12 +332,22 @@ class OperatorSpace:
     def dim(self) -> int:
         return len(self.basis_elements)
 
+    def stacked(self) -> np.ndarray:
+        """The basis elements as one ``(dim, ambient_dim, ambient_dim)`` array."""
+        d = self.ambient_dim
+        return np.stack(self.basis_elements) if self.dim else np.zeros((0, d, d), dtype=complex)
+
     def membership_residual(self, x) -> float:
         """Frobenius distance from x to the span, relative to 1 + ||x||_F."""
-        return float(self._residuals(vec(as_operator(x))[:, None])[0])
+        return float(self._residuals(as_operator(x)[None])[0])
 
-    def _residuals(self, cols: np.ndarray) -> np.ndarray:
-        """membership_residual of each column (a vec'd operator)."""
+    def _residuals(self, ops: np.ndarray) -> np.ndarray:
+        """membership_residual of each operator in an ``(m, d, d)`` stack."""
+        d = self.ambient_dim
+        if ops.shape[1:] != (d, d):
+            raise DimensionMismatch(f"operators of shape {ops.shape[1:]} in a space on C^{d}")
+        # column-major vec of each operator, one operator per column
+        cols = ops.transpose(2, 1, 0).reshape(d * d, -1)
         q = self._q
         resid = cols - q @ (q.conj().T @ cols)
         return np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(cols, axis=0))
@@ -346,8 +356,9 @@ class OperatorSpace:
         """Same span: equal dimensions plus mutual membership of the bases."""
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return all(self.membership_residual(b) <= tol for b in other.basis_elements) and all(
-            other.membership_residual(b) <= tol for b in self.basis_elements
+        return bool(
+            np.all(self._residuals(other.stacked()) <= tol)
+            and np.all(other._residuals(self.stacked()) <= tol)
         )
 
     def product_closure_residual(self, max_pairs: int | None = None) -> float:
@@ -365,15 +376,12 @@ class OperatorSpace:
         else:
             rng = np.random.default_rng(0)
             left, right = rng.integers(0, k, size=(max_pairs, 2)).T
-        elems = np.stack(self.basis_elements)
+        elems = self.stacked()
         worst = 0.0
         step = max(1, _BATCH_ENTRIES // (d * d))
         for start in range(0, len(left), step):
             i, j = left[start : start + step], right[start : start + step]
-            products = elems[i] @ elems[j]
-            # column-major vec of each product, one product per column
-            cols = products.transpose(2, 1, 0).reshape(d * d, -1)
-            worst = max(worst, float(self._residuals(cols).max()))
+            worst = max(worst, float(self._residuals(elems[i] @ elems[j]).max()))
         return worst
 
 

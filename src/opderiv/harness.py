@@ -10,13 +10,18 @@ kinds and their field rules belong to ``VonNeumannAlgebraSpec``.  A
 malformed config raises ConfigError from ``ScenarioConfig.from_dict`` or
 ``build_scenario``.  Identical config and seed reproduce identical
 numerical report fields (timings excluded) on one platform.
+
+The invariance and reflexivity checks share one invariant family per
+scenario: ``ScenarioData.family`` builds it (with the algebra it
+certifies) on first use, so a run that selects either check or both
+solves the commutant, the algebra and the family once.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,7 @@ from .derivation import (
     uniform_convergence_check,
 )
 from .reflexivity import (
+    InvariantFamily,
     ReflexivityViolation,
     VonNeumannAlgebraSpec,
     invariance_residuals,
@@ -85,6 +91,15 @@ class ScenarioData:
     algebra: VonNeumannAlgebraSpec
     n: int
     seed: int
+    _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def family(self, tol: TolerancePolicy) -> InvariantFamily:
+        """The invariant family of the algebra at order n, built on first use."""
+        if tol not in self._families:
+            self._families[tol] = invariant_family(
+                self.algebra, self.generator, self.n, tol=tol, seed=self.seed
+            )
+        return self._families[tol]
 
 
 def _unit_vectors(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +234,8 @@ def _check_ad_identity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 
 
 def _check_invariance(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    family = invariant_family(data.algebra, data.generator, data.n, tol=tol, seed=data.seed)
     residuals_by_label = invariance_residuals(
-        family, data.generator, data.algebra.generating_set(), tol
+        data.family(tol), data.generator, data.algebra.generating_set(), tol
     )
     fwd_norm = 1.0 + data.generator.norm()
     tolerance = tol.alg(fwd_norm ** data.n)
@@ -240,7 +254,7 @@ def _check_invariance(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 def _check_reflexivity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     try:
         report = reflexivity_check(
-            data.algebra, data.generator, data.n, tol=tol, seed=data.seed
+            data.algebra, data.generator, data.n, tol=tol, seed=data.seed, family=data.family(tol)
         )
     except ReflexivityViolation as exc:
         report = exc.report

@@ -10,6 +10,12 @@ algebras of subspace families as nullspace problems, and verifies that
 the corner operators leaving every family member invariant are exactly
 the triangular representations, with matching dimension.
 
+The algebra is solved once per family: ``lat_family`` computes it as the
+commutant of the commutant in order to certify its members, and the
+family carries it, so the reflexivity check makes no separate
+bicommutant solve.  The check reconstructs every solution element and
+tests every algebra element for membership in one batched step each.
+
 All dimension counts are over the complex field.  Subspace equality and
 membership are always tested through projections, never bases.  The
 corner solve starts from the block upper-triangular operators and takes
@@ -37,8 +43,9 @@ from .core import (
     nullspace_of_constraints,
     operator_norm,
 )
-from .derivation import derivative_chain
-from .triangular import corner_exponential, triangular_representation
+# triangular_representation is not called here; the benchmark tracer
+# (perfbench/tracing.py) wraps it under this module's name.
+from .triangular import corner_exponential, triangular_representation, triangular_representations
 
 __all__ = [
     "LatGenerationFailed",
@@ -223,14 +230,15 @@ def lat_family(
     seed: int = 0,
     n_random: int = 3,
     max_extra: int = 20,
-) -> list[Subspace]:
-    """A finite generating family of invariant subspaces for the algebra.
+) -> tuple[list[Subspace], OperatorSpace]:
+    """A finite generating family of invariant subspaces for the algebra,
+    and the algebra it was certified against.
 
     Takes the eigenspace ranges of every Hermitian spanning element of the
     commutant plus ``n_random`` random Hermitian combinations, then
-    certifies Alg(family) equals the algebra (bicommutant cross-check).
-    More random combinations are added on failure, up to ``max_extra``;
-    exhaustion raises LatGenerationFailed.
+    certifies Alg(family) equals the algebra, solved here as the commutant
+    of the commutant (the bicommutant).  More random combinations are added
+    on failure, up to ``max_extra``; exhaustion raises LatGenerationFailed.
     """
     tol = tol or DEFAULT_TOL
     com = commutant(spec, tol=tol)
@@ -256,7 +264,7 @@ def lat_family(
                 f"computed algebra is not closed under multiplication (residual {worst:.3e})"
             )
         if computed.dim == algebra.dim and computed.equals(algebra, tol=tol.alg()):
-            return subspaces
+            return subspaces, algebra
         _append_unique(subspaces, _eigenspace_subspaces(random_combo()))
     raise LatGenerationFailed(
         f"could not certify Alg(family) = algebra for {spec.label()} "
@@ -288,13 +296,15 @@ class InvariantFamily:
 
     Labels: ``lat_M[i]`` for embedded algebra-invariant subspaces,
     ``H_j`` for the leading-corner subspaces, ``P_j``/``Q_j`` for the
-    unshifted/shifted graph subspaces.
+    unshifted/shifted graph subspaces.  ``algebra`` is the algebra on the
+    base space that the ``lat_M`` members were certified against.
     """
 
     subspaces: tuple
     labels: tuple
     base_dim: int
     order: int
+    algebra: OperatorSpace
 
     def __post_init__(self):
         if len(self.subspaces) != len(self.labels):
@@ -310,7 +320,7 @@ class InvariantFamily:
         keep = [i for i, label in enumerate(self.labels) if not label.startswith("Q_")]
         subs = tuple(self.subspaces[i] for i in keep)
         labels = tuple(self.labels[i] for i in keep)
-        return InvariantFamily(subs, labels, self.base_dim, self.order)
+        return InvariantFamily(subs, labels, self.base_dim, self.order, self.algebra)
 
 
 def invariant_family(
@@ -320,7 +330,8 @@ def invariant_family(
     tol: TolerancePolicy | None = None,
     seed: int = 0,
 ) -> InvariantFamily:
-    """The full invariant family: embedded lat members, corners, graphs."""
+    """The full invariant family: embedded lat members, corners, graphs,
+    carrying the algebra that ``lat_family`` certified."""
     tol = tol or DEFAULT_TOL
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -330,7 +341,8 @@ def invariant_family(
     ambient = base * (n + 1)
     subs: list[Subspace] = []
     labels: list[str] = []
-    for i, f in enumerate(lat_family(spec, tol=tol, seed=seed)):
+    lat, algebra = lat_family(spec, tol=tol, seed=seed)
+    for i, f in enumerate(lat):
         subs.append(f.embedded(ambient, 0))
         labels.append(f"lat_M[{i}]")
     eye = np.eye(ambient, dtype=complex)
@@ -342,7 +354,7 @@ def invariant_family(
         labels.append(f"P_{j}")
         subs.append(graph_subspace(d, j, shift=1.0, tol=tol).embedded(ambient, 0))
         labels.append(f"Q_{j}")
-    return InvariantFamily(tuple(subs), tuple(labels), base, n)
+    return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
 
 
 def invariance_residuals(
@@ -353,14 +365,15 @@ def invariance_residuals(
 ) -> dict[str, float]:
     """Max of ||(I - P) rep(x) P|| per family member over the given x's."""
     tol = tol or DEFAULT_TOL
-    n = family.order
-    reps = [triangular_representation(derivative_chain(d, x, n)).matrix for x in elements]
+    xs = [as_operator(x) for x in elements]
+    xs = np.stack(xs) if xs else np.zeros((0, d.dim, d.dim), dtype=complex)
+    reps = triangular_representations(d, xs, family.order)
     eye = np.eye(family.ambient_dim)
     out = {}
     for sub, label in zip(family.subspaces, family.labels):
         p = sub.projection
-        worst = max((operator_norm((eye - p) @ rep @ p) for rep in reps), default=0.0)
-        out[label] = worst
+        norms = np.linalg.norm((eye - p) @ reps @ p, ord=2, axis=(1, 2))
+        out[label] = float(norms.max(initial=0.0))
     return out
 
 
@@ -486,6 +499,7 @@ def reflexivity_check(
     tol: TolerancePolicy | None = None,
     seed: int = 0,
     raise_on_fail: bool = True,
+    family: InvariantFamily | None = None,
 ) -> ReflexivityReport:
     """Verify the corner algebra cut out by the invariant family.
 
@@ -501,32 +515,42 @@ def reflexivity_check(
     n = 0 this degenerates to the bicommutant identity
     Alg(lat_family) = algebra.
 
+    The algebra is the one the family carries (certified by
+    ``lat_family``); there is no separate bicommutant solve.  ``family``
+    is a prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
+    reuse; without it the family is built here.  A family of another base
+    dimension or order raises ValueError.  Reconstruction and membership
+    are each one batched step over all elements
+    (``triangular_representations``).
+
     Raises ReflexivityViolation (report attached) when any assertion
     fails, unless ``raise_on_fail`` is False.
     """
     tol = tol or DEFAULT_TOL
     if spec.ambient_dim != d.dim:
         raise ValueError("algebra and generator dimensions differ")
-    algebra = bicommutant(spec, tol=tol)
-    family = invariant_family(spec, d, n, tol=tol, seed=seed)
+    if family is None:
+        family = invariant_family(spec, d, n, tol=tol, seed=seed)
+    elif (family.base_dim, family.order) != (d.dim, n):
+        raise ValueError(
+            f"family has base dimension {family.base_dim} and order {family.order}, "
+            f"expected {d.dim} and {n}"
+        )
+    algebra = family.algebra
     solved, without_q_dim = _corner_solve(family, tol)
 
     base = d.dim
     fwd, bwd = corner_exponential(d, n)
     scale_tol = tol.alg(fwd.norm(), bwd.norm())
 
-    element_residuals = []
-    for x_mat in solved.basis_elements:
-        block00 = x_mat[:base, :base]
-        rep = triangular_representation(derivative_chain(d, block00, n))
-        element_residuals.append(operator_norm(x_mat - rep.matrix))
-    max_recon = max(element_residuals, default=0.0)
-
-    membership = []
-    for g in algebra.basis_elements:
-        rep = triangular_representation(derivative_chain(d, g, n))
-        membership.append(solved.membership_residual(rep.matrix))
-    max_member = max(membership, default=0.0)
+    elems = solved.stacked()
+    recon = np.linalg.norm(
+        elems - triangular_representations(d, elems[:, :base, :base], n), ord=2, axis=(1, 2)
+    )
+    element_residuals = recon.tolist()
+    max_recon = float(recon.max(initial=0.0))
+    membership = solved._residuals(triangular_representations(d, algebra.stacked(), n))
+    max_member = float(membership.max(initial=0.0))
 
     passed = (
         solved.dim == algebra.dim

@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DimensionMismatch,
     SelfAdjointGenerator,
     TolerancePolicy,
     as_operator,
@@ -43,6 +44,7 @@ __all__ = [
     "CornerOperator",
     "amplify",
     "triangular_representation",
+    "triangular_representations",
     "corner_exponential",
     "conjugation_identity_check",
     "homomorphism_check",
@@ -114,6 +116,32 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
         acc += np.kron(shift_pow, chain.delta(j) / math.factorial(j))
         shift_pow = shift_pow @ shift
     return CornerOperator(acc, base, n)
+
+
+def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) -> np.ndarray:
+    """The triangular representations of a stack of operators, all at once.
+
+    ``xs`` is an ``(m, N, N)`` array; entry k of the ``(m, N(n+1), N(n+1))``
+    result is ``triangular_representation(derivative_chain(d, xs[k], n)).matrix``.
+    The representation is linear in x, so the chain is taken once on the
+    whole stack, ``i(D X - X D)`` broadcast over it, and block (i, i+j) of
+    every result is the stack's delta^j / j!.
+    """
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    base = d.dim
+    xs = np.asarray(xs, dtype=complex)
+    if xs.ndim != 3 or xs.shape[1:] != (base, base):
+        raise DimensionMismatch(f"expected a stack of {base}x{base} operators, got shape {xs.shape}")
+    out = np.zeros((xs.shape[0], base * (n + 1), base * (n + 1)), dtype=complex)
+    delta = xs
+    for j in range(n + 1):
+        if j:
+            delta = 1j * (d.base @ delta - delta @ d.base)
+        block = delta / math.factorial(j)
+        for i in range(n + 1 - j):
+            out[:, i * base : (i + 1) * base, (i + j) * base : (i + j + 1) * base] = block
+    return out
 
 
 def corner_exponential(

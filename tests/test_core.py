@@ -223,6 +223,29 @@ def test_operator_space_membership_and_equality():
     assert diag.equals(other, tol=1e-12)
 
 
+def test_operator_space_equals_matches_elementwise_membership():
+    # the batched verdict is the per-element one, judged against the same tol
+    rng = np.random.default_rng(9)
+    elems = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    a = OperatorSpace(3, tuple(elems))
+    b = OperatorSpace(3, tuple(elems + 1e-6 * rng.standard_normal((3, 3, 3))))
+    worst = max(
+        max(a.membership_residual(x) for x in b.basis_elements),
+        max(b.membership_residual(x) for x in a.basis_elements),
+    )
+    assert worst > 1e-8
+    assert a.equals(b, tol=1.001 * worst) and b.equals(a, tol=1.001 * worst)
+    assert not a.equals(b, tol=0.999 * worst) and not b.equals(a, tol=0.999 * worst)
+    assert OperatorSpace(3, ()).equals(OperatorSpace(3, ()))
+    assert not a.equals(OperatorSpace(3, tuple(elems[:2])))
+
+
+def test_operator_space_membership_rejects_other_dimension():
+    space = OperatorSpace(2, (np.eye(2),))
+    with pytest.raises(DimensionMismatch):
+        space.membership_residual(np.eye(4))
+
+
 def test_operator_space_rejects_dependent_basis():
     with pytest.raises(ValueError):
         OperatorSpace(2, (np.eye(2), 2.0 * np.eye(2)))

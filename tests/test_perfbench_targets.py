@@ -65,3 +65,27 @@ def test_tracer_counts_band_pairs():
     bands = len(report.results[0].details["bands"])
     assert counts["derivation.band.blocks"] == 5 * bands**2
     assert {span[0] for span in spans} >= {"derivation.band"}
+
+
+def test_tracer_sees_one_family_per_scenario():
+    # invariance and reflexivity share one family; the algebra is not solved again
+    raw = {
+        "scenario": {"kind": "random", "N": 3, "x_kind": "general"},
+        "algebra": {"kind": "diagonal_masa"},
+        "n": 1,
+        "seed": 2,
+        "checks": ["invariance", "reflexivity"],
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = run_checks(ScenarioConfig.from_dict(raw))
+    finally:
+        tracer.uninstall()
+    assert report.overall_pass
+    spans, _ = tracer.passes[0]
+    names = [span[0] for span in spans]
+    assert names.count("reflexivity.lat_family") == 1
+    assert names.count("reflexivity.invariant_family") == 1
+    assert names.count("reflexivity.check") == 1
+    assert "reflexivity.bicommutant" not in names

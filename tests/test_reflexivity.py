@@ -28,7 +28,11 @@ from opderiv.reflexivity import (
     reflexivity_check,
 )
 from opderiv.scenarios import random_scenario
-from opderiv.triangular import corner_exponential, triangular_representation
+from opderiv.triangular import (
+    corner_exponential,
+    triangular_representation,
+    triangular_representations,
+)
 
 
 def rng_generator(rng, n, spread=1.0):
@@ -120,7 +124,8 @@ def test_bicommutant_generated_self_consistency():
 
 def test_lat_family_full_gives_whole_space_only():
     spec = VonNeumannAlgebraSpec("full", 3)
-    fam = lat_family(spec)
+    fam, algebra = lat_family(spec)
+    assert algebra.dim == 9
     assert all(s.dim in (0, 3) for s in fam)
     computed = alg_of_family(fam, ambient_dim=3)
     assert computed.dim == 9
@@ -128,7 +133,7 @@ def test_lat_family_full_gives_whole_space_only():
 
 def test_lat_family_masa_contains_axes():
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    fam = lat_family(spec)
+    fam, _ = lat_family(spec)
     axes = [Subspace(2, np.eye(2)[:, i : i + 1]) for i in range(2)]
     for axis in axes:
         assert any(s.dim == 1 and s.distance(axis) <= 1e-8 for s in fam)
@@ -139,14 +144,17 @@ def test_lat_family_masa_contains_axes():
 def test_lat_family_block_diagonal_alg_dim():
     # invariance of the two block subspaces kills 4 of the 9 entries
     spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
-    computed = alg_of_family(lat_family(spec), ambient_dim=3)
+    fam, algebra = lat_family(spec)
+    computed = alg_of_family(fam, ambient_dim=3)
     assert computed.dim == 5
+    # the algebra it hands out is the one it certified: the bicommutant
+    assert algebra.equals(bicommutant(spec), tol=1e-10)
 
 
 def test_lat_family_is_algebra_invariant():
     spec = VonNeumannAlgebraSpec("block_diagonal", 4, pattern=(2, 2))
     algebra = bicommutant(spec)
-    for sub in lat_family(spec):
+    for sub in lat_family(spec)[0]:
         p = sub.projection
         for g in algebra.basis_elements:
             assert operator_norm((np.eye(4) - p) @ g @ p) <= 1e-9
@@ -385,9 +393,69 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
+@pytest.mark.parametrize("n", (0, 1, 2))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
+    # per element: one chain and one triangular representation each, one
+    # membership_residual per algebra element, the algebra solved as the bicommutant
+    spec = _oracle_spec(kind)
+    d = rng_generator(np.random.default_rng(62), 3)
+    corner_solve, solved = reflexivity._corner_solve, []
+
+    def recording(family, tol):
+        out = corner_solve(family, tol)
+        solved.append(out[0])
+        return out
+
+    monkeypatch.setattr(reflexivity, "_corner_solve", recording)
+    report = reflexivity_check(spec, d, n, raise_on_fail=False)
+    (space,) = solved
+    reps = [
+        triangular_representation(derivative_chain(d, x[:3, :3], n)).matrix
+        for x in space.basis_elements
+    ]
+    batched = triangular_representations(d, space.stacked()[:, :3, :3], n)
+    for rep, want in zip(batched, reps):
+        assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
+    recon = [operator_norm(x - rep) for x, rep in zip(space.basis_elements, reps)]
+    algebra = bicommutant(spec)
+    member = max(
+        space.membership_residual(triangular_representation(derivative_chain(d, g, n)).matrix)
+        for g in algebra.basis_elements
+    )
+    assert len(report.element_residuals) == len(recon) == space.dim
+    for got, want in zip(report.element_residuals, recon):
+        assert abs(got - want) <= 1e-12 * (1 + want)
+    assert report.max_reconstruction_residual == max(report.element_residuals)
+    assert abs(report.max_membership_residual - member) <= 1e-12 * (1 + member)
+    assert report.dim_expected == algebra.dim
+    passed = space.dim == algebra.dim and max(max(recon), member) <= report.tolerance
+    assert report.passed == passed
+
+
+def test_reflexivity_check_with_prebuilt_family(monkeypatch):
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
+    d = rng_generator(np.random.default_rng(63), 3)
+    family = invariant_family(spec, d, 2, seed=4)
+    assert family.algebra.equals(bicommutant(spec), tol=1e-10)
+    small = eig_hermitian(np.diag([0.2, 1.4]))
+    other_base = invariant_family(VonNeumannAlgebraSpec("diagonal_masa", 2), small, 2)
+    expected = reflexivity_check(spec, d, 2, seed=4)
+    calls = []
+    monkeypatch.setattr(reflexivity, "commutant", lambda *a, **k: calls.append(a))
+    assert reflexivity_check(spec, d, 2, seed=4, family=family) == expected
+    assert not calls  # nothing is solved again
+    with pytest.raises(ValueError, match="order"):
+        reflexivity_check(spec, d, 1, family=family)
+    with pytest.raises(ValueError, match="base dimension"):
+        reflexivity_check(spec, d, 2, family=other_base)
+
+
 def _relabeled(family, label, sub):
     subs = [sub if l == label else s for s, l in zip(family.subspaces, family.labels)]
-    return InvariantFamily(tuple(subs), family.labels, family.base_dim, family.order)
+    return InvariantFamily(
+        tuple(subs), family.labels, family.base_dim, family.order, family.algebra
+    )
 
 
 def test_structured_solve_rejects_misshapen_members():
@@ -408,7 +476,11 @@ def test_structured_solve_rejects_misshapen_members():
     # the (0, 0)-block solve of the lat members relies on H_0
     keep = [i for i, l in enumerate(family.labels) if l != "H_0"]
     no_h0 = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep), tuple(family.labels[i] for i in keep), 2, 1
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        2,
+        1,
+        family.algebra,
     )
     with pytest.raises(ValueError, match="H_0"):
         alg_of_family(no_h0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opderiv import harness, reflexivity
 from opderiv.cli import main as cli_main
 from opderiv.core import load_operator, save_operator, spectral_band_projections
 from opderiv.harness import CHECK_NAMES, ScenarioConfig, ScenarioData, build_scenario, run_checks
@@ -273,6 +274,31 @@ def test_run_checks_all_random_scenario():
     report = run_checks(ScenarioConfig.from_dict(raw))
     assert report.overall_pass
     assert [r.check for r in report.results] == list(CHECK_NAMES)
+
+
+@pytest.mark.parametrize(
+    "checks", (["invariance", "reflexivity"], ["reflexivity", "invariance"], ["reflexivity"])
+)
+def test_one_invariant_family_per_scenario(checks, monkeypatch):
+    # the family (and with it the commutant and the algebra) is solved once
+    counts = {"invariant_family": 0, "commutant": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(harness, "invariant_family")
+    counting(reflexivity, "invariant_family")
+    counting(reflexivity, "commutant")
+    raw = base_config(scenario={"kind": "random", "N": 3, "x_kind": "general"}, checks=checks, n=1)
+    report = run_checks(ScenarioConfig.from_dict(raw))
+    assert report.overall_pass and len(report.results) == len(checks)
+    assert counts == {"invariant_family": 1, "commutant": 2}  # spec, then its commutant
 
 
 def test_run_checks_reports_reproducible():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from opderiv.core import DEFAULT_TOL, eig_hermitian, operator_norm
+from opderiv.core import DEFAULT_TOL, DimensionMismatch, eig_hermitian, operator_norm
 from opderiv.derivation import chain_norm, derivative_chain
 from opderiv.scenarios import circle_generator, circle_shift
 from opderiv.triangular import (
@@ -20,6 +20,7 @@ from opderiv.triangular import (
     norm_sandwich_check,
     save_corner_operator,
     triangular_representation,
+    triangular_representations,
 )
 
 
@@ -124,6 +125,30 @@ def test_representation_linear_and_injective():
     # block (0, 0) recovers the operator exactly
     rep = triangular_representation(derivative_chain(d, x, 2))
     np.testing.assert_array_equal(rep.block(0, 0), x)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+def test_stacked_representations_match_one_at_a_time(n):
+    rng = np.random.default_rng(23)
+    d = rng_generator(rng, 3)
+    xs = np.stack([rng_operator(rng, 3) for _ in range(5)])
+    reps = triangular_representations(d, xs, n)
+    assert reps.shape == (5, 3 * (n + 1), 3 * (n + 1))
+    for x, rep in zip(xs, reps):
+        expected = triangular_representation(derivative_chain(d, x, n)).matrix
+        assert operator_norm(rep - expected) <= 1e-12 * (1 + operator_norm(expected))
+        np.testing.assert_array_equal(rep[:3, :3], x)
+
+
+def test_stacked_representations_shapes():
+    d = rng_generator(np.random.default_rng(24), 2)
+    assert triangular_representations(d, np.zeros((0, 2, 2)), 2).shape == (0, 6, 6)
+    with pytest.raises(DimensionMismatch):
+        triangular_representations(d, np.zeros((1, 3, 3)), 1)
+    with pytest.raises(DimensionMismatch):
+        triangular_representations(d, np.eye(2), 1)
+    with pytest.raises(ValueError):
+        triangular_representations(d, np.zeros((1, 2, 2)), -1)
 
 
 def test_representation_restriction_compatibility():
