@@ -115,9 +115,15 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
+def operator_norm(a) -> float | np.ndarray:
+    """Largest singular value, of a matrix or of each matrix in a stack.
+
+    A 2-D input gives a float.  A ``(..., M, N)`` stack gives an array of
+    its leading shape, with one LAPACK call for the whole stack and the
+    same value per matrix as a 2-D call; an empty stack gives shape (0,).
+    """
+    norms = np.linalg.norm(np.asarray(a, dtype=complex), ord=2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -198,15 +204,18 @@ def eig_hermitian(a, tol: TolerancePolicy | None = None) -> SelfAdjointGenerator
     return gen
 
 
-def unitary_group(d: SelfAdjointGenerator, t: float) -> np.ndarray:
+def unitary_group(d: SelfAdjointGenerator, t) -> np.ndarray:
     """exp(itD), computed through the eigendecomposition.
 
     Exact unitarity up to eigensolver accuracy; satisfies the group law
-    exp(i(s+t)D) = exp(isD) exp(itD) within roundoff.
+    exp(i(s+t)D) = exp(isD) exp(itD) within roundoff.  A scalar t gives
+    an (N, N) matrix; a 1-D array of T times gives the (T, N, N) stack
+    ``(V * phases[..., None, :]) @ V*``, entry k equal to the matrix at
+    ``t[k]``.
     """
-    phases = np.exp(1j * float(t) * d.eigenvalues)
+    phases = np.exp(1j * np.asarray(t, dtype=float)[..., None] * d.eigenvalues)
     u = d.eigenvectors
-    return (u * phases) @ u.conj().T
+    return (u * phases[..., None, :]) @ u.conj().T
 
 
 def band_index(lam: float) -> int:

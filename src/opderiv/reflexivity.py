@@ -220,7 +220,9 @@ def _append_unique(subspaces: list[Subspace], new: list[Subspace], tol: float = 
     for sub in new:
         if sub.dim == 0:
             continue
-        if all(sub.distance(old) > tol for old in subspaces):
+        # distances to every kept subspace, as one stacked norm
+        kept = np.array([old.projection for old in subspaces]).reshape(-1, *sub.projection.shape)
+        if np.all(operator_norm(sub.projection - kept) > tol):
             subspaces.append(sub)
 
 
@@ -361,10 +363,12 @@ def invariance_residuals(
     family: InvariantFamily,
     d: SelfAdjointGenerator,
     elements,
-    tol: TolerancePolicy | None = None,
 ) -> dict[str, float]:
-    """Max of ||(I - P) rep(x) P|| per family member over the given x's."""
-    tol = tol or DEFAULT_TOL
+    """Max of ||(I - P) rep(x) P|| per family member over the given x's.
+
+    Gives residuals, not a verdict: the caller judges them against its
+    own tolerance.
+    """
     xs = [as_operator(x) for x in elements]
     xs = np.stack(xs) if xs else np.zeros((0, d.dim, d.dim), dtype=complex)
     reps = triangular_representations(d, xs, family.order)
@@ -372,8 +376,7 @@ def invariance_residuals(
     out = {}
     for sub, label in zip(family.subspaces, family.labels):
         p = sub.projection
-        norms = np.linalg.norm((eye - p) @ reps @ p, ord=2, axis=(1, 2))
-        out[label] = float(norms.max(initial=0.0))
+        out[label] = float(operator_norm((eye - p) @ reps @ p).max(initial=0.0))
     return out
 
 
@@ -544,9 +547,7 @@ def reflexivity_check(
     scale_tol = tol.alg(fwd.norm(), bwd.norm())
 
     elems = solved.stacked()
-    recon = np.linalg.norm(
-        elems - triangular_representations(d, elems[:, :base, :base], n), ord=2, axis=(1, 2)
-    )
+    recon = operator_norm(elems - triangular_representations(d, elems[:, :base, :base], n))
     element_residuals = recon.tolist()
     max_recon = float(recon.max(initial=0.0))
     membership = solved._residuals(triangular_representations(d, algebra.stacked(), n))

@@ -93,10 +93,24 @@ class CornerOperator:
         return operator_norm(self.matrix)
 
 
+def _toeplitz_blocks(diagonals, order: int) -> np.ndarray:
+    """Block upper-triangular matrix with block (i, i+j) = diagonals[j].
+
+    Each entry of ``diagonals`` is an (N, N) matrix or an (m, N, N) stack
+    (then the result is a stack too); diagonals past the list are zero.
+    """
+    base = diagonals[0].shape[-1]
+    out = np.zeros(diagonals[0].shape[:-2] + (base * (order + 1),) * 2, dtype=complex)
+    for j, block in enumerate(diagonals):
+        for i in range(order + 1 - j):
+            out[..., i * base : (i + 1) * base, (i + j) * base : (i + j + 1) * base] = block
+    return out
+
+
 def amplify(x, order: int) -> CornerOperator:
     """Block-diagonal amplification of x: one copy of x per block."""
     x = as_operator(x)
-    return CornerOperator(np.kron(np.eye(order + 1), x), x.shape[0], order)
+    return CornerOperator(_toeplitz_blocks([x], order), x.shape[0], order)
 
 
 def triangular_representation(chain: DerivativeChain) -> CornerOperator:
@@ -108,14 +122,8 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
     (0, 0) recovers x) and linear in the chain.
     """
     n = chain.order
-    base = chain.x.shape[0]
-    shift = nilpotent_shift(n)
-    acc = np.zeros((base * (n + 1), base * (n + 1)), dtype=complex)
-    shift_pow = np.eye(n + 1, dtype=complex)
-    for j in range(n + 1):
-        acc += np.kron(shift_pow, chain.delta(j) / math.factorial(j))
-        shift_pow = shift_pow @ shift
-    return CornerOperator(acc, base, n)
+    diagonals = [chain.delta(j) / math.factorial(j) for j in range(n + 1)]
+    return CornerOperator(_toeplitz_blocks(diagonals, n), chain.x.shape[0], n)
 
 
 def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) -> np.ndarray:
@@ -133,15 +141,10 @@ def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) 
     xs = np.asarray(xs, dtype=complex)
     if xs.ndim != 3 or xs.shape[1:] != (base, base):
         raise DimensionMismatch(f"expected a stack of {base}x{base} operators, got shape {xs.shape}")
-    out = np.zeros((xs.shape[0], base * (n + 1), base * (n + 1)), dtype=complex)
-    delta = xs
-    for j in range(n + 1):
-        if j:
-            delta = 1j * (d.base @ delta - delta @ d.base)
-        block = delta / math.factorial(j)
-        for i in range(n + 1 - j):
-            out[:, i * base : (i + 1) * base, (i + j) * base : (i + j + 1) * base] = block
-    return out
+    deltas = [xs]
+    for _ in range(n):
+        deltas.append(1j * (d.base @ deltas[-1] - deltas[-1] @ d.base))
+    return _toeplitz_blocks([delta / math.factorial(j) for j, delta in enumerate(deltas)], n)
 
 
 def corner_exponential(
@@ -197,8 +200,8 @@ def conjugation_identity_check(
     fwd, bwd = corner_exponential(d, n)
     lhs = fwd.matrix @ amplify(chain.x, n).matrix @ bwd.matrix
     rep = triangular_representation(chain)
-    resid = operator_norm(lhs - rep.matrix)
-    tolerance = tol.alg(fwd.norm(), operator_norm(chain.x), bwd.norm())
+    resid, fwd_norm, bwd_norm = operator_norm(np.stack([lhs - rep.matrix, fwd.matrix, bwd.matrix]))
+    tolerance = tol.alg(fwd_norm, operator_norm(chain.x), bwd_norm)
     return CheckReport(
         "phi_conj",
         instance_id,
@@ -231,8 +234,10 @@ def homomorphism_check(
     rep_x = triangular_representation(chain_x)
     rep_y = triangular_representation(chain_y)
     rep_xy = triangular_representation(prod_chain)
-    resid = operator_norm(rep_xy.matrix - rep_x.matrix @ rep_y.matrix)
-    tolerance = tol.alg(rep_x.norm(), rep_y.norm())
+    resid, rep_x_norm, rep_y_norm = operator_norm(
+        np.stack([rep_xy.matrix - rep_x.matrix @ rep_y.matrix, rep_x.matrix, rep_y.matrix])
+    )
+    tolerance = tol.alg(rep_x_norm, rep_y_norm)
     return CheckReport(
         "phi_hom",
         instance_id,

@@ -113,6 +113,22 @@ def test_operator_norm_cases():
     assert operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", [(6, 4, 4), (3, 1, 1), (2, 3, 5, 5), (4, 6, 2)])
+def test_operator_norm_stack_matches_per_matrix(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = operator_norm(stack)
+    assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+    oracle = np.array([operator_norm(a) for a in stack.reshape(-1, *shape[-2:])])
+    np.testing.assert_allclose(norms.ravel(), oracle, rtol=1e-13, atol=0)
+
+
+def test_operator_norm_empty_stack_and_matrix_type():
+    assert operator_norm(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert type(operator_norm(np.eye(2))) is float
+    assert type(operator_norm(np.ones((1, 1)))) is float
+
+
 # ------------------------------------------------------------ unitary_group
 
 
@@ -137,6 +153,25 @@ def test_unitary_group_unitarity_and_group_law(seed):
     lhs = unitary_group(gen, s + t)
     rhs = unitary_group(gen, s) @ unitary_group(gen, t)
     assert operator_norm(lhs - rhs) <= DEFAULT_TOL.alg(1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+def test_unitary_group_stack_matches_scalar_calls(dim):
+    rng = np.random.default_rng(110 + dim)
+    gen = eig_hermitian(rng_hermitian(rng, dim))
+    ts = np.concatenate([[0.0, -1.5], rng.uniform(-10, 10, size=5)])
+    stack = unitary_group(gen, ts)
+    assert stack.shape == (len(ts), dim, dim)
+    for k, t in enumerate(ts):
+        np.testing.assert_allclose(stack[k], unitary_group(gen, t), rtol=1e-13, atol=0)
+
+
+def test_unitary_group_empty_and_zero_dimensional_times():
+    gen = eig_hermitian(np.diag([0.5, 2.0]))
+    assert unitary_group(gen, np.array([])).shape == (0, 2, 2)
+    zero_d = unitary_group(gen, np.array(0.7))
+    assert zero_d.shape == (2, 2)
+    np.testing.assert_array_equal(zero_d, unitary_group(gen, 0.7))
 
 
 # ------------------------------------------------------- band projections

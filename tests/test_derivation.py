@@ -35,7 +35,7 @@ from opderiv.derivation import (
     lipschitz_check,
     uniform_convergence_check,
 )
-from opderiv.harness import ScenarioData, _check_band_eq
+from opderiv.harness import _CHECKS, ScenarioData, _check_band_eq
 from opderiv.reflexivity import VonNeumannAlgebraSpec
 from opderiv.scenarios import circle_generator, circle_shift, random_scenario
 
@@ -78,6 +78,28 @@ def test_automorphism_norm_preserving_and_multiplicative():
     lhs = automorphism(d, x @ y, t)
     rhs = automorphism(d, x, t) @ automorphism(d, y, t)
     assert operator_norm(lhs - rhs) <= DEFAULT_TOL.alg(operator_norm(x), operator_norm(y))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_automorphism_stack_matches_scalar_calls(dim):
+    rng = np.random.default_rng(40 + dim)
+    d = rng_generator(rng, dim)
+    x = rng_operator(rng, dim)
+    ts = np.concatenate([[0.0, 0.1, -10.0], rng.uniform(-10, 10, size=6)])
+    stack = automorphism(d, x, ts)
+    assert stack.shape == (len(ts), dim, dim)
+    for k, t in enumerate(ts):
+        np.testing.assert_allclose(stack[k], automorphism(d, x, t), rtol=1e-13, atol=0)
+
+
+def test_automorphism_empty_and_zero_dimensional_times():
+    rng = np.random.default_rng(45)
+    d = rng_generator(rng, 3)
+    x = rng_operator(rng, 3)
+    assert automorphism(d, x, np.array([])).shape == (0, 3, 3)
+    zero_d = automorphism(d, x, np.array(1.3))
+    assert zero_d.shape == (3, 3)
+    np.testing.assert_array_equal(zero_d, automorphism(d, x, 1.3))
 
 
 def test_automorphism_dimension_mismatch():
@@ -218,6 +240,14 @@ def test_chain_norm_values():
     # shift: all derivatives have norm 1, so 1 + 1 + 1/2
     s = circle_shift(2, 1)
     assert chain_norm(derivative_chain(d, s, 2)) == pytest.approx(2.5, abs=1e-12)
+
+
+def test_chain_norm_matches_per_order_sum():
+    rng = np.random.default_rng(48)
+    d = rng_generator(rng, 4)
+    chain = derivative_chain(d, rng_operator(rng, 4), 3)
+    oracle = sum(operator_norm(chain.delta(j)) / math.factorial(j) for j in range(4))
+    assert chain_norm(chain) == pytest.approx(oracle, rel=1e-13, abs=0)
 
 
 def test_chain_norm_dominates_operator_norm():
@@ -391,6 +421,71 @@ def test_band_layer_properties(eigenvalues, x_kind, seed):
     assert report.passed, report.residuals
 
 
+# ||D|| <= 3 and N <= 5: integer eigenvalues (band ties), near-integers,
+# repeats, dimension 1
+_calculus_spectra = st.tuples(
+    st.lists(_eigenvalue.filter(lambda lam: abs(lam) <= 3.0), min_size=1, max_size=4),
+    st.integers(0, 1),
+).map(lambda pair: sorted(pair[0] + pair[0][: pair[1]]))
+
+
+def _calculus_operand(d, x_kind, rng):
+    if x_kind == "random":
+        return rng_operator(rng, d.dim)
+    if x_kind == "zero":
+        return np.zeros((d.dim, d.dim), dtype=complex)
+    # a polynomial in D commutes with D
+    return sum(c * np.linalg.matrix_power(d.base, p) for p, c in enumerate(rng.standard_normal(3)))
+
+
+# Known defects of the finite-difference criteria (ROADMAP, "fd checks judged
+# by their Taylor remainder"): fd_first and fd_higher compare the error with
+# the absolute tol_fd although it grows like ||D||^3 ||x|| (the [-3, 1, 1, 3, 3]
+# example: error 6.7e-4, order 1.97), and fd_higher's degenerate test omits the
+# 1/h^m roundoff of its stencil (D = 2I: every derivative is 0, yet order 3
+# gives an error of 3e-8 above the 2.5e-8 cut).  Strict, so the fix that makes
+# the property hold must remove this mark.
+_FD_CRITERIA_DEFECT = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="fd criteria FAIL where the identity holds"
+)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        "lipschitz",
+        "uniform_conv",
+        pytest.param("fd_first", marks=_FD_CRITERIA_DEFECT),
+        pytest.param("fd_higher", marks=_FD_CRITERIA_DEFECT),
+    ],
+)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    eigenvalues=_calculus_spectra,
+    x_kind=st.sampled_from(["random", "zero", "polynomial"]),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(eigenvalues=[0.5], x_kind="random", n=1, seed=0)
+@example(eigenvalues=[-3.0, 1.0, 1.0, 3.0, 3.0], x_kind="random", n=3, seed=1)
+@example(eigenvalues=[1.0 - 1e-12, 1.0, 1.0 + 1e-12], x_kind="polynomial", n=2, seed=2)
+@example(eigenvalues=[2.0, 2.0], x_kind="random", n=3, seed=3)
+@example(eigenvalues=[0.0, 1e-9], x_kind="random", n=1, seed=0)
+def test_calculus_check_properties(check, eigenvalues, x_kind, n, seed):
+    rng = np.random.default_rng(seed)
+    d = _generator_with_spectrum(eigenvalues, rng)
+    x = _calculus_operand(d, x_kind, rng)
+    data = ScenarioData("hypothesis", d, x, x, VonNeumannAlgebraSpec("full", d.dim), n, seed)
+    try:
+        report = _CHECKS[check](data, DEFAULT_TOL)
+    except (ArithmeticError, ValueError):
+        # a typed refusal is allowed for the finite-difference probes only
+        if check in ("lipschitz", "uniform_conv"):
+            raise
+        return
+    assert report.passed, (report.residuals, report.details)
+
+
 # ------------------------------------------------------------ finite differences
 
 
@@ -447,6 +542,35 @@ def test_fd_scalar_second_order_circle():
     assert abs(est - exact) <= DEFAULT_TOL.tol_fd
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fd_scalar_matches_per_point_oracle(dim, n):
+    rng = np.random.default_rng(10 * dim + n)
+    d = rng_generator(rng, dim)
+    x = rng_operator(rng, dim)
+    xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    xi /= np.linalg.norm(xi)
+    eta = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    eta /= np.linalg.norm(eta)
+    t0, h = 0.3, 1e-2
+    total = 0.0 + 0.0j
+    for j in range(n + 1):
+        alpha = automorphism(d, x, t0 + (n / 2.0 - j) * h)
+        total += (-1) ** j * math.comb(n, j) * complex(np.vdot(eta, alpha @ xi))
+    oracle = total / h**n
+    est = central_difference_scalar(d, x, n, xi, eta, t0, h)
+    assert est == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+def test_fd_derivative_matches_two_scalar_calls():
+    rng = np.random.default_rng(46)
+    d = rng_generator(rng, 4)
+    x = rng_operator(rng, 4)
+    h = 3e-3
+    oracle = (automorphism(d, x, h) - automorphism(d, x, -h)) / (2.0 * h)
+    np.testing.assert_allclose(central_difference_derivative(d, x, h), oracle, rtol=1e-13, atol=0)
+
+
 def test_fd_scalar_validates_unit_vectors():
     d = eig_hermitian(np.eye(2))
     with pytest.raises(ValueError):
@@ -490,6 +614,27 @@ def test_lipschitz_random_sweep(seed):
     x = rng_operator(rng, 4)
     report = lipschitz_check(d, x, rng.uniform(-10, 10, size=100))
     assert report.passed
+
+
+def test_lipschitz_and_uniform_convergence_match_per_sample_oracle():
+    rng = np.random.default_rng(47)
+    d = rng_generator(rng, 4)
+    x = rng_operator(rng, 4)
+    ts = np.concatenate([[0.0], rng.uniform(-10, 10, size=7)])
+    dx_norm = operator_norm(commutator_derivative(d, x))
+    oracle = [operator_norm(automorphism(d, x, t) - x) / (dx_norm * abs(t)) if t else
+              operator_norm(automorphism(d, x, t) - x) for t in ts]
+    np.testing.assert_allclose(lipschitz_check(d, x, ts).residuals, oracle, rtol=1e-13, atol=0)
+    hs = [0.05 * 0.5**i for i in range(4)]
+    dx = commutator_derivative(d, x)
+    oracle = [operator_norm((automorphism(d, x, h) - x) / h - dx) for h in hs]
+    np.testing.assert_allclose(uniform_convergence_check(d, x, hs).residuals, oracle, rtol=1e-13, atol=0)
+
+
+def test_lipschitz_no_samples_passes_empty():
+    d = eig_hermitian(np.diag([0.0, 1.0]))
+    report = lipschitz_check(d, np.array([[0.0, 1.0], [0.0, 0.0]]), [])
+    assert report.passed and report.residuals == [] and report.details["max_ratio"] == 0.0
 
 
 def test_uniform_convergence_identity_degenerate():

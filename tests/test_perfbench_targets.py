@@ -89,3 +89,26 @@ def test_tracer_sees_one_family_per_scenario():
     assert names.count("reflexivity.invariant_family") == 1
     assert names.count("reflexivity.check") == 1
     assert "reflexivity.bicommutant" not in names
+
+
+def test_tracer_sees_one_stacked_automorphism_per_lipschitz_check():
+    # the sampled group is one stacked call through the wrapped global,
+    # attributed to the check that made it
+    raw = {
+        "scenario": {"kind": "random", "N": 4, "x_kind": "general"},
+        "algebra": {"kind": "full"},
+        "n": 1,
+        "seed": 5,
+        "checks": ["lipschitz"],
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = run_checks(ScenarioConfig.from_dict(raw))
+    finally:
+        tracer.uninstall()
+    assert report.overall_pass and len(report.results[0].residuals) == 50
+    spans, _ = tracer.passes[0]
+    automorphisms = [span for span in spans if span[0] == "derivation.automorphism"]
+    assert len(automorphisms) == 1
+    assert spans[automorphisms[0][3]][0] == "derivation.checks"
