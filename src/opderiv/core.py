@@ -122,7 +122,7 @@ def operator_norm(a) -> float | np.ndarray:
     its leading shape, with one LAPACK call for the whole stack and the
     same value per matrix as a 2-D call; an empty stack gives shape (0,).
     """
-    norms = np.linalg.norm(np.asarray(a, dtype=complex), ord=2, axis=(-2, -1))
+    norms = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[..., 0]
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -436,12 +436,16 @@ def nullspace_of_constraints(
     scale: float | None = None,
     within: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Orthonormal basis of {X in W : C @ vec(X) = 0 for every constraint C},
-    as the columns of a ``(dim*dim, m)`` array (vec coordinates).
+    """Orthonormal basis of {u in W : C @ u = 0 for every constraint C},
+    as the columns of an ``(M, m)`` array of coordinates.
 
-    Each constraint is a 2-D ndarray with ``dim*dim`` columns.  W is the
-    span of ``within``, a ``(dim*dim, m)`` array with orthonormal columns,
-    when given, else the whole matrix space.  The solution is narrowed one
+    The coordinates are those of vec(X) for an operator X on C^dim
+    (M = dim*dim), or any other M coordinates a caller chooses, such as
+    the corner solve's level coordinates: each constraint is a 2-D ndarray
+    with one column per coordinate.  W is the span of ``within``, an
+    ``(M, m)`` array with orthonormal columns, when given, else the whole
+    coordinate space, M being then the column count of the constraints
+    (dim*dim when there is none).  The solution is narrowed one
     constraint at a time (an intersection of null spaces): the constraint
     is restricted to the current orthonormal null basis B, the SVD of
     C @ B is taken, and B is replaced by B times the right singular
@@ -454,16 +458,20 @@ def nullspace_of_constraints(
     that earlier constraints already imply, is treated as zero instead of
     as a noise matrix of spurious full rank.  With no constraints the
     starting space is returned; a trivial solution space yields an empty
-    basis.  ``OperatorSpace.from_columns`` turns the result into a space.
+    basis.  ``OperatorSpace.from_columns`` turns a vec-coordinate result
+    into a space.
     """
     tol = tol or DEFAULT_TOL
-    d2 = dim * dim
-    basis = within  # None: the whole matrix space
+    basis = within  # None: the whole coordinate space
+    width = None if within is None else within.shape[0]
     largest = 0.0
     for c in constraints:
         mat = np.asarray(c, dtype=complex)
-        if mat.ndim != 2 or mat.shape[1] != d2:
-            raise ValueError(f"constraint matrix must have {d2} columns, got {mat.shape}")
+        if mat.ndim != 2:
+            raise ValueError(f"constraint must be a 2-D matrix, got shape {mat.shape}")
+        width = mat.shape[1] if width is None else width
+        if mat.shape[1] != width:
+            raise ValueError(f"constraint matrix must have {width} columns, got {mat.shape}")
         restricted = mat if basis is None else mat @ basis
         rows, cols = restricted.shape
         if min(rows, cols) == 0:
@@ -476,7 +484,7 @@ def nullspace_of_constraints(
         null = vh[rank:].conj().T
         basis = null if basis is None else basis @ null
 
-    return np.eye(d2, dtype=complex) if basis is None else basis
+    return np.eye(width or dim * dim, dtype=complex) if basis is None else basis
 
 
 def save_operator(path, a, extra: dict | None = None) -> None:

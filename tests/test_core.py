@@ -121,6 +121,8 @@ def test_operator_norm_stack_matches_per_matrix(shape):
     assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
     oracle = np.array([operator_norm(a) for a in stack.reshape(-1, *shape[-2:])])
     np.testing.assert_allclose(norms.ravel(), oracle, rtol=1e-13, atol=0)
+    # the same LAPACK singular values as the spectral norm of numpy
+    np.testing.assert_array_equal(norms, np.linalg.norm(stack, ord=2, axis=(-2, -1)))
 
 
 def test_operator_norm_empty_stack_and_matrix_type():
@@ -399,6 +401,25 @@ def test_nullspace_within_no_constraints_keeps_the_space():
     diag = np.eye(4, dtype=complex)[:, [0, 3]]  # vec of the diagonal matrix units
     space = nullspace_of_constraints([], 2, within=diag)
     np.testing.assert_array_equal(space, diag)
+
+
+def test_nullspace_in_other_coordinates():
+    # constraints on 5 coordinates, not on the 4 vec coordinates of a 2 x 2 operator
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    space = nullspace_of_constraints([c], 2, scale=1.0)
+    assert space.shape == (5, 3)
+    np.testing.assert_allclose(c @ space, 0.0, atol=1e-12)
+    np.testing.assert_allclose(space.conj().T @ space, np.eye(3), atol=1e-12)
+    narrowed = nullspace_of_constraints([c[:1] + c[1:]], 2, scale=1.0, within=space)
+    assert narrowed.shape == (5, 3)  # already implied: nothing is cut
+    assert _span_distance(narrowed, space) <= 1e-12
+    with pytest.raises(ValueError, match="5 columns"):
+        nullspace_of_constraints([c, np.eye(4)], 2)
+    with pytest.raises(ValueError, match="5 columns"):
+        nullspace_of_constraints([np.eye(4)], 2, within=space)
+    with pytest.raises(ValueError, match="2-D"):
+        nullspace_of_constraints([np.ones(4)], 2)
 
 
 def test_vec_unvec_column_major():

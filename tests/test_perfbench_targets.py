@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from opderiv import reflexivity
 from opderiv.harness import ScenarioConfig, run_checks
+from opderiv.scenarios import random_scenario
 
 _TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -112,3 +114,22 @@ def test_tracer_sees_one_stacked_automorphism_per_lipschitz_check():
     automorphisms = [span for span in spans if span[0] == "derivation.automorphism"]
     assert len(automorphisms) == 1
     assert spans[automorphisms[0][3]][0] == "derivation.checks"
+
+
+def test_tracer_sees_the_corner_tower_solves_under_the_check():
+    # the tower narrows through the wrapped solver global: at order 2, P_1, Q_1,
+    # P_2, Q_2 and the P-only level 2 are core.nullspace spans of the check itself
+    spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
+    gen, _ = random_scenario(3, 4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = reflexivity.reflexivity_check(spec, gen, 2, seed=4)
+    finally:
+        tracer.uninstall()
+    assert report.passed and report.dim_computed == 9
+    spans, counts = tracer.passes[0]
+    (check,) = [i for i, span in enumerate(spans) if span[0] == "reflexivity.check"]
+    tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
+    assert len(tower) == 5
+    assert counts["core.nullspace.rows"] > 0

@@ -9,6 +9,8 @@ from opderiv.core import (
     OperatorSpace,
     Subspace,
     eig_hermitian,
+    invariance_constraint,
+    nullspace_of_constraints,
     operator_norm,
     vec,
 )
@@ -124,7 +126,7 @@ def test_bicommutant_generated_self_consistency():
 
 def test_lat_family_full_gives_whole_space_only():
     spec = VonNeumannAlgebraSpec("full", 3)
-    fam, algebra = lat_family(spec)
+    fam, algebra, _ = lat_family(spec)
     assert algebra.dim == 9
     assert all(s.dim in (0, 3) for s in fam)
     computed = alg_of_family(fam, ambient_dim=3)
@@ -133,7 +135,7 @@ def test_lat_family_full_gives_whole_space_only():
 
 def test_lat_family_masa_contains_axes():
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    fam, _ = lat_family(spec)
+    fam, _, _ = lat_family(spec)
     axes = [Subspace(2, np.eye(2)[:, i : i + 1]) for i in range(2)]
     for axis in axes:
         assert any(s.dim == 1 and s.distance(axis) <= 1e-8 for s in fam)
@@ -144,11 +146,13 @@ def test_lat_family_masa_contains_axes():
 def test_lat_family_block_diagonal_alg_dim():
     # invariance of the two block subspaces kills 4 of the 9 entries
     spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
-    fam, algebra = lat_family(spec)
+    fam, algebra, lat_algebra = lat_family(spec)
     computed = alg_of_family(fam, ambient_dim=3)
     assert computed.dim == 5
     # the algebra it hands out is the one it certified: the bicommutant
     assert algebra.equals(bicommutant(spec), tol=1e-10)
+    # and Alg(family) as it solved it, the corner solve's level 0
+    assert lat_algebra.equals(computed, tol=1e-12)
 
 
 def test_lat_family_is_algebra_invariant():
@@ -239,7 +243,7 @@ def test_invariant_family_labels_n1():
     labels = set(fam.labels)
     assert {"H_0", "H_1", "P_1", "Q_1"} <= labels
     assert any(l.startswith("lat_M") for l in labels)
-    without = fam.without_q()
+    without = _without_q(fam)
     assert not any(l.startswith("Q_") for l in without.labels)
     assert len(without.labels) == len(labels) - 1 and without.ambient_dim == fam.ambient_dim
 
@@ -341,21 +345,42 @@ def test_dropping_q_never_shrinks_the_solution():
         for n in (1, 2):
             fam = invariant_family(spec, d, n)
             full = alg_of_family(fam)
-            reduced = alg_of_family(fam.without_q())
+            reduced = alg_of_family(_without_q(fam))
             assert reduced.dim >= full.dim
             # imposing the Q_j inside the reduced solution gives the full one
+            dim = fam.ambient_dim
             q_members = [s for s, l in zip(fam.subspaces, fam.labels) if l.startswith("Q_")]
-            narrowed = alg_of_family(q_members, within=reduced)
+            narrowed = _narrow(q_members, dim, reduced)
             assert narrowed.dim == full.dim and narrowed.equals(full, tol=1e-9)
             # so does imposing every member, unstructured, inside it
-            assert alg_of_family(list(fam.subspaces), within=reduced).equals(full, tol=1e-9)
+            assert _narrow(fam.subspaces, dim, reduced).equals(full, tol=1e-9)
+
+
+def _without_q(family):
+    """The family without its Q_j members."""
+    keep = [i for i, label in enumerate(family.labels) if not label.startswith("Q_")]
+    return InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        family.base_dim,
+        family.order,
+        family.algebra,
+        family.lat_algebra,
+    )
+
+
+def _narrow(subspaces, dim, space):
+    """Operators in ``space`` leaving every subspace invariant, unstructured."""
+    constraints = [invariance_constraint(s.basis) for s in subspaces]
+    basis = nullspace_of_constraints(constraints, dim, scale=1.0, within=space._q)
+    return OperatorSpace.from_columns(dim, basis)
 
 
 def _full_space_null(subspaces, dim):
     """Operators leaving every member invariant, by one SVD of the vstacked
     full-space constraints kron(P.T, I - P), as orthonormal vec columns."""
-    rows = [np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces]
-    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rows = np.vstack([np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces])
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     rank = int(np.sum(s > 1e-9 * s[0]))
     return vh[rank:].conj().T
 
@@ -369,7 +394,7 @@ def _oracle_spec(kind):
     return VonNeumannAlgebraSpec(kind, 3)
 
 
-@pytest.mark.parametrize("n", (0, 1, 2))
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     spec = _oracle_spec(kind)
@@ -378,19 +403,100 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
 
     def recording(family, tol):  # keeps the family and the solution of the check
         out = corner_solve(family, tol)
-        solves.append((family, out[0]))
+        solves.append((family, *out))
         return out
 
     monkeypatch.setattr(reflexivity, "_corner_solve", recording)
     report = reflexivity_check(spec, d, n)
-    ((family, space),) = solves
+    ((family, space, without_q_dim),) = solves
     dim = family.ambient_dim
     oracle = _full_space_null(family.subspaces, dim)
-    without_q = _full_space_null(family.without_q().subspaces, dim)
+    without_q = _full_space_null(_without_q(family).subspaces, dim)
     assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
+    # needed_Q: n = 1 reads level 1 before Q_1, n >= 2 runs the P-only levels
+    assert without_q_dim == without_q.shape[1]
     assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
     q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
+
+
+def _recording_nullspace(monkeypatch):
+    """Wrap the solver the corner solve calls; each call is recorded as
+    (dim, constraint shapes, within given, result shape)."""
+    solve, calls = reflexivity.nullspace_of_constraints, []
+
+    def recording(constraints, dim, tol=None, scale=None, within=None):
+        constraints = list(constraints)
+        out = solve(constraints, dim, tol, scale=scale, within=within)
+        calls.append((dim, [c.shape for c in constraints], within is not None, out.shape))
+        return out
+
+    monkeypatch.setattr(reflexivity, "nullspace_of_constraints", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
+def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
+    spec = _oracle_spec(kind)
+    d = rng_generator(np.random.default_rng(64), 3)
+    family = invariant_family(spec, d, n)
+    calls = _recording_nullspace(monkeypatch)
+    space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    base, alg_dim = 3, spec.expected_dim()
+    assert space.dim == alg_dim and space.ambient_dim == 3 * (n + 1)
+    # the main tower narrows by P_j then Q_j on each level; the P-only tower
+    # behind needed_Q shares level 1 and solves levels 2..n on its own
+    assert len(calls) == 2 * n + max(n - 1, 0)
+    main, p_only = calls[: 2 * n], calls[2 * n :]
+    # every level of the main tower is the algebra, in the level's dimension
+    assert [out[1] for _, _, within, out in main if within] == [alg_dim] * n
+    assert [dim for dim, _, _, _ in main] == [base * (j + 2) for j in range(n) for _ in "PQ"]
+    # small coordinates: no array has (N(n+1))^2 columns, and the (0, 0)
+    # block that lat_family certified is not solved again
+    widths = [shape[1] for _, shapes, _, _ in calls for shape in shapes]
+    assert all(dim != base for dim, _, _, _ in calls)
+    assert all(w <= alg_dim + base**2 * (n + 1) for _, shapes, _, _ in main for _, w in shapes)
+    assert all(w <= without_q_dim + base**2 * (n + 1) for w in widths)
+    assert all(w < (base * (n + 1)) ** 2 for w in widths)
+    if p_only:
+        assert p_only[-1][3][1] == without_q_dim
+
+
+@pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_")))
+def test_corner_solve_without_graph_members_matches_oracle(drop):
+    # a level with no P_j (or no Q_j) member leaves its coordinates free
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
+    keep = [i for i, label in enumerate(family.labels) if not label.startswith(drop)]
+    reduced = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        2,
+        2,
+        family.algebra,
+        family.lat_algebra,
+    )
+    space = alg_of_family(reduced)
+    oracle = _full_space_null(reduced.subspaces, 6)
+    assert space.dim == oracle.shape[1] > 2
+    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+    assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
+
+
+def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
+    spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
+    d = rng_generator(np.random.default_rng(65), 3)
+    family = invariant_family(spec, d, 0)
+    _, _, lat_algebra = lat_family(spec)
+    assert family.lat_algebra.equals(lat_algebra, tol=1e-12)
+    calls = _recording_nullspace(monkeypatch)
+    space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert not calls and space.equals(family.lat_algebra, tol=1e-12)
+    assert without_q_dim == space.dim == 5
+    # a hand-built family states its Alg(lat_M) on the base space
+    with pytest.raises(ValueError, match="base space"):
+        InvariantFamily(family.subspaces, family.labels, 3, 0, family.algebra, diag_space(2))
 
 
 @pytest.mark.parametrize("n", (0, 1, 2))
@@ -454,7 +560,7 @@ def test_reflexivity_check_with_prebuilt_family(monkeypatch):
 def _relabeled(family, label, sub):
     subs = [sub if l == label else s for s, l in zip(family.subspaces, family.labels)]
     return InvariantFamily(
-        tuple(subs), family.labels, family.base_dim, family.order, family.algebra
+        tuple(subs), family.labels, family.base_dim, family.order, family.algebra, family.lat_algebra
     )
 
 
@@ -481,12 +587,10 @@ def test_structured_solve_rejects_misshapen_members():
         2,
         1,
         family.algebra,
+        family.lat_algebra,
     )
     with pytest.raises(ValueError, match="H_0"):
         alg_of_family(no_h0)
-    # an InvariantFamily has one solve; inside a space its members go as a list
-    with pytest.raises(ValueError, match="within"):
-        alg_of_family(family, within=alg_of_family(family))
 
 
 @pytest.mark.slow
@@ -501,7 +605,7 @@ def test_lat_family_cap_exhaustion_raises(monkeypatch):
     # a solver that only ever finds span{I} can never certify the 2-dim masa
     attempts = []
 
-    def scalars_only(subspaces, ambient_dim=None, tol=None, within=None):
+    def scalars_only(subspaces, ambient_dim=None, tol=None):
         attempts.append(subspaces)
         return OperatorSpace(ambient_dim, (np.eye(ambient_dim, dtype=complex),))
 
