@@ -47,7 +47,6 @@ __all__ = [
     "commutation_constraint",
     "invariance_constraint",
     "nullspace_of_constraints",
-    "matrix_units",
     "save_operator",
     "load_operator",
     "load_matrix_json",
@@ -312,39 +311,49 @@ _BATCH_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class OperatorSpace:
-    """Linear space of operators given by a linearly independent basis."""
+    """Linear space of operators, given by a basis orthonormal under the
+    trace inner product tr(A* B), as one ``(m, ambient_dim, ambient_dim)``
+    stack.  The constructor takes the basis as given and checks its Gram
+    matrix against the same guard as ``Subspace``; ``span`` orthonormalizes
+    linearly independent elements.
+    """
 
     ambient_dim: int
-    basis_elements: tuple
+    basis_elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(as_operator(b) for b in self.basis_elements)
-        for b in elems:
-            if b.shape[0] != self.ambient_dim:
-                raise DimensionMismatch("basis element dimension differs from ambient_dim")
+        d = self.ambient_dim
+        elems = np.ascontiguousarray(self.basis_elements, dtype=complex)
+        if elems.size == 0:
+            elems = np.zeros((0, d, d), dtype=complex)
+        if elems.ndim != 3 or elems.shape[1:] != (d, d):
+            raise DimensionMismatch(f"basis of shape {elems.shape} is not an (m, {d}, {d}) stack")
+        if len(elems):
+            flat = elems.reshape(len(elems), -1)
+            if operator_norm(flat.conj() @ flat.T - np.eye(len(elems))) > 1e-8:
+                raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
-        if elems:
-            stacked = np.stack([vec(b) for b in elems], axis=1)
-            u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-            if s.size and s[-1] <= DEFAULT_TOL.rank_cutoff * s[0]:
-                raise ValueError("basis elements are not linearly independent")
-            object.__setattr__(self, "_q", u[:, : len(elems)])
-        else:
-            object.__setattr__(self, "_q", np.zeros((self.ambient_dim**2, 0), dtype=complex))
+
+    @classmethod
+    def span(cls, dim: int, elements) -> "OperatorSpace":
+        """The span of linearly independent operators, orthonormalized by one
+        SVD; linearly dependent ones (default rank cutoff) raise ValueError."""
+        elems = np.asarray(elements, dtype=complex)
+        if elems.size == 0:
+            return cls(dim, elems)
+        _, s, vh = np.linalg.svd(elems.reshape(len(elems), -1), full_matrices=False)
+        if s[-1] <= DEFAULT_TOL.rank_cutoff * s[0]:
+            raise ValueError("basis elements are not linearly independent")
+        return cls(dim, vh.reshape(elems.shape))  # the constructor checks the shape
 
     @classmethod
     def from_columns(cls, dim: int, columns: np.ndarray) -> "OperatorSpace":
-        """The span of the columns of a ``(dim*dim, m)`` array of vec'd operators."""
-        return cls(dim, tuple(unvec(col, dim) for col in columns.T))
+        """The space whose orthonormal basis is the columns of a ``(dim*dim, m)`` vec array."""
+        return cls(dim, columns.T.reshape(-1, dim, dim).transpose(0, 2, 1))
 
     @property
     def dim(self) -> int:
         return len(self.basis_elements)
-
-    def stacked(self) -> np.ndarray:
-        """The basis elements as one ``(dim, ambient_dim, ambient_dim)`` array."""
-        d = self.ambient_dim
-        return np.stack(self.basis_elements) if self.dim else np.zeros((0, d, d), dtype=complex)
 
     def membership_residual(self, x) -> float:
         """Frobenius distance from x to the span, relative to 1 + ||x||_F."""
@@ -355,19 +364,19 @@ class OperatorSpace:
         d = self.ambient_dim
         if ops.shape[1:] != (d, d):
             raise DimensionMismatch(f"operators of shape {ops.shape[1:]} in a space on C^{d}")
-        # column-major vec of each operator, one operator per column
-        cols = ops.transpose(2, 1, 0).reshape(d * d, -1)
-        q = self._q
-        resid = cols - q @ (q.conj().T @ cols)
-        return np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(cols, axis=0))
+        # the trace inner product is the dot product of the flattened matrices
+        flat = ops.reshape(len(ops), d * d)
+        basis = self.basis_elements.reshape(self.dim, d * d)
+        resid = flat - (flat @ basis.conj().T) @ basis
+        return np.linalg.norm(resid, axis=1) / (1.0 + np.linalg.norm(flat, axis=1))
 
     def equals(self, other: "OperatorSpace", tol: float = 1e-9) -> bool:
         """Same span: equal dimensions plus mutual membership of the bases."""
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
         return bool(
-            np.all(self._residuals(other.stacked()) <= tol)
-            and np.all(other._residuals(self.stacked()) <= tol)
+            np.all(self._residuals(other.basis_elements) <= tol)
+            and np.all(other._residuals(self.basis_elements) <= tol)
         )
 
     def product_closure_residual(self, max_pairs: int | None = None) -> float:
@@ -385,7 +394,7 @@ class OperatorSpace:
         else:
             rng = np.random.default_rng(0)
             left, right = rng.integers(0, k, size=(max_pairs, 2)).T
-        elems = self.stacked()
+        elems = self.basis_elements
         worst = 0.0
         step = max(1, _BATCH_ENTRIES // (d * d))
         for start in range(0, len(left), step):
@@ -422,11 +431,6 @@ def invariance_constraint(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     q, _ = np.linalg.qr(v, mode="complete")
     return np.kron(v.T, q[:, v.shape[1] :].conj().T)
-
-
-def matrix_units(dim: int) -> list[np.ndarray]:
-    """Standard matrix units in column-major order (orthonormal under vec)."""
-    return [unvec(col, dim) for col in np.eye(dim * dim).T]
 
 
 def nullspace_of_constraints(

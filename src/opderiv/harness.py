@@ -115,18 +115,20 @@ def _check_leibniz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     return leibniz_check(data.generator, data.x, data.y, tol, instance_id=data.label)
 
 
-def _check_binomial_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
+def _against_chain(data: ScenarioData, tol: TolerancePolicy, approx) -> tuple[list, float, bool]:
+    """Residuals of approx(k) against delta^k(x) for k = 1..5, the largest bound
+    tol_alg(||D||^k, ||x||), and whether each residual is within its bound."""
     d, x = data.generator, data.x
     x_norm, d_norm = operator_norm(x), d.norm()
     chain = derivative_chain(d, x, 5)
-    diffs = [binomial_derivative(d, x, k) - chain.delta(k) for k in range(1, 6)]
-    resids = operator_norm(np.stack(diffs))
-    residuals, tolerance, passed = [], 0.0, True
-    for k, resid in enumerate(resids, start=1):
-        bound = tol.alg(d_norm**k, x_norm)
-        residuals.append(resid)
-        tolerance = max(tolerance, bound)
-        passed = passed and resid <= bound
+    resids = operator_norm(np.stack([approx(k) - chain.delta(k) for k in range(1, 6)]))
+    bounds = [tol.alg(d_norm**k, x_norm) for k in range(1, 6)]
+    return list(resids), max(bounds), all(r <= b for r, b in zip(resids, bounds))
+
+
+def _check_binomial_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
+    d, x = data.generator, data.x
+    residuals, tolerance, passed = _against_chain(data, tol, lambda k: binomial_derivative(d, x, k))
     return CheckReport("binomial_eq", data.label, residuals, tolerance, passed)
 
 
@@ -134,19 +136,15 @@ def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     d, x = data.generator, data.x
     bm = band_embed(d, x)
     embed_resid = operator_norm(bm.assemble() - x)
-    x_norm, d_norm = operator_norm(x), d.norm()
-    residuals, tolerance = [embed_resid], tol.alg(x_norm)
-    passed = embed_resid <= tol.alg(x_norm)
-    chain = derivative_chain(d, x, 5)
-    diffs = [band_derivation(bm, k).assemble() - chain.delta(k) for k in range(1, 6)]
-    resids = operator_norm(np.stack(diffs))
-    for k, resid in enumerate(resids, start=1):
-        bound = tol.alg(d_norm**k, x_norm)
-        residuals.append(resid)
-        tolerance = max(tolerance, bound)
-        passed = passed and resid <= bound
+    embed_tol = tol.alg(operator_norm(x))
+    residuals, tolerance, passed = _against_chain(data, tol, lambda k: band_derivation(bm, k).assemble())
     return CheckReport(
-        "band_eq", data.label, residuals, tolerance, passed, details={"bands": list(bm.slices)}
+        "band_eq",
+        data.label,
+        [embed_resid, *residuals],
+        max(embed_tol, tolerance),
+        embed_resid <= embed_tol and passed,
+        details={"bands": list(bm.slices)},
     )
 
 

@@ -22,9 +22,12 @@ corner solve is a tower over the order, as in the paper's induction: it
 starts from the algebra of the first-block members that ``lat_family``
 certified and adds one block per level, in coordinates of size
 dim(level below) + N^2 (j + 1), with one SVD per graph subspace.
+P_j is the graph of a map G from block j, so X = [[A, Y_top], [0, Y_bot]]
+leaves it invariant exactly when Y_top = G Y_bot - A G; without the Q_j
+the dimension is dim Alg(lat_M) + n N^2, and ``needed_Q`` takes no solve.
 Measured on one BLAS thread under a 2 GB memory cap, ``full`` at base
-dimension 16 takes about 8 s and 320 MB at order 3, 17 s and 540 MB at
-order 4; at base dimension 24, order 2 takes 26 s and 640 MB.
+dimension 16 takes about 4 s and 210 MB at order 3, 8 s and 260 MB at
+order 4; at base dimension 24, order 2 takes 14 s and 450 MB.
 """
 
 from __future__ import annotations
@@ -198,12 +201,10 @@ def bicommutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None
 
 def _hermitian_spanning_set(space: OperatorSpace) -> list[np.ndarray]:
     """Hermitian operators spanning a *-closed operator space over R."""
-    out = []
-    for b in space.basis_elements:
-        for h in ((b + b.conj().T) / 2, (b - b.conj().T) / 2j):
-            if operator_norm(h) > 1e-12:
-                out.append(h)
-    return out
+    b, d = space.basis_elements, space.ambient_dim
+    bh = b.conj().transpose(0, 2, 1)
+    herms = np.stack([(b + bh) / 2, (b - bh) / 2j], axis=1).reshape(-1, d, d)
+    return list(herms[operator_norm(herms) > 1e-12])  # real and imaginary part of each, in turn
 
 
 def _eigenspace_subspaces(h: np.ndarray) -> list[Subspace]:
@@ -473,14 +474,14 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
     the basis stays orthonormal from level to level, and no array has
     (N(n+1))^2 rows or columns.  The P_j narrow first, then the Q_j.
 
-    The dimension without the Q_j comes from the same tower with the P_j
-    only; its level 1 is the main tower's level 1 before Q_1, so it runs
-    its own levels from level 2 on.  Raises ValueError when a member does
-    not have the shape its label claims, or an H_j that makes X block
-    upper triangular is missing.  Measured on one BLAS thread, ``full``
-    at (N, n) = (16, 3) takes about 8 s and 320 MB in all, most of it in
-    the SVDs of the wide level constraints (768 x 1280 and, for the
-    P-only tower, 768 x 1792).
+    The dimension without the Q_j is counted by the graph lemma (see the
+    module docstring): a P_j leaves N^2 coordinates of Y free (Y_bot), a
+    level without one all N^2 (j + 1).  Raises ValueError when a member
+    does not have the shape its label claims (a P_j must be a graph over
+    block j: dimension N, with block-j rows of rank N), a level has two
+    P_j, or an H_j that makes X block upper triangular is missing.  Most
+    of the time goes to the SVDs of the wide level constraints, such as
+    768 x 1280 for P_3 at ``full`` (16, 3).
     """
     base, n = family.base_dim, family.order
     levels = {j: ([], []) for j in range(1, n + 1)}  # level j: P_j members, Q_j members
@@ -499,29 +500,26 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
                 raise ValueError(f"{label} has no level in a family of order {n}")
             if np.linalg.norm(sub.basis[base * (j + 1) :]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
-            levels[j][label.startswith("Q_")].append(sub.basis[: base * (j + 1)])
+            graphs, shifted = levels[j]
+            if not label.startswith("Q_"):
+                last = sub.basis[base * j : base * (j + 1)]
+                if sub.dim != base or np.linalg.matrix_rank(last, tol=tol.rank_cutoff) < base:
+                    raise ValueError(f"{label} is not a graph over block {j}")
+                if graphs:
+                    raise ValueError(f"level {j} has two P_{j} members")
+            (shifted if label.startswith("Q_") else graphs).append(sub.basis[: base * (j + 1)])
     for j in range(n):
         if j + 1 not in leading:
             raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")
 
-    q = family.lat_algebra._q  # orthonormal vec columns
-    level0 = q.T.reshape(-1, base, base).transpose(0, 2, 1)
-    basis = level0
+    basis, without_q_dim = family.lat_algebra.basis_elements, family.lat_algebra.dim
     for j in range(1, n + 1):
         graphs, shifted = levels[j]
         coords = _level_null(basis, graphs, base, tol)
-        if j == 1:
-            p_coords = coords  # the P-only tower's level 1
         coords = _level_null(basis, shifted, base, tol, within=coords)
         basis = _level_elements(basis, coords, base)
-
-    without_q_dim = len(level0) if n == 0 else p_coords.shape[1]
-    p_basis = level0
-    for j in range(2, n + 1):
-        p_basis = _level_elements(p_basis, p_coords, base)
-        p_coords = _level_null(p_basis, levels[j][0], base, tol)
-        without_q_dim = p_coords.shape[1]
-    return OperatorSpace(family.ambient_dim, tuple(basis)), without_q_dim
+        without_q_dim += base**2 * (1 if graphs else j + 1)  # Y_bot, or all of Y
+    return OperatorSpace(family.ambient_dim, basis), without_q_dim
 
 
 @dataclass
@@ -575,10 +573,9 @@ def reflexivity_check(
     S is solved by ``_corner_solve`` as a tower over the order: level 0
     is Alg(lat_M) as ``lat_family`` solved it, and level j adds the last
     block column and imposes P_j, then Q_j.  needed_Q (dropping the Q_j
-    strictly enlarges the solution) compares S with the same tower run on
-    the P_j only.  For n = 0 this degenerates to the bicommutant identity
-    Alg(lat_family) = algebra.  Measured on one BLAS thread, ``full`` at
-    (N, n) = (16, 3) takes about 8 s and 320 MB, (16, 4) 17 s and 540 MB.
+    strictly enlarges the solution) compares dim S with the graph lemma's
+    count dim Alg(lat_M) + n N^2 (see the module docstring).  For n = 0
+    this degenerates to the bicommutant identity Alg(lat_family) = algebra.
 
     The algebra is the one the family carries (certified by
     ``lat_family``); there is no separate bicommutant solve.  ``family``
@@ -608,11 +605,11 @@ def reflexivity_check(
     fwd, bwd = corner_exponential(d, n)
     scale_tol = tol.alg(fwd.norm(), bwd.norm())
 
-    elems = solved.stacked()
+    elems = solved.basis_elements
     recon = operator_norm(elems - triangular_representations(d, elems[:, :base, :base], n))
     element_residuals = recon.tolist()
     max_recon = float(recon.max(initial=0.0))
-    membership = solved._residuals(triangular_representations(d, algebra.stacked(), n))
+    membership = solved._residuals(triangular_representations(d, algebra.basis_elements, n))
     max_member = float(membership.max(initial=0.0))
 
     passed = (

@@ -20,7 +20,6 @@ from opderiv.core import (
     invariance_constraint,
     load_matrix_json,
     load_operator,
-    matrix_units,
     nullspace_of_constraints,
     operator_norm,
     save_operator,
@@ -256,7 +255,7 @@ def test_operator_space_membership_and_equality():
     assert diag.dim == 2
     assert diag.membership_residual(np.diag([3.0, -2.0])) <= 1e-14
     assert diag.membership_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) > 0.1
-    other = OperatorSpace(2, (np.eye(2), np.diag([1.0, -1.0])))
+    other = OperatorSpace.span(2, (np.eye(2), np.diag([1.0, -1.0])))
     assert diag.equals(other, tol=1e-12)
 
 
@@ -264,8 +263,8 @@ def test_operator_space_equals_matches_elementwise_membership():
     # the batched verdict is the per-element one, judged against the same tol
     rng = np.random.default_rng(9)
     elems = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    a = OperatorSpace(3, tuple(elems))
-    b = OperatorSpace(3, tuple(elems + 1e-6 * rng.standard_normal((3, 3, 3))))
+    a = OperatorSpace.span(3, elems)
+    b = OperatorSpace.span(3, elems + 1e-6 * rng.standard_normal((3, 3, 3)))
     worst = max(
         max(a.membership_residual(x) for x in b.basis_elements),
         max(b.membership_residual(x) for x in a.basis_elements),
@@ -274,24 +273,49 @@ def test_operator_space_equals_matches_elementwise_membership():
     assert a.equals(b, tol=1.001 * worst) and b.equals(a, tol=1.001 * worst)
     assert not a.equals(b, tol=0.999 * worst) and not b.equals(a, tol=0.999 * worst)
     assert OperatorSpace(3, ()).equals(OperatorSpace(3, ()))
-    assert not a.equals(OperatorSpace(3, tuple(elems[:2])))
+    assert not a.equals(OperatorSpace.span(3, elems[:2]))
 
 
 def test_operator_space_membership_rejects_other_dimension():
-    space = OperatorSpace(2, (np.eye(2),))
+    space = OperatorSpace.span(2, (np.eye(2),))
     with pytest.raises(DimensionMismatch):
         space.membership_residual(np.eye(4))
 
 
 def test_operator_space_rejects_dependent_basis():
-    with pytest.raises(ValueError):
-        OperatorSpace(2, (np.eye(2), 2.0 * np.eye(2)))
+    with pytest.raises(ValueError, match="independent"):
+        OperatorSpace.span(2, (np.eye(2), 2.0 * np.eye(2)))
+
+
+def test_operator_space_takes_an_orthonormal_basis():
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpace(2, (np.eye(2),))  # Frobenius norm sqrt(2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpace(2, (np.diag([1.0, 0.0]), np.eye(2) / np.sqrt(2)))  # unit, not orthogonal
+    with pytest.raises(DimensionMismatch):
+        OperatorSpace(2, np.zeros((1, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        OperatorSpace.span(2, np.ones((1, 3, 3)))
+
+
+def test_operator_space_span_orthonormalizes_independent_elements():
+    rng = np.random.default_rng(10)
+    elems = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    space = OperatorSpace.span(3, elems)
+    assert space.basis_elements.shape == (4, 3, 3)
+    flat = space.basis_elements.reshape(4, -1)
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+    # four independent elements in a 4-dimensional span: the spans agree
+    assert max(space.membership_residual(x) for x in elems) <= 1e-12
+    # the stack is taken as given, and an empty span is the zero space
+    assert OperatorSpace(3, space.basis_elements).equals(space, tol=1e-14)
+    assert OperatorSpace.span(3, ()).dim == 0
 
 
 @pytest.mark.parametrize("max_pairs", (None, 7))
 def test_closure_residual_matches_pairwise_membership(max_pairs):
     rng = np.random.default_rng(8)
-    space = OperatorSpace(3, tuple(rng.standard_normal((4, 3, 3)) + 0j))  # not closed
+    space = OperatorSpace.span(3, rng.standard_normal((4, 3, 3)))  # not closed
     k = space.dim
     if max_pairs is None:
         pairs = [(i, j) for i in range(k) for j in range(k)]
@@ -448,13 +472,6 @@ def test_invariance_constraint_matches_direct_evaluation():
 def test_invariance_constraint_trivial_subspaces_have_no_rows():
     assert invariance_constraint(np.zeros((3, 0))).shape == (0, 9)
     assert invariance_constraint(np.eye(3)).shape == (0, 9)
-
-
-def test_matrix_units_orthonormal():
-    units = matrix_units(3)
-    assert len(units) == 9
-    gram = np.array([[np.vdot(vec(a), vec(b)) for b in units] for a in units])
-    np.testing.assert_allclose(gram, np.eye(9), atol=1e-15)
 
 
 # ------------------------------------------------------------------ file I/O

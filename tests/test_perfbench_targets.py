@@ -118,7 +118,7 @@ def test_tracer_sees_one_stacked_automorphism_per_lipschitz_check():
 
 def test_tracer_sees_the_corner_tower_solves_under_the_check():
     # the tower narrows through the wrapped solver global: at order 2, P_1, Q_1,
-    # P_2, Q_2 and the P-only level 2 are core.nullspace spans of the check itself
+    # P_2 and Q_2 are core.nullspace spans of the check itself
     spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 4)
     tracer = tracing.Tracer()
@@ -131,5 +131,5 @@ def test_tracer_sees_the_corner_tower_solves_under_the_check():
     spans, counts = tracer.passes[0]
     (check,) = [i for i, span in enumerate(spans) if span[0] == "reflexivity.check"]
     tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
-    assert len(tower) == 5
+    assert len(tower) == 4
     assert counts["core.nullspace.rows"] > 0

@@ -372,7 +372,8 @@ def _without_q(family):
 def _narrow(subspaces, dim, space):
     """Operators in ``space`` leaving every subspace invariant, unstructured."""
     constraints = [invariance_constraint(s.basis) for s in subspaces]
-    basis = nullspace_of_constraints(constraints, dim, scale=1.0, within=space._q)
+    within = space.basis_elements.transpose(0, 2, 1).reshape(space.dim, -1).T  # vec columns
+    basis = nullspace_of_constraints(constraints, dim, scale=1.0, within=within)
     return OperatorSpace.from_columns(dim, basis)
 
 
@@ -385,20 +386,19 @@ def _full_space_null(subspaces, dim):
     return vh[rank:].conj().T
 
 
-def _oracle_spec(kind):
+def _oracle_spec(kind, base=3):
     if kind == "block_diagonal":
-        return VonNeumannAlgebraSpec(kind, 3, pattern=(2, 1))
+        return VonNeumannAlgebraSpec(kind, base, pattern=(base - 1, 1))
     if kind == "generated":
-        u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((3, 3)))
-        return VonNeumannAlgebraSpec(kind, 3, generators=(u @ np.diag([1.0, 1.0, 2.0]) @ u.T,))
-    return VonNeumannAlgebraSpec(kind, 3)
+        u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((base, base)))
+        g = u @ np.diag([1.0] * (base - 1) + [2.0]) @ u.T
+        return VonNeumannAlgebraSpec(kind, base, generators=(g,))
+    return VonNeumannAlgebraSpec(kind, base)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
-    spec = _oracle_spec(kind)
-    d = rng_generator(np.random.default_rng(60), 3)
     corner_solve, solves = reflexivity._corner_solve, []
 
     def recording(family, tol):  # keeps the family and the solution of the check
@@ -407,17 +407,19 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
         return out
 
     monkeypatch.setattr(reflexivity, "_corner_solve", recording)
-    report = reflexivity_check(spec, d, n)
-    ((family, space, without_q_dim),) = solves
-    dim = family.ambient_dim
-    oracle = _full_space_null(family.subspaces, dim)
-    without_q = _full_space_null(_without_q(family).subspaces, dim)
-    assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
-    # needed_Q: n = 1 reads level 1 before Q_1, n >= 2 runs the P-only levels
-    assert without_q_dim == without_q.shape[1]
-    assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
-    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
-    assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
+    for base in (2, 3, 4):
+        spec = _oracle_spec(kind, base)
+        report = reflexivity_check(spec, rng_generator(np.random.default_rng(60), base), n)
+        family, space, without_q_dim = solves.pop()
+        dim = family.ambient_dim
+        oracle = _full_space_null(family.subspaces, dim)
+        without_q = _full_space_null(_without_q(family).subspaces, dim)
+        assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
+        # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
+        assert without_q_dim == without_q.shape[1] == family.lat_algebra.dim + n * base**2
+        assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
+        q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+        assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
 def _recording_nullspace(monkeypatch):
@@ -445,27 +447,24 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
     base, alg_dim = 3, spec.expected_dim()
     assert space.dim == alg_dim and space.ambient_dim == 3 * (n + 1)
-    # the main tower narrows by P_j then Q_j on each level; the P-only tower
-    # behind needed_Q shares level 1 and solves levels 2..n on its own
-    assert len(calls) == 2 * n + max(n - 1, 0)
-    main, p_only = calls[: 2 * n], calls[2 * n :]
-    # every level of the main tower is the algebra, in the level's dimension
-    assert [out[1] for _, _, within, out in main if within] == [alg_dim] * n
-    assert [dim for dim, _, _, _ in main] == [base * (j + 2) for j in range(n) for _ in "PQ"]
+    # the tower narrows by P_j then Q_j on each level; needed_Q takes no solve
+    assert len(calls) == 2 * n
+    # every level of the tower is the algebra, in the level's dimension
+    assert [out[1] for _, _, within, out in calls if within] == [alg_dim] * n
+    assert [dim for dim, _, _, _ in calls] == [base * (j + 2) for j in range(n) for _ in "PQ"]
     # small coordinates: no array has (N(n+1))^2 columns, and the (0, 0)
     # block that lat_family certified is not solved again
     widths = [shape[1] for _, shapes, _, _ in calls for shape in shapes]
     assert all(dim != base for dim, _, _, _ in calls)
-    assert all(w <= alg_dim + base**2 * (n + 1) for _, shapes, _, _ in main for _, w in shapes)
+    assert all(w <= alg_dim + base**2 * (n + 1) for _, shapes, _, _ in calls for _, w in shapes)
     assert all(w <= without_q_dim + base**2 * (n + 1) for w in widths)
     assert all(w < (base * (n + 1)) ** 2 for w in widths)
-    if p_only:
-        assert p_only[-1][3][1] == without_q_dim
 
 
-@pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_")))
+@pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
 def test_corner_solve_without_graph_members_matches_oracle(drop):
-    # a level with no P_j (or no Q_j) member leaves its coordinates free
+    # a level with no P_j (or no Q_j) member leaves its coordinates free, and
+    # without the Q_j it adds N^2 (j + 1) dimensions where a P_j adds N^2
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
     keep = [i for i, label in enumerate(family.labels) if not label.startswith(drop)]
@@ -477,9 +476,10 @@ def test_corner_solve_without_graph_members_matches_oracle(drop):
         family.algebra,
         family.lat_algebra,
     )
-    space = alg_of_family(reduced)
+    space, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     oracle = _full_space_null(reduced.subspaces, 6)
     assert space.dim == oracle.shape[1] > 2
+    assert without_q_dim == _full_space_null(_without_q(reduced).subspaces, 6).shape[1]
     q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
@@ -520,7 +520,7 @@ def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
         triangular_representation(derivative_chain(d, x[:3, :3], n)).matrix
         for x in space.basis_elements
     ]
-    batched = triangular_representations(d, space.stacked()[:, :3, :3], n)
+    batched = triangular_representations(d, space.basis_elements[:, :3, :3], n)
     for rep, want in zip(batched, reps):
         assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
     recon = [operator_norm(x - rep) for x, rep in zip(space.basis_elements, reps)]
@@ -593,12 +593,57 @@ def test_structured_solve_rejects_misshapen_members():
         alg_of_family(no_h0)
 
 
-@pytest.mark.slow
+def test_corner_solve_rejects_p_members_that_are_not_one_graph():
+    # needed_Q counts N^2 free coordinates per P_j, which holds for a graph over block j
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    d = eig_hermitian(np.diag([0.0, 1.0]))
+    family = invariant_family(spec, d, 1)
+    eye = np.eye(4)
+    for not_graph in (Subspace(4, eye[:, :2]), Subspace(4, eye[:, [0, 2]]), Subspace(4, eye[:, 2:3])):
+        with pytest.raises(ValueError, match="not a graph over block 1"):
+            alg_of_family(_relabeled(family, "P_1", not_graph))
+    (p1,) = [s for s, l in zip(family.subspaces, family.labels) if l == "P_1"]
+    twice = InvariantFamily(
+        family.subspaces + (p1,),
+        family.labels + ("P_1",),
+        2,
+        1,
+        family.algebra,
+        family.lat_algebra,
+    )
+    with pytest.raises(ValueError, match="two P_1"):
+        alg_of_family(twice)
+
+
+def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
+    # the tower's basis is orthonormal and the space takes it as given: no SVD
+    # sees the (81, m) vec stack of a basis of operators on C^9
+    svd, shapes = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    spec = VonNeumannAlgebraSpec("full", 3)
+    report = reflexivity_check(spec, rng_generator(np.random.default_rng(66), 3), 2)
+    assert report.passed and report.dim_computed == 9
+    assert shapes and not [shape for shape in shapes if shape[-2:-1] == (81,)]
+
+
 def test_reflexivity_full_c16_n3():
     spec = VonNeumannAlgebraSpec("full", 16)
     gen, _ = random_scenario(16, 1)
     report = reflexivity_check(spec, gen, 3, seed=1)
-    assert report.passed and report.dim_computed == 256
+    assert report.passed and report.dim_computed == 256 and report.needed_Q
+
+
+@pytest.mark.slow
+def test_reflexivity_full_c16_n4():
+    spec = VonNeumannAlgebraSpec("full", 16)
+    gen, _ = random_scenario(16, 1)
+    report = reflexivity_check(spec, gen, 4, seed=1)
+    assert report.passed and report.dim_computed == 256 and report.needed_Q
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
@@ -607,7 +652,7 @@ def test_lat_family_cap_exhaustion_raises(monkeypatch):
 
     def scalars_only(subspaces, ambient_dim=None, tol=None):
         attempts.append(subspaces)
-        return OperatorSpace(ambient_dim, (np.eye(ambient_dim, dtype=complex),))
+        return OperatorSpace.span(ambient_dim, (np.eye(ambient_dim, dtype=complex),))
 
     monkeypatch.setattr("opderiv.reflexivity.alg_of_family", scalars_only)
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
