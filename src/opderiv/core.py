@@ -42,8 +42,6 @@ __all__ = [
     "spectral_band_projections",
     "Subspace",
     "OperatorSpace",
-    "vec",
-    "unvec",
     "commutation_constraint",
     "invariance_constraint",
     "nullspace_of_constraints",
@@ -403,15 +401,6 @@ class OperatorSpace:
         return worst
 
 
-def vec(x) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
-
-
 def commutation_constraint(g) -> np.ndarray:
     """Matrix of X -> X g - g X; its nullspace is the commutant of g."""
     g = as_operator(g)
@@ -438,17 +427,14 @@ def nullspace_of_constraints(
     dim: int,
     tol: TolerancePolicy | None = None,
     scale: float | None = None,
-    within: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Orthonormal basis of {u in W : C @ u = 0 for every constraint C},
-    as the columns of an ``(M, m)`` array of coordinates.
+    """Orthonormal basis of {u : C @ u = 0 for every constraint C}, as the
+    columns of an ``(M, m)`` array of coordinates.
 
     The coordinates are those of vec(X) for an operator X on C^dim
     (M = dim*dim), or any other M coordinates a caller chooses, such as
-    the corner solve's level coordinates: each constraint is a 2-D ndarray
-    with one column per coordinate.  W is the span of ``within``, an
-    ``(M, m)`` array with orthonormal columns, when given, else the whole
-    coordinate space, M being then the column count of the constraints
+    the coefficients of an operator on a basis: each constraint is a 2-D
+    ndarray with one column per coordinate, and M is their column count
     (dim*dim when there is none).  The solution is narrowed one
     constraint at a time (an intersection of null spaces): the constraint
     is restricted to the current orthonormal null basis B, the SVD of
@@ -461,13 +447,13 @@ def nullspace_of_constraints(
     (for example the commutant of a numerically scalar operator), or one
     that earlier constraints already imply, is treated as zero instead of
     as a noise matrix of spurious full rank.  With no constraints the
-    starting space is returned; a trivial solution space yields an empty
-    basis.  ``OperatorSpace.from_columns`` turns a vec-coordinate result
-    into a space.
+    whole coordinate space is returned; a trivial solution space yields an
+    empty basis.  ``OperatorSpace.from_columns`` turns a vec-coordinate
+    result into a space.
     """
     tol = tol or DEFAULT_TOL
-    basis = within  # None: the whole coordinate space
-    width = None if within is None else within.shape[0]
+    basis = None  # the whole coordinate space
+    width = None
     largest = 0.0
     for c in constraints:
         mat = np.asarray(c, dtype=complex)
@@ -488,7 +474,9 @@ def nullspace_of_constraints(
         null = vh[rank:].conj().T
         basis = null if basis is None else basis @ null
 
-    return np.eye(width or dim * dim, dtype=complex) if basis is None else basis
+    if basis is None:
+        return np.eye(dim * dim if width is None else width, dtype=complex)
+    return basis
 
 
 def save_operator(path, a, extra: dict | None = None) -> None:

@@ -20,14 +20,17 @@ All dimension counts are over the complex field.  Subspace equality and
 membership are always tested through projections, never bases.  The
 corner solve is a tower over the order, as in the paper's induction: it
 starts from the algebra of the first-block members that ``lat_family``
-certified and adds one block per level, in coordinates of size
-dim(level below) + N^2 (j + 1), with one SVD per graph subspace.
-P_j is the graph of a map G from block j, so X = [[A, Y_top], [0, Y_bot]]
-leaves it invariant exactly when Y_top = G Y_bot - A G; without the Q_j
-the dimension is dim Alg(lat_M) + n N^2, and ``needed_Q`` takes no solve.
+certified and adds one block column per level.  P_j is the graph of a
+map G from block j, so X = [[A, Y_top], [0, Y_bot]] leaves it invariant
+exactly when Y_top = G Y_bot - A G; with Q_j the graph of G' and K = G - G'
+of full column rank, X leaves both invariant exactly when also
+Y_bot = K+ A K and A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
+level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
+``needed_Q`` takes no solve.
 Measured on one BLAS thread under a 2 GB memory cap, ``full`` at base
-dimension 16 takes about 4 s and 210 MB at order 3, 8 s and 260 MB at
-order 4; at base dimension 24, order 2 takes 14 s and 450 MB.
+dimension 16 takes about 1.4 s and 140 MB at order 3, 2 s and 180 MB at
+order 4; at base dimension 24, order 3 takes 10 s and 540 MB, and at
+base dimension 32 it takes 48 s and 1.5 GB.
 """
 
 from __future__ import annotations
@@ -415,49 +418,6 @@ def alg_of_family(
     return OperatorSpace.from_columns(ambient_dim, basis)
 
 
-def _level_constraint(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix of (c, vec Y) -> vec(Qc* X V) on one level of the corner tower.
-
-    ``basis`` is the orthonormal ``(a, jN, jN)`` basis of the level below
-    and ``v`` an orthonormal basis of a member of C^(j+1)N; X is
-    [[sum_k c_k basis[k], Y_top], [0, Y_bot]] with Y the (j+1)N x N last
-    block column.  The columns for c are vec(Qc*[:, :jN] basis[k] V[:jN]),
-    those for Y are kron(V[jN:].T, Qc*).
-    """
-    lead = basis.shape[-1]
-    q, _ = np.linalg.qr(v, mode="complete")
-    qc = q[:, v.shape[1] :].conj().T
-    corner = qc[:, :lead] @ basis @ v[:lead]  # (a, rows of Qc*, columns of V)
-    return np.hstack([corner.transpose(0, 2, 1).reshape(len(basis), -1).T, np.kron(v[lead:].T, qc)])
-
-
-def _level_null(
-    basis: np.ndarray,
-    members: list,
-    base: int,
-    tol: TolerancePolicy,
-    within: np.ndarray | None = None,
-) -> np.ndarray:
-    """Level coordinates (c, vec Y) of the X that leave every member invariant."""
-    size = basis.shape[-1] + base
-    if within is None and not members:
-        return np.eye(len(basis) + base * size, dtype=complex)
-    constraints = [_level_constraint(basis, v) for v in members]
-    return nullspace_of_constraints(constraints, size, tol, scale=1.0, within=within)
-
-
-def _level_elements(basis: np.ndarray, coords: np.ndarray, base: int) -> np.ndarray:
-    """The ``(m, (j+1)N, (j+1)N)`` operators with the level coordinates of the
-    columns of ``coords``; orthonormal columns give orthonormal operators,
-    because the c part and the Y part fill disjoint entries."""
-    a, lead = len(basis), basis.shape[-1]
-    size = lead + base
-    out = np.zeros((coords.shape[1], size, size), dtype=complex)
-    out[:, :lead, :lead] = np.tensordot(coords[:a].T, basis, axes=1)
-    out[:, :, lead:] = coords[a:].T.reshape(-1, base, size).transpose(0, 2, 1)
-    return out
-
-
 def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[OperatorSpace, int]:
     """Alg(family), and its dimension without the Q_j members.
 
@@ -468,23 +428,26 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
     the first j + 1 blocks leaving the members of levels <= j invariant,
     is the set of X = [[A, Y_top], [0, Y_bot]] with A in level j - 1 that
     leave P_j and Q_j invariant.  Level 0 is the family's ``lat_algebra``,
-    which ``lat_family`` already solved and certified.  Each level is
-    solved in the coordinates (c, vec Y), c the coefficients of A on the
-    orthonormal level-(j-1) basis: those are orthonormal coordinates, so
-    the basis stays orthonormal from level to level, and no array has
-    (N(n+1))^2 rows or columns.  The P_j narrow first, then the Q_j.
+    which ``lat_family`` already solved and certified.
 
-    The dimension without the Q_j is counted by the graph lemma (see the
-    module docstring): a P_j leaves N^2 coordinates of Y free (Y_bot), a
-    level without one all N^2 (j + 1).  Raises ValueError when a member
-    does not have the shape its label claims (a P_j must be a graph over
-    block j: dimension N, with block-j rows of rank N), a level has two
-    P_j, or an H_j that makes X block upper triangular is missing.  Most
-    of the time goes to the SVDs of the wide level constraints, such as
-    768 x 1280 for P_3 at ``full`` (16, 3).
+    Each level is closed form by the graph lemma (see the module
+    docstring): with G read off P_j, G' off Q_j and K = G - G', the only
+    solve keeps the A with Kc* A K = 0 (Kc an orthonormal basis of the
+    complement of range K), and Y_bot = K+ A K, Y_top = G Y_bot - A G.
+    A level with one graph member leaves Y_bot free (G' stands in for G
+    when only Q_j is there), one with none all of Y.  Above level 0 the
+    bases are not orthonormal; ``OperatorSpace.span`` orthonormalizes
+    the last one.  Without the Q_j a P_j adds N^2 dimensions, a level
+    without one N^2 (j + 1): that count is returned.
+
+    Raises ValueError when a member has an unknown label or not the shape
+    its label claims (a P_j or Q_j must be a graph over block j: dimension N, with
+    block-j rows of rank N), a level has two P_j or two Q_j, K has rank
+    below N (relative cutoff ``rank_cutoff``), or an H_j that makes X
+    block upper triangular is missing.
     """
     base, n = family.base_dim, family.order
-    levels = {j: ([], []) for j in range(1, n + 1)}  # level j: P_j members, Q_j members
+    levels = {j: {} for j in range(1, n + 1)}  # level j: the graph maps G of its P_j and Q_j
     leading = set()
     for sub, label in zip(family.subspaces, family.labels):
         if label.startswith("H_"):
@@ -494,32 +457,59 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
         elif label.startswith("lat_M"):
             if np.linalg.norm(sub.basis[base:]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first block")
-        else:
+        elif label[:2] in ("P_", "Q_"):
             j = int(label[2:])
             if j not in levels:
                 raise ValueError(f"{label} has no level in a family of order {n}")
             if np.linalg.norm(sub.basis[base * (j + 1) :]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
-            graphs, shifted = levels[j]
-            if not label.startswith("Q_"):
-                last = sub.basis[base * j : base * (j + 1)]
-                if sub.dim != base or np.linalg.matrix_rank(last, tol=tol.rank_cutoff) < base:
-                    raise ValueError(f"{label} is not a graph over block {j}")
-                if graphs:
-                    raise ValueError(f"level {j} has two P_{j} members")
-            (shifted if label.startswith("Q_") else graphs).append(sub.basis[: base * (j + 1)])
+            top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
+            if sub.dim != base or np.linalg.matrix_rank(bot, tol=tol.rank_cutoff) < base:
+                raise ValueError(f"{label} is not a graph over block {j}")
+            if label[0] in levels[j]:
+                raise ValueError(f"level {j} has two {label} members")
+            levels[j][label[0]] = np.linalg.solve(bot.T, top.T).T  # G = top bot^-1
+        else:
+            raise ValueError(f"{label} is not a label of an invariant family")
     for j in range(n):
         if j + 1 not in leading:
             raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")
 
-    basis, without_q_dim = family.lat_algebra.basis_elements, family.lat_algebra.dim
+    elems, without_q_dim = family.lat_algebra.basis_elements, family.lat_algebra.dim
     for j in range(1, n + 1):
-        graphs, shifted = levels[j]
-        coords = _level_null(basis, graphs, base, tol)
-        coords = _level_null(basis, shifted, base, tol, within=coords)
-        basis = _level_elements(basis, coords, base)
-        without_q_dim += base**2 * (1 if graphs else j + 1)  # Y_bot, or all of Y
-    return OperatorSpace(family.ambient_dim, basis), without_q_dim
+        lead, size = base * j, base * (j + 1)
+        graphs = [levels[j][kind] for kind in "PQ" if kind in levels[j]]
+        a = elems
+        g = graphs[0] if graphs else np.zeros((lead, base))  # G, or G' with only Q_j
+        if len(graphs) == 2:
+            k = graphs[0] - graphs[1]
+            u, s, vh = np.linalg.svd(k)
+            if s[-1] <= tol.rank_cutoff * s[0]:
+                raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
+            uak = u.conj().T @ a @ k  # rows: range K, then its complement Kc
+            if j > 1:
+                constraint = uak[:, base:].reshape(len(a), -1).T
+                # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
+                scale = s[0] * np.linalg.norm(a)
+                c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
+                a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
+            y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
+        else:  # Y_bot free
+            units = np.eye(base**2).reshape(-1, base, base)
+            a = np.concatenate([a, np.zeros((base**2, lead, lead))])
+            y_bot = np.concatenate([np.zeros((len(elems), base, base)), units])
+        elems = np.zeros((len(a), size, size), dtype=complex)
+        elems[:, :lead, :lead] = a
+        elems[:, lead:, lead:] = y_bot
+        elems[:, :lead, lead:] = g @ y_bot - a @ g
+        if not graphs:  # Y_top free too
+            free_top = np.zeros((lead * base, size, size), dtype=complex)
+            free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
+            elems = np.concatenate([elems, free_top])
+        without_q_dim += base**2 * (1 if "P" in levels[j] else j + 1)
+    if not n:  # level 0 is lat_family's orthonormal basis
+        return family.lat_algebra, without_q_dim
+    return OperatorSpace.span(family.ambient_dim, elems), without_q_dim
 
 
 @dataclass
@@ -567,15 +557,17 @@ def reflexivity_check(
     """Verify the corner algebra cut out by the invariant family.
 
     Computes S = {X leaving every family member invariant} and asserts:
-    dim S equals the algebra dimension; every basis element of S
-    reconstructs as the triangular representation of its (0, 0) block;
-    and the representation of every algebra basis element lies in S.
-    S is solved by ``_corner_solve`` as a tower over the order: level 0
-    is Alg(lat_M) as ``lat_family`` solved it, and level j adds the last
-    block column and imposes P_j, then Q_j.  needed_Q (dropping the Q_j
-    strictly enlarges the solution) compares dim S with the graph lemma's
-    count dim Alg(lat_M) + n N^2 (see the module docstring).  For n = 0
-    this degenerates to the bicommutant identity Alg(lat_family) = algebra.
+    dim S equals the algebra's dimension and its closed form
+    ``spec.expected_dim()`` (a ``generated`` algebra has none); every
+    basis element of S reconstructs as the triangular representation of
+    its (0, 0) block; and the representation of every algebra basis
+    element lies in S.  S is solved by ``_corner_solve`` as a tower over
+    the order: level 0 is Alg(lat_M) as ``lat_family`` solved it, and
+    level j adds the last block column, fixed by P_j and Q_j.  needed_Q
+    (dropping the Q_j strictly enlarges the solution) compares dim S with
+    the graph lemma's count dim Alg(lat_M) + n N^2 (see the module
+    docstring).  For n = 0 this degenerates to the bicommutant identity
+    Alg(lat_family) = algebra.
 
     The algebra is the one the family carries (certified by
     ``lat_family``); there is no separate bicommutant solve.  ``family``
@@ -612,15 +604,18 @@ def reflexivity_check(
     membership = solved._residuals(triangular_representations(d, algebra.basis_elements, n))
     max_member = float(membership.max(initial=0.0))
 
+    dim_expected = spec.expected_dim()
+    if dim_expected is None:
+        dim_expected = algebra.dim
     passed = (
-        solved.dim == algebra.dim
+        solved.dim == dim_expected == algebra.dim
         and max_recon <= scale_tol
         and max_member <= scale_tol
     )
     report = ReflexivityReport(
         scenario=spec.label(),
         order=n,
-        dim_expected=algebra.dim,
+        dim_expected=dim_expected,
         dim_computed=solved.dim,
         max_reconstruction_residual=max_recon,
         max_membership_residual=max_member,

@@ -117,19 +117,19 @@ def test_tracer_sees_one_stacked_automorphism_per_lipschitz_check():
 
 
 def test_tracer_sees_the_corner_tower_solves_under_the_check():
-    # the tower narrows through the wrapped solver global: at order 2, P_1, Q_1,
-    # P_2 and Q_2 are core.nullspace spans of the check itself
+    # the tower solves through the wrapped solver global: at order 3, levels 2
+    # and 3 each make one core.nullspace span of the check itself, level 1 none
     spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 4)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = reflexivity.reflexivity_check(spec, gen, 2, seed=4)
+        report = reflexivity.reflexivity_check(spec, gen, 3, seed=4)
     finally:
         tracer.uninstall()
     assert report.passed and report.dim_computed == 9
     spans, counts = tracer.passes[0]
     (check,) = [i for i, span in enumerate(spans) if span[0] == "reflexivity.check"]
     tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
-    assert len(tower) == 4
+    assert len(tower) == 2
     assert counts["core.nullspace.rows"] > 0

@@ -12,7 +12,6 @@ from opderiv.core import (
     invariance_constraint,
     nullspace_of_constraints,
     operator_norm,
-    vec,
 )
 from opderiv.derivation import derivative_chain
 from opderiv.reflexivity import (
@@ -35,6 +34,11 @@ from opderiv.triangular import (
     triangular_representation,
     triangular_representations,
 )
+
+
+def vec(x):
+    """Column-major vectorization, the order of the constraint matrices."""
+    return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
 
 def rng_generator(rng, n, spread=1.0):
@@ -371,9 +375,9 @@ def _without_q(family):
 
 def _narrow(subspaces, dim, space):
     """Operators in ``space`` leaving every subspace invariant, unstructured."""
-    constraints = [invariance_constraint(s.basis) for s in subspaces]
-    within = space.basis_elements.transpose(0, 2, 1).reshape(space.dim, -1).T  # vec columns
-    basis = nullspace_of_constraints(constraints, dim, scale=1.0, within=within)
+    within = np.stack([vec(b) for b in space.basis_elements], axis=1)  # orthonormal vec columns
+    constraints = [invariance_constraint(s.basis) @ within for s in subspaces]
+    basis = within @ nullspace_of_constraints(constraints, dim, scale=1.0)
     return OperatorSpace.from_columns(dim, basis)
 
 
@@ -424,13 +428,13 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
 
 def _recording_nullspace(monkeypatch):
     """Wrap the solver the corner solve calls; each call is recorded as
-    (dim, constraint shapes, within given, result shape)."""
+    (dim, constraint shapes, result shape)."""
     solve, calls = reflexivity.nullspace_of_constraints, []
 
-    def recording(constraints, dim, tol=None, scale=None, within=None):
+    def recording(constraints, dim, tol=None, scale=None):
         constraints = list(constraints)
-        out = solve(constraints, dim, tol, scale=scale, within=within)
-        calls.append((dim, [c.shape for c in constraints], within is not None, out.shape))
+        out = solve(constraints, dim, tol, scale=scale)
+        calls.append((dim, [c.shape for c in constraints], out.shape))
         return out
 
     monkeypatch.setattr(reflexivity, "nullspace_of_constraints", recording)
@@ -447,18 +451,14 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
     base, alg_dim = 3, spec.expected_dim()
     assert space.dim == alg_dim and space.ambient_dim == 3 * (n + 1)
-    # the tower narrows by P_j then Q_j on each level; needed_Q takes no solve
-    assert len(calls) == 2 * n
-    # every level of the tower is the algebra, in the level's dimension
-    assert [out[1] for _, _, within, out in calls if within] == [alg_dim] * n
-    assert [dim for dim, _, _, _ in calls] == [base * (j + 2) for j in range(n) for _ in "PQ"]
-    # small coordinates: no array has (N(n+1))^2 columns, and the (0, 0)
-    # block that lat_family certified is not solved again
-    widths = [shape[1] for _, shapes, _, _ in calls for shape in shapes]
-    assert all(dim != base for dim, _, _, _ in calls)
-    assert all(w <= alg_dim + base**2 * (n + 1) for _, shapes, _, _ in calls for _, w in shapes)
-    assert all(w <= without_q_dim + base**2 * (n + 1) for w in widths)
-    assert all(w < (base * (n + 1)) ** 2 for w in widths)
+    # one solve per level j >= 2, none at level 1; needed_Q takes no solve
+    assert [dim for dim, _, _ in calls] == [base * j for j in range(2, n + 1)]
+    # its one constraint is Kc* A K = 0: (j - 1) N^2 rows over the coefficients
+    # of A on the level below, which is the algebra in that level's dimension
+    widths = [[((j - 1) * base**2, alg_dim)] for j in range(2, n + 1)]
+    assert [shapes for _, shapes, _ in calls] == widths
+    assert [out for _, _, out in calls] == [(alg_dim, alg_dim)] * max(n - 1, 0)
+    assert without_q_dim == family.lat_algebra.dim + n * base**2
 
 
 @pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
@@ -591,6 +591,12 @@ def test_structured_solve_rejects_misshapen_members():
     )
     with pytest.raises(ValueError, match="H_0"):
         alg_of_family(no_h0)
+    # every member has a label the solve knows
+    unknown = InvariantFamily(
+        family.subspaces, family.labels[:-1] + ("R_1",), 2, 1, family.algebra, family.lat_algebra
+    )
+    with pytest.raises(ValueError, match="R_1 is not a label"):
+        alg_of_family(unknown)
 
 
 def test_corner_solve_rejects_p_members_that_are_not_one_graph():
@@ -615,9 +621,132 @@ def test_corner_solve_rejects_p_members_that_are_not_one_graph():
         alg_of_family(twice)
 
 
+def _graph_map(family, label):
+    """G = top bot^-1 of the graph member with this label."""
+    (sub,) = [s for s, l in zip(family.subspaces, family.labels) if l == label]
+    j, base = int(label[2:]), family.base_dim
+    top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
+    return top @ np.linalg.inv(bot)
+
+
+def test_corner_solve_rejects_q_members_that_are_not_a_graph():
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
+    eye = np.eye(4)
+    for not_graph in (Subspace(4, eye[:, :2]), Subspace(4, eye[:, [0, 2]]), Subspace(4, eye[:, 2:3])):
+        with pytest.raises(ValueError, match="Q_1 is not a graph over block 1"):
+            alg_of_family(_relabeled(family, "Q_1", not_graph))
+
+
+def test_corner_solve_rejects_two_q_members_on_a_level():
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
+    (q1,) = [s for s, l in zip(family.subspaces, family.labels) if l == "Q_1"]
+    twice = InvariantFamily(
+        family.subspaces + (q1,), family.labels + ("Q_1",), 2, 1, family.algebra, family.lat_algebra
+    )
+    with pytest.raises(ValueError, match="two Q_1"):
+        alg_of_family(twice)
+
+
+def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
+    # Y_bot = K+ A K needs K = G - G' of full column rank N
+    spec = VonNeumannAlgebraSpec("full", 2)
+    family = invariant_family(spec, rng_generator(np.random.default_rng(67), 2), 2)
+    for j in (1, 2):
+        k = _graph_map(family, f"P_{j}") - _graph_map(family, f"Q_{j}")
+        # on a built family block j - 1 of K is -iI, so sigma_min(K) >= 1
+        np.testing.assert_allclose(k[2 * (j - 1) :], -1j * np.eye(2), atol=1e-12)
+        assert np.linalg.svd(k, compute_uv=False)[-1] >= 1 - 1e-12
+    (p2,) = [s for s, l in zip(family.subspaces, family.labels) if l == "P_2"]
+    with pytest.raises(ValueError, match="rank below 2"):
+        alg_of_family(_relabeled(family, "Q_2", p2))  # K = 0
+    # a hand-built Q_2 whose K has rank 1: the graph of G + k e_1 e_1*
+    g, k = _graph_map(family, "P_2"), np.zeros((4, 2))
+    k[0, 0] = 1.0
+    rank_one = Subspace.from_columns(np.vstack([g + k, np.eye(2)]))
+    with pytest.raises(ValueError, match="rank below 2"):
+        alg_of_family(_relabeled(family, "Q_2", rank_one))
+
+
+@pytest.mark.parametrize("drop", (("Q_1",), ("P_1",), ("P_1", "Q_1")))
+def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
+    # without a graph member at level 1, level 1 is larger than the algebra's
+    # representation, and the constraint Kc* A K = 0 of level 2 cuts it back
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
+    keep = [i for i, label in enumerate(family.labels) if label not in drop]
+    reduced = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        2,
+        2,
+        family.algebra,
+        family.lat_algebra,
+    )
+    calls = _recording_nullspace(monkeypatch)
+    space, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
+    ((_, [(rows, cols)], (_, kept)),) = calls
+    assert rows == 4 and cols == 2 + 4 * len(drop) and kept < cols  # N^2 or 2 N^2 free at level 1
+    oracle = _full_space_null(reduced.subspaces, 6)
+    assert space.dim == kept == oracle.shape[1]
+    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+    assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
+
+
+@pytest.mark.parametrize("base", (3, 8))
+def test_reflexivity_check_fails_without_the_top_q_member(base):
+    # dropping Q_n leaves Y_bot free on the top level: the solution is too large.
+    # (Dropping a lower Q_j is no mutant: the constraint of the level above
+    # cuts the solution back to the algebra's representation.)
+    spec = VonNeumannAlgebraSpec("full", base)
+    gen, _ = random_scenario(base, 1)
+    family = invariant_family(spec, gen, 2, seed=1)
+    assert reflexivity_check(spec, gen, 2, family=family).passed
+    keep = [i for i, label in enumerate(family.labels) if label != "Q_2"]
+    mutant = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        base,
+        2,
+        family.algebra,
+        family.lat_algebra,
+    )
+    report = reflexivity_check(spec, gen, 2, family=mutant, raise_on_fail=False)
+    assert not report.passed and report.dim_computed == 2 * base**2
+
+
+@pytest.mark.parametrize("base", (3, 8))
+def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkeypatch):
+    corner_solve = reflexivity._corner_solve
+
+    def losing(family, tol):
+        space, without_q_dim = corner_solve(family, tol)
+        return OperatorSpace(space.ambient_dim, space.basis_elements[1:]), without_q_dim
+
+    spec = VonNeumannAlgebraSpec("full", base)
+    gen, _ = random_scenario(base, 1)
+    monkeypatch.setattr(reflexivity, "_corner_solve", losing)
+    report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
+    assert not report.passed and report.dim_computed == base**2 - 1
+    with pytest.raises(ReflexivityViolation):
+        reflexivity_check(spec, gen, 2, seed=1)
+
+
+def test_reflexivity_check_counts_against_the_closed_form_dimension():
+    # a family built for the diagonal masa solves to that algebra, consistently
+    # with the algebra it carries; the closed form of ``full`` still fails it
+    gen = rng_generator(np.random.default_rng(68), 3)
+    masa = invariant_family(VonNeumannAlgebraSpec("diagonal_masa", 3), gen, 1)
+    full = VonNeumannAlgebraSpec("full", 3)
+    report = reflexivity_check(full, gen, 1, family=masa, raise_on_fail=False)
+    assert report.dim_computed == masa.algebra.dim == 3
+    assert report.dim_expected == 9 and not report.passed
+
+
 def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
-    # the tower's basis is orthonormal and the space takes it as given: no SVD
-    # sees the (81, m) vec stack of a basis of operators on C^9
+    # the tower orthonormalizes once, by one SVD of the (m, 81) element stack of
+    # operators on C^9 in OperatorSpace.span; no SVD sees an (81, m) vec stack
     svd, shapes = np.linalg.svd, []
 
     def recording(a, *args, **kwargs):
@@ -628,7 +757,7 @@ def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
     spec = VonNeumannAlgebraSpec("full", 3)
     report = reflexivity_check(spec, rng_generator(np.random.default_rng(66), 3), 2)
     assert report.passed and report.dim_computed == 9
-    assert shapes and not [shape for shape in shapes if shape[-2:-1] == (81,)]
+    assert [shape for shape in shapes if 81 in shape] == [(9, 81)]
 
 
 def test_reflexivity_full_c16_n3():
@@ -638,12 +767,19 @@ def test_reflexivity_full_c16_n3():
     assert report.passed and report.dim_computed == 256 and report.needed_Q
 
 
-@pytest.mark.slow
 def test_reflexivity_full_c16_n4():
     spec = VonNeumannAlgebraSpec("full", 16)
     gen, _ = random_scenario(16, 1)
     report = reflexivity_check(spec, gen, 4, seed=1)
     assert report.passed and report.dim_computed == 256 and report.needed_Q
+
+
+@pytest.mark.slow
+def test_reflexivity_full_c24_n3():
+    spec = VonNeumannAlgebraSpec("full", 24)
+    gen, _ = random_scenario(24, 1)
+    report = reflexivity_check(spec, gen, 3, seed=1)
+    assert report.passed and report.dim_computed == 576 and report.needed_Q
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
