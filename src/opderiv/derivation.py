@@ -150,14 +150,6 @@ class DerivativeChain:
             return self.x
         return self.derivatives[j - 1]
 
-    def validate(self) -> float:
-        """Max residual of the recursion derivatives[k] = i[D, derivatives[k-1]]."""
-        worst = 0.0
-        for j in range(1, self.order + 1):
-            resid = operator_norm(self.delta(j) - commutator_derivative(self.generator, self.delta(j - 1)))
-            worst = max(worst, resid)
-        return worst
-
 
 def derivative_chain(d: SelfAdjointGenerator, x, n: int) -> DerivativeChain:
     """Build the chain [i[D,x], i[D,i[D,x]], ...] up to order n >= 0."""
@@ -186,9 +178,8 @@ class BandMatrix:
     ``coeffs`` is ``V* x V`` with V the eigenvectors of ``generator``.  The
     eigenvalues are ascending and ``ceil`` is monotone, so each band
     (r-1, r] is one contiguous run of indices, ``slices[r]``.
-    ``blocks[(r, c)]`` (the block of x between bands r and c) and
-    ``band_vectors[r]`` (the eigenvectors of band r) are views of
-    ``coeffs`` and V through those slices, keyed by the nonempty bands in
+    ``blocks[(r, c)]``, the block of x between bands r and c, is a view of
+    ``coeffs`` through those slices, keyed by the nonempty bands in
     ascending order.
     """
 
@@ -200,10 +191,6 @@ class BandMatrix:
     def blocks(self) -> dict:
         s = self.slices
         return {(r, c): self.coeffs[s[r], s[c]] for r in s for c in s}
-
-    @property
-    def band_vectors(self) -> dict:
-        return {r: self.generator.eigenvectors[:, s] for r, s in self.slices.items()}
 
     def assemble(self) -> np.ndarray:
         """Reassemble the full operator, ``V coeffs V*``."""

@@ -12,9 +12,9 @@ malformed config raises ConfigError from ``ScenarioConfig.from_dict`` or
 numerical report fields (timings excluded) on one platform.
 
 The invariance and reflexivity checks share one invariant family per
-scenario: ``ScenarioData.family`` builds it (with the algebra it
-certifies) on first use, so a run that selects either check or both
-solves the commutant, the algebra and the family once.
+scenario: ``ScenarioData.family`` builds it (with the algebra) on first
+use, so a run that selects either check or both solves the commutant and
+builds the algebra and the family once.
 """
 
 from __future__ import annotations

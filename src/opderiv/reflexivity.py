@@ -10,17 +10,24 @@ algebras of subspace families as nullspace problems, and verifies that
 the corner operators leaving every family member invariant are exactly
 the triangular representations, with matching dimension.
 
-The algebra is solved once per family: ``lat_family`` computes it as the
-commutant of the commutant in order to certify its members, and the
-family carries it, so the reflexivity check makes no separate
-bicommutant solve.  The check reconstructs every solution element and
-tests every algebra element for membership in one batched step each.
+The algebra and its invariant subspaces come from the block structure of
+the commutant, M = (+)_k M_{n_k} (x) I_{m_k} and M' = (+)_k I_{n_k} (x)
+M_{m_k}: ``lat_family`` makes one nullspace solve, for M', reads the
+irreducible pieces C^{n_k} (x) xi off the eigenspaces of one generic
+Hermitian element of M', and links equivalent pieces by intertwiners.
+The family is the pieces and the links, sum_k (2 m_k - 1) members, and
+the algebra is built in closed form in the basis adapted to them;
+structural checks with recorded margins certify both, with no
+bicommutant and no certification solve.  The family carries the
+algebra, so the reflexivity check solves nothing for it.  The check
+reconstructs every solution element and tests every algebra element for
+membership in one batched step each.
 
 All dimension counts are over the complex field.  Subspace equality and
 membership are always tested through projections, never bases.  The
 corner solve is a tower over the order, as in the paper's induction: it
-starts from the algebra of the first-block members that ``lat_family``
-certified and adds one block column per level.  P_j is the graph of a
+starts from the algebra, which is Alg(lat_M) by ``lat_family``'s
+construction, and adds one block column per level.  P_j is the graph of a
 map G from block j, so X = [[A, Y_top], [0, Y_bot]] leaves it invariant
 exactly when Y_top = G Y_bot - A G; with Q_j the graph of G' and K = G - G'
 of full column rank, X leaves both invariant exactly when also
@@ -40,6 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .blocks import block_structure, certified, class_algebra
 from .core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -202,84 +210,71 @@ def bicommutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None
     return commutant(first.basis_elements, dim=first.ambient_dim, tol=tol)
 
 
-def _hermitian_spanning_set(space: OperatorSpace) -> list[np.ndarray]:
-    """Hermitian operators spanning a *-closed operator space over R."""
+def _hermitian_spanning_set(space: OperatorSpace, tol: TolerancePolicy) -> list[np.ndarray]:
+    """Hermitian operators spanning a *-closed operator space over R.
+
+    The real and imaginary part of each basis element, in turn; a part of
+    norm at most ``rank_cutoff`` times the largest one is roundoff and is
+    dropped.
+    """
     b, d = space.basis_elements, space.ambient_dim
     bh = b.conj().transpose(0, 2, 1)
     herms = np.stack([(b + bh) / 2, (b - bh) / 2j], axis=1).reshape(-1, d, d)
-    return list(herms[operator_norm(herms) > 1e-12])  # real and imaginary part of each, in turn
-
-
-def _eigenspace_subspaces(h: np.ndarray) -> list[Subspace]:
-    """One subspace per clustered eigenvalue of a Hermitian operator."""
-    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
-    atol = 1e-8 * (1.0 + float(np.max(np.abs(evals), initial=0.0)))
-    subs = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > atol:
-            subs.append(Subspace(h.shape[0], evecs[:, start:i]))
-            start = i
-    return subs
-
-
-def _append_unique(subspaces: list[Subspace], new: list[Subspace], tol: float = 1e-8):
-    for sub in new:
-        if sub.dim == 0:
-            continue
-        # distances to every kept subspace, as one stacked norm
-        kept = np.array([old.projection for old in subspaces]).reshape(-1, *sub.projection.shape)
-        if np.all(operator_norm(sub.projection - kept) > tol):
-            subspaces.append(sub)
+    norms = operator_norm(herms)
+    return list(herms[norms > tol.rank_cutoff * norms.max(initial=0.0)])
 
 
 def lat_family(
     spec: VonNeumannAlgebraSpec,
     tol: TolerancePolicy | None = None,
     seed: int = 0,
-    n_random: int = 3,
     max_extra: int = 20,
-) -> tuple[list[Subspace], OperatorSpace, OperatorSpace]:
-    """A finite generating family of invariant subspaces for the algebra,
-    the algebra it was certified against, and Alg(family) as solved.
+) -> tuple[list[Subspace], OperatorSpace]:
+    """A minimal generating family of invariant subspaces for the algebra,
+    and the algebra, from the block structure of its commutant.
 
-    Takes the eigenspace ranges of every Hermitian spanning element of the
-    commutant plus ``n_random`` random Hermitian combinations, then
-    certifies Alg(family) equals the algebra, solved here as the commutant
-    of the commutant (the bicommutant).  More random combinations are added
-    on failure, up to ``max_extra``; exhaustion raises LatGenerationFailed.
-    The certified Alg(family) is returned too, so that the corner solve
-    starts from it instead of solving it again.
+    The structure theorem gives M = (+)_k M_{n_k} (x) I_{m_k} and
+    M' = (+)_k I_{n_k} (x) M_{m_k}.  The commutant M' is solved (the one
+    nullspace solve), and one random Hermitian element h of it is drawn
+    from ``_hermitian_spanning_set``.  For a generic h the eigenspaces are
+    the irreducible pieces C^{n_k} (x) xi, and ``block_structure`` sorts
+    them into classes of equivalent pieces, each linked to its class
+    representative by a unitary intertwiner T.  The family is every piece
+    plus, per class, the m_k - 1 links {T xi + xi}: sum_k (2 m_k - 1)
+    members.  An operator leaving every piece invariant is block diagonal,
+    and one leaving the links invariant too has equal blocks on each class,
+    so Alg(family) is the algebra, built here in closed form.
+
+    The draw is certified by the structural checks of
+    ``block_structure``, and by every generator lying in the algebra
+    (``generators``: membership residual at most ``rank_cutoff``).  A
+    draw that fails (a non-generic h, whose eigenspaces are not
+    irreducible) is replaced by a new one, up to ``max_extra`` times;
+    exhaustion raises LatGenerationFailed with the last draw's failing
+    checks.
     """
     tol = tol or DEFAULT_TOL
+    dim = spec.ambient_dim
     com = commutant(spec, tol=tol)
-    algebra = commutant(com.basis_elements, dim=com.ambient_dim, tol=tol)
-    herms = _hermitian_spanning_set(com)
+    herms = np.stack(_hermitian_spanning_set(com, tol))
+    generators = np.stack(spec.generating_set())
     rng = np.random.default_rng(seed)
-
-    def random_combo():
-        coeffs = rng.standard_normal(len(herms))
-        return sum(c * h for c, h in zip(coeffs, herms))
-
-    subspaces: list[Subspace] = []
-    for h in herms:
-        _append_unique(subspaces, _eigenspace_subspaces(h))
-    for _ in range(n_random):
-        _append_unique(subspaces, _eigenspace_subspaces(random_combo()))
-
     for _ in range(max_extra + 1):
-        computed = alg_of_family(subspaces, ambient_dim=spec.ambient_dim, tol=tol)
-        worst = computed.product_closure_residual(max_pairs=1024)
-        if worst > tol.alg():
-            raise ArithmeticError(
-                f"computed algebra is not closed under multiplication (residual {worst:.3e})"
-            )
-        if computed.dim == algebra.dim and computed.equals(algebra, tol=tol.alg()):
-            return subspaces, algebra, computed
-        _append_unique(subspaces, _eigenspace_subspaces(random_combo()))
+        h = np.tensordot(rng.standard_normal(len(herms)), herms, axes=1)
+        classes, checks = block_structure(com, h, tol)
+        if classes:
+            algebra = class_algebra(classes, dim)
+            checks["generators"] = (float(algebra._residuals(generators).max()), tol.rank_cutoff)
+            if certified(checks):
+                subspaces = []
+                for s in classes:
+                    subspaces += [Subspace(dim, v) for v in s]
+                    subspaces += [Subspace(dim, (s[0] + v) / np.sqrt(2)) for v in s[1:]]
+                return subspaces, algebra
+    failed = ", ".join(f"{k} {r:.3e} > {b:.3e}" for k, (r, b) in checks.items() if r > b)
     raise LatGenerationFailed(
-        f"could not certify Alg(family) = algebra for {spec.label()} "
-        f"after {max_extra} extra random combinations"
+        f"could not certify the block structure of {spec.label()} "
+        f"after {max_extra} redraws: {failed}"
     )
 
 
@@ -308,10 +303,8 @@ class InvariantFamily:
     Labels: ``lat_M[i]`` for embedded algebra-invariant subspaces,
     ``H_j`` for the leading-corner subspaces, ``P_j``/``Q_j`` for the
     unshifted/shifted graph subspaces.  ``algebra`` is the algebra on the
-    base space that the ``lat_M`` members were certified against, and
-    ``lat_algebra`` is the operators on the base space leaving the
-    ``lat_M`` members invariant, as ``lat_family`` solved them (the same
-    span; the corner solve starts from it).
+    base space, as ``lat_family`` built it with the ``lat_M`` members: it
+    is Alg(lat_M), and the corner solve starts from it.
     """
 
     subspaces: tuple
@@ -319,13 +312,12 @@ class InvariantFamily:
     base_dim: int
     order: int
     algebra: OperatorSpace
-    lat_algebra: OperatorSpace
 
     def __post_init__(self):
         if len(self.subspaces) != len(self.labels):
             raise ValueError("labels and subspaces must align")
-        if self.lat_algebra.ambient_dim != self.base_dim:
-            raise ValueError("lat_algebra must act on the base space")
+        if self.algebra.ambient_dim != self.base_dim:
+            raise ValueError("the algebra must act on the base space")
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -342,7 +334,7 @@ def invariant_family(
     seed: int = 0,
 ) -> InvariantFamily:
     """The full invariant family: embedded lat members, corners, graphs,
-    carrying the algebra that ``lat_family`` certified."""
+    carrying the algebra that ``lat_family`` built with its members."""
     tol = tol or DEFAULT_TOL
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -352,7 +344,7 @@ def invariant_family(
     ambient = base * (n + 1)
     subs: list[Subspace] = []
     labels: list[str] = []
-    lat, algebra, lat_algebra = lat_family(spec, tol=tol, seed=seed)
+    lat, algebra = lat_family(spec, tol=tol, seed=seed)
     for i, f in enumerate(lat):
         subs.append(f.embedded(ambient, 0))
         labels.append(f"lat_M[{i}]")
@@ -365,7 +357,7 @@ def invariant_family(
         labels.append(f"P_{j}")
         subs.append(graph_subspace(d, j, shift=1.0, tol=tol).embedded(ambient, 0))
         labels.append(f"Q_{j}")
-    return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra, lat_algebra)
+    return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
 
 
 def invariance_residuals(
@@ -427,8 +419,8 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
     invariant by X's leading j-block corner.  So level j, the operators on
     the first j + 1 blocks leaving the members of levels <= j invariant,
     is the set of X = [[A, Y_top], [0, Y_bot]] with A in level j - 1 that
-    leave P_j and Q_j invariant.  Level 0 is the family's ``lat_algebra``,
-    which ``lat_family`` already solved and certified.
+    leave P_j and Q_j invariant.  Level 0 is the family's ``algebra``,
+    which is Alg(lat_M) by ``lat_family``'s construction.
 
     Each level is closed form by the graph lemma (see the module
     docstring): with G read off P_j, G' off Q_j and K = G - G', the only
@@ -475,7 +467,7 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
         if j + 1 not in leading:
             raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")
 
-    elems, without_q_dim = family.lat_algebra.basis_elements, family.lat_algebra.dim
+    elems, without_q_dim = family.algebra.basis_elements, family.algebra.dim
     for j in range(1, n + 1):
         lead, size = base * j, base * (j + 1)
         graphs = [levels[j][kind] for kind in "PQ" if kind in levels[j]]
@@ -492,7 +484,8 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
                 # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
                 scale = s[0] * np.linalg.norm(a)
                 c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
-                a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
+                if c.shape[1] < len(a):  # a cut; without one c only rotates the span
+                    a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
             y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
         else:  # Y_bot free
             units = np.eye(base**2).reshape(-1, base, base)
@@ -507,8 +500,8 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
             free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
             elems = np.concatenate([elems, free_top])
         without_q_dim += base**2 * (1 if "P" in levels[j] else j + 1)
-    if not n:  # level 0 is lat_family's orthonormal basis
-        return family.lat_algebra, without_q_dim
+    if not n:  # level 0 is the algebra's orthonormal basis
+        return family.algebra, without_q_dim
     return OperatorSpace.span(family.ambient_dim, elems), without_q_dim
 
 
@@ -562,15 +555,15 @@ def reflexivity_check(
     basis element of S reconstructs as the triangular representation of
     its (0, 0) block; and the representation of every algebra basis
     element lies in S.  S is solved by ``_corner_solve`` as a tower over
-    the order: level 0 is Alg(lat_M) as ``lat_family`` solved it, and
-    level j adds the last block column, fixed by P_j and Q_j.  needed_Q
-    (dropping the Q_j strictly enlarges the solution) compares dim S with
-    the graph lemma's count dim Alg(lat_M) + n N^2 (see the module
-    docstring).  For n = 0 this degenerates to the bicommutant identity
-    Alg(lat_family) = algebra.
+    the order: level 0 is the algebra, which is Alg(lat_M) by
+    ``lat_family``'s construction, and level j adds the last block column,
+    fixed by P_j and Q_j.  needed_Q (dropping the Q_j strictly enlarges
+    the solution) compares dim S with the graph lemma's count
+    dim Alg(lat_M) + n N^2 (see the module docstring).  For n = 0 this
+    degenerates to the bicommutant identity Alg(lat_family) = algebra.
 
-    The algebra is the one the family carries (certified by
-    ``lat_family``); there is no separate bicommutant solve.  ``family``
+    The algebra is the one the family carries (built and certified by
+    ``lat_family``); there is no bicommutant solve.  ``family``
     is a prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
     reuse; without it the family is built here.  A family of another base
     dimension or order raises ValueError.  Reconstruction and membership

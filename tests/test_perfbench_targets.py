@@ -11,6 +11,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opderiv import reflexivity
@@ -133,3 +134,31 @@ def test_tracer_sees_the_corner_tower_solves_under_the_check():
     tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
     assert len(tower) == 2
     assert counts["core.nullspace.rows"] > 0
+
+
+def test_tracer_sees_one_solve_and_no_certification_under_lat_family():
+    # the algebra and the family come from the commutant's block structure:
+    # the commutant is the one nullspace solve, and nothing is certified by a solve
+    u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((8, 8)))
+    g = u @ np.diag([1.0] * 6 + [2.0] * 2) @ u.T
+    spec = reflexivity.VonNeumannAlgebraSpec("generated", 8, generators=(g,))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        members, algebra = reflexivity.lat_family(spec)
+    finally:
+        tracer.uninstall()
+    assert len(members) == 14 and algebra.dim == 2
+    spans, _ = tracer.passes[0]
+    (lat,) = [i for i, span in enumerate(spans) if span[0] == "reflexivity.lat_family"]
+
+    def under_lat(i):
+        while i >= 0:
+            i = spans[i][3]
+            if i == lat:
+                return True
+        return False
+
+    inside = [span[0] for i, span in enumerate(spans) if under_lat(i)]
+    assert inside.count("core.nullspace") == 1
+    assert "reflexivity.certify" not in inside

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opderiv import reflexivity
+from opderiv import blocks, reflexivity
 from opderiv.core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -130,16 +130,17 @@ def test_bicommutant_generated_self_consistency():
 
 def test_lat_family_full_gives_whole_space_only():
     spec = VonNeumannAlgebraSpec("full", 3)
-    fam, algebra, _ = lat_family(spec)
+    fam, algebra = lat_family(spec)
     assert algebra.dim == 9
-    assert all(s.dim in (0, 3) for s in fam)
+    assert [s.dim for s in fam] == [3]  # one irreducible piece, no link
     computed = alg_of_family(fam, ambient_dim=3)
     assert computed.dim == 9
 
 
 def test_lat_family_masa_contains_axes():
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    fam, _, _ = lat_family(spec)
+    fam, _ = lat_family(spec)
+    assert len(fam) == 2  # one piece per axis, pairwise inequivalent
     axes = [Subspace(2, np.eye(2)[:, i : i + 1]) for i in range(2)]
     for axis in axes:
         assert any(s.dim == 1 and s.distance(axis) <= 1e-8 for s in fam)
@@ -150,13 +151,13 @@ def test_lat_family_masa_contains_axes():
 def test_lat_family_block_diagonal_alg_dim():
     # invariance of the two block subspaces kills 4 of the 9 entries
     spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
-    fam, algebra, lat_algebra = lat_family(spec)
+    fam, algebra = lat_family(spec)
     computed = alg_of_family(fam, ambient_dim=3)
     assert computed.dim == 5
-    # the algebra it hands out is the one it certified: the bicommutant
+    # the algebra it builds in closed form is the bicommutant ...
     assert algebra.equals(bicommutant(spec), tol=1e-10)
-    # and Alg(family) as it solved it, the corner solve's level 0
-    assert lat_algebra.equals(computed, tol=1e-12)
+    # ... and Alg(family), the corner solve's level 0
+    assert algebra.equals(computed, tol=1e-10)
 
 
 def test_lat_family_is_algebra_invariant():
@@ -166,6 +167,125 @@ def test_lat_family_is_algebra_invariant():
         p = sub.projection
         for g in algebra.basis_elements:
             assert operator_norm((np.eye(4) - p) @ g @ p) <= 1e-9
+
+
+def _multiplicity_spec():
+    """U (A (x) I_2 (+) B) U* on C^7: the algebra M_2 (x) I_2 (+) M_3, whose
+    commutant I_2 (x) M_2 (+) C makes one class of two equivalent pieces."""
+    rng = np.random.default_rng(69)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    blocks = np.zeros((7, 7), dtype=complex)
+    blocks[:4, :4] = np.kron(a, np.eye(2))
+    blocks[4:, 4:] = b
+    u, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    return VonNeumannAlgebraSpec("generated", 7, generators=(u @ blocks @ u.conj().T,))
+
+
+def _degenerate_spec(low, high):
+    """U diag(1 x low, 2 x high) U^T: a 2-dimensional algebra whose commutant
+    M_low (+) M_high has two classes of pieces of dimension 1."""
+    dim = low + high
+    u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((dim, dim)))
+    g = u @ np.diag([1.0] * low + [2.0] * high) @ u.T
+    return VonNeumannAlgebraSpec("generated", dim, generators=(g,))
+
+
+def test_lat_family_generated_with_multiplicity_needs_an_intertwiner():
+    spec = _multiplicity_spec()
+    fam, algebra = lat_family(spec)
+    oracle = bicommutant(spec)
+    assert algebra.dim == oracle.dim == 4 + 9 and algebra.equals(oracle, tol=1e-9)
+    # (2 m - 1) members per class: two pieces and one link, then one piece
+    assert len(fam) == (2 * 2 - 1) + (2 * 1 - 1)
+    assert sorted(s.dim for s in fam) == [2, 2, 2, 3]
+    assert alg_of_family(fam).equals(oracle, tol=1e-9)
+    # the link is the graph of a 2 x 2 unitary T between the two pieces: the
+    # sum of the pieces without it leaves M_2 (+) M_2 (+) M_3 invariant
+    pieces = [s for s in fam if s.dim == 3] + [s for s in fam if s.dim == 2][:2]
+    assert alg_of_family(pieces).dim == 4 + 4 + 9
+    d = rng_generator(np.random.default_rng(70), 7)
+    report = reflexivity_check(spec, d, 2)
+    assert report.passed and report.dim_computed == report.dim_expected == 13
+
+
+@pytest.mark.parametrize("low, high, members", ((6, 2, 14), (9, 3, 22)))
+def test_lat_family_degenerate_generator_is_minimal(low, high, members):
+    spec = _degenerate_spec(low, high)
+    fam, algebra = lat_family(spec)
+    assert len(fam) == members == (2 * low - 1) + (2 * high - 1)
+    oracle = bicommutant(spec)
+    assert algebra.dim == oracle.dim == 2 and algebra.equals(oracle, tol=1e-9)
+    assert alg_of_family(fam).equals(oracle, tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (VonNeumannAlgebraSpec("diagonal_masa", 5), _multiplicity_spec(), _degenerate_spec(6, 2)),
+    ids=("masa", "multiplicity", "degenerate"),
+)
+def test_block_structure_checks_hold_with_margin(spec):
+    # a generic draw: every structural residual is far below its tolerance,
+    # the eigenvalue cut far below the smallest gap between pieces
+    com = commutant(spec)
+    herms = np.stack(reflexivity._hermitian_spanning_set(com, DEFAULT_TOL))
+    h = np.tensordot(np.random.default_rng(0).standard_normal(len(herms)), herms, axes=1)
+    classes, checks = blocks.block_structure(com, h, DEFAULT_TOL)
+    assert set(checks) == {
+        "cluster_spread", "cluster_gap", "irreducible", "unitary", "commutant_form", "dimension"
+    }
+    for name, (residual, bound) in checks.items():
+        assert residual <= 1e-3 * bound or residual == bound == 0.0, name
+    assert sum(len(s) ** 2 for s in classes) == com.dim
+
+
+@pytest.mark.parametrize(
+    "mutant, failing",
+    (("perturbed T", "unitary"), ("dropped link", "commutant_form")),
+)
+def test_block_structure_mutants_fail_certification(mutant, failing, monkeypatch):
+    links = blocks.links
+
+    def mutated(compressed, bounds, tol):
+        (r, b, t), *rest = links(compressed, bounds, tol)  # the spec has one link
+        if mutant == "dropped link":
+            return rest
+        return [(r, b, t + 1e-6 * np.ones_like(t)), *rest]
+
+    monkeypatch.setattr(blocks, "links", mutated)
+    with pytest.raises(LatGenerationFailed, match=failing):
+        lat_family(_multiplicity_spec(), max_extra=2)
+
+
+def test_lat_family_cap_exhaustion_raises(monkeypatch):
+    # a scalar h is never generic: its one eigenspace, the whole space, is not
+    # irreducible for the masa, so every draw fails
+    block_structure, draws = reflexivity.block_structure, []
+
+    def recording(com, h, tol):
+        draws.append(h)
+        return block_structure(com, h, tol)
+
+    monkeypatch.setattr(
+        reflexivity, "_hermitian_spanning_set", lambda space, tol: [np.eye(space.ambient_dim)]
+    )
+    monkeypatch.setattr(reflexivity, "block_structure", recording)
+    with pytest.raises(LatGenerationFailed, match="irreducible"):
+        lat_family(VonNeumannAlgebraSpec("diagonal_masa", 2), max_extra=1)
+    assert len(draws) == 2  # the first draw plus max_extra redraws
+
+
+def test_hermitian_spanning_set_drops_roundoff_parts_relative_to_the_largest():
+    # i E_kk has Hermitian part 0 and imaginary part E_kk.  Tilting i E_00 to
+    # (i + t) E_00 gives it a Hermitian part of norm about t, which is kept
+    # only above rank_cutoff times the largest part (1 here)
+    for tilt, kept in ((0.0, 3), (1e-11, 3), (1e-6, 4)):
+        elems = 1j * diag_space(3).basis_elements
+        elems[0] *= (1j + tilt) / (1j * np.hypot(1.0, tilt))
+        herms = reflexivity._hermitian_spanning_set(OperatorSpace(3, elems), DEFAULT_TOL)
+        assert len(herms) == kept
+        for h in herms:
+            np.testing.assert_array_equal(h, h.conj().T)
 
 
 # ------------------------------------------------------------- graph subspace
@@ -369,7 +489,6 @@ def _without_q(family):
         family.base_dim,
         family.order,
         family.algebra,
-        family.lat_algebra,
     )
 
 
@@ -420,7 +539,7 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
         without_q = _full_space_null(_without_q(family).subspaces, dim)
         assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
         # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
-        assert without_q_dim == without_q.shape[1] == family.lat_algebra.dim + n * base**2
+        assert without_q_dim == without_q.shape[1] == family.algebra.dim + n * base**2
         assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
         q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
         assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
@@ -458,7 +577,7 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     widths = [[((j - 1) * base**2, alg_dim)] for j in range(2, n + 1)]
     assert [shapes for _, shapes, _ in calls] == widths
     assert [out for _, _, out in calls] == [(alg_dim, alg_dim)] * max(n - 1, 0)
-    assert without_q_dim == family.lat_algebra.dim + n * base**2
+    assert without_q_dim == family.algebra.dim + n * base**2
 
 
 @pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
@@ -474,7 +593,6 @@ def test_corner_solve_without_graph_members_matches_oracle(drop):
         2,
         2,
         family.algebra,
-        family.lat_algebra,
     )
     space, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     oracle = _full_space_null(reduced.subspaces, 6)
@@ -485,18 +603,20 @@ def test_corner_solve_without_graph_members_matches_oracle(drop):
 
 
 def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
+    # level 0 is the algebra lat_family built, which is Alg(lat_M)
     spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
     d = rng_generator(np.random.default_rng(65), 3)
     family = invariant_family(spec, d, 0)
-    _, _, lat_algebra = lat_family(spec)
-    assert family.lat_algebra.equals(lat_algebra, tol=1e-12)
+    lat, algebra = lat_family(spec)
+    assert family.algebra.equals(algebra, tol=1e-12)
+    assert alg_of_family(lat, ambient_dim=3).equals(algebra, tol=1e-10)
     calls = _recording_nullspace(monkeypatch)
     space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
-    assert not calls and space.equals(family.lat_algebra, tol=1e-12)
+    assert not calls and space is family.algebra
     assert without_q_dim == space.dim == 5
-    # a hand-built family states its Alg(lat_M) on the base space
+    # a hand-built family states its algebra on the base space
     with pytest.raises(ValueError, match="base space"):
-        InvariantFamily(family.subspaces, family.labels, 3, 0, family.algebra, diag_space(2))
+        InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
 
 
 @pytest.mark.parametrize("n", (0, 1, 2))
@@ -560,7 +680,7 @@ def test_reflexivity_check_with_prebuilt_family(monkeypatch):
 def _relabeled(family, label, sub):
     subs = [sub if l == label else s for s, l in zip(family.subspaces, family.labels)]
     return InvariantFamily(
-        tuple(subs), family.labels, family.base_dim, family.order, family.algebra, family.lat_algebra
+        tuple(subs), family.labels, family.base_dim, family.order, family.algebra
     )
 
 
@@ -587,13 +707,12 @@ def test_structured_solve_rejects_misshapen_members():
         2,
         1,
         family.algebra,
-        family.lat_algebra,
     )
     with pytest.raises(ValueError, match="H_0"):
         alg_of_family(no_h0)
     # every member has a label the solve knows
     unknown = InvariantFamily(
-        family.subspaces, family.labels[:-1] + ("R_1",), 2, 1, family.algebra, family.lat_algebra
+        family.subspaces, family.labels[:-1] + ("R_1",), 2, 1, family.algebra
     )
     with pytest.raises(ValueError, match="R_1 is not a label"):
         alg_of_family(unknown)
@@ -615,7 +734,6 @@ def test_corner_solve_rejects_p_members_that_are_not_one_graph():
         2,
         1,
         family.algebra,
-        family.lat_algebra,
     )
     with pytest.raises(ValueError, match="two P_1"):
         alg_of_family(twice)
@@ -643,7 +761,7 @@ def test_corner_solve_rejects_two_q_members_on_a_level():
     family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
     (q1,) = [s for s, l in zip(family.subspaces, family.labels) if l == "Q_1"]
     twice = InvariantFamily(
-        family.subspaces + (q1,), family.labels + ("Q_1",), 2, 1, family.algebra, family.lat_algebra
+        family.subspaces + (q1,), family.labels + ("Q_1",), 2, 1, family.algebra
     )
     with pytest.raises(ValueError, match="two Q_1"):
         alg_of_family(twice)
@@ -682,7 +800,6 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
         2,
         2,
         family.algebra,
-        family.lat_algebra,
     )
     calls = _recording_nullspace(monkeypatch)
     space, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
@@ -710,7 +827,6 @@ def test_reflexivity_check_fails_without_the_top_q_member(base):
         base,
         2,
         family.algebra,
-        family.lat_algebra,
     )
     report = reflexivity_check(spec, gen, 2, family=mutant, raise_on_fail=False)
     assert not report.passed and report.dim_computed == 2 * base**2
@@ -780,21 +896,6 @@ def test_reflexivity_full_c24_n3():
     gen, _ = random_scenario(24, 1)
     report = reflexivity_check(spec, gen, 3, seed=1)
     assert report.passed and report.dim_computed == 576 and report.needed_Q
-
-
-def test_lat_family_cap_exhaustion_raises(monkeypatch):
-    # a solver that only ever finds span{I} can never certify the 2-dim masa
-    attempts = []
-
-    def scalars_only(subspaces, ambient_dim=None, tol=None):
-        attempts.append(subspaces)
-        return OperatorSpace.span(ambient_dim, (np.eye(ambient_dim, dtype=complex),))
-
-    monkeypatch.setattr("opderiv.reflexivity.alg_of_family", scalars_only)
-    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    with pytest.raises(LatGenerationFailed):
-        lat_family(spec, max_extra=1)
-    assert len(attempts) == 2  # the first attempt plus max_extra retries
 
 
 def test_reflexivity_full_c8_n2_seed302_generator():
