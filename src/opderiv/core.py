@@ -42,7 +42,6 @@ __all__ = [
     "spectral_band_projections",
     "Subspace",
     "OperatorSpace",
-    "commutation_constraint",
     "invariance_constraint",
     "nullspace_of_constraints",
     "save_operator",
@@ -335,14 +334,24 @@ class OperatorSpace:
     @classmethod
     def span(cls, dim: int, elements) -> "OperatorSpace":
         """The span of linearly independent operators, orthonormalized by one
-        SVD; linearly dependent ones (default rank cutoff) raise ValueError."""
+        QR of the ``(dim*dim, m)`` stack Q R; the basis is Q.  R has the
+        stack's singular values, so linearly dependent elements (the last
+        one at most the default rank cutoff times the first) raise
+        ValueError, as does a stack of more than dim*dim elements."""
         elems = np.asarray(elements, dtype=complex)
         if elems.size == 0:
             return cls(dim, elems)
-        _, s, vh = np.linalg.svd(elems.reshape(len(elems), -1), full_matrices=False)
+        flat = elems.reshape(len(elems), -1)
+        if len(flat) > flat.shape[1]:
+            raise ValueError("basis elements are not linearly independent")
+        q, r = np.linalg.qr(flat.T)
+        s = np.linalg.svd(r, compute_uv=False)
         if s[-1] <= DEFAULT_TOL.rank_cutoff * s[0]:
             raise ValueError("basis elements are not linearly independent")
-        return cls(dim, vh.reshape(elems.shape))  # the constructor checks the shape
+        # the elements are the columns of Q; rebinding q frees Q's (dim*dim, m)
+        # layout before the constructor's Gram check, so only one copy is held
+        q = np.ascontiguousarray(q.T).reshape(elems.shape)
+        return cls(dim, q)  # the constructor checks the shape
 
     @classmethod
     def from_columns(cls, dim: int, columns: np.ndarray) -> "OperatorSpace":
@@ -399,13 +408,6 @@ class OperatorSpace:
             i, j = left[start : start + step], right[start : start + step]
             worst = max(worst, float(self._residuals(elems[i] @ elems[j]).max()))
         return worst
-
-
-def commutation_constraint(g) -> np.ndarray:
-    """Matrix of X -> X g - g X; its nullspace is the commutant of g."""
-    g = as_operator(g)
-    eye = np.eye(g.shape[0])
-    return np.kron(g.T, eye) - np.kron(eye, g)
 
 
 def invariance_constraint(v) -> np.ndarray:

@@ -5,10 +5,11 @@ the algebra of all corner operators, by a finite family of invariant
 subspaces: the algebra's own invariant subspaces embedded in the first
 block, the nested leading-corner subspaces, and two towers of graph
 subspaces (one for the generator, one for the generator shifted by the
-identity).  This module builds that family, computes commutants and
-algebras of subspace families as nullspace problems, and verifies that
-the corner operators leaving every family member invariant are exactly
-the triangular representations, with matching dimension.
+identity).  This module builds that family, computes commutants (in the
+eigenbasis of one Hermitian element) and algebras of subspace families
+as nullspace problems, and verifies that the corner operators leaving
+every family member invariant are exactly the triangular
+representations, with matching dimension.
 
 The algebra and its invariant subspaces come from the block structure of
 the commutant, M = (+)_k M_{n_k} (x) I_{m_k} and M' = (+)_k I_{n_k} (x)
@@ -35,9 +36,9 @@ Y_bot = K+ A K and A K lies in the range of K.  That is (j - 1) N^2 equations on
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
 Measured on one BLAS thread under a 2 GB memory cap, ``full`` at base
-dimension 16 takes about 1.4 s and 140 MB at order 3, 2 s and 180 MB at
-order 4; at base dimension 24, order 3 takes 10 s and 540 MB, and at
-base dimension 32 it takes 48 s and 1.5 GB.
+dimension 16 takes about 0.8 s and 120 MB at order 3, 1.4 s and 170 MB
+at order 4; at base dimension 24, order 3 takes 6.5 s and 480 MB, and at
+base dimension 32 it takes 33 s and 1.4 GB.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .core import (
     Subspace,
     TolerancePolicy,
     as_operator,
-    commutation_constraint,
     invariance_constraint,
     nullspace_of_constraints,
     operator_norm,
@@ -95,6 +95,13 @@ class ReflexivityViolation(RuntimeError):
             f"max residual {report.max_reconstruction_residual:.3e}"
         )
         self.report = report
+
+
+# ``commutant`` weighs the k-th Hermitian part of its generators by
+# 1 / (1 + k phi): fixed weights, so its result is deterministic, and
+# irrational ones, so a degenerate h (which costs time, not correctness)
+# takes a coincidence.
+_GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 
 def _cyclic_shift(n: int) -> np.ndarray:
@@ -180,8 +187,22 @@ class VonNeumannAlgebraSpec:
 def commutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) -> OperatorSpace:
     """All operators commuting with the generators (and their adjoints).
 
-    Accepts a VonNeumannAlgebraSpec or an iterable of operators.  Solved
-    as the nullspace of the stacked commutation constraints.
+    Accepts a VonNeumannAlgebraSpec or an iterable of operators.  Every
+    such X commutes with the Hermitian parts (g + g*)/2 and (g - g*)/2i of
+    each generator, so with their fixed real combination h (weights
+    1 / (1 + k phi), phi the golden ratio; the first is 1, so h is the
+    generator when there is one Hermitian generator).  With
+    h = W diag(mu) W*, the map X -> X h - h X has singular values
+    |mu_i - mu_j| and singular vectors the matrix units W e_ij W*, so one
+    ``eigh`` solves it: the commutant lies in the span of the units with
+    |mu_i - mu_j| <= rank_cutoff * scale, the rank rule of
+    ``nullspace_of_constraints``, where scale is the larger of the
+    generators' largest norm and mu_max - mu_min.  The generators'
+    commutation constraints, restricted to those units, are then solved by
+    one nullspace call with the same scale.  A degenerate h only leaves
+    more units free for the constraints to cut back, so the result needs
+    no redraw.  The basis is W X W* for the orthonormal null coefficients
+    X, orthonormal by construction.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(spec, VonNeumannAlgebraSpec):
@@ -193,14 +214,25 @@ def commutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) 
             if not generators:
                 raise ValueError("dim is required when no generators are given")
             dim = generators[0].shape[0]
+    gens = np.stack(generators) if generators else np.zeros((0, dim, dim), dtype=complex)
+    adjoints = gens.conj().transpose(0, 2, 1)
+    pairs = np.stack([gens, adjoints], axis=1).reshape(-1, dim, dim)  # g_1, g_1*, g_2, ...
+    parts = np.stack([(gens + adjoints) / 2, (gens - adjoints) / 2j], axis=1).reshape(-1, dim, dim)
+    weights = 1.0 / (1.0 + _GOLDEN * np.arange(len(parts)))
+    mu, w = np.linalg.eigh(np.tensordot(weights, parts, axes=1))
+    scale = max(float(operator_norm(gens).max(initial=0.0)), float(mu[-1] - mu[0]))
+    rows, cols = np.nonzero(np.abs(mu[:, None] - mu[None, :]) <= tol.rank_cutoff * scale)
+    units = np.arange(len(rows))
     constraints = []
-    scale = 0.0
-    for g in generators:
-        constraints.append(commutation_constraint(g))
-        constraints.append(commutation_constraint(g.conj().T))
-        scale = max(scale, operator_norm(g))
-    basis = nullspace_of_constraints(constraints, dim, tol, scale=scale)
-    return OperatorSpace.from_columns(dim, basis)
+    for g in w.conj().T @ pairs @ w:
+        image = np.zeros((len(rows), dim, dim), dtype=complex)  # E_ij g - g E_ij per unit
+        image[units, rows] = g[cols]
+        image[units, :, cols] -= g[:, rows].T
+        constraints.append(image.reshape(len(rows), -1).T)
+    coeffs = nullspace_of_constraints(constraints, dim, tol, scale=scale)
+    elems = np.zeros((coeffs.shape[1], dim, dim), dtype=complex)
+    elems[:, rows, cols] = coeffs.T
+    return OperatorSpace(dim, w @ elems @ w.conj().T)
 
 
 def bicommutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) -> OperatorSpace:
@@ -469,40 +501,53 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
 
     elems, without_q_dim = family.algebra.basis_elements, family.algebra.dim
     for j in range(1, n + 1):
-        lead, size = base * j, base * (j + 1)
         graphs = [levels[j][kind] for kind in "PQ" if kind in levels[j]]
-        a = elems
-        g = graphs[0] if graphs else np.zeros((lead, base))  # G, or G' with only Q_j
-        if len(graphs) == 2:
-            k = graphs[0] - graphs[1]
-            u, s, vh = np.linalg.svd(k)
-            if s[-1] <= tol.rank_cutoff * s[0]:
-                raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
-            uak = u.conj().T @ a @ k  # rows: range K, then its complement Kc
-            if j > 1:
-                constraint = uak[:, base:].reshape(len(a), -1).T
-                # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
-                scale = s[0] * np.linalg.norm(a)
-                c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
-                if c.shape[1] < len(a):  # a cut; without one c only rotates the span
-                    a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
-            y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
-        else:  # Y_bot free
-            units = np.eye(base**2).reshape(-1, base, base)
-            a = np.concatenate([a, np.zeros((base**2, lead, lead))])
-            y_bot = np.concatenate([np.zeros((len(elems), base, base)), units])
-        elems = np.zeros((len(a), size, size), dtype=complex)
-        elems[:, :lead, :lead] = a
-        elems[:, lead:, lead:] = y_bot
-        elems[:, :lead, lead:] = g @ y_bot - a @ g
-        if not graphs:  # Y_top free too
-            free_top = np.zeros((lead * base, size, size), dtype=complex)
-            free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
-            elems = np.concatenate([elems, free_top])
+        elems = _corner_level(elems, graphs, base, tol)
         without_q_dim += base**2 * (1 if "P" in levels[j] else j + 1)
     if not n:  # level 0 is the algebra's orthonormal basis
         return family.algebra, without_q_dim
     return OperatorSpace.span(family.ambient_dim, elems), without_q_dim
+
+
+def _corner_level(
+    prev: np.ndarray, graphs: list[np.ndarray], base: int, tol: TolerancePolicy
+) -> np.ndarray:
+    """Level j of ``_corner_solve`` from level j - 1: the stack ``prev`` of
+    operators on the first j blocks and the graph maps of the level's P_j
+    and Q_j, in that order (G' alone when only Q_j is there).  Its own
+    function, so that its temporaries are freed before the last level is
+    orthonormalized."""
+    lead = prev.shape[1]
+    j, size = lead // base, lead + base
+    a = prev
+    g = graphs[0] if graphs else np.zeros((lead, base))  # G, or G' with only Q_j
+    if len(graphs) == 2:
+        k = graphs[0] - graphs[1]
+        u, s, vh = np.linalg.svd(k)
+        if s[-1] <= tol.rank_cutoff * s[0]:
+            raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
+        uak = u.conj().T @ a @ k  # rows: range K, then its complement Kc
+        if j > 1:
+            constraint = uak[:, base:].reshape(len(a), -1).T
+            # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
+            scale = s[0] * np.linalg.norm(a)
+            c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
+            if c.shape[1] < len(a):  # a cut; without one c only rotates the span
+                a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
+        y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
+    else:  # Y_bot free
+        units = np.eye(base**2).reshape(-1, base, base)
+        a = np.concatenate([a, np.zeros((base**2, lead, lead))])
+        y_bot = np.concatenate([np.zeros((len(prev), base, base)), units])
+    elems = np.zeros((len(a), size, size), dtype=complex)
+    elems[:, :lead, :lead] = a
+    elems[:, lead:, lead:] = y_bot
+    elems[:, :lead, lead:] = g @ y_bot - a @ g
+    if not graphs:  # Y_top free too
+        free_top = np.zeros((lead * base, size, size), dtype=complex)
+        free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
+        elems = np.concatenate([elems, free_top])
+    return elems
 
 
 @dataclass

@@ -15,7 +15,6 @@ from opderiv.core import (
     TolerancePolicy,
     as_operator,
     band_groups,
-    commutation_constraint,
     eig_hermitian,
     invariance_constraint,
     load_matrix_json,
@@ -31,6 +30,14 @@ from opderiv.core import (
 def vec(x):
     """Column-major vectorization, the order of the constraint matrices."""
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
+
+
+def commutation_constraint(g):
+    """Matrix of X -> X g - g X in column-major vec coordinates (the
+    Kronecker form); its nullspace is the commutant of g."""
+    g = np.asarray(g, dtype=complex)
+    eye = np.eye(g.shape[0])
+    return np.kron(g.T, eye) - np.kron(eye, g)
 
 
 def rng_hermitian(rng, n):
@@ -288,6 +295,8 @@ def test_operator_space_membership_rejects_other_dimension():
 def test_operator_space_rejects_dependent_basis():
     with pytest.raises(ValueError, match="independent"):
         OperatorSpace.span(2, (np.eye(2), 2.0 * np.eye(2)))
+    with pytest.raises(ValueError, match="independent"):  # more elements than dimensions
+        OperatorSpace.span(2, np.random.default_rng(12).standard_normal((5, 2, 2)))
 
 
 def test_operator_space_takes_an_orthonormal_basis():
@@ -313,6 +322,42 @@ def test_operator_space_span_orthonormalizes_independent_elements():
     # the stack is taken as given, and an empty span is the zero space
     assert OperatorSpace(3, space.basis_elements).equals(space, tol=1e-14)
     assert OperatorSpace.span(3, ()).dim == 0
+
+
+def test_operator_space_span_r_has_the_stack_singular_values():
+    # the rank check reads the singular values of R, which are the stack's own
+    # (to 1e-13 relative to the largest, as for any backward-stable method)
+    rng = np.random.default_rng(11)
+    elems = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    elems[5] = elems[4] + 1e-6 * elems[3]  # a small singular value
+    _, r = np.linalg.qr(elems.reshape(6, -1).T)
+    s_stack = np.linalg.svd(elems.reshape(6, -1), compute_uv=False)
+    s_r = np.linalg.svd(r, compute_uv=False)
+    assert s_stack[-1] < 1e-5 * s_stack[0]
+    np.testing.assert_allclose(s_r, s_stack, rtol=0, atol=1e-13 * s_stack[0])
+
+
+@pytest.mark.parametrize("ratio, independent", ((0.5, False), (2.0, True)))
+def test_operator_space_span_rank_check_at_the_cutoff(ratio, independent):
+    # three orthogonal elements with singular values 1, 1 and ratio * cutoff
+    units = np.eye(9).reshape(9, 3, 3)
+    elems = np.stack([units[0], units[4], ratio * DEFAULT_TOL.rank_cutoff * units[8]])
+    if independent:
+        assert OperatorSpace.span(3, elems).dim == 3
+    else:
+        with pytest.raises(ValueError, match="independent"):
+            OperatorSpace.span(3, elems)
+
+
+def test_operator_space_span_matches_the_svd_basis():
+    # orthonormal, and the same span as the right singular vectors of the stack
+    rng = np.random.default_rng(13)
+    elems = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+    space = OperatorSpace.span(5, elems)
+    flat = space.basis_elements.reshape(7, -1)
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(7), atol=1e-13)
+    _, _, vh = np.linalg.svd(elems.reshape(7, -1), full_matrices=False)
+    assert space.equals(OperatorSpace(5, vh.reshape(7, 5, 5)), tol=1e-12)
 
 
 @pytest.mark.parametrize("max_pairs", (None, 7))

@@ -92,6 +92,121 @@ def test_commutant_block_diagonal():
     assert space.membership_residual(np.diag([0.0, 0.0, 1.0])) <= 1e-10
 
 
+def _kron_commutant(generators, dim, tol=None):
+    """The commutant by the dense Kronecker solve, independent of
+    ``commutant``: the nullspace of the N^2 x N^2 constraints X -> X g - g X
+    and X -> X g* - g* X (column-major vec), with the generators' largest
+    norm as the scale."""
+    eye = np.eye(dim)
+    constraints = [
+        np.kron(x.T, eye) - np.kron(eye, x) for g in generators for x in (g, g.conj().T)
+    ]
+    scale = max((operator_norm(g) for g in generators), default=0.0)
+    basis = nullspace_of_constraints(constraints, dim, tol, scale=scale)
+    return OperatorSpace.from_columns(dim, basis)
+
+
+def _preset_specs(n):
+    patterns = {(n,), (n - 1, 1) if n > 1 else (1,), (1,) * n}
+    return [VonNeumannAlgebraSpec("full", n), VonNeumannAlgebraSpec("diagonal_masa", n)] + [
+        VonNeumannAlgebraSpec("block_diagonal", n, pattern=p) for p in sorted(patterns)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_commutant_of_presets_matches_kronecker_oracle(n):
+    for spec in _preset_specs(n):
+        space = commutant(spec)
+        assert space.equals(_kron_commutant(spec.generating_set(), n)), spec.label()
+
+
+def _rotated_blocks(rng, pattern):
+    """U (A_1 + ... + A_k) U* with random complex (non-normal) blocks."""
+    dim = sum(pattern)
+    z = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    u, _ = np.linalg.qr(z[0])
+    labels = np.repeat(np.arange(len(pattern)), pattern)
+    return u @ np.where(labels[:, None] == labels, z[1], 0) @ u.conj().T
+
+
+def _cancelling_pair():
+    """A Jordan block J and c J, with c such that the weighted Hermitian parts
+    of the pair cancel: ``commutant``'s h is 0, every unit is free, and only
+    the adjoint constraints cut the polynomials in J down to the scalars."""
+    a1, b1, a2, b2 = 1.0 / (1.0 + reflexivity._GOLDEN * np.arange(4))
+    # the parts of c J (c = p + iq) are p a - q b and q a + p b, for J's parts a and b
+    p, q = np.linalg.solve([[a2, b2], [b2, -a2]], [-a1, -b1])
+    jordan = np.diag(np.ones(2), 1)
+    return [jordan, (p + 1j * q) * jordan]
+
+
+def _generator_cases():
+    rng = np.random.default_rng(62)
+    u, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((8, 8)))
+    degenerate = u @ np.diag([1.0] * 6 + [2.0] * 2) @ u.T
+    d = np.diag(np.arange(4.0))
+    shift = np.roll(np.eye(4), 1, axis=0)
+    return {
+        "degenerate C^8": ([degenerate], 40),
+        "non-normal blocks": ([_rotated_blocks(rng, (3, 2, 1))], 3),
+        "two generators": ([d, shift], 1),
+        "h vanishes": (_cancelling_pair(), 1),
+        "scalar": ([2.5 * np.eye(4)], 16),
+        "zero": ([np.zeros((3, 3))], 9),
+    }
+
+
+@pytest.mark.parametrize("case", list(_generator_cases()))
+def test_commutant_of_generators_matches_kronecker_oracle(case):
+    generators, expected = _generator_cases()[case]
+    dim = len(generators[0])
+    space = commutant(generators, dim=dim)
+    assert space.dim == expected
+    assert space.equals(_kron_commutant(generators, dim))
+
+
+@pytest.mark.parametrize("ratio, expected", ((1.01, 4), (0.99, 6)))
+def test_commutant_gap_at_the_cut_matches_kronecker_oracle(ratio, expected):
+    # eigenvalues 0, gap, 1, 2: the cut is rank_cutoff * max(||g||, spread), and a
+    # gap just below it leaves the pair's units in the commutant (M_2 (+) C (+) C).
+    # The cutoff is 1e-5, not the default 1e-9: roundoff determines the
+    # eigenvectors of a gap of 2e-9 only to about 1e-7, of 2e-5 to about 1e-11.
+    tol = DEFAULT_TOL.replace(rank_cutoff=1e-5)
+    gap = ratio * tol.rank_cutoff * 2.0
+    u, _ = np.linalg.qr(np.random.default_rng(63).standard_normal((4, 4)))
+    g = u @ np.diag([0.0, gap, 1.0, 2.0]) @ u.T
+    space = commutant([g], dim=4, tol=tol)
+    assert space.dim == expected
+    assert space.equals(_kron_commutant([g], 4, tol))
+
+
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa"))
+def test_commutant_makes_no_n_squared_wide_decomposition(kind, monkeypatch):
+    # tripwire against the O(N^6) Kronecker solve: at N = 16 no SVD or eigh
+    # operand has N^2 = 256 columns, and there is one nullspace call
+    shapes, solves = [], []
+    for name in ("svd", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    solve = reflexivity.nullspace_of_constraints
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reflexivity, "nullspace_of_constraints", counting)
+    spec = VonNeumannAlgebraSpec(kind, 16)
+    space = commutant(spec)
+    assert space.dim == {"full": 1, "diagonal_masa": 16}[kind]
+    assert shapes and max(shape[-1] for shape in shapes) < 256
+    assert len(solves) == 1
+
+
 # ---------------------------------------------------------------- bicommutant
 
 
@@ -502,10 +617,14 @@ def _narrow(subspaces, dim, space):
 
 def _full_space_null(subspaces, dim):
     """Operators leaving every member invariant, by one SVD of the vstacked
-    full-space constraints kron(P.T, I - P), as orthonormal vec columns."""
+    full-space constraints kron(P.T, I - P), as orthonormal vec columns.
+
+    The rank cut is floored at the constraints' natural scale 1, as in
+    ``nullspace_of_constraints(scale=1.0)``: a stack that is pure roundoff
+    (every member is 0 or the whole space) has rank 0, not full rank."""
     rows = np.vstack([np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces])
     _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    rank = int(np.sum(s > 1e-9 * s[0]))
+    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
     return vh[rank:].conj().T
 
 
@@ -861,19 +980,26 @@ def test_reflexivity_check_counts_against_the_closed_form_dimension():
 
 
 def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
-    # the tower orthonormalizes once, by one SVD of the (m, 81) element stack of
-    # operators on C^9 in OperatorSpace.span; no SVD sees an (81, m) vec stack
-    svd, shapes = np.linalg.svd, []
+    # the tower orthonormalizes once, by one QR of the (81, 9) vec stack of the
+    # operators on C^9 in OperatorSpace.span; no SVD sees an operand with 81 rows
+    # or columns (the rank check takes the SVD of the 9 x 9 R)
+    svd, qr, svd_shapes, qr_shapes = np.linalg.svd, np.linalg.qr, [], []
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+    def recording_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    def recording_qr(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
     spec = VonNeumannAlgebraSpec("full", 3)
     report = reflexivity_check(spec, rng_generator(np.random.default_rng(66), 3), 2)
     assert report.passed and report.dim_computed == 9
-    assert [shape for shape in shapes if 81 in shape] == [(9, 81)]
+    assert svd_shapes and not [shape for shape in svd_shapes if 81 in shape]
+    assert [shape for shape in qr_shapes if 81 in shape] == [(81, 9)]
 
 
 def test_reflexivity_full_c16_n3():
