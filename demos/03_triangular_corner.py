@@ -5,7 +5,9 @@ A derivative chain embeds as an upper-triangular block matrix with the
 j-th derivative over j! on the j-th superdiagonal.  Conjugating the
 block-diagonal amplification of x by the nilpotent exponential
 exp(kron(shift, iD)) produces exactly that matrix, the map is an algebra
-homomorphism, and its norm is sandwiched by the weighted chain norm.
+homomorphism, and its norm is sandwiched by the weighted chain norm.  The
+norm of the nilpotent exponential has a closed form in the eigenvalues
+of D, ||exp(r J)|| with r the largest |eigenvalue|.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from opderiv import (
     chain_norm,
     conjugation_identity_check,
     corner_exponential,
+    corner_exponential_norm,
     derivative_chain,
     homomorphism_check,
     norm_sandwich_check,
@@ -39,6 +42,9 @@ fwd, bwd = corner_exponential(d, n)
 lhs = fwd.matrix @ amplify(x, n).matrix @ bwd.matrix
 print(f"conjugation identity residual: {operator_norm(lhs - rep.matrix):.2e}")
 print(f"  (checked against tolerance: {conjugation_identity_check(d, chain).passed})")
+print(f"||exp(S)|| = {fwd.norm():.12f}, ||exp(-S)|| = {bwd.norm():.12f} (dense SVDs)")
+print(f"closed form ||exp(r J)|| = {corner_exponential_norm(d, n):.12f}, "
+      f"r = max |eigenvalue of D| = {d.norm():.4f}")
 print()
 
 y = random_operator(4, np.random.default_rng(99), "general")

@@ -65,6 +65,7 @@ from .triangular import (
     amplify,
     conjugation_identity_check,
     corner_exponential,
+    corner_exponential_norm,
     homomorphism_check,
     nilpotent_shift,
     norm_sandwich_check,

@@ -244,6 +244,30 @@ def spectral_band_projections(d: SelfAdjointGenerator) -> list[tuple[int, np.nda
     return out
 
 
+# Batched products (Gram matrices, closure products) are formed this many
+# matrix entries at a time.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _gram_deviation(rows: np.ndarray) -> float:
+    """||G - I||_F for the Gram matrix G = conj(rows) rows^T of the rows.
+
+    The Frobenius norm bounds the operator norm from above, so a guard on
+    it is at least as strict, and it needs no SVD.  G is formed in row
+    blocks of about ``_BATCH_ENTRIES`` entries of ``rows``, so no
+    conjugated copy of the whole array is held.
+    """
+    m, width = rows.shape
+    step = max(1, _BATCH_ENTRIES // max(width, 1))
+    total = 0.0
+    for start in range(0, m, step):
+        block = rows[start : start + step].conj() @ rows.T
+        idx = np.arange(len(block))
+        block[idx, start + idx] -= 1.0
+        total += float(np.vdot(block, block).real)
+    return math.sqrt(total)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Closed subspace given by an orthonormal basis (columns).
@@ -260,11 +284,8 @@ class Subspace:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise ValueError("basis must be an (ambient_dim, k) matrix")
-        k = basis.shape[1]
-        if k > 0:
-            gram = basis.conj().T @ basis
-            if operator_norm(gram - np.eye(k)) > 1e-8:
-                raise ValueError("basis columns are not orthonormal")
+        if _gram_deviation(basis.T) > 1e-8:
+            raise ValueError("basis columns are not orthonormal")
         proj = basis @ basis.conj().T
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "projection", proj)
@@ -302,10 +323,6 @@ class Subspace:
         return Subspace(ambient_dim, basis)
 
 
-# Batched closure products are formed this many matrix entries at a time.
-_BATCH_ENTRIES = 1 << 20
-
-
 @dataclass(frozen=True)
 class OperatorSpace:
     """Linear space of operators, given by a basis orthonormal under the
@@ -325,10 +342,8 @@ class OperatorSpace:
             elems = np.zeros((0, d, d), dtype=complex)
         if elems.ndim != 3 or elems.shape[1:] != (d, d):
             raise DimensionMismatch(f"basis of shape {elems.shape} is not an (m, {d}, {d}) stack")
-        if len(elems):
-            flat = elems.reshape(len(elems), -1)
-            if operator_norm(flat.conj() @ flat.T - np.eye(len(elems))) > 1e-8:
-                raise ValueError("basis elements are not orthonormal")
+        if _gram_deviation(elems.reshape(len(elems), d * d)) > 1e-8:
+            raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
 
     @classmethod

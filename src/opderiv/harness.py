@@ -14,7 +14,11 @@ numerical report fields (timings excluded) on one platform.
 The invariance and reflexivity checks share one invariant family per
 scenario: ``ScenarioData.family`` builds it (with the algebra) on first
 use, so a run that selects either check or both solves the commutant and
-builds the algebra and the family once.
+builds the algebra and the family once.  In the same way the checks
+share one derivative chain of x per order (``ScenarioData.chain``): the
+homomorphism, conjugation and norm-sandwich checks share the order-n
+chain, and the homomorphism check and the norm sandwich one norm of its
+triangular representation.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from . import __version__
 from .core import DEFAULT_TOL, TolerancePolicy, load_operator, operator_norm
 from .derivation import (
+    DerivativeChain,
     binomial_derivative,
     band_derivation,
     band_embed,
@@ -92,6 +97,13 @@ class ScenarioData:
     n: int
     seed: int
     _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def chain(self, order: int) -> DerivativeChain:
+        """The derivative chain of x to the given order, built on first use."""
+        if order not in self._chains:
+            self._chains[order] = derivative_chain(self.generator, self.x, order)
+        return self._chains[order]
 
     def family(self, tol: TolerancePolicy) -> InvariantFamily:
         """The invariant family of the algebra at order n, built on first use."""
@@ -120,7 +132,7 @@ def _against_chain(data: ScenarioData, tol: TolerancePolicy, approx) -> tuple[li
     tol_alg(||D||^k, ||x||), and whether each residual is within its bound."""
     d, x = data.generator, data.x
     x_norm, d_norm = operator_norm(x), d.norm()
-    chain = derivative_chain(d, x, 5)
+    chain = data.chain(5)
     resids = operator_norm(np.stack([approx(k) - chain.delta(k) for k in range(1, 6)]))
     bounds = [tol.alg(d_norm**k, x_norm) for k in range(1, 6)]
     return list(resids), max(bounds), all(r <= b for r, b in zip(resids, bounds))
@@ -177,7 +189,7 @@ def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     h = default_step(d)
     residuals, orders, passed, degenerate = [], [], True, True
     top = min(3, max(1, data.n))
-    chain = derivative_chain(d, x, top)
+    chain = data.chain(top)
     for m in range(1, top + 1):
         exact = complex(np.vdot(eta, automorphism(d, chain.delta(m), t0) @ xi))
         err = abs(central_difference_scalar(d, x, m, xi, eta, t0, h) - exact)
@@ -214,19 +226,16 @@ def _check_uniform_conv(data: ScenarioData, tol: TolerancePolicy) -> CheckReport
 
 
 def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    cx = derivative_chain(data.generator, data.x, data.n)
     cy = derivative_chain(data.generator, data.y, data.n)
-    return homomorphism_check(cx, cy, tol, instance_id=data.label)
+    return homomorphism_check(data.chain(data.n), cy, tol, instance_id=data.label)
 
 
 def _check_phi_conj(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    chain = derivative_chain(data.generator, data.x, data.n)
-    return conjugation_identity_check(data.generator, chain, tol, instance_id=data.label)
+    return conjugation_identity_check(data.generator, data.chain(data.n), tol, instance_id=data.label)
 
 
 def _check_norm_sandwich(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    chain = derivative_chain(data.generator, data.x, data.n)
-    return norm_sandwich_check(chain, tol, instance_id=data.label)
+    return norm_sandwich_check(data.chain(data.n), tol, instance_id=data.label)
 
 
 def _check_ad_identity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:

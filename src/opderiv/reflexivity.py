@@ -62,7 +62,12 @@ from .core import (
 )
 # triangular_representation is not called here; the benchmark tracer
 # (perfbench/tracing.py) wraps it under this module's name.
-from .triangular import corner_exponential, triangular_representation, triangular_representations
+from .triangular import (
+    corner_exponential,
+    corner_exponential_norm,
+    triangular_representation,
+    triangular_representations,
+)
 
 __all__ = [
     "LatGenerationFailed",
@@ -632,8 +637,8 @@ def reflexivity_check(
     solved, without_q_dim = _corner_solve(family, tol)
 
     base = d.dim
-    fwd, bwd = corner_exponential(d, n)
-    scale_tol = tol.alg(fwd.norm(), bwd.norm())
+    exp_norm = corner_exponential_norm(d, n)
+    scale_tol = tol.alg(exp_norm, exp_norm)
 
     elems = solved.basis_elements
     recon = operator_norm(elems - triangular_representations(d, elems[:, :base, :base], n))

@@ -8,6 +8,11 @@ triangular matrix, which is the identity this module verifies, along with
 the homomorphism property, the norm sandwich, and the underlying
 ad-expansion identity (valid in any associative algebra).
 
+The corner exponential is block Toeplitz, built from the n powers of
+i(D + shift), and its norm has a closed form in the eigenvalues of D
+(``corner_exponential_norm``, one (n+1) x (n+1) norm), which sets the
+tolerance of the conjugation identity and of the reflexivity check.
+
 Corner operators are stored as full dense matrices with block accessors;
 the block bookkeeping is a view, not a second representation.  The
 triangular representation and the corner exponentials are CornerOperator
@@ -46,6 +51,7 @@ __all__ = [
     "triangular_representation",
     "triangular_representations",
     "corner_exponential",
+    "corner_exponential_norm",
     "conjugation_identity_check",
     "homomorphism_check",
     "norm_sandwich_check",
@@ -126,6 +132,18 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
     return CornerOperator(_toeplitz_blocks(diagonals, n), chain.x.shape[0], n)
 
 
+def _represented(chain: DerivativeChain) -> tuple[CornerOperator, float]:
+    """The triangular representation of a chain and its norm.
+
+    The first call stores both on the chain, so checks that share a chain
+    (the homomorphism check and the norm sandwich) share one SVD.
+    """
+    if "rep" not in chain._memo:
+        rep = triangular_representation(chain)
+        chain._memo["rep"] = (rep, rep.norm())
+    return chain._memo["rep"]
+
+
 def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) -> np.ndarray:
     """The triangular representations of a stack of operators, all at once.
 
@@ -152,28 +170,47 @@ def corner_exponential(
 ) -> tuple[CornerOperator, CornerOperator]:
     """exp(S) and exp(-S) for S = kron(nilpotent shift, i(D + shift*I)).
 
-    S is nilpotent of index n+1, so both exponentials are the finite sums
-    ``I + sum_{j=1}^{n} S^j / j!`` and multiply to the identity up to
-    roundoff.
+    S is nilpotent of index n+1, so exp(+-S) is the finite sum
+    ``I + sum_{j=1}^{n} (+-S)^j / j!``; the j-th power of S carries
+    (i(D + shift))^j on the j-th block superdiagonal, so both exponentials
+    are block Toeplitz with block (i, i+j) = (+-i(D + shift))^j / j!, built
+    from the n powers of one N x N matrix.  They multiply to the identity
+    up to roundoff.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    base = d.base + float(shift) * np.eye(d.dim)
-    s = np.kron(nilpotent_shift(n), 1j * base)
-    dim = d.dim * (n + 1)
-    fwd = np.eye(dim, dtype=complex)
-    bwd = np.eye(dim, dtype=complex)
-    pow_fwd = np.eye(dim, dtype=complex)
-    pow_bwd = np.eye(dim, dtype=complex)
-    for j in range(1, n + 1):
-        pow_fwd = pow_fwd @ s
-        pow_bwd = pow_bwd @ (-s)
-        fwd += pow_fwd / math.factorial(j)
-        bwd += pow_bwd / math.factorial(j)
-    return (
-        CornerOperator(fwd, d.dim, n),
-        CornerOperator(bwd, d.dim, n),
-    )
+    gen = 1j * (d.base + float(shift) * np.eye(d.dim))
+    powers = [np.eye(d.dim, dtype=complex)]
+    for _ in range(n):
+        powers.append(powers[-1] @ gen)
+    terms = [p / math.factorial(j) for j, p in enumerate(powers)]
+    fwd = _toeplitz_blocks(terms, n)
+    bwd = _toeplitz_blocks([(-1) ** j * t for j, t in enumerate(terms)], n)
+    return CornerOperator(fwd, d.dim, n), CornerOperator(bwd, d.dim, n)
+
+
+def corner_exponential_norm(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> float:
+    """||exp(S)|| = ||exp(-S)|| = ||exp(r J)||, r = max_k |lambda_k + shift|.
+
+    J is the (n+1) x (n+1) nilpotent shift and lambda_k the eigenvalues of
+    D, so this is one (n+1) x (n+1) norm in place of the norm of either
+    corner exponential.  Proof: with D = V diag(lambda) V*, exp(+-S) is
+    unitarily equivalent (conjugate by I (x) V, then reorder the basis
+    eigenvalue-major) to the direct sum over k of exp(i mu_k J) with
+    mu_k = +-(lambda_k + shift), whose norm is the largest of the
+    summands' norms.  exp(i mu J) has (i mu)^j / j! on its j-th
+    superdiagonal; conjugating it by the diagonal unitary
+    diag(w^0, ..., w^n) with w = -i sign(mu) multiplies that superdiagonal
+    by w^j, giving exp(|mu| J), which is entrywise nonnegative.  The norm
+    of an entrywise nonnegative matrix is nondecreasing in each entry, and
+    every entry |mu|^j / j! is nondecreasing in |mu|, so the largest
+    summand is the one with the largest |lambda_k + shift|.
+    """
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    r = float(np.max(np.abs(d.eigenvalues + float(shift))))
+    exp_rj = sum(np.eye(n + 1, k=j) * r**j / math.factorial(j) for j in range(n + 1))
+    return operator_norm(exp_rj)
 
 
 def save_corner_operator(path, corner: CornerOperator) -> None:
@@ -199,16 +236,16 @@ def conjugation_identity_check(
     n = chain.order
     fwd, bwd = corner_exponential(d, n)
     lhs = fwd.matrix @ amplify(chain.x, n).matrix @ bwd.matrix
-    rep = triangular_representation(chain)
-    resid, fwd_norm, bwd_norm = operator_norm(np.stack([lhs - rep.matrix, fwd.matrix, bwd.matrix]))
-    tolerance = tol.alg(fwd_norm, operator_norm(chain.x), bwd_norm)
+    resid = operator_norm(lhs - triangular_representation(chain).matrix)
+    exp_norm = corner_exponential_norm(d, n)
+    tolerance = tol.alg(exp_norm, operator_norm(chain.x), exp_norm)
     return CheckReport(
         "phi_conj",
         instance_id,
         [resid],
         tolerance,
         resid <= tolerance,
-        details={"order": n},
+        details={"order": n, "exp_norm": exp_norm},
     )
 
 
@@ -231,12 +268,10 @@ def homomorphism_check(
         raise ValueError("chains must share the same generator")
     n = chain_x.order
     prod_chain = derivative_chain(dx, chain_x.x @ chain_y.x, n)
-    rep_x = triangular_representation(chain_x)
-    rep_y = triangular_representation(chain_y)
+    rep_x, rep_x_norm = _represented(chain_x)
+    rep_y, rep_y_norm = _represented(chain_y)
     rep_xy = triangular_representation(prod_chain)
-    resid, rep_x_norm, rep_y_norm = operator_norm(
-        np.stack([rep_xy.matrix - rep_x.matrix @ rep_y.matrix, rep_x.matrix, rep_y.matrix])
-    )
+    resid = operator_norm(rep_xy.matrix - rep_x.matrix @ rep_y.matrix)
     tolerance = tol.alg(rep_x_norm, rep_y_norm)
     return CheckReport(
         "phi_hom",
@@ -259,7 +294,7 @@ def norm_sandwich_check(
     tol = tol or DEFAULT_TOL
     n = chain.order
     weighted = chain_norm(chain)
-    rep_norm = triangular_representation(chain).norm()
+    _, rep_norm = _represented(chain)
     slack = tol.alg(weighted)
     lower_violation = max(0.0, weighted / (n + 1) - rep_norm)
     upper_violation = max(0.0, rep_norm - weighted)

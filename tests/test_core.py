@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from opderiv import core
 from opderiv.core import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -308,6 +309,29 @@ def test_operator_space_takes_an_orthonormal_basis():
         OperatorSpace(2, np.zeros((1, 3, 3)))
     with pytest.raises(DimensionMismatch):
         OperatorSpace.span(2, np.ones((1, 3, 3)))
+
+
+@pytest.mark.parametrize("perturb", ["entry", "norm"])
+@pytest.mark.parametrize("batch_entries", [1 << 20, 40])  # one Gram block; six
+def test_orthonormality_guard_catches_a_1e_7_perturbation(monkeypatch, batch_entries, perturb):
+    monkeypatch.setattr(core, "_BATCH_ENTRIES", batch_entries)
+    rng = np.random.default_rng(13)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 12)) + 1j * rng.standard_normal((16, 12)))
+    elems = np.ascontiguousarray(q.T).reshape(12, 4, 4)
+    OperatorSpace(4, elems)
+    Subspace(16, q)
+    # element 9: one entry moved, or its norm off by 1e-7 (then only G[9, 9]
+    # moves, in the fifth of the six row blocks)
+    if perturb == "entry":
+        elems[9, 2, 1] += 1e-7
+        q[3, 9] += 1e-7
+    else:
+        elems[9] *= 1 + 1e-7
+        q[:, 9] *= 1 + 1e-7
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpace(4, elems)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(16, q)
 
 
 def test_operator_space_span_orthonormalizes_independent_elements():

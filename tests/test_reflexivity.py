@@ -1045,6 +1045,23 @@ def test_reflexivity_reports_deciding_tolerance():
     }
 
 
+def test_reflexivity_check_forms_no_corner_exponential(monkeypatch):
+    # the tolerance comes from the closed-form norm of exp(+-S): with the
+    # family prebuilt, the check never builds exp(+-S), let alone its SVD
+    spec = VonNeumannAlgebraSpec("full", 3)
+    gen, _ = random_scenario(3, 6)
+    family = invariant_family(spec, gen, 2, seed=6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("corner_exponential called")
+
+    monkeypatch.setattr(reflexivity, "corner_exponential", forbidden)
+    report = reflexivity_check(spec, gen, 2, seed=6, family=family)
+    assert report.passed
+    fwd, bwd = corner_exponential(gen, 2)
+    assert report.tolerance == pytest.approx(DEFAULT_TOL.alg(fwd.norm(), bwd.norm()), rel=1e-13)
+
+
 def test_reflexivity_generated_algebra():
     g = np.diag([1.0, 1.0, 2.0]).astype(complex)
     spec = VonNeumannAlgebraSpec("generated", 3, generators=(g,))

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opderiv.core import DEFAULT_TOL, DimensionMismatch, eig_hermitian, operator_norm
 from opderiv.derivation import chain_norm, derivative_chain
+from opderiv.harness import ScenarioConfig, build_scenario, run_checks
 from opderiv.scenarios import circle_generator, circle_shift
 from opderiv.triangular import (
     CornerOperator,
@@ -14,6 +17,7 @@ from opderiv.triangular import (
     amplify,
     conjugation_identity_check,
     corner_exponential,
+    corner_exponential_norm,
     homomorphism_check,
     load_corner_operator,
     nilpotent_shift,
@@ -210,6 +214,67 @@ def test_corner_exponential_shifted():
     np.testing.assert_allclose(fwd.block(0, 1), 1j * (d.base + np.eye(2)), atol=1e-15)
 
 
+def _kron_corner_exponential(d, n, shift=0.0):
+    """exp(+-S) as dense power series of S = kron(nilpotent shift, i(D + shift)):
+    an oracle that shares no block arithmetic with ``corner_exponential``."""
+    s = np.kron(nilpotent_shift(n), 1j * (d.base + shift * np.eye(d.dim)))
+    dim = d.dim * (n + 1)
+    fwd, bwd = np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)
+    pow_fwd, pow_bwd = np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)
+    for j in range(1, n + 1):
+        pow_fwd = pow_fwd @ s
+        pow_bwd = pow_bwd @ (-s)
+        fwd += pow_fwd / math.factorial(j)
+        bwd += pow_bwd / math.factorial(j)
+    return fwd, bwd
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.3])
+@pytest.mark.parametrize("n", range(5))
+def test_corner_exponential_matches_kron_series_oracle(n, shift):
+    rng = np.random.default_rng(70 + n)
+    d = rng_generator(rng, 4)
+    fwd, bwd = corner_exponential(d, n, shift=shift)
+    oracle = _kron_corner_exponential(d, n, shift)
+    for got, want in zip((fwd, bwd), oracle):
+        want = CornerOperator(want, 4, n)
+        scale = np.abs(want.matrix).max()
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if j < i:
+                    assert not np.any(got.block(i, j))
+                else:
+                    np.testing.assert_allclose(got.block(i, j), want.block(i, j), rtol=0, atol=1e-14 * scale)
+
+
+_spectra = st.lists(
+    st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0, allow_nan=False)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    _spectra,
+    st.integers(0, 4),
+    st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False)),
+    st.integers(0, 2**32 - 1),
+)
+@example([0.7], 3, 0.0, 0)  # dimension 1
+@example([0.0, 0.0, 0.0], 2, 0.0, 1)  # D = 0
+@example([0.0, 0.0], 3, -1.5, 2)  # D = 0, shifted
+@example([-2.0, -2.0, 1.0, 1.0], 4, 0.5, 3)  # repeated and negative eigenvalues
+def test_corner_exponential_norm_matches_dense_norms(eigenvalues, n, shift, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng_operator(rng, len(eigenvalues)))
+    d = eig_hermitian((u * np.asarray(eigenvalues)) @ u.conj().T)
+    fwd, bwd = corner_exponential(d, n, shift=shift)
+    closed = corner_exponential_norm(d, n, shift=shift)
+    assert closed == pytest.approx(fwd.norm(), rel=1e-13, abs=0)
+    assert closed == pytest.approx(bwd.norm(), rel=1e-13, abs=0)
+
+
 # ------------------------------------------------------- conjugation identity
 
 
@@ -231,6 +296,10 @@ def test_conjugation_identity_circle_n3():
     s = circle_shift(4, 1)
     report = conjugation_identity_check(d, derivative_chain(d, s, 3))
     assert report.passed and report.residuals[0] <= 1e-8
+    # the tolerance is decided by the closed-form norm of exp(+-S), reported
+    exp_norm = report.details["exp_norm"]
+    assert exp_norm == corner_exponential_norm(d, 3)
+    assert report.tolerance == DEFAULT_TOL.alg(exp_norm, operator_norm(s), exp_norm)
 
 
 # ----------------------------------------------------------- homomorphism
@@ -305,6 +374,28 @@ def test_norm_sandwich_sweep(seed):
     for n in range(4):
         report = norm_sandwich_check(derivative_chain(d, rng_operator(rng, 4), n))
         assert report.passed
+
+
+def test_phi_hom_and_norm_sandwich_take_one_representation_norm(monkeypatch):
+    # the scenario's chain of x is built once, and the norm of its
+    # representation is one SVD shared by both checks
+    config = ScenarioConfig.from_dict({
+        "scenario": {"kind": "random", "N": 5}, "n": 2, "seed": 3,
+        "checks": ["phi_hom", "norm_sandwich"],
+    })
+    data = build_scenario(config)
+    rep = triangular_representation(derivative_chain(data.generator, data.x, data.n)).matrix
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.extend(np.array_equal(m, rep) for m in a.reshape((-1,) + a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = run_checks(config)
+    assert report.overall_pass and len(report.results) == 2
+    assert sum(seen) == 1
 
 
 # ------------------------------------------------------------- ad expansion
