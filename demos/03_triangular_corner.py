@@ -4,8 +4,9 @@
 A derivative chain embeds as an upper-triangular block matrix with the
 j-th derivative over j! on the j-th superdiagonal.  Conjugating the
 block-diagonal amplification of x by the nilpotent exponential
-exp(kron(shift, iD)) produces exactly that matrix, the map is an algebra
-homomorphism, and its norm is sandwiched by the weighted chain norm.  The
+exp(kron(J, iD)), J the nilpotent shift, produces exactly that matrix, the
+map is an algebra homomorphism, and its norm is sandwiched by the weighted
+chain norm.  The
 norm of the nilpotent exponential has a closed form in the eigenvalues
 of D, ||exp(r J)|| with r the largest |eigenvalue|.
 """

@@ -67,7 +67,6 @@ from .triangular import (
     corner_exponential,
     corner_exponential_norm,
     homomorphism_check,
-    nilpotent_shift,
     norm_sandwich_check,
     triangular_representation,
 )

@@ -3,10 +3,11 @@
 A derivative chain of order n embeds into the (n+1) x (n+1) block matrices
 over the base space: the j-th superdiagonal carries the j-th derivative
 divided by j!.  Conjugating the block-constant amplification of x by the
-nilpotent exponential exp(kron(shift, iD)) produces exactly that
-triangular matrix, which is the identity this module verifies, along with
-the homomorphism property, the norm sandwich, and the underlying
-ad-expansion identity (valid in any associative algebra).
+nilpotent exponential exp(kron(J, iD)), J the (n+1) x (n+1) matrix with
+ones on the first superdiagonal, produces exactly that triangular matrix,
+which is the identity this module verifies, along with the homomorphism
+property, the norm sandwich, and the underlying ad-expansion identity
+(valid in any associative algebra).
 
 The corner exponential is block Toeplitz, built from the n powers of
 i(D + shift), and its norm has a closed form in the eigenvalues of D
@@ -16,10 +17,9 @@ tolerance of the conjugation identity and of the reflexivity check.
 Corner operators are stored as full dense matrices with block accessors;
 the block bookkeeping is a view, not a second representation.  The
 triangular representation and the corner exponentials are CornerOperator
-values and the nilpotent shift is a plain ndarray.  Basis
-ordering is block-major: all of the base space tensored with the first
-canonical vector, then the second, and so on, which keeps the leading
-corner projections contiguous.  An infinite tower of blocks extending the
+values.  Basis ordering is block-major: all of the base space tensored
+with the first canonical vector, then the second, and so on, which keeps
+the leading corner projections contiguous.  An infinite tower of blocks extending the
 corner would only be proof scaffolding; the toolkit works exclusively in
 the finite corner and exposes the leading corner projections instead.
 """
@@ -45,7 +45,6 @@ from .derivation import DerivativeChain, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
-    "nilpotent_shift",
     "CornerOperator",
     "amplify",
     "triangular_representation",
@@ -59,16 +58,6 @@ __all__ = [
     "save_corner_operator",
     "load_corner_operator",
 ]
-
-
-def nilpotent_shift(n: int) -> np.ndarray:
-    """(n+1) x (n+1) matrix with ones on the first superdiagonal.
-
-    Its (n+1)-th power is exactly 0 and its n-th power is nonzero for n >= 1.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    return np.eye(n + 1, k=1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -124,8 +113,8 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
 
     Block (i, j) is delta^(j-i)(x) / (j-i)! for j >= i and zero below the
     diagonal, so the diagonals are constant.  Equals
-    ``sum_j kron(shift^j, delta^j(x) / j!)``; unital, injective (block
-    (0, 0) recovers x) and linear in the chain.
+    ``sum_j kron(J^j, delta^j(x) / j!)`` with J the nilpotent shift;
+    unital, injective (block (0, 0) recovers x) and linear in the chain.
     """
     n = chain.order
     diagonals = [chain.delta(j) / math.factorial(j) for j in range(n + 1)]
@@ -168,8 +157,9 @@ def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) 
 def corner_exponential(
     d: SelfAdjointGenerator, n: int, shift: float = 0.0
 ) -> tuple[CornerOperator, CornerOperator]:
-    """exp(S) and exp(-S) for S = kron(nilpotent shift, i(D + shift*I)).
+    """exp(S) and exp(-S) for S = kron(J, i(D + shift*I)).
 
+    J is the (n+1) x (n+1) matrix with ones on the first superdiagonal.
     S is nilpotent of index n+1, so exp(+-S) is the finite sum
     ``I + sum_{j=1}^{n} (+-S)^j / j!``; the j-th power of S carries
     (i(D + shift))^j on the j-th block superdiagonal, so both exponentials
@@ -189,26 +179,27 @@ def corner_exponential(
     return CornerOperator(fwd, d.dim, n), CornerOperator(bwd, d.dim, n)
 
 
-def corner_exponential_norm(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> float:
-    """||exp(S)|| = ||exp(-S)|| = ||exp(r J)||, r = max_k |lambda_k + shift|.
+def corner_exponential_norm(d: SelfAdjointGenerator, n: int) -> float:
+    """||exp(S)|| = ||exp(-S)|| = ||exp(r J)||, r = max_k |lambda_k|.
 
-    J is the (n+1) x (n+1) nilpotent shift and lambda_k the eigenvalues of
-    D, so this is one (n+1) x (n+1) norm in place of the norm of either
-    corner exponential.  Proof: with D = V diag(lambda) V*, exp(+-S) is
-    unitarily equivalent (conjugate by I (x) V, then reorder the basis
-    eigenvalue-major) to the direct sum over k of exp(i mu_k J) with
-    mu_k = +-(lambda_k + shift), whose norm is the largest of the
-    summands' norms.  exp(i mu J) has (i mu)^j / j! on its j-th
+    S = kron(J, iD) as in ``corner_exponential``, J is the (n+1) x (n+1)
+    nilpotent shift and lambda_k are the eigenvalues of D, so this is one
+    (n+1) x (n+1) norm in place of the norm of either corner exponential;
+    for the exponential shifted by c, pass ``d.shifted(c)``.  Proof: with
+    D = V diag(lambda) V*, exp(+-S) is unitarily equivalent (conjugate by
+    I (x) V, then reorder the basis eigenvalue-major) to the direct sum over
+    k of exp(i mu_k J) with mu_k = +-lambda_k, whose norm is the largest of
+    the summands' norms.  exp(i mu J) has (i mu)^j / j! on its j-th
     superdiagonal; conjugating it by the diagonal unitary
     diag(w^0, ..., w^n) with w = -i sign(mu) multiplies that superdiagonal
     by w^j, giving exp(|mu| J), which is entrywise nonnegative.  The norm
     of an entrywise nonnegative matrix is nondecreasing in each entry, and
     every entry |mu|^j / j! is nondecreasing in |mu|, so the largest
-    summand is the one with the largest |lambda_k + shift|.
+    summand is the one with the largest |lambda_k|.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    r = float(np.max(np.abs(d.eigenvalues + float(shift))))
+    r = float(np.max(np.abs(d.eigenvalues)))
     exp_rj = sum(np.eye(n + 1, k=j) * r**j / math.factorial(j) for j in range(n + 1))
     return operator_norm(exp_rj)
 

@@ -20,7 +20,6 @@ from opderiv.triangular import (
     corner_exponential_norm,
     homomorphism_check,
     load_corner_operator,
-    nilpotent_shift,
     norm_sandwich_check,
     save_corner_operator,
     triangular_representation,
@@ -38,6 +37,12 @@ def rng_generator(rng, n, spread=2.0):
 
 
 # ------------------------------------------------------------ nilpotent shift
+
+
+def nilpotent_shift(n):
+    """(n+1) x (n+1) matrix J with ones on the first superdiagonal: the
+    factor of the Kronecker oracle for the corner exponential below."""
+    return np.eye(n + 1, k=1, dtype=complex)
 
 
 def test_nilpotent_shift_small_orders():
@@ -215,7 +220,7 @@ def test_corner_exponential_shifted():
 
 
 def _kron_corner_exponential(d, n, shift=0.0):
-    """exp(+-S) as dense power series of S = kron(nilpotent shift, i(D + shift)):
+    """exp(+-S) as dense power series of S = kron(J, i(D + shift)):
     an oracle that shares no block arithmetic with ``corner_exponential``."""
     s = np.kron(nilpotent_shift(n), 1j * (d.base + shift * np.eye(d.dim)))
     dim = d.dim * (n + 1)
@@ -269,8 +274,10 @@ def test_corner_exponential_norm_matches_dense_norms(eigenvalues, n, shift, seed
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng_operator(rng, len(eigenvalues)))
     d = eig_hermitian((u * np.asarray(eigenvalues)) @ u.conj().T)
-    fwd, bwd = corner_exponential(d, n, shift=shift)
-    closed = corner_exponential_norm(d, n, shift=shift)
+    # a shifted exponential is the exponential of the shifted generator
+    shifted = d.shifted(shift)
+    fwd, bwd = corner_exponential(shifted, n)
+    closed = corner_exponential_norm(shifted, n)
     assert closed == pytest.approx(fwd.norm(), rel=1e-13, abs=0)
     assert closed == pytest.approx(bwd.norm(), rel=1e-13, abs=0)
 
