@@ -968,6 +968,31 @@ def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkey
         reflexivity_check(spec, gen, 2, seed=1)
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch):
+    # eps = 1e-6 N(0, 1) on every Y_top entry of the solved elements: no element
+    # is the representation of its (0, 0) block any more.  At full (8, 2) the
+    # reconstruction residual is several times the tolerance.  The same mutant
+    # at (16, 3) waits for a tolerance from a roundoff model of the tower
+    # (ROADMAP item 2): today it reads about 0.1 of the tolerance there.
+    base, n = 8, 2
+    corner_solve, noise = reflexivity._corner_solve, np.random.default_rng(seed)
+
+    def perturbed(family, tol):
+        space, without_q_dim = corner_solve(family, tol)
+        elems = space.basis_elements.copy()
+        elems[:, : base * n, base * n :] += 1e-6 * noise.standard_normal((len(elems), base * n, base))
+        return OperatorSpace.span(space.ambient_dim, elems), without_q_dim
+
+    spec = VonNeumannAlgebraSpec("full", base)
+    gen, _ = random_scenario(base, seed)
+    assert reflexivity_check(spec, gen, n, seed=seed).passed
+    monkeypatch.setattr(reflexivity, "_corner_solve", perturbed)
+    report = reflexivity_check(spec, gen, n, seed=seed, raise_on_fail=False)
+    assert report.dim_computed == base**2
+    assert not report.passed and report.max_reconstruction_residual > report.tolerance
+
+
 def test_reflexivity_check_counts_against_the_closed_form_dimension():
     # a family built for the diagonal masa solves to that algebra, consistently
     # with the algebra it carries; the closed form of ``full`` still fails it
