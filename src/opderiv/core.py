@@ -249,6 +249,10 @@ def spectral_band_projections(d: SelfAdjointGenerator) -> list[tuple[int, np.nda
 _BATCH_ENTRIES = 1 << 20
 
 
+# Largest ||G - I||_F accepted for a basis called orthonormal.
+_GRAM_GUARD = 1e-8
+
+
 def _gram_deviation(rows: np.ndarray) -> float:
     """||G - I||_F for the Gram matrix G = conj(rows) rows^T of the rows.
 
@@ -284,7 +288,7 @@ class Subspace:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise ValueError("basis must be an (ambient_dim, k) matrix")
-        if _gram_deviation(basis.T) > 1e-8:
+        if _gram_deviation(basis.T) > _GRAM_GUARD:
             raise ValueError("basis columns are not orthonormal")
         proj = basis @ basis.conj().T
         object.__setattr__(self, "basis", basis)
@@ -342,7 +346,7 @@ class OperatorSpace:
             elems = np.zeros((0, d, d), dtype=complex)
         if elems.ndim != 3 or elems.shape[1:] != (d, d):
             raise DimensionMismatch(f"basis of shape {elems.shape} is not an (m, {d}, {d}) stack")
-        if _gram_deviation(elems.reshape(len(elems), d * d)) > 1e-8:
+        if _gram_deviation(elems.reshape(len(elems), d * d)) > _GRAM_GUARD:
             raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
 

@@ -97,11 +97,23 @@ def automorphism(d: SelfAdjointGenerator, x, t) -> np.ndarray:
     return u @ x @ u.conj().swapaxes(-1, -2)
 
 
+def _chain(d: SelfAdjointGenerator, x: np.ndarray, n: int) -> list[np.ndarray]:
+    """x and its first n commutator derivatives, [x, i(Dx - xD), ...].
+
+    ``x`` is a validated matrix or an ``(m, N, N)`` stack, over which each
+    commutator is broadcast; nothing is validated here.
+    """
+    deltas = [x]
+    for _ in range(n):
+        deltas.append(1j * (d.base @ deltas[-1] - deltas[-1] @ d.base))
+    return deltas
+
+
 def commutator_derivative(d: SelfAdjointGenerator, x) -> np.ndarray:
     """i(Dx - xD), the derivative of t -> exp(itD) x exp(-itD) at t = 0."""
     x = as_operator(x)
     _check_dims(d, x)
-    return 1j * (d.base @ x - x @ d.base)
+    return _chain(d, x, 1)[1]
 
 
 def iterated_derivative(
@@ -137,8 +149,10 @@ def binomial_derivative(
 class DerivativeChain:
     """An operator together with its first n commutator derivatives.
 
-    ``_memo`` holds values derived from the chain by other modules, each
-    computed on first use (``triangular._represented``).
+    Built by ``derivative_chain``, which validates x once; the derivatives
+    are computed from it and are not validated again.  ``_memo`` holds
+    values derived from the chain by other modules, each computed on first
+    use (``triangular._represented``).
     """
 
     x: np.ndarray
@@ -148,8 +162,6 @@ class DerivativeChain:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_operator(self.x))
-        object.__setattr__(self, "derivatives", tuple(as_operator(a) for a in self.derivatives))
         if len(self.derivatives) != self.order:
             raise ValueError("chain length must equal its order")
 
@@ -166,12 +178,7 @@ def derivative_chain(d: SelfAdjointGenerator, x, n: int) -> DerivativeChain:
         raise ValueError("chain order must be >= 0")
     x = as_operator(x)
     _check_dims(d, x)
-    derivs = []
-    current = x
-    for _ in range(n):
-        current = commutator_derivative(d, current)
-        derivs.append(current)
-    return DerivativeChain(x=x, order=n, derivatives=tuple(derivs), generator=d)
+    return DerivativeChain(x=x, order=n, derivatives=tuple(_chain(d, x, n)[1:]), generator=d)
 
 
 def chain_norm(chain: DerivativeChain) -> float:

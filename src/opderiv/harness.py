@@ -267,7 +267,7 @@ def _check_reflexivity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         )
     except ReflexivityViolation as exc:
         report = exc.report
-    resid = max(report.max_reconstruction_residual, report.max_membership_residual)
+    resid = max(report.max_reconstruction_residual, report.membership_bound)
     return CheckReport(
         "reflexivity",
         data.label,

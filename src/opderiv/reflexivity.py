@@ -21,8 +21,12 @@ the algebra is built in closed form in the basis adapted to them;
 structural checks with recorded margins certify both, with no
 bicommutant and no certification solve.  The family carries the
 algebra, so the reflexivity check solves nothing for it.  The check
-reconstructs every solution element and tests every algebra element for
-membership in one batched step each.
+judges the tower's own elements: their corners (the (0, 0) blocks) are
+orthonormal and lie in the algebra, and each element is the triangular
+representation of its corner.  Since that representation is injective,
+this and the dimension count give the whole theorem; the solution is
+never orthonormalized in the (N(n+1))^2-wide vec space, and the
+representation of the algebra is never tested for membership in it.
 
 All dimension counts are over the complex field.  Subspace equality and
 membership are always tested through projections, never bases.  The
@@ -35,10 +39,10 @@ of full column rank, X leaves both invariant exactly when also
 Y_bot = K+ A K and A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
-Measured on one BLAS thread under a 2 GB memory cap, ``full`` at base
-dimension 16 takes about 0.8 s and 120 MB at order 3, 1.4 s and 170 MB
-at order 4; at base dimension 24, order 3 takes 6.5 s and 480 MB, and at
-base dimension 32 it takes 33 s and 1.4 GB.
+Measured on one BLAS thread under a 2 GB memory cap (one run each),
+``full`` at order 3 takes about 0.25 s and 100 MB at base dimension 16,
+1.5 s and 240 MB at 24, 7 s and 650 MB at 32, and 20 s and 1.5 GB at 40;
+at base dimension 32 and order 4 it takes 12 s and 960 MB.
 """
 
 from __future__ import annotations
@@ -50,11 +54,14 @@ import numpy as np
 
 from .blocks import block_structure, certified, class_algebra
 from .core import (
+    _BATCH_ENTRIES,
+    _GRAM_GUARD,
     DEFAULT_TOL,
     OperatorSpace,
     SelfAdjointGenerator,
     Subspace,
     TolerancePolicy,
+    _gram_deviation,
     as_operator,
     invariance_constraint,
     nullspace_of_constraints,
@@ -428,11 +435,12 @@ def alg_of_family(
     Solved as the nullspace of the constraints Qc* X V = 0, one per
     nontrivial member, V and Qc orthonormal bases of the member's range and
     of its complement.  An InvariantFamily is solved by ``_corner_solve``,
-    which uses its structure.
+    which uses its structure, and its tower is orthonormalized by
+    ``OperatorSpace.span``.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(family, InvariantFamily):
-        return _corner_solve(family, tol)[0]
+        return OperatorSpace.span(family.ambient_dim, _corner_solve(family, tol)[0])
     subspaces = list(family)
     if subspaces:
         ambient_dim = subspaces[0].ambient_dim
@@ -447,8 +455,8 @@ def alg_of_family(
     return OperatorSpace.from_columns(ambient_dim, basis)
 
 
-def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[OperatorSpace, int]:
-    """Alg(family), and its dimension without the Q_j members.
+def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.ndarray, int]:
+    """A basis of Alg(family), and its dimension without the Q_j members.
 
     Solved as a tower over the order, as in the paper's induction.  The
     H_j members make X block upper triangular, and a member that lives in
@@ -464,10 +472,13 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
     solve keeps the A with Kc* A K = 0 (Kc an orthonormal basis of the
     complement of range K), and Y_bot = K+ A K, Y_top = G Y_bot - A G.
     A level with one graph member leaves Y_bot free (G' stands in for G
-    when only Q_j is there), one with none all of Y.  Above level 0 the
-    bases are not orthonormal; ``OperatorSpace.span`` orthonormalizes
-    the last one.  Without the Q_j a P_j adds N^2 dimensions, a level
-    without one N^2 (j + 1): that count is returned.
+    when only Q_j is there), one with none all of Y.  The result is the
+    ``(m, N(n+1), N(n+1))`` stack of the last level, which is not
+    orthonormal above level 0.  When every level has its P_j and Q_j its
+    corners X_00 are: level 0 is the algebra's orthonormal basis, and a
+    cut combines a level by orthonormal null coefficients.  Without the
+    Q_j a P_j adds N^2 dimensions, a level without one N^2 (j + 1): that
+    count is returned.
 
     Raises ValueError when a member has an unknown label or not the shape
     its label claims (a P_j or Q_j must be a graph over block j: dimension N, with
@@ -509,9 +520,7 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[Operat
         graphs = [levels[j][kind] for kind in "PQ" if kind in levels[j]]
         elems = _corner_level(elems, graphs, base, tol)
         without_q_dim += base**2 * (1 if "P" in levels[j] else j + 1)
-    if not n:  # level 0 is the algebra's orthonormal basis
-        return family.algebra, without_q_dim
-    return OperatorSpace.span(family.ambient_dim, elems), without_q_dim
+    return elems, without_q_dim
 
 
 def _corner_level(
@@ -520,8 +529,7 @@ def _corner_level(
     """Level j of ``_corner_solve`` from level j - 1: the stack ``prev`` of
     operators on the first j blocks and the graph maps of the level's P_j
     and Q_j, in that order (G' alone when only Q_j is there).  Its own
-    function, so that its temporaries are freed before the last level is
-    orthonormalized."""
+    function, so that its temporaries are freed before the next level."""
     lead = prev.shape[1]
     j, size = lead // base, lead + base
     a = prev
@@ -559,8 +567,12 @@ def _corner_level(
 class ReflexivityReport:
     """Two-sided reflexivity diagnostics for one scenario.
 
-    ``tolerance`` is the bound both residuals were judged against,
-    tol_alg * (1 + ||exp S|| ||exp -S||).
+    ``element_residuals`` are the Frobenius reconstruction residuals
+    ||X - Phi(X_00)||_F of the solved elements, and ``membership_bound``
+    bounds the Frobenius distance of Phi(a) from the solution for every
+    unit a in the algebra (see ``reflexivity_check``).  ``tolerance`` is
+    the bound both were judged against, tol_alg * (1 + ||exp S|| ||exp -S||),
+    with exp(+-S) the corner exponentials.
     """
 
     scenario: str
@@ -568,7 +580,7 @@ class ReflexivityReport:
     dim_expected: int
     dim_computed: int
     max_reconstruction_residual: float
-    max_membership_residual: float
+    membership_bound: float
     needed_Q: bool
     passed: bool
     tolerance: float
@@ -580,9 +592,7 @@ class ReflexivityReport:
             "n": self.order,
             "dim_expected": self.dim_expected,
             "dim_computed": self.dim_computed,
-            "max_residual": float(
-                max(self.max_reconstruction_residual, self.max_membership_residual)
-            ),
+            "max_residual": float(max(self.max_reconstruction_residual, self.membership_bound)),
             "needed_Q": bool(self.needed_Q),
             "pass": bool(self.passed),
         }
@@ -599,26 +609,56 @@ def reflexivity_check(
 ) -> ReflexivityReport:
     """Verify the corner algebra cut out by the invariant family.
 
-    Computes S = {X leaving every family member invariant} and asserts:
-    dim S equals the algebra's dimension and its closed form
-    ``spec.expected_dim()`` (a ``generated`` algebra has none); every
-    basis element of S reconstructs as the triangular representation of
-    its (0, 0) block; and the representation of every algebra basis
-    element lies in S.  S is solved by ``_corner_solve`` as a tower over
-    the order: level 0 is the algebra, which is Alg(lat_M) by
-    ``lat_family``'s construction, and level j adds the last block column,
-    fixed by P_j and Q_j.  needed_Q (dropping the Q_j strictly enlarges
-    the solution) compares dim S with the graph lemma's count
-    dim Alg(lat_M) + n N^2 (see the module docstring).  For n = 0 this
-    degenerates to the bicommutant identity Alg(lat_family) = algebra.
+    Computes V = {X leaving every family member invariant} as the stack
+    X_1, ..., X_m of ``_corner_solve``'s tower: level 0 is the algebra M,
+    which is Alg(lat_M) by ``lat_family``'s construction, and level j adds
+    the last block column, fixed by P_j and Q_j.  With C_k the corner
+    (0, 0) block of X_k and Phi the triangular representation, it asserts:
+
+    1. m equals dim M and its closed form ``spec.expected_dim()`` (a
+       ``generated`` algebra has none);
+    2. the corners are orthonormal, ||G - I||_F <= 1e-8 for their Gram
+       matrix G (the guard of ``OperatorSpace``), so the X_k, whose
+       corners are independent, are too;
+    3. rho = max_k ||X_k - Phi(C_k)||_F is within the tolerance, so V is
+       Phi of the span of the corners;
+    4. the bound below, which also carries the corners' distances
+       mu_k = ||C_k - P_M C_k||_F from M, is within the tolerance.
+
+    Phi is injective (Phi(a)_00 = a), so with m = dim M these give
+    V = Phi(M).  Numerically, for a in M: with delta = ||G - I||_F < 1,
+    the smallest singular value of the corner stack is at least
+    sigma = sqrt(1 - delta).  A unit u = sum_k c_k C_k then has
+    ||c||_2 <= 1 / sigma and distance at most ||mu||_2 / sigma from M.
+    The span of the C_k and M both have dimension m, so that is also the
+    largest sine of their principal angles the other way: a = P a + r,
+    with P the projection onto the span of the corners, P a = sum_k c_k C_k,
+    ||c||_2 <= ||a|| / sigma and ||r|| <= ||a|| ||mu||_2 / sigma.  Then
+    Phi(a) = sum_k c_k X_k - sum_k c_k (X_k - Phi(C_k)) + Phi(r), and
+    Phi(r) = exp(S) (I (x) r) exp(-S), so
+
+        dist(Phi(a), V) <= ||a|| (sqrt(m) rho
+                                  + sqrt(n + 1) ||exp S||^2 ||mu||_2) / sigma,
+
+    all norms Frobenius.  That bound for ||a|| = 1 is ``membership_bound``;
+    no algebra element is projected onto V.  The Frobenius residual is at
+    least the operator norm of X_k - Phi(C_k), and the bound at least the
+    relative residual ||Phi(a) - P_V Phi(a)|| / (1 + ||Phi(a)||) of such a
+    projection, so judging them is no looser than judging those.
+    Certificate 2 needs the whole family: a tower missing a graph member
+    below the top level can reach the right V with corners that are
+    independent but not orthonormal, and fails 2.
+
+    needed_Q (dropping the Q_j strictly enlarges the solution) compares m
+    with the graph lemma's count dim Alg(lat_M) + n N^2 (see the module
+    docstring).  For n = 0 this degenerates to the bicommutant identity
+    Alg(lat_family) = algebra.
 
     The algebra is the one the family carries (built and certified by
-    ``lat_family``); there is no bicommutant solve.  ``family``
-    is a prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
+    ``lat_family``); there is no bicommutant solve.  ``family`` is a
+    prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
     reuse; without it the family is built here.  A family of another base
-    dimension or order raises ValueError.  Reconstruction and membership
-    are each one batched step over all elements
-    (``triangular_representations``).
+    dimension or order raises ValueError.
 
     Raises ReflexivityViolation (report attached) when any assertion
     fails, unless ``raise_on_fail`` is False.
@@ -634,38 +674,39 @@ def reflexivity_check(
             f"expected {d.dim} and {n}"
         )
     algebra = family.algebra
-    solved, without_q_dim = _corner_solve(family, tol)
-
-    base = d.dim
+    elems, without_q_dim = _corner_solve(family, tol)
+    m, corners = len(elems), elems[:, : d.dim, : d.dim]
     exp_norm = corner_exponential_norm(d, n)
     scale_tol = tol.alg(exp_norm, exp_norm)
 
-    elems = solved.basis_elements
-    recon = operator_norm(elems - triangular_representations(d, elems[:, :base, :base], n))
-    element_residuals = recon.tolist()
+    gram = _gram_deviation(corners.reshape(m, d.dim**2))
+    mu = algebra._residuals(corners) * (1.0 + np.linalg.norm(corners, axis=(1, 2)))
+    recon, step = np.zeros(m), max(1, _BATCH_ENTRIES // elems.shape[1] ** 2)
+    for k in range(0, m, step):  # ||X - Phi(X_00)||_F, a batch of elements at a time
+        diff = triangular_representations(d, corners[k : k + step], n) - elems[k : k + step]
+        recon[k : k + step] = np.linalg.norm(diff, axis=(1, 2))
     max_recon = float(recon.max(initial=0.0))
-    membership = solved._residuals(triangular_representations(d, algebra.basis_elements, n))
-    max_member = float(membership.max(initial=0.0))
+    sigma = np.sqrt(max(1.0 - gram, 0.0))
+    spread = np.sqrt(m) * max_recon + np.sqrt(n + 1) * exp_norm**2 * np.linalg.norm(mu)
+    bound = float(spread / sigma) if sigma else np.inf
 
-    dim_expected = spec.expected_dim()
-    if dim_expected is None:
-        dim_expected = algebra.dim
-    passed = (
-        solved.dim == dim_expected == algebra.dim
-        and max_recon <= scale_tol
-        and max_member <= scale_tol
+    dim_expected = spec.expected_dim() or algebra.dim
+    passed = bool(
+        m == dim_expected == algebra.dim
+        and gram <= _GRAM_GUARD
+        and max(max_recon, bound) <= scale_tol
     )
     report = ReflexivityReport(
         scenario=spec.label(),
         order=n,
         dim_expected=dim_expected,
-        dim_computed=solved.dim,
+        dim_computed=m,
         max_reconstruction_residual=max_recon,
-        max_membership_residual=max_member,
-        needed_Q=without_q_dim > solved.dim,
+        membership_bound=bound,
+        needed_Q=without_q_dim > m,
         passed=passed,
         tolerance=scale_tol,
-        element_residuals=element_residuals,
+        element_residuals=recon.tolist(),
     )
     if not passed and raise_on_fail:
         raise ReflexivityViolation(report)

@@ -41,7 +41,7 @@ from .core import (
     operator_norm,
     save_operator,
 )
-from .derivation import DerivativeChain, derivative_chain
+from .derivation import DerivativeChain, _chain, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
@@ -148,9 +148,7 @@ def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) 
     xs = np.asarray(xs, dtype=complex)
     if xs.ndim != 3 or xs.shape[1:] != (base, base):
         raise DimensionMismatch(f"expected a stack of {base}x{base} operators, got shape {xs.shape}")
-    deltas = [xs]
-    for _ in range(n):
-        deltas.append(1j * (d.base @ deltas[-1] - deltas[-1] @ d.base))
+    deltas = _chain(d, xs, n)
     return _toeplitz_blocks([delta / math.factorial(j) for j, delta in enumerate(deltas)], n)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opderiv import derivation, triangular
 from opderiv.core import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -233,6 +234,30 @@ def test_chain_circle_closed_form():
     for j in (1, 2):  # the recursion delta^j(x) = i[D, delta^(j-1)(x)]
         residual = chain.delta(j) - commutator_derivative(d, chain.delta(j - 1))
         assert operator_norm(residual) <= 1e-14
+
+
+def test_derivative_chain_validates_its_input_once(monkeypatch):
+    # one as_operator per chain: the derivatives are computed from the
+    # validated x and are not validated again, and the stacked representation
+    # shares the same chain helper, validating nothing per element
+    calls = []
+    validate = derivation.as_operator
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return validate(a)
+
+    monkeypatch.setattr(derivation, "as_operator", counting)
+    d = circle_generator(2)
+    s = circle_shift(2, 1)
+    chain = derivative_chain(d, s, 5)
+    assert calls == [(5, 5)]
+    for j in range(1, 6):
+        np.testing.assert_allclose(chain.delta(j), 1j**j * s, atol=1e-12)
+    stack = triangular.triangular_representations(d, np.stack([s, 2 * s]), 5)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(stack[1], 2 * stack[0])
+    np.testing.assert_array_equal(stack[0], triangular.triangular_representation(chain).matrix)
 
 
 def test_chain_norm_values():

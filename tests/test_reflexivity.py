@@ -557,7 +557,7 @@ def test_reflexivity_full_c3_n1():
     report = reflexivity_check(spec, d, 1)
     assert report.passed and report.dim_computed == 9
     assert report.max_reconstruction_residual <= 1e-8
-    assert report.max_membership_residual <= 1e-8
+    assert report.membership_bound <= 1e-8
 
 
 def test_reflexivity_masa_c3_n2():
@@ -652,15 +652,15 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     for base in (2, 3, 4):
         spec = _oracle_spec(kind, base)
         report = reflexivity_check(spec, rng_generator(np.random.default_rng(60), base), n)
-        family, space, without_q_dim = solves.pop()
+        family, elems, without_q_dim = solves.pop()
         dim = family.ambient_dim
         oracle = _full_space_null(family.subspaces, dim)
         without_q = _full_space_null(_without_q(family).subspaces, dim)
-        assert space.dim == report.dim_computed == oracle.shape[1] == report.dim_expected
+        assert len(elems) == report.dim_computed == oracle.shape[1] == report.dim_expected
         # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
         assert without_q_dim == without_q.shape[1] == family.algebra.dim + n * base**2
         assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
-        q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+        q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
         assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
@@ -686,9 +686,9 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     d = rng_generator(np.random.default_rng(64), 3)
     family = invariant_family(spec, d, n)
     calls = _recording_nullspace(monkeypatch)
-    space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
     base, alg_dim = 3, spec.expected_dim()
-    assert space.dim == alg_dim and space.ambient_dim == 3 * (n + 1)
+    assert elems.shape == (alg_dim, 3 * (n + 1), 3 * (n + 1))
     # one solve per level j >= 2, none at level 1; needed_Q takes no solve
     assert [dim for dim, _, _ in calls] == [base * j for j in range(2, n + 1)]
     # its one constraint is Kc* A K = 0: (j - 1) N^2 rows over the coefficients
@@ -713,11 +713,11 @@ def test_corner_solve_without_graph_members_matches_oracle(drop):
         2,
         family.algebra,
     )
-    space, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
+    elems, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     oracle = _full_space_null(reduced.subspaces, 6)
-    assert space.dim == oracle.shape[1] > 2
+    assert len(elems) == oracle.shape[1] > 2
     assert without_q_dim == _full_space_null(_without_q(reduced).subspaces, 6).shape[1]
-    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+    q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
@@ -730,52 +730,76 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
     assert family.algebra.equals(algebra, tol=1e-12)
     assert alg_of_family(lat, ambient_dim=3).equals(algebra, tol=1e-10)
     calls = _recording_nullspace(monkeypatch)
-    space, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
-    assert not calls and space is family.algebra
-    assert without_q_dim == space.dim == 5
+    elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert not calls and elems is family.algebra.basis_elements
+    assert without_q_dim == len(elems) == 5
     # a hand-built family states its algebra on the base space
     with pytest.raises(ValueError, match="base space"):
         InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
 
 
-@pytest.mark.parametrize("n", (0, 1, 2))
-@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
-def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
-    # per element: one chain and one triangular representation each, one
-    # membership_residual per algebra element, the algebra solved as the bicommutant
-    spec = _oracle_spec(kind)
-    d = rng_generator(np.random.default_rng(62), 3)
-    corner_solve, solved = reflexivity._corner_solve, []
+def _checked_tower(spec, d, n, monkeypatch, noise=0.0):
+    """The check's report and the tower it judged, with ``noise`` N(0, 1)
+    added to every entry of the tower."""
+    corner_solve, solved, rng = reflexivity._corner_solve, [], np.random.default_rng(69)
 
     def recording(family, tol):
-        out = corner_solve(family, tol)
-        solved.append(out[0])
-        return out
+        elems, without_q_dim = corner_solve(family, tol)
+        solved.append(elems + noise * rng.standard_normal(elems.shape))
+        return solved[-1], without_q_dim
 
     monkeypatch.setattr(reflexivity, "_corner_solve", recording)
     report = reflexivity_check(spec, d, n, raise_on_fail=False)
-    (space,) = solved
-    reps = [
-        triangular_representation(derivative_chain(d, x[:3, :3], n)).matrix
-        for x in space.basis_elements
-    ]
-    batched = triangular_representations(d, space.basis_elements[:, :3, :3], n)
+    return report, solved.pop()
+
+
+def _membership(spec, d, n, elems):
+    """The largest membership residual of Phi(a) in the span of the tower,
+    over the algebra's basis, the algebra solved as the bicommutant."""
+    space = OperatorSpace.span(elems.shape[1], elems)
+    return max(
+        space.membership_residual(triangular_representation(derivative_chain(d, g, n)).matrix)
+        for g in bicommutant(spec).basis_elements
+    )
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
+    # per element: one chain and one triangular representation each; the
+    # measured membership residual of the algebra in the orthonormalized tower
+    # is within the implied bound the check reports
+    spec = _oracle_spec(kind)
+    d = rng_generator(np.random.default_rng(62), 3)
+    report, elems = _checked_tower(spec, d, n, monkeypatch)
+    reps = [triangular_representation(derivative_chain(d, x[:3, :3], n)).matrix for x in elems]
+    batched = triangular_representations(d, elems[:, :3, :3], n)
     for rep, want in zip(batched, reps):
         assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
-    recon = [operator_norm(x - rep) for x, rep in zip(space.basis_elements, reps)]
-    algebra = bicommutant(spec)
-    member = max(
-        space.membership_residual(triangular_representation(derivative_chain(d, g, n)).matrix)
-        for g in algebra.basis_elements
-    )
-    assert len(report.element_residuals) == len(recon) == space.dim
+    recon = [np.linalg.norm(x - rep) for x, rep in zip(elems, reps)]
+    assert len(report.element_residuals) == len(recon) == len(elems)
     for got, want in zip(report.element_residuals, recon):
         assert abs(got - want) <= 1e-12 * (1 + want)
     assert report.max_reconstruction_residual == max(report.element_residuals)
-    assert abs(report.max_membership_residual - member) <= 1e-12 * (1 + member)
-    assert report.dim_expected == algebra.dim
-    passed = space.dim == algebra.dim and max(max(recon), member) <= report.tolerance
-    assert report.passed == passed
+    # measuring the residual rounds too, by about eps per dimension of C^d
+    roundoff = elems.shape[1] * np.finfo(float).eps
+    assert _membership(spec, d, n, elems) <= report.membership_bound + roundoff
+    assert report.dim_expected == bicommutant(spec).dim == len(elems)
+    assert report.passed == (max(max(recon), report.membership_bound) <= report.tolerance)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_membership_bound_holds_for_a_perturbed_tower(kind, n, monkeypatch):
+    # 1e-7 N(0, 1) on every entry moves the corners off M and off orthonormality
+    # and the elements off Phi of their corners, far above roundoff: the bound
+    # still covers the measured membership residual, and the check fails
+    spec = _oracle_spec(kind)
+    d = rng_generator(np.random.default_rng(62), 3)
+    report, elems = _checked_tower(spec, d, n, monkeypatch, noise=1e-7)
+    member = _membership(spec, d, n, elems)
+    assert 1e-9 < member <= report.membership_bound
+    assert not report.passed
 
 
 def test_reflexivity_check_with_prebuilt_family(monkeypatch):
@@ -921,12 +945,12 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
         family.algebra,
     )
     calls = _recording_nullspace(monkeypatch)
-    space, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
+    elems, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     ((_, [(rows, cols)], (_, kept)),) = calls
     assert rows == 4 and cols == 2 + 4 * len(drop) and kept < cols  # N^2 or 2 N^2 free at level 1
     oracle = _full_space_null(reduced.subspaces, 6)
-    assert space.dim == kept == oracle.shape[1]
-    q, _ = np.linalg.qr(np.stack([vec(b) for b in space.basis_elements], axis=1))
+    assert len(elems) == kept == oracle.shape[1]
+    q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
@@ -956,8 +980,8 @@ def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkey
     corner_solve = reflexivity._corner_solve
 
     def losing(family, tol):
-        space, without_q_dim = corner_solve(family, tol)
-        return OperatorSpace(space.ambient_dim, space.basis_elements[1:]), without_q_dim
+        elems, without_q_dim = corner_solve(family, tol)
+        return elems[1:], without_q_dim
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, 1)
@@ -972,17 +996,18 @@ def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkey
 def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch):
     # eps = 1e-6 N(0, 1) on every Y_top entry of the solved elements: no element
     # is the representation of its (0, 0) block any more.  At full (8, 2) the
-    # reconstruction residual is several times the tolerance.  The same mutant
-    # at (16, 3) waits for a tolerance from a roundoff model of the tower
-    # (ROADMAP item 2): today it reads about 0.1 of the tolerance there.
+    # Frobenius reconstruction residual is over 11 times the tolerance (seeds
+    # 1-10).  The same mutant at (16, 3) waits for a tolerance from a roundoff
+    # model of the tower (ROADMAP item 2): its reconstruction residual reads
+    # about 0.1 of today's tolerance there.
     base, n = 8, 2
     corner_solve, noise = reflexivity._corner_solve, np.random.default_rng(seed)
 
     def perturbed(family, tol):
-        space, without_q_dim = corner_solve(family, tol)
-        elems = space.basis_elements.copy()
+        elems, without_q_dim = corner_solve(family, tol)
+        elems = elems.copy()
         elems[:, : base * n, base * n :] += 1e-6 * noise.standard_normal((len(elems), base * n, base))
-        return OperatorSpace.span(space.ambient_dim, elems), without_q_dim
+        return elems, without_q_dim
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, seed)
@@ -990,7 +1015,48 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
     monkeypatch.setattr(reflexivity, "_corner_solve", perturbed)
     report = reflexivity_check(spec, gen, n, seed=seed, raise_on_fail=False)
     assert report.dim_computed == base**2
-    assert not report.passed and report.max_reconstruction_residual > report.tolerance
+    assert not report.passed and report.max_reconstruction_residual > 10 * report.tolerance
+
+
+def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
+    # the count m is right but the elements span one dimension less: the corner
+    # Gram certificate fails, and sigma = 0 makes the membership bound infinite
+    corner_solve = reflexivity._corner_solve
+
+    def repeating(family, tol):
+        elems, without_q_dim = corner_solve(family, tol)
+        return np.concatenate([elems[:-1], elems[:1]]), without_q_dim
+
+    spec = VonNeumannAlgebraSpec("full", 3)
+    gen, _ = random_scenario(3, 1)
+    monkeypatch.setattr(reflexivity, "_corner_solve", repeating)
+    report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
+    assert report.dim_computed == 9 and report.max_reconstruction_residual <= report.tolerance
+    assert not report.passed and report.membership_bound == np.inf
+
+
+def test_reflexivity_check_fails_a_corner_outside_the_algebra(monkeypatch):
+    # one element replaced by the representation of a unit corner with an
+    # off-diagonal part: orthonormal corners and exact reconstruction, but the
+    # solution holds an operator outside Phi(M), which only the corners-in-M
+    # residual in the membership bound sees
+    corner_solve, eps = reflexivity._corner_solve, 1e-3
+
+    def leaking(family, tol):
+        elems, without_q_dim = corner_solve(family, tol)
+        corner = elems[0, :3, :3].copy()
+        corner[0, 1] = eps
+        corner /= np.linalg.norm(corner)
+        elems = elems.copy()
+        elems[0] = triangular_representations(gen, corner[None], 2)[0]
+        return elems, without_q_dim
+
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
+    gen, _ = random_scenario(3, 1)
+    monkeypatch.setattr(reflexivity, "_corner_solve", leaking)
+    report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
+    assert report.dim_computed == 3 and report.max_reconstruction_residual <= report.tolerance
+    assert not report.passed and report.membership_bound > 100 * report.tolerance
 
 
 def test_reflexivity_check_counts_against_the_closed_form_dimension():
@@ -1005,9 +1071,8 @@ def test_reflexivity_check_counts_against_the_closed_form_dimension():
 
 
 def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
-    # the tower orthonormalizes once, by one QR of the (81, 9) vec stack of the
-    # operators on C^9 in OperatorSpace.span; no SVD sees an operand with 81 rows
-    # or columns (the rank check takes the SVD of the 9 x 9 R)
+    # the verdict is read off the tower in its own coordinates: no SVD and no
+    # QR sees an operand with d^2 = 81 rows or columns (operators on C^9)
     svd, qr, svd_shapes, qr_shapes = np.linalg.svd, np.linalg.qr, [], []
 
     def recording_svd(a, *args, **kwargs):
@@ -1023,8 +1088,29 @@ def test_reflexivity_check_makes_no_svd_of_a_vec_stack(monkeypatch):
     spec = VonNeumannAlgebraSpec("full", 3)
     report = reflexivity_check(spec, rng_generator(np.random.default_rng(66), 3), 2)
     assert report.passed and report.dim_computed == 9
-    assert svd_shapes and not [shape for shape in svd_shapes if 81 in shape]
-    assert [shape for shape in qr_shapes if 81 in shape] == [(81, 9)]
+    assert svd_shapes and not [shape for shape in svd_shapes + qr_shapes if 81 in shape]
+
+
+def test_reflexivity_check_represents_only_the_corners_of_the_tower(monkeypatch):
+    # with the family prebuilt, the check represents the tower's m corners once,
+    # for reconstruction: the solution is not orthonormalized, and the algebra's
+    # basis is not represented for a membership pass
+    spec = VonNeumannAlgebraSpec("full", 3)
+    gen = rng_generator(np.random.default_rng(66), 3)
+    family = invariant_family(spec, gen, 2)
+    represented = []
+
+    def recording(d, xs, n):
+        represented.append(xs.shape)
+        return triangular_representations(d, xs, n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("OperatorSpace.span called")
+
+    monkeypatch.setattr(reflexivity, "triangular_representations", recording)
+    monkeypatch.setattr(OperatorSpace, "span", classmethod(forbidden))
+    assert reflexivity_check(spec, gen, 2, family=family).passed
+    assert represented == [(9, 3, 3)]
 
 
 def test_reflexivity_full_c16_n3():
@@ -1096,14 +1182,15 @@ def test_reflexivity_generated_algebra():
 
 
 def test_reflexivity_violation_raises_with_diagnostics():
+    # without Q_1 the bottom block is free: dimension 2 N^2 = 8, not 4
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
-    squeezed = DEFAULT_TOL.replace(tol_alg=1e-30)
+    mutant = _without_q(invariant_family(spec, d, 1))
     with pytest.raises(ReflexivityViolation) as err:
-        reflexivity_check(spec, d, 1, tol=squeezed)
-    assert err.value.report.dim_computed == 4
-    report = reflexivity_check(spec, d, 1, tol=squeezed, raise_on_fail=False)
-    assert not report.passed
+        reflexivity_check(spec, d, 1, family=mutant)
+    assert err.value.report.dim_computed == 8 and not err.value.report.passed
+    report = reflexivity_check(spec, d, 1, family=mutant, raise_on_fail=False)
+    assert report == err.value.report
 
 
 def test_reflexivity_report_json_schema():
