@@ -738,19 +738,19 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
         InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
 
 
-def _checked_tower(spec, d, n, monkeypatch, noise=0.0):
-    """The check's report and the tower it judged, with ``noise`` N(0, 1)
-    added to every entry of the tower."""
-    corner_solve, solved, rng = reflexivity._corner_solve, [], np.random.default_rng(69)
+def _checked_tower(spec, d, n, monkeypatch, mutate=None, seed=0):
+    """The check's report and the tower it judged: the solved stack, or
+    ``mutate`` of it."""
+    corner_solve, judged = reflexivity._corner_solve, []
 
-    def recording(family, tol):
+    def mutated(family, tol):
         elems, without_q_dim = corner_solve(family, tol)
-        solved.append(elems + noise * rng.standard_normal(elems.shape))
-        return solved[-1], without_q_dim
+        judged.append(elems if mutate is None else mutate(elems))
+        return judged[-1], without_q_dim
 
-    monkeypatch.setattr(reflexivity, "_corner_solve", recording)
-    report = reflexivity_check(spec, d, n, raise_on_fail=False)
-    return report, solved.pop()
+    monkeypatch.setattr(reflexivity, "_corner_solve", mutated)
+    report = reflexivity_check(spec, d, n, seed=seed, raise_on_fail=False)
+    return report, judged.pop()
 
 
 def _membership(spec, d, n, elems):
@@ -796,7 +796,10 @@ def test_membership_bound_holds_for_a_perturbed_tower(kind, n, monkeypatch):
     # still covers the measured membership residual, and the check fails
     spec = _oracle_spec(kind)
     d = rng_generator(np.random.default_rng(62), 3)
-    report, elems = _checked_tower(spec, d, n, monkeypatch, noise=1e-7)
+    rng = np.random.default_rng(69)
+    report, elems = _checked_tower(
+        spec, d, n, monkeypatch, lambda elems: elems + 1e-7 * rng.standard_normal(elems.shape)
+    )
     member = _membership(spec, d, n, elems)
     assert 1e-9 < member <= report.membership_bound
     assert not report.passed
@@ -1000,20 +1003,17 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
     # 1-10).  The same mutant at (16, 3) waits for a tolerance from a roundoff
     # model of the tower (ROADMAP item 2): its reconstruction residual reads
     # about 0.1 of today's tolerance there.
-    base, n = 8, 2
-    corner_solve, noise = reflexivity._corner_solve, np.random.default_rng(seed)
+    base, n, noise = 8, 2, np.random.default_rng(seed)
 
-    def perturbed(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
+    def perturbed(elems):
         elems = elems.copy()
         elems[:, : base * n, base * n :] += 1e-6 * noise.standard_normal((len(elems), base * n, base))
-        return elems, without_q_dim
+        return elems
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, seed)
     assert reflexivity_check(spec, gen, n, seed=seed).passed
-    monkeypatch.setattr(reflexivity, "_corner_solve", perturbed)
-    report = reflexivity_check(spec, gen, n, seed=seed, raise_on_fail=False)
+    report, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
     assert report.dim_computed == base**2
     assert not report.passed and report.max_reconstruction_residual > 10 * report.tolerance
 
@@ -1021,16 +1021,11 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
 def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
     # the count m is right but the elements span one dimension less: the corner
     # Gram certificate fails, and sigma = 0 makes the membership bound infinite
-    corner_solve = reflexivity._corner_solve
-
-    def repeating(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
-        return np.concatenate([elems[:-1], elems[:1]]), without_q_dim
-
     spec = VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 1)
-    monkeypatch.setattr(reflexivity, "_corner_solve", repeating)
-    report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
+    report, _ = _checked_tower(
+        spec, gen, 2, monkeypatch, lambda elems: np.concatenate([elems[:-1], elems[:1]]), seed=1
+    )
     assert report.dim_computed == 9 and report.max_reconstruction_residual <= report.tolerance
     assert not report.passed and report.membership_bound == np.inf
 
@@ -1040,21 +1035,17 @@ def test_reflexivity_check_fails_a_corner_outside_the_algebra(monkeypatch):
     # off-diagonal part: orthonormal corners and exact reconstruction, but the
     # solution holds an operator outside Phi(M), which only the corners-in-M
     # residual in the membership bound sees
-    corner_solve, eps = reflexivity._corner_solve, 1e-3
-
-    def leaking(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
+    def leaking(elems):
         corner = elems[0, :3, :3].copy()
-        corner[0, 1] = eps
+        corner[0, 1] = 1e-3
         corner /= np.linalg.norm(corner)
         elems = elems.copy()
         elems[0] = triangular_representations(gen, corner[None], 2)[0]
-        return elems, without_q_dim
+        return elems
 
     spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
     gen, _ = random_scenario(3, 1)
-    monkeypatch.setattr(reflexivity, "_corner_solve", leaking)
-    report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
+    report, _ = _checked_tower(spec, gen, 2, monkeypatch, leaking, seed=1)
     assert report.dim_computed == 3 and report.max_reconstruction_residual <= report.tolerance
     assert not report.passed and report.membership_bound > 100 * report.tolerance
 
