@@ -4,14 +4,17 @@ Everything in the toolkit runs on square complex ndarrays ("operators").
 This module provides the Hermitian eigendecomposition, the operator norm,
 the one-parameter unitary group t -> exp(itD), spectral band projections
 for the half-open intervals (r-1, r], orthonormal subspaces, linear spaces
-of operators, and a nullspace solver for stacked linear operator equations
-C @ vec(X) = 0.
+of operators, and a nullspace solver for stacked linear equations C @ u = 0.
 
 Conventions
 -----------
-* Vectorization is column-major (Fortran order) throughout, so that
-  ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``.  The order is fixed so
-  nullspace bases are reproducible run to run.
+* The nullspace solver works in coordinates its caller chooses: the
+  commutant solves on the coefficients of its matrix units, a corner
+  level on the coefficients of the level below.  No operator is
+  vectorized into solver coordinates.  Where an operator is flattened
+  (into the rows of a constraint, or for the trace inner product as a
+  dot product) it is flattened row-major, numpy's order, so results are
+  reproducible run to run.
 * All values are treated as immutable after construction; every operation
   is a pure function of its inputs, safe for concurrent use.
 """
@@ -42,7 +45,6 @@ __all__ = [
     "spectral_band_projections",
     "Subspace",
     "OperatorSpace",
-    "invariance_constraint",
     "nullspace_of_constraints",
     "save_operator",
     "load_operator",
@@ -276,8 +278,7 @@ def _gram_deviation(rows: np.ndarray) -> float:
 class Subspace:
     """Closed subspace given by an orthonormal basis (columns).
 
-    The projection field is derived: ``basis @ basis*``.  Subspaces are
-    compared through projections, never through bases.
+    The projection field is derived: ``basis @ basis*``.
     """
 
     ambient_dim: int
@@ -311,12 +312,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def distance(self, other: "Subspace") -> float:
-        """Operator-norm distance between the two projections."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-        return operator_norm(self.projection - other.projection)
 
     def embedded(self, ambient_dim: int, offset: int = 0) -> "Subspace":
         """The same subspace inside a larger space (basis rows shifted by offset)."""
@@ -372,11 +367,6 @@ class OperatorSpace:
         q = np.ascontiguousarray(q.T).reshape(elems.shape)
         return cls(dim, q)  # the constructor checks the shape
 
-    @classmethod
-    def from_columns(cls, dim: int, columns: np.ndarray) -> "OperatorSpace":
-        """The space whose orthonormal basis is the columns of a ``(dim*dim, m)`` vec array."""
-        return cls(dim, columns.T.reshape(-1, dim, dim).transpose(0, 2, 1))
-
     @property
     def dim(self) -> int:
         return len(self.basis_elements)
@@ -395,15 +385,6 @@ class OperatorSpace:
         basis = self.basis_elements.reshape(self.dim, d * d)
         resid = flat - (flat @ basis.conj().T) @ basis
         return np.linalg.norm(resid, axis=1) / (1.0 + np.linalg.norm(flat, axis=1))
-
-    def equals(self, other: "OperatorSpace", tol: float = 1e-9) -> bool:
-        """Same span: equal dimensions plus mutual membership of the bases."""
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return bool(
-            np.all(self._residuals(other.basis_elements) <= tol)
-            and np.all(other._residuals(self.basis_elements) <= tol)
-        )
 
     def product_closure_residual(self, max_pairs: int | None = None) -> float:
         """Worst membership residual among pairwise products of basis elements.
@@ -429,20 +410,6 @@ class OperatorSpace:
         return worst
 
 
-def invariance_constraint(v) -> np.ndarray:
-    """Matrix of X -> Qc* X V, where the columns of V are an orthonormal
-    basis of a subspace and those of Qc an orthonormal basis of its
-    complement; nullspace = operators leaving the subspace invariant.
-
-    It has k * (d - k) rows for a k-dimensional subspace of C^d (none for
-    the zero or the whole space), against d * d for the equivalent map
-    X -> (I - P) X P.  Its rows are orthonormal.
-    """
-    v = np.asarray(v, dtype=complex)
-    q, _ = np.linalg.qr(v, mode="complete")
-    return np.kron(v.T, q[:, v.shape[1] :].conj().T)
-
-
 def nullspace_of_constraints(
     constraints,
     dim: int,
@@ -452,11 +419,11 @@ def nullspace_of_constraints(
     """Orthonormal basis of {u : C @ u = 0 for every constraint C}, as the
     columns of an ``(M, m)`` array of coordinates.
 
-    The coordinates are those of vec(X) for an operator X on C^dim
-    (M = dim*dim), or any other M coordinates a caller chooses, such as
-    the coefficients of an operator on a basis: each constraint is a 2-D
-    ndarray with one column per coordinate, and M is their column count
-    (dim*dim when there is none).  The solution is narrowed one
+    The M coordinates are whatever the caller solves on, such as the
+    coefficients of an operator on a basis of candidates: each constraint
+    is a 2-D ndarray with one column per coordinate, and M is their column
+    count (dim*dim, the entries of an operator on C^dim, when there is
+    none).  The solution is narrowed one
     constraint at a time (an intersection of null spaces): the constraint
     is restricted to the current orthonormal null basis B, the SVD of
     C @ B is taken, and B is replaced by B times the right singular
@@ -469,8 +436,7 @@ def nullspace_of_constraints(
     that earlier constraints already imply, is treated as zero instead of
     as a noise matrix of spurious full rank.  With no constraints the
     whole coordinate space is returned; a trivial solution space yields an
-    empty basis.  ``OperatorSpace.from_columns`` turns a vec-coordinate
-    result into a space.
+    empty basis.
     """
     tol = tol or DEFAULT_TOL
     basis = None  # the whole coordinate space

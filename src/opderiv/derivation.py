@@ -24,8 +24,9 @@ product of the band embedding's ``V* x V`` per sample, no matrix product.
 
 At finite dimension every operator is smooth, domains are the whole
 space, and closures are identities, so none of that bookkeeping appears
-here.  Iteration order is capped (default 8) because the intermediate
-norms grow factorially and exhaust double precision beyond that.
+here.  Iteration order is capped at ``MAX_DERIVATIVE_ORDER`` (8) because
+the intermediate norms grow factorially and exhaust double precision
+beyond that.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ def _check_dims(d: SelfAdjointGenerator, x: np.ndarray):
         raise DimensionMismatch(f"operator dim {x.shape[0]} != generator dim {d.dim}")
 
 
-def _check_order(k: int, max_order: int):
+def _check_order(k: int):
     if k < 1:
         raise ValueError("derivative order must be >= 1")
-    if k > max_order:
+    if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(
-            f"derivative order {k} exceeds the cap {max_order}; intermediate "
+            f"derivative order {k} exceeds the cap {MAX_DERIVATIVE_ORDER}; intermediate "
             "norms grow factorially and lose all precision beyond it"
         )
 
@@ -116,17 +117,13 @@ def commutator_derivative(d: SelfAdjointGenerator, x) -> np.ndarray:
     return _chain(d, x, 1)[1]
 
 
-def iterated_derivative(
-    d: SelfAdjointGenerator, x, k: int, max_order: int = MAX_DERIVATIVE_ORDER
-) -> np.ndarray:
-    """k-fold commutator derivative, k >= 1."""
-    _check_order(k, max_order)
+def iterated_derivative(d: SelfAdjointGenerator, x, k: int) -> np.ndarray:
+    """k-fold commutator derivative, 1 <= k <= ``MAX_DERIVATIVE_ORDER``."""
+    _check_order(k)
     return derivative_chain(d, x, k).delta(k)
 
 
-def binomial_derivative(
-    d: SelfAdjointGenerator, x, k: int, max_order: int = MAX_DERIVATIVE_ORDER
-) -> np.ndarray:
+def binomial_derivative(d: SelfAdjointGenerator, x, k: int) -> np.ndarray:
     """The k-th derivative as the expanded binomial sum.
 
     ``i^k * sum_j C(k, j) (-1)^j D^(k-j) x D^j`` -- algebraically equal to
@@ -135,7 +132,7 @@ def binomial_derivative(
     """
     x = as_operator(x)
     _check_dims(d, x)
-    _check_order(k, max_order)
+    _check_order(k)
     powers = [np.eye(d.dim, dtype=complex)]
     for _ in range(k):
         powers.append(powers[-1] @ d.base)
@@ -223,7 +220,7 @@ def band_embed(d: SelfAdjointGenerator, x) -> BandMatrix:
     return BandMatrix(generator=d, coeffs=v.conj().T @ x @ v, slices=slices)
 
 
-def band_derivation(bm: BandMatrix, k: int, max_order: int = MAX_DERIVATIVE_ORDER) -> BandMatrix:
+def band_derivation(bm: BandMatrix, k: int) -> BandMatrix:
     """Blockwise k-th derivation on the band decomposition.
 
     Per block: ``i^k * sum_j C(k, j) (-1)^(k-j) d_r^j y_rc d_c^(k-j)`` with
@@ -234,7 +231,7 @@ def band_derivation(bm: BandMatrix, k: int, max_order: int = MAX_DERIVATIVE_ORDE
     reproduces the k-th iterated commutator derivative of the original
     operator.
     """
-    _check_order(k, max_order)
+    _check_order(k)
     lam = bm.generator.eigenvalues
     y = bm.coeffs
     acc = np.zeros_like(y)
@@ -299,8 +296,10 @@ def leibniz_check(
     """Derivation property: i[D, xy] = i[D, x] y + x i[D, y]."""
     tol = tol or DEFAULT_TOL
     x, y = as_operator(x), as_operator(y)
-    lhs = commutator_derivative(d, x @ y)
-    rhs = commutator_derivative(d, x) @ y + x @ commutator_derivative(d, y)
+    _check_dims(d, x)
+    _check_dims(d, y)
+    lhs = _chain(d, x @ y, 1)[1]
+    rhs = _chain(d, x, 1)[1] @ y + x @ _chain(d, y, 1)[1]
     resid = operator_norm(lhs - rhs)
     tolerance = tol.alg(d.norm(), operator_norm(x), operator_norm(y))
     return CheckReport("leibniz", instance_id, [resid], tolerance, resid <= tolerance)
@@ -328,7 +327,8 @@ def lipschitz_check(
     """
     tol = tol or DEFAULT_TOL
     x = as_operator(x)
-    dx_norm = operator_norm(commutator_derivative(d, x))
+    _check_dims(d, x)
+    dx_norm = operator_norm(_chain(d, x, 1)[1])
     x_norm = operator_norm(x)
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
     ts = np.asarray(t_samples, dtype=float)
@@ -380,7 +380,8 @@ def uniform_convergence_check(
     hs = [float(h) for h in h_sequence]
     if any(h <= 0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_sequence must be positive and strictly decreasing")
-    dx = commutator_derivative(d, x)
+    _check_dims(d, x)
+    dx = _chain(d, x, 1)[1]
     steps = np.array(hs)
     quotients = (automorphism(d, x, steps) - x) / steps[:, None, None]
     residuals = operator_norm(quotients - dx).tolist()

@@ -6,10 +6,10 @@ subspaces: the algebra's own invariant subspaces embedded in the first
 block, the nested leading-corner subspaces, and two towers of graph
 subspaces (one for the generator, one for the generator shifted by the
 identity).  This module builds that family, computes commutants (in the
-eigenbasis of one Hermitian element) and algebras of subspace families
-as nullspace problems, and verifies that the corner operators leaving
-every family member invariant are exactly the triangular
-representations, with matching dimension.
+eigenbasis of one Hermitian element) as nullspace problems and the
+algebra of the family by the corner tower below, and verifies that the
+corner operators leaving every family member invariant are exactly the
+triangular representations, with matching dimension.
 
 The algebra and its invariant subspaces come from the block structure of
 the commutant, M = (+)_k M_{n_k} (x) I_{m_k} and M' = (+)_k I_{n_k} (x)
@@ -28,15 +28,14 @@ this and the dimension count give the whole theorem; the solution is
 never orthonormalized in the (N(n+1))^2-wide vec space, and the
 representation of the algebra is never tested for membership in it.
 
-All dimension counts are over the complex field.  Subspace equality and
-membership are always tested through projections, never bases.  The
-corner solve is a tower over the order, as in the paper's induction: it
-starts from the algebra, which is Alg(lat_M) by ``lat_family``'s
-construction, and adds one block column per level.  P_j is the graph of a
-map G from block j, so X = [[A, Y_top], [0, Y_bot]] leaves it invariant
-exactly when Y_top = G Y_bot - A G; with Q_j the graph of G' and K = G - G'
-of full column rank, X leaves both invariant exactly when also
-Y_bot = K+ A K and A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
+All dimension counts are over the complex field.  The corner solve is a
+tower over the order, as in the paper's induction: it starts from the
+algebra, which is Alg(lat_M) by ``lat_family``'s construction, and adds
+one block column per level.  P_j is the graph of a map G from block j,
+so X = [[A, Y_top], [0, Y_bot]] leaves it invariant exactly when
+Y_top = G Y_bot - A G; with Q_j the graph of G' and K = G - G' of full
+column rank, X leaves both invariant exactly when also Y_bot = K+ A K and
+A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
 Measured on one BLAS thread under a 2 GB memory cap (one run each),
@@ -63,7 +62,6 @@ from .core import (
     TolerancePolicy,
     _gram_deviation,
     as_operator,
-    invariance_constraint,
     nullspace_of_constraints,
     operator_norm,
 )
@@ -104,7 +102,9 @@ class ReflexivityViolation(RuntimeError):
         super().__init__(
             f"reflexivity check failed for {report.scenario} (n={report.order}): "
             f"dim {report.dim_computed} vs expected {report.dim_expected}, "
-            f"max residual {report.max_reconstruction_residual:.3e}"
+            f"reconstruction residual {report.max_reconstruction_residual:.3e}, "
+            f"membership bound {report.membership_bound:.3e}, "
+            f"tolerance {report.tolerance:.3e}"
         )
         self.report = report
 
@@ -114,6 +114,9 @@ class ReflexivityViolation(RuntimeError):
 # irrational ones, so a degenerate h (which costs time, not correctness)
 # takes a coincidence.
 _GOLDEN = (1.0 + 5.0**0.5) / 2.0
+
+# ``lat_family`` replaces a draw that fails certification this many times.
+_MAX_REDRAWS = 20
 
 
 def _cyclic_shift(n: int) -> np.ndarray:
@@ -272,7 +275,6 @@ def lat_family(
     spec: VonNeumannAlgebraSpec,
     tol: TolerancePolicy | None = None,
     seed: int = 0,
-    max_extra: int = 20,
 ) -> tuple[list[Subspace], OperatorSpace]:
     """A minimal generating family of invariant subspaces for the algebra,
     and the algebra, from the block structure of its commutant.
@@ -293,7 +295,7 @@ def lat_family(
     ``block_structure``, and by every generator lying in the algebra
     (``generators``: membership residual at most ``rank_cutoff``).  A
     draw that fails (a non-generic h, whose eigenspaces are not
-    irreducible) is replaced by a new one, up to ``max_extra`` times;
+    irreducible) is replaced by a new one, up to ``_MAX_REDRAWS`` times;
     exhaustion raises LatGenerationFailed with the last draw's failing
     checks.
     """
@@ -303,7 +305,7 @@ def lat_family(
     herms = np.stack(_hermitian_spanning_set(com, tol))
     generators = np.stack(spec.generating_set())
     rng = np.random.default_rng(seed)
-    for _ in range(max_extra + 1):
+    for _ in range(_MAX_REDRAWS + 1):
         h = np.tensordot(rng.standard_normal(len(herms)), herms, axes=1)
         classes, checks = block_structure(com, h, tol)
         if classes:
@@ -318,7 +320,7 @@ def lat_family(
     failed = ", ".join(f"{k} {r:.3e} > {b:.3e}" for k, (r, b) in checks.items() if r > b)
     raise LatGenerationFailed(
         f"could not certify the block structure of {spec.label()} "
-        f"after {max_extra} redraws: {failed}"
+        f"after {_MAX_REDRAWS} redraws: {failed}"
     )
 
 
@@ -425,34 +427,17 @@ def invariance_residuals(
     return out
 
 
-def alg_of_family(
-    family,
-    ambient_dim: int | None = None,
-    tol: TolerancePolicy | None = None,
-) -> OperatorSpace:
-    """Operators leaving every family member invariant.
+def alg_of_family(family: InvariantFamily, tol: TolerancePolicy | None = None) -> OperatorSpace:
+    """Operators leaving every member of an invariant family invariant.
 
-    Solved as the nullspace of the constraints Qc* X V = 0, one per
-    nontrivial member, V and Qc orthonormal bases of the member's range and
-    of its complement.  An InvariantFamily is solved by ``_corner_solve``,
-    which uses its structure, and its tower is orthonormalized by
-    ``OperatorSpace.span``.
+    Solved by ``_corner_solve``'s tower, which uses the family's
+    structure; the tower is orthonormalized by ``OperatorSpace.span``.
+    Anything but an InvariantFamily raises TypeError.
     """
+    if not isinstance(family, InvariantFamily):
+        raise TypeError(f"alg_of_family takes an InvariantFamily, not {type(family).__name__}")
     tol = tol or DEFAULT_TOL
-    if isinstance(family, InvariantFamily):
-        return OperatorSpace.span(family.ambient_dim, _corner_solve(family, tol)[0])
-    subspaces = list(family)
-    if subspaces:
-        ambient_dim = subspaces[0].ambient_dim
-    elif ambient_dim is None:
-        raise ValueError("ambient_dim is required for an empty family")
-
-    for sub in subspaces:
-        if sub.ambient_dim != ambient_dim:
-            raise ValueError("family members live in different ambient spaces")
-    constraints = (invariance_constraint(sub.basis) for sub in subspaces)
-    basis = nullspace_of_constraints(constraints, ambient_dim, tol, scale=1.0)
-    return OperatorSpace.from_columns(ambient_dim, basis)
+    return OperatorSpace.span(family.ambient_dim, _corner_solve(family, tol)[0])
 
 
 def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.ndarray, int]:

@@ -9,7 +9,6 @@ from opderiv.core import (
     OperatorSpace,
     Subspace,
     eig_hermitian,
-    invariance_constraint,
     nullspace_of_constraints,
     operator_norm,
 )
@@ -34,11 +33,16 @@ from opderiv.triangular import (
     triangular_representation,
     triangular_representations,
 )
-
-
-def vec(x):
-    """Column-major vectorization, the order of the constraint matrices."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
+from oracles import (
+    alg_of_subspaces,
+    commutation_constraint,
+    full_space_null,
+    invariance_constraint,
+    space_of_vec_columns,
+    spans_equal,
+    subspace_distance,
+    vec,
+)
 
 
 def rng_generator(rng, n, spread=1.0):
@@ -77,7 +81,7 @@ def test_commutant_masa_is_diagonal():
     # entrywise oracle: distinct diagonal generator forces y_ij = 0 off diagonal
     space = commutant(VonNeumannAlgebraSpec("diagonal_masa", 3))
     assert space.dim == 3
-    assert space.equals(diag_space(3), tol=1e-10)
+    assert spans_equal(space, diag_space(3), tol=1e-10)
 
 
 def test_commutant_of_identity_is_everything():
@@ -95,15 +99,11 @@ def test_commutant_block_diagonal():
 def _kron_commutant(generators, dim, tol=None):
     """The commutant by the dense Kronecker solve, independent of
     ``commutant``: the nullspace of the N^2 x N^2 constraints X -> X g - g X
-    and X -> X g* - g* X (column-major vec), with the generators' largest
+    and X -> X g* - g* X (vec coordinates), with the generators' largest
     norm as the scale."""
-    eye = np.eye(dim)
-    constraints = [
-        np.kron(x.T, eye) - np.kron(eye, x) for g in generators for x in (g, g.conj().T)
-    ]
+    constraints = [commutation_constraint(x) for g in generators for x in (g, g.conj().T)]
     scale = max((operator_norm(g) for g in generators), default=0.0)
-    basis = nullspace_of_constraints(constraints, dim, tol, scale=scale)
-    return OperatorSpace.from_columns(dim, basis)
+    return space_of_vec_columns(dim, nullspace_of_constraints(constraints, dim, tol, scale=scale))
 
 
 def _preset_specs(n):
@@ -117,7 +117,7 @@ def _preset_specs(n):
 def test_commutant_of_presets_matches_kronecker_oracle(n):
     for spec in _preset_specs(n):
         space = commutant(spec)
-        assert space.equals(_kron_commutant(spec.generating_set(), n)), spec.label()
+        assert spans_equal(space, _kron_commutant(spec.generating_set(), n)), spec.label()
 
 
 def _rotated_blocks(rng, pattern):
@@ -162,7 +162,7 @@ def test_commutant_of_generators_matches_kronecker_oracle(case):
     dim = len(generators[0])
     space = commutant(generators, dim=dim)
     assert space.dim == expected
-    assert space.equals(_kron_commutant(generators, dim))
+    assert spans_equal(space, _kron_commutant(generators, dim))
 
 
 @pytest.mark.parametrize("ratio, expected", ((1.01, 4), (0.99, 6)))
@@ -177,7 +177,7 @@ def test_commutant_gap_at_the_cut_matches_kronecker_oracle(ratio, expected):
     g = u @ np.diag([0.0, gap, 1.0, 2.0]) @ u.T
     space = commutant([g], dim=4, tol=tol)
     assert space.dim == expected
-    assert space.equals(_kron_commutant([g], 4, tol))
+    assert spans_equal(space, _kron_commutant([g], 4, tol))
 
 
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa"))
@@ -237,7 +237,7 @@ def test_bicommutant_generated_self_consistency():
     assert algebra.membership_residual(np.diag([0.0, 0.0, 1.0])) <= 1e-10
     # M' = gens' (the third commutant collapses to the first)
     third = commutant(algebra.basis_elements, dim=3)
-    assert first.equals(third, tol=1e-9)
+    assert spans_equal(first, third, tol=1e-9)
 
 
 # ----------------------------------------------------------------- lat family
@@ -248,8 +248,7 @@ def test_lat_family_full_gives_whole_space_only():
     fam, algebra = lat_family(spec)
     assert algebra.dim == 9
     assert [s.dim for s in fam] == [3]  # one irreducible piece, no link
-    computed = alg_of_family(fam, ambient_dim=3)
-    assert computed.dim == 9
+    assert full_space_null(fam, 3).shape[1] == 9
 
 
 def test_lat_family_masa_contains_axes():
@@ -258,21 +257,20 @@ def test_lat_family_masa_contains_axes():
     assert len(fam) == 2  # one piece per axis, pairwise inequivalent
     axes = [Subspace(2, np.eye(2)[:, i : i + 1]) for i in range(2)]
     for axis in axes:
-        assert any(s.dim == 1 and s.distance(axis) <= 1e-8 for s in fam)
-    computed = alg_of_family(fam, ambient_dim=2)
-    assert computed.dim == 2
+        assert any(s.dim == 1 and subspace_distance(s, axis) <= 1e-8 for s in fam)
+    assert full_space_null(fam, 2).shape[1] == 2
 
 
 def test_lat_family_block_diagonal_alg_dim():
     # invariance of the two block subspaces kills 4 of the 9 entries
     spec = VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1))
     fam, algebra = lat_family(spec)
-    computed = alg_of_family(fam, ambient_dim=3)
+    computed = alg_of_subspaces(fam, 3)
     assert computed.dim == 5
     # the algebra it builds in closed form is the bicommutant ...
-    assert algebra.equals(bicommutant(spec), tol=1e-10)
+    assert spans_equal(algebra, bicommutant(spec), tol=1e-10)
     # ... and Alg(family), the corner solve's level 0
-    assert algebra.equals(computed, tol=1e-10)
+    assert spans_equal(algebra, computed, tol=1e-10)
 
 
 def test_lat_family_is_algebra_invariant():
@@ -310,15 +308,15 @@ def test_lat_family_generated_with_multiplicity_needs_an_intertwiner():
     spec = _multiplicity_spec()
     fam, algebra = lat_family(spec)
     oracle = bicommutant(spec)
-    assert algebra.dim == oracle.dim == 4 + 9 and algebra.equals(oracle, tol=1e-9)
+    assert algebra.dim == oracle.dim == 4 + 9 and spans_equal(algebra, oracle, tol=1e-9)
     # (2 m - 1) members per class: two pieces and one link, then one piece
     assert len(fam) == (2 * 2 - 1) + (2 * 1 - 1)
     assert sorted(s.dim for s in fam) == [2, 2, 2, 3]
-    assert alg_of_family(fam).equals(oracle, tol=1e-9)
+    assert spans_equal(alg_of_subspaces(fam, 7), oracle, tol=1e-9)
     # the link is the graph of a 2 x 2 unitary T between the two pieces: the
     # sum of the pieces without it leaves M_2 (+) M_2 (+) M_3 invariant
     pieces = [s for s in fam if s.dim == 3] + [s for s in fam if s.dim == 2][:2]
-    assert alg_of_family(pieces).dim == 4 + 4 + 9
+    assert full_space_null(pieces, 7).shape[1] == 4 + 4 + 9
     d = rng_generator(np.random.default_rng(70), 7)
     report = reflexivity_check(spec, d, 2)
     assert report.passed and report.dim_computed == report.dim_expected == 13
@@ -330,8 +328,8 @@ def test_lat_family_degenerate_generator_is_minimal(low, high, members):
     fam, algebra = lat_family(spec)
     assert len(fam) == members == (2 * low - 1) + (2 * high - 1)
     oracle = bicommutant(spec)
-    assert algebra.dim == oracle.dim == 2 and algebra.equals(oracle, tol=1e-9)
-    assert alg_of_family(fam).equals(oracle, tol=1e-9)
+    assert algebra.dim == oracle.dim == 2 and spans_equal(algebra, oracle, tol=1e-9)
+    assert spans_equal(alg_of_subspaces(fam, spec.ambient_dim), oracle, tol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -368,8 +366,9 @@ def test_block_structure_mutants_fail_certification(mutant, failing, monkeypatch
         return [(r, b, t + 1e-6 * np.ones_like(t)), *rest]
 
     monkeypatch.setattr(blocks, "links", mutated)
+    monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 2)
     with pytest.raises(LatGenerationFailed, match=failing):
-        lat_family(_multiplicity_spec(), max_extra=2)
+        lat_family(_multiplicity_spec())
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
@@ -385,9 +384,10 @@ def test_lat_family_cap_exhaustion_raises(monkeypatch):
         reflexivity, "_hermitian_spanning_set", lambda space, tol: [np.eye(space.ambient_dim)]
     )
     monkeypatch.setattr(reflexivity, "block_structure", recording)
+    monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 1)
     with pytest.raises(LatGenerationFailed, match="irreducible"):
-        lat_family(VonNeumannAlgebraSpec("diagonal_masa", 2), max_extra=1)
-    assert len(draws) == 2  # the first draw plus max_extra redraws
+        lat_family(VonNeumannAlgebraSpec("diagonal_masa", 2))
+    assert len(draws) == 2  # the first draw plus _MAX_REDRAWS redraws
 
 
 def test_hermitian_spanning_set_drops_roundoff_parts_relative_to_the_largest():
@@ -416,7 +416,7 @@ def test_graph_subspace_hand_n1():
     )
     expected = Subspace.from_columns(expected_cols)
     assert p1.dim == 2
-    assert p1.distance(expected) <= 1e-12
+    assert subspace_distance(p1, expected) <= 1e-12
 
 
 def test_graph_subspace_zero_generator():
@@ -424,7 +424,7 @@ def test_graph_subspace_zero_generator():
     p2 = graph_subspace(d, 2)
     expected = np.zeros((6, 2), dtype=complex)
     expected[4:, :] = np.eye(2)
-    assert p2.distance(Subspace(6, expected)) <= 1e-12
+    assert subspace_distance(p2, Subspace(6, expected)) <= 1e-12
 
 
 def test_graph_subspace_requires_positive_order():
@@ -499,15 +499,18 @@ def test_invariant_family_residuals_small():
 # -------------------------------------------------------------- alg of family
 
 
-def test_alg_of_empty_family():
-    space = alg_of_family([], ambient_dim=2)
-    assert space.dim == 4
+def test_alg_of_family_takes_only_an_invariant_family():
+    # a plain list of subspaces has no corner structure to solve by
+    axis = Subspace(2, np.eye(2)[:, :1])
+    for family in ([], [axis]):
+        with pytest.raises(TypeError, match="InvariantFamily"):
+            alg_of_family(family)
 
 
 def test_alg_of_single_axis_is_upper_triangular():
     # invariance of span(e_0) kills the (1, 0) entry
     axis = Subspace(2, np.eye(2)[:, :1])
-    space = alg_of_family([axis])
+    space = alg_of_subspaces([axis], 2)
     assert space.dim == 3
     expected = OperatorSpace(
         2,
@@ -517,7 +520,7 @@ def test_alg_of_single_axis_is_upper_triangular():
             np.array([[0.0, 0.0], [0.0, 1.0]]),
         ),
     )
-    assert space.equals(expected, tol=1e-10)
+    assert spans_equal(space, expected, tol=1e-10)
 
 
 def test_alg_of_family_corner_constrained_reconstruction():
@@ -535,7 +538,7 @@ def test_alg_of_family_corner_constrained_reconstruction():
 
 def test_alg_of_family_closure_check_runs():
     axis = Subspace(2, np.eye(2)[:, :1])
-    space = alg_of_family([axis])
+    space = alg_of_subspaces([axis], 2)
     assert space.product_closure_residual() <= 1e-10
 
 
@@ -590,9 +593,9 @@ def test_dropping_q_never_shrinks_the_solution():
             dim = fam.ambient_dim
             q_members = [s for s, l in zip(fam.subspaces, fam.labels) if l.startswith("Q_")]
             narrowed = _narrow(q_members, dim, reduced)
-            assert narrowed.dim == full.dim and narrowed.equals(full, tol=1e-9)
+            assert narrowed.dim == full.dim and spans_equal(narrowed, full, tol=1e-9)
             # so does imposing every member, unstructured, inside it
-            assert _narrow(fam.subspaces, dim, reduced).equals(full, tol=1e-9)
+            assert spans_equal(_narrow(fam.subspaces, dim, reduced), full, tol=1e-9)
 
 
 def _without_q(family):
@@ -612,20 +615,7 @@ def _narrow(subspaces, dim, space):
     within = np.stack([vec(b) for b in space.basis_elements], axis=1)  # orthonormal vec columns
     constraints = [invariance_constraint(s.basis) @ within for s in subspaces]
     basis = within @ nullspace_of_constraints(constraints, dim, scale=1.0)
-    return OperatorSpace.from_columns(dim, basis)
-
-
-def _full_space_null(subspaces, dim):
-    """Operators leaving every member invariant, by one SVD of the vstacked
-    full-space constraints kron(P.T, I - P), as orthonormal vec columns.
-
-    The rank cut is floored at the constraints' natural scale 1, as in
-    ``nullspace_of_constraints(scale=1.0)``: a stack that is pure roundoff
-    (every member is 0 or the whole space) has rank 0, not full rank."""
-    rows = np.vstack([np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces])
-    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
-    return vh[rank:].conj().T
+    return space_of_vec_columns(dim, basis)
 
 
 def _oracle_spec(kind, base=3):
@@ -654,8 +644,8 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
         report = reflexivity_check(spec, rng_generator(np.random.default_rng(60), base), n)
         family, elems, without_q_dim = solves.pop()
         dim = family.ambient_dim
-        oracle = _full_space_null(family.subspaces, dim)
-        without_q = _full_space_null(_without_q(family).subspaces, dim)
+        oracle = full_space_null(family.subspaces, dim)
+        without_q = full_space_null(_without_q(family).subspaces, dim)
         assert len(elems) == report.dim_computed == oracle.shape[1] == report.dim_expected
         # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
         assert without_q_dim == without_q.shape[1] == family.algebra.dim + n * base**2
@@ -714,9 +704,9 @@ def test_corner_solve_without_graph_members_matches_oracle(drop):
         family.algebra,
     )
     elems, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
-    oracle = _full_space_null(reduced.subspaces, 6)
+    oracle = full_space_null(reduced.subspaces, 6)
     assert len(elems) == oracle.shape[1] > 2
-    assert without_q_dim == _full_space_null(_without_q(reduced).subspaces, 6).shape[1]
+    assert without_q_dim == full_space_null(_without_q(reduced).subspaces, 6).shape[1]
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
@@ -727,8 +717,8 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
     d = rng_generator(np.random.default_rng(65), 3)
     family = invariant_family(spec, d, 0)
     lat, algebra = lat_family(spec)
-    assert family.algebra.equals(algebra, tol=1e-12)
-    assert alg_of_family(lat, ambient_dim=3).equals(algebra, tol=1e-10)
+    assert spans_equal(family.algebra, algebra, tol=1e-12)
+    assert spans_equal(alg_of_subspaces(lat, 3), algebra, tol=1e-10)
     calls = _recording_nullspace(monkeypatch)
     elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
     assert not calls and elems is family.algebra.basis_elements
@@ -809,7 +799,7 @@ def test_reflexivity_check_with_prebuilt_family(monkeypatch):
     spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
     d = rng_generator(np.random.default_rng(63), 3)
     family = invariant_family(spec, d, 2, seed=4)
-    assert family.algebra.equals(bicommutant(spec), tol=1e-10)
+    assert spans_equal(family.algebra, bicommutant(spec), tol=1e-10)
     small = eig_hermitian(np.diag([0.2, 1.4]))
     other_base = invariant_family(VonNeumannAlgebraSpec("diagonal_masa", 2), small, 2)
     expected = reflexivity_check(spec, d, 2, seed=4)
@@ -951,7 +941,7 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
     elems, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     ((_, [(rows, cols)], (_, kept)),) = calls
     assert rows == 4 and cols == 2 + 4 * len(drop) and kept < cols  # N^2 or 2 N^2 free at level 1
-    oracle = _full_space_null(reduced.subspaces, 6)
+    oracle = full_space_null(reduced.subspaces, 6)
     assert len(elems) == kept == oracle.shape[1]
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
@@ -1182,6 +1172,33 @@ def test_reflexivity_violation_raises_with_diagnostics():
     assert err.value.report.dim_computed == 8 and not err.value.report.passed
     report = reflexivity_check(spec, d, 1, family=mutant, raise_on_fail=False)
     assert report == err.value.report
+
+
+def test_reflexivity_violation_message_names_the_deciding_values():
+    # without Q_1 at order 2 the dimension is right and the reconstruction
+    # exact, and the check fails on the membership bound alone: the message
+    # shows it and the tolerance beside the reconstruction residual
+    spec = VonNeumannAlgebraSpec("full", 3)
+    gen, _ = random_scenario(3, 1)
+    family = invariant_family(spec, gen, 2, seed=1)
+    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
+    mutant = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        3,
+        2,
+        family.algebra,
+    )
+    with pytest.raises(ReflexivityViolation) as err:
+        reflexivity_check(spec, gen, 2, family=mutant)
+    report = err.value.report
+    assert report.dim_computed == report.dim_expected == 9
+    assert report.max_reconstruction_residual <= report.tolerance
+    assert report.membership_bound == np.inf
+    message = str(err.value)
+    assert f"reconstruction residual {report.max_reconstruction_residual:.3e}" in message
+    assert "membership bound inf" in message
+    assert f"tolerance {report.tolerance:.3e}" in message
 
 
 def test_reflexivity_report_json_schema():

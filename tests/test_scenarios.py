@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opderiv import harness, reflexivity
@@ -200,7 +200,7 @@ _configs = _mostly(_obj(
     algebra=_mostly(_algebra_kinds | _obj(
         kind=_algebra_kinds,
         pattern=_mostly(st.lists(_mostly(st.integers(0, 3)), max_size=3)),
-        paths=_mostly(st.lists(_paths, max_size=2)),
+        paths=_mostly(st.lists(_paths, max_size=2) | _paths),
     )),
     n=_mostly(st.integers(-1, 4)),
     seed=_mostly(st.integers(-1, 2**40)),
@@ -215,6 +215,7 @@ _configs = _mostly(_obj(
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_configs)
+@example({"scenario": {"kind": "random", "N": 2}, "algebra": {"kind": "generated", "paths": "g.json"}})
 def test_config_builds_or_raises_config_error(raw):
     try:
         data = build_scenario(ScenarioConfig.from_dict(raw))
@@ -317,12 +318,30 @@ def test_run_checks_canonical_result_order():
     assert [r.check for r in report.results] == ["leibniz", "reflexivity"]
 
 
+def test_generated_paths_must_be_a_list(tmp_path):
+    # a bare string is not iterated as a list of one-character paths
+    save_operator(tmp_path / "g.json", np.diag([1.0, 2.0]))
+    raw = {"scenario": {"kind": "random", "N": 2}, "algebra": {"kind": "generated"}}
+    raw["algebra"]["paths"] = str(tmp_path / "g.json")
+    with pytest.raises(ConfigError, match="algebra.paths must be a list"):
+        build_scenario(ScenarioConfig.from_dict(raw))
+    raw["algebra"]["paths"] = [raw["algebra"]["paths"]]
+    assert build_scenario(ScenarioConfig.from_dict(raw)).algebra.kind == "generated"
+
+
 def test_check_failure_recorded_not_thrown():
-    raw = base_config(checks=["leibniz", "phi_conj"], tolerances={"tol_alg": 1e-300})
+    raw = base_config(checks=["leibniz", "phi_conj", "reflexivity"], tolerances={"tol_alg": 1e-300})
     raw["scenario"] = {"kind": "random", "N": 3, "x_kind": "general"}
     report = run_checks(ScenarioConfig.from_dict(raw))
     assert not report.overall_pass
     assert any(not r.passed for r in report.results)
+    # residuals of about 1e-14 fail a tol_alg of 1e-300: the reflexivity
+    # check's own report is recorded, and nothing is raised
+    reflexive = report.results[-1]
+    assert not reflexive.passed and reflexive.details["pass"] is False
+    assert reflexive.details["dim_computed"] == 9
+    assert reflexive.residuals == [reflexive.details["max_residual"]]
+    assert reflexive.residuals[0] > 0
 
 
 # ------------------------------------------------------------------------- CLI
