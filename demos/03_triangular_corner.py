@@ -50,7 +50,7 @@ print()
 
 y = random_operator(4, np.random.default_rng(99), "general")
 hom = homomorphism_check(chain, derivative_chain(d, y, n))
-print(f"homomorphism residual rep(xy) vs rep(x) rep(y): {hom.residuals[0]:.2e}")
+print(f"homomorphism residual ||rep(xy) - rep(x) rep(y)||_F: {hom.residuals[0]:.2e}")
 print()
 
 sandwich = norm_sandwich_check(chain)

@@ -14,6 +14,7 @@ from .core import (
     TolerancePolicy,
     as_operator,
     eig_hermitian,
+    frobenius_norm,
     load_operator,
     nullspace_of_constraints,
     operator_norm,

@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_operator",
     "operator_norm",
+    "frobenius_norm",
     "hermitian_part",
     "SelfAdjointGenerator",
     "eig_hermitian",
@@ -121,6 +122,26 @@ def operator_norm(a) -> float | np.ndarray:
     same value per matrix as a 2-D call; an empty stack gives shape (0,).
     """
     norms = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[..., 0]
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def frobenius_norm(a) -> float | np.ndarray:
+    """Frobenius norm, of a matrix or of each matrix in a stack.
+
+    Same contract as ``operator_norm``: a 2-D input gives a float, a
+    ``(..., M, N)`` stack an array of its leading shape.  No SVD: a sum of
+    squares per matrix, taken over the entries divided by the largest one,
+    so no square underflows (a residual of 1e-200 does not read 0) or
+    overflows.  For every R, ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2
+    (Golub & Van Loan, *Matrix Computations*, sec. 2.3), so a residual
+    that meets an operator-norm tolerance in this norm meets it in the
+    operator norm too; only the verdict is stricter, by at most
+    sqrt(rank R).
+    """
+    mags = np.abs(np.asarray(a, dtype=complex))
+    top = mags.max(axis=(-2, -1), initial=0.0, keepdims=True)
+    unit = np.where(top > 0.0, top, 1.0)
+    norms = (unit * np.sqrt(np.sum((mags / unit) ** 2, axis=(-2, -1), keepdims=True)))[..., 0, 0]
     return float(norms) if norms.ndim == 0 else norms
 
 

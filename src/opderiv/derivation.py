@@ -18,9 +18,21 @@ of T times and returns one (T, N, N) stack, and each probe takes the
 norms of its samples in one stacked ``operator_norm`` call.  The
 finite-difference and convergence probes form the automorphism itself,
 with the same floating-point operations per sample as a call at that one
-time.  The Lipschitz probe needs only the norm of alpha_t(x) - x, which is
+time (``central_difference_derivative`` takes an array of steps the same
+way).  The Lipschitz probe needs only the norm of alpha_t(x) - x, which is
 unitarily invariant, so it works in the eigenbasis of D: one entrywise
-product of the band embedding's ``V* x V`` per sample, no matrix product.
+product of the band embedding's ``V* x V`` per sample, no matrix product,
+and judges its samples as arrays.
+
+The probes' theorems are about operator norms, so they take SVDs.  The
+Leibniz rule and the binomial and band forms are exact identities whose
+residual is pure roundoff; they report its Frobenius norm
+(``frobenius_norm``, no SVD), which bounds the operator norm from above,
+against tolerances that keep their operator-norm scales.  The binomial
+sums for several orders share the powers of D and the products D^a x
+(``_binomial_sums``), and band matrices of one generator reassemble as
+one stacked V C V* product (``_assemble_bands``); both are bitwise equal
+to the per-order and per-matrix forms.
 
 At finite dimension every operator is smooth, domains are the whole
 space, and closures are identities, so none of that bookkeeping appears
@@ -43,6 +55,7 @@ from .core import (
     TolerancePolicy,
     as_operator,
     band_groups,
+    frobenius_norm,
     operator_norm,
     unitary_group,
 )
@@ -133,13 +146,28 @@ def binomial_derivative(d: SelfAdjointGenerator, x, k: int) -> np.ndarray:
     x = as_operator(x)
     _check_dims(d, x)
     _check_order(k)
+    return _binomial_sums(d, x, (k,))[0]
+
+
+def _binomial_sums(d: SelfAdjointGenerator, x: np.ndarray, orders) -> list[np.ndarray]:
+    """``binomial_derivative(d, x, k)`` for each k in ``orders``, on a validated x.
+
+    The sums share the powers D^j and the products D^a x; each term is
+    ``(D^(k-j) x) D^j``, the same floating-point operations as a sum of
+    its own, so every result is bitwise that of ``binomial_derivative``.
+    """
+    top = max(orders)
     powers = [np.eye(d.dim, dtype=complex)]
-    for _ in range(k):
+    for _ in range(top):
         powers.append(powers[-1] @ d.base)
-    acc = np.zeros_like(x)
-    for j in range(k + 1):
-        acc += ((-1) ** j) * math.comb(k, j) * (powers[k - j] @ x @ powers[j])
-    return (1j**k) * acc
+    left = [p @ x for p in powers]
+    sums = []
+    for k in orders:
+        acc = np.zeros_like(x)
+        for j in range(k + 1):
+            acc += ((-1) ** j) * math.comb(k, j) * (left[k - j] @ powers[j])
+        sums.append((1j**k) * acc)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -149,7 +177,7 @@ class DerivativeChain:
     Built by ``derivative_chain``, which validates x once; the derivatives
     are computed from it and are not validated again.  ``_memo`` holds
     values derived from the chain by other modules, each computed on first
-    use (``triangular._represented``).
+    use (``triangular._represented`` and ``_represented_norm``).
     """
 
     x: np.ndarray
@@ -241,20 +269,36 @@ def band_derivation(bm: BandMatrix, k: int) -> BandMatrix:
     return BandMatrix(generator=bm.generator, coeffs=(1j**k) * acc, slices=bm.slices)
 
 
+def _assemble_bands(bms) -> np.ndarray:
+    """``[bm.assemble() for bm in bms]`` as one (m, N, N) stack.
+
+    The band matrices share one generator, so V C V* is one stacked
+    product; entry k is bitwise ``bms[k].assemble()``.
+    """
+    v = bms[0].generator.eigenvectors
+    return v @ np.stack([bm.coeffs for bm in bms]) @ v.conj().T
+
+
 def default_step(d: SelfAdjointGenerator) -> float:
     """Default finite-difference step, 1e-2 / (1 + ||D||)."""
     return 1e-2 / (1.0 + d.norm())
 
 
-def central_difference_derivative(d: SelfAdjointGenerator, x, h: float) -> np.ndarray:
+def central_difference_derivative(d: SelfAdjointGenerator, x, h) -> np.ndarray:
     """Second-order central-difference estimate of the derivative at t = 0.
 
-    Error is O(h^2); compare against ``commutator_derivative``.
+    Error is O(h^2); compare against ``commutator_derivative``.  A scalar
+    step gives an (N, N) matrix; a 1-D array of H steps gives the
+    (H, N, N) stack whose entry k is the estimate at ``h[k]``, taken from
+    one automorphism stack of the 2H times +-h[k] with the same
+    floating-point operations as a call at that one step.
     """
-    if not h > 0:
+    steps = np.asarray(h, dtype=float)
+    if not np.all(steps > 0):
         raise ValueError("step h must be positive")
-    plus, minus = automorphism(d, x, np.array([h, -h]))
-    return (plus - minus) / (2.0 * h)
+    alphas = automorphism(d, x, np.stack([steps, -steps], axis=-1).ravel())
+    diffs = (alphas[0::2] - alphas[1::2]) / (2.0 * steps)[..., None, None]
+    return diffs if steps.ndim else diffs[0]
 
 
 def central_difference_scalar(
@@ -293,14 +337,18 @@ def central_difference_scalar(
 def leibniz_check(
     d: SelfAdjointGenerator, x, y, tol: TolerancePolicy | None = None, instance_id: str = ""
 ) -> CheckReport:
-    """Derivation property: i[D, xy] = i[D, x] y + x i[D, y]."""
+    """Derivation property: i[D, xy] = i[D, x] y + x i[D, y].
+
+    The residual is the Frobenius norm of the difference (``frobenius_norm``),
+    judged against the operator-norm scale tol_alg(||D||, ||x||, ||y||).
+    """
     tol = tol or DEFAULT_TOL
     x, y = as_operator(x), as_operator(y)
     _check_dims(d, x)
     _check_dims(d, y)
     lhs = _chain(d, x @ y, 1)[1]
     rhs = _chain(d, x, 1)[1] @ y + x @ _chain(d, y, 1)[1]
-    resid = operator_norm(lhs - rhs)
+    resid = frobenius_norm(lhs - rhs)
     tolerance = tol.alg(d.norm(), operator_norm(x), operator_norm(y))
     return CheckReport("leibniz", instance_id, [resid], tolerance, resid <= tolerance)
 
@@ -323,7 +371,8 @@ def lipschitz_check(
     p_i = e^{it lambda_i}, alpha_t(x) - x = V ((p_i conj(p_j) - 1) y_ij) V*,
     and V is unitary, so each sample's norm is that of one entrywise
     product; all sampled times are one (T, N, N) stack and one stacked
-    norm.  At t = 0 every p_i is 1, so that difference is exactly 0.
+    norm, and the samples are judged as arrays.  At t = 0 every p_i is 1,
+    so that difference is exactly 0.
     """
     tol = tol or DEFAULT_TOL
     x = as_operator(x)
@@ -335,24 +384,21 @@ def lipschitz_check(
     phases = np.exp(1j * np.multiply.outer(ts, d.eigenvalues))
     weights = phases[:, :, None] * phases.conj()[:, None, :] - 1.0
     diffs = operator_norm(weights * band_embed(d, x).coeffs)
-    residuals = []
-    passed = True
-    for t, diff in zip(ts, diffs):
-        if degenerate or t == 0:
-            residuals.append(diff)
-            passed = passed and diff <= tol.alg(x_norm)
-        else:
-            ratio = diff / (dx_norm * abs(t))
-            residuals.append(ratio)
-            # diff carries the absolute roundoff the degenerate branch allows,
-            # which dominates the ratio when ||i[D, x]|| |t| is that small
-            excess = diff - dx_norm * abs(t)
-            passed = passed and (ratio <= 1.0 + tol.tol_alg or excess <= tol.alg(x_norm))
-    max_ratio = max(residuals, default=0.0)
+    scale = dx_norm * np.abs(ts)
+    ratio_branch = (ts != 0) & (not degenerate)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch
+        ratios = diffs / scale
+    residuals = np.where(ratio_branch, ratios, diffs)
+    floor = tol.alg(x_norm)
+    # diff carries the absolute roundoff the degenerate branch allows, which
+    # dominates the ratio when ||i[D, x]|| |t| is that small
+    within = np.where(ratio_branch, (ratios <= 1.0 + tol.tol_alg) | (diffs - scale <= floor), diffs <= floor)
+    passed = bool(within.all())
+    max_ratio = float(residuals.max(initial=0.0))
     return CheckReport(
         "lipschitz",
         instance_id,
-        residuals,
+        residuals.tolist(),
         1.0 + tol.tol_alg,
         passed,
         details={"max_ratio": max_ratio, "derivative_norm": dx_norm, "degenerate": degenerate},

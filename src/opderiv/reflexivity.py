@@ -46,6 +46,7 @@ at base dimension 32 and order 4 it takes 12 s and 960 MB.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -62,6 +63,7 @@ from .core import (
     TolerancePolicy,
     _gram_deviation,
     as_operator,
+    frobenius_norm,
     nullspace_of_constraints,
     operator_norm,
 )
@@ -119,6 +121,21 @@ _GOLDEN = (1.0 + 5.0**0.5) / 2.0
 _MAX_REDRAWS = 20
 
 
+def _block_sizes(pattern) -> tuple[int, ...]:
+    """A ``block_diagonal`` pattern as a tuple of block sizes.
+
+    ValueError unless it is a nonempty list or tuple of integral numbers:
+    a string is not taken character by character, nor is 2.7 truncated.
+    """
+    if not isinstance(pattern, (list, tuple)) or not pattern:
+        raise ValueError(f"block_diagonal requires a list of block sizes, got {pattern!r}")
+    for k in pattern:
+        integral = isinstance(k, float) and k.is_integer()
+        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) or integral):
+            raise ValueError(f"block sizes must be integers, got {k!r} in {pattern!r}")
+    return tuple(int(k) for k in pattern)
+
+
 def _cyclic_shift(n: int) -> np.ndarray:
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -149,9 +166,7 @@ class VonNeumannAlgebraSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.kind == "block_diagonal":
-            if not self.pattern:
-                raise ValueError("block_diagonal requires a block size pattern")
-            pattern = tuple(int(k) for k in self.pattern)
+            pattern = _block_sizes(self.pattern)
             if any(k < 1 for k in pattern) or sum(pattern) != self.ambient_dim:
                 raise ValueError(f"block sizes {pattern} must be positive and sum to {self.ambient_dim}")
             object.__setattr__(self, "pattern", pattern)
@@ -411,10 +426,12 @@ def invariance_residuals(
     d: SelfAdjointGenerator,
     elements,
 ) -> dict[str, float]:
-    """Max of ||(I - P) rep(x) P|| per family member over the given x's.
+    """Max of ||(I - P) rep(x) P||_F per family member over the given x's.
 
     Gives residuals, not a verdict: the caller judges them against its
-    own tolerance.
+    own tolerance.  The Frobenius norm bounds the operator norm from
+    above (``frobenius_norm``), so an operator-norm tolerance keeps its
+    meaning and no SVD is taken.
     """
     xs = [as_operator(x) for x in elements]
     xs = np.stack(xs) if xs else np.zeros((0, d.dim, d.dim), dtype=complex)
@@ -423,7 +440,7 @@ def invariance_residuals(
     out = {}
     for sub, label in zip(family.subspaces, family.labels):
         p = sub.projection
-        out[label] = float(operator_norm((eye - p) @ reps @ p).max(initial=0.0))
+        out[label] = float(frobenius_norm((eye - p) @ reps @ p).max(initial=0.0))
     return out
 
 

@@ -14,6 +14,15 @@ i(D + shift), and its norm has a closed form in the eigenvalues of D
 (``corner_exponential_norm``, one (n+1) x (n+1) norm), which sets the
 tolerance of the conjugation identity and of the reflexivity check.
 
+The homomorphism, conjugation and ad-expansion identities are exact, so
+their residuals are pure roundoff: each is reported as a Frobenius norm
+(``frobenius_norm``, no SVD), which bounds the operator norm from above,
+against a tolerance that keeps its operator-norm scale (the
+representations' norms, ``corner_exponential_norm``, ||s|| and ||b||).
+The norm sandwich is a statement about operator norms and keeps them.
+A chain's representation and its norm are stored on the chain on first
+use, so the checks that share a chain share both.
+
 Corner operators are stored as full dense matrices with block accessors;
 the block bookkeeping is a view, not a second representation.  The
 triangular representation and the corner exponentials are CornerOperator
@@ -37,6 +46,7 @@ from .core import (
     SelfAdjointGenerator,
     TolerancePolicy,
     as_operator,
+    frobenius_norm,
     load_matrix_json,
     operator_norm,
     save_operator,
@@ -121,16 +131,20 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
     return CornerOperator(_toeplitz_blocks(diagonals, n), chain.x.shape[0], n)
 
 
-def _represented(chain: DerivativeChain) -> tuple[CornerOperator, float]:
-    """The triangular representation of a chain and its norm.
-
-    The first call stores both on the chain, so checks that share a chain
-    (the homomorphism check and the norm sandwich) share one SVD.
-    """
+def _represented(chain: DerivativeChain) -> CornerOperator:
+    """The triangular representation of a chain, stored on the chain on
+    first use, so the checks that share a chain build it once."""
     if "rep" not in chain._memo:
-        rep = triangular_representation(chain)
-        chain._memo["rep"] = (rep, rep.norm())
+        chain._memo["rep"] = triangular_representation(chain)
     return chain._memo["rep"]
+
+
+def _represented_norm(chain: DerivativeChain) -> float:
+    """The norm of ``_represented(chain)``, stored likewise: the
+    homomorphism check and the norm sandwich share one SVD."""
+    if "rep_norm" not in chain._memo:
+        chain._memo["rep_norm"] = _represented(chain).norm()
+    return chain._memo["rep_norm"]
 
 
 def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) -> np.ndarray:
@@ -220,12 +234,16 @@ def conjugation_identity_check(
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
 ) -> CheckReport:
-    """exp(S) (x amplified) exp(-S) equals the triangular representation."""
+    """exp(S) (x amplified) exp(-S) equals the triangular representation.
+
+    The residual is a Frobenius norm, judged against the operator-norm
+    scale tol_alg(||exp(S)||, ||x||, ||exp(-S)||).
+    """
     tol = tol or DEFAULT_TOL
     n = chain.order
     fwd, bwd = corner_exponential(d, n)
     lhs = fwd.matrix @ amplify(chain.x, n).matrix @ bwd.matrix
-    resid = operator_norm(lhs - triangular_representation(chain).matrix)
+    resid = frobenius_norm(lhs - _represented(chain).matrix)
     exp_norm = corner_exponential_norm(d, n)
     tolerance = tol.alg(exp_norm, operator_norm(chain.x), exp_norm)
     return CheckReport(
@@ -247,7 +265,9 @@ def homomorphism_check(
     """Representation of a product equals the product of representations.
 
     The product chain is built independently by iterating the commutator
-    on x @ y, so the two sides share no arithmetic.
+    on x @ y, so the two sides share no arithmetic.  The residual is a
+    Frobenius norm, judged against the operator-norm scale
+    tol_alg(||Phi(x)||, ||Phi(y)||).
     """
     tol = tol or DEFAULT_TOL
     if chain_x.order != chain_y.order:
@@ -257,11 +277,9 @@ def homomorphism_check(
         raise ValueError("chains must share the same generator")
     n = chain_x.order
     prod_chain = derivative_chain(dx, chain_x.x @ chain_y.x, n)
-    rep_x, rep_x_norm = _represented(chain_x)
-    rep_y, rep_y_norm = _represented(chain_y)
     rep_xy = triangular_representation(prod_chain)
-    resid = operator_norm(rep_xy.matrix - rep_x.matrix @ rep_y.matrix)
-    tolerance = tol.alg(rep_x_norm, rep_y_norm)
+    resid = frobenius_norm(rep_xy.matrix - _represented(chain_x).matrix @ _represented(chain_y).matrix)
+    tolerance = tol.alg(_represented_norm(chain_x), _represented_norm(chain_y))
     return CheckReport(
         "phi_hom",
         instance_id,
@@ -283,7 +301,7 @@ def norm_sandwich_check(
     tol = tol or DEFAULT_TOL
     n = chain.order
     weighted = chain_norm(chain)
-    _, rep_norm = _represented(chain)
+    rep_norm = _represented_norm(chain)
     slack = tol.alg(weighted)
     lower_violation = max(0.0, weighted / (n + 1) - rep_norm)
     upper_violation = max(0.0, rep_norm - weighted)
@@ -304,7 +322,9 @@ def ad_expansion_check(
     """sum_j ad(s)^j(b) s^(n-j) / ((n-j)! j!) == s^n b / n!.
 
     Holds in any associative algebra (left and right multiplication by s
-    commute, so the binomial theorem collapses the sum).
+    commute, so the binomial theorem collapses the sum).  The residual is a
+    Frobenius norm, judged against the operator-norm scale
+    tol_alg(||s||^n, ||b||).
     """
     tol = tol or DEFAULT_TOL
     s, b = as_operator(s), as_operator(b)
@@ -321,7 +341,7 @@ def ad_expansion_check(
         lhs += ad_term @ powers[n - j] / (math.factorial(n - j) * math.factorial(j))
         ad_term = s @ ad_term - ad_term @ s
     rhs = powers[n] @ b / math.factorial(n)
-    resid = operator_norm(lhs - rhs)
+    resid = frobenius_norm(lhs - rhs)
     tolerance = tol.alg(operator_norm(s) ** n, operator_norm(b))
     return CheckReport(
         "ad_identity",

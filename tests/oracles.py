@@ -4,11 +4,25 @@ Each helper solves or compares in the plainest way, on full vec
 coordinates, independently of the structured solves in ``opderiv`` that
 the tests hold against it.  Vectorization is column-major (Fortran
 order), so that ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``.
+``identity_residual_matrices`` instead forms the identity checks'
+residual matrices through the per-call public operations, so that the
+Frobenius residuals the checks report can be held against the operator
+norm of the same matrices.
 """
+
+import math
 
 import numpy as np
 
 from opderiv.core import DimensionMismatch, OperatorSpace, operator_norm
+from opderiv.derivation import (
+    band_derivation,
+    band_embed,
+    binomial_derivative,
+    commutator_derivative,
+    derivative_chain,
+)
+from opderiv.triangular import amplify, corner_exponential, triangular_representation
 
 
 def vec(x):
@@ -78,3 +92,44 @@ def subspace_distance(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
     return operator_norm(a.projection - b.projection)
+
+
+def identity_residual_matrices(check, d, x, y, n):
+    """The residual matrices R of an identity check of the harness, one per
+    reported residual, formed by the per-call public operations.
+
+    Their operator norms are the residuals the check reported before it
+    took Frobenius norms; the arithmetic is the check's, so the two agree
+    to the last bit and ``||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2``
+    brackets what it reports now.
+    """
+    if check == "leibniz":
+        rhs = commutator_derivative(d, x) @ y + x @ commutator_derivative(d, y)
+        return [commutator_derivative(d, x @ y) - rhs]
+    chain = derivative_chain(d, x, 5)
+    if check == "binomial_eq":
+        return [binomial_derivative(d, x, k) - chain.delta(k) for k in range(1, 6)]
+    if check == "band_eq":
+        bm = band_embed(d, x)
+        return [bm.assemble() - x] + [
+            band_derivation(bm, k).assemble() - chain.delta(k) for k in range(1, 6)
+        ]
+    if check == "phi_hom":
+        rep = [triangular_representation(derivative_chain(d, a, n)).matrix for a in (x, y)]
+        return [triangular_representation(derivative_chain(d, x @ y, n)).matrix - rep[0] @ rep[1]]
+    if check == "phi_conj":
+        fwd, bwd = corner_exponential(d, n)
+        lhs = fwd.matrix @ amplify(x, n).matrix @ bwd.matrix
+        return [lhs - triangular_representation(derivative_chain(d, x, n)).matrix]
+    if check == "ad_identity":  # s = x, b = y at order max(1, n), as the harness calls it
+        order = max(1, n)
+        powers = [np.eye(len(x), dtype=complex)]
+        for _ in range(order):
+            powers.append(powers[-1] @ x)
+        lhs = np.zeros_like(x)
+        ad_term = y
+        for j in range(order + 1):
+            lhs += ad_term @ powers[order - j] / (math.factorial(order - j) * math.factorial(j))
+            ad_term = x @ ad_term - ad_term @ x
+        return [lhs - powers[order] @ y / math.factorial(order)]
+    raise ValueError(f"not an identity check: {check!r}")

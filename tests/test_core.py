@@ -17,6 +17,7 @@ from opderiv.core import (
     as_operator,
     band_groups,
     eig_hermitian,
+    frobenius_norm,
     load_matrix_json,
     load_operator,
     nullspace_of_constraints,
@@ -133,6 +134,30 @@ def test_operator_norm_empty_stack_and_matrix_type():
     assert operator_norm(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert type(operator_norm(np.eye(2))) is float
     assert type(operator_norm(np.ones((1, 1)))) is float
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (6, 4, 4), (2, 3, 5, 5), (4, 6, 2), (0, 3, 3)])
+def test_frobenius_norm_contract_and_bracket(shape):
+    # the operator_norm contract, and ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = frobenius_norm(stack)
+    if len(shape) == 2:
+        assert type(norms) is float
+    else:
+        assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+    np.testing.assert_allclose(norms, np.linalg.norm(stack, axis=(-2, -1)), rtol=1e-14, atol=0)
+    ops = operator_norm(stack)
+    rank = min(shape[-2:])
+    assert np.all(ops * (1 - 1e-13) <= norms) and np.all(norms <= np.sqrt(rank) * ops * (1 + 1e-13))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_frobenius_norm_neither_underflows_nor_overflows(scale):
+    # squares of 1e-200 underflow to 0 and of 1e200 overflow to inf
+    a = scale * np.array([[3.0, 0.0], [4.0j, 0.0]])
+    assert frobenius_norm(a) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
 
 
 # ------------------------------------------------------------ unitary_group

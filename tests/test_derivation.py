@@ -5,6 +5,7 @@ matrix-product computation shows D S_k - S_k D = k S_k, so every
 derivative of S_k has the closed form (ik)^j S_k.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,16 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opderiv import derivation, triangular
+from opderiv import core, derivation, harness, triangular
 from opderiv.core import (
     DEFAULT_TOL,
     DimensionMismatch,
     SelfAdjointGenerator,
     band_groups,
     eig_hermitian,
+    frobenius_norm,
     operator_norm,
 )
 from opderiv.derivation import (
+    _assemble_bands,
+    _binomial_sums,
     automorphism,
     band_derivation,
     band_embed,
@@ -30,15 +34,19 @@ from opderiv.derivation import (
     central_difference_scalar,
     chain_norm,
     commutator_derivative,
+    default_step,
     derivative_chain,
     iterated_derivative,
     leibniz_check,
     lipschitz_check,
     uniform_convergence_check,
 )
-from opderiv.harness import _CHECKS, ScenarioData, _check_band_eq
+from opderiv.harness import _CHECKS, ScenarioConfig, ScenarioData, _check_band_eq, run_checks
 from opderiv.reflexivity import VonNeumannAlgebraSpec
 from opderiv.scenarios import circle_generator, circle_shift, random_scenario
+from opderiv.triangular import triangular_representation
+
+from oracles import identity_residual_matrices
 
 
 def rng_operator(rng, n):
@@ -262,7 +270,8 @@ def test_derivative_chain_validates_its_input_once(monkeypatch):
 def test_calculus_checks_validate_each_operand_once(monkeypatch):
     # i[D, .] comes from the chain helper on operands already validated: the
     # Leibniz check validates x and y, the Lipschitz and convergence checks x
-    # and the one public call they make on it (band_embed, automorphism)
+    # and the one public call they make on it (band_embed, automorphism).
+    # The Leibniz residual is the Frobenius norm of the same difference.
     calls = []
     validate = derivation.as_operator
 
@@ -276,7 +285,7 @@ def test_calculus_checks_validate_each_operand_once(monkeypatch):
     rhs = commutator_derivative(d, x) @ y + x @ commutator_derivative(d, y)
     monkeypatch.setattr(derivation, "as_operator", counting)
     report = leibniz_check(d, x, y)
-    assert len(calls) == 2 and report.residuals == [operator_norm(lhs - rhs)]
+    assert len(calls) == 2 and report.residuals == [frobenius_norm(lhs - rhs)]
     for check in (lambda: lipschitz_check(d, x, [0.5, -1.0]), lambda: uniform_convergence_check(d, x)):
         calls.clear()
         assert check().passed and len(calls) == 2
@@ -755,3 +764,217 @@ def test_shift_invariance_of_derivatives():
     for k in range(1, 4):
         resid = operator_norm(iterated_derivative(shifted, x, k) - iterated_derivative(d, x, k))
         assert resid <= DEFAULT_TOL.alg((1 + d.norm()) ** k, operator_norm(x))
+
+
+# ------------------------------------------- shared forms against per-call forms
+
+
+def _bitwise_cases():
+    """(D, x) pairs: random, a repeated spectrum, dimension 1, and x = 0."""
+    rng = np.random.default_rng(71)
+    cases = [(rng_generator(rng, n), rng_operator(rng, n)) for n in (1, 4, 7)]
+    d = _generator_with_spectrum([1.0, 1.0, 2.0 + 1e-12, 3.0], rng)
+    cases.append((d, rng_operator(rng, 4)))
+    cases.append((d, np.zeros((4, 4), dtype=complex)))
+    return cases
+
+
+def _binomial_per_order(d, x, k):
+    """The k-th binomial sum on its own, i^k sum_j C(k, j) (-1)^j D^(k-j) x D^j."""
+    powers = [np.eye(d.dim, dtype=complex)]
+    for _ in range(k):
+        powers.append(powers[-1] @ d.base)
+    acc = np.zeros_like(x)
+    for j in range(k + 1):
+        acc += ((-1) ** j) * math.comb(k, j) * (powers[k - j] @ x @ powers[j])
+    return (1j**k) * acc
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_binomial_sums_equal_per_order_calls_bitwise(case):
+    d, x = _bitwise_cases()[case]
+    x = derivation.as_operator(x)
+    sums = _binomial_sums(d, x, range(1, 6))
+    for k in range(1, 6):
+        np.testing.assert_array_equal(sums[k - 1], binomial_derivative(d, x, k))
+        np.testing.assert_array_equal(sums[k - 1], _binomial_per_order(d, x, k))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_stacked_band_assembly_equals_per_derivation_assemble_bitwise(case):
+    d, x = _bitwise_cases()[case]
+    bm = band_embed(d, x)
+    bms = [bm, *(band_derivation(bm, k) for k in range(1, 6))]
+    stacked = _assemble_bands(bms)
+    assert stacked.shape == (6, d.dim, d.dim)
+    for k, b in enumerate(bms):
+        np.testing.assert_array_equal(stacked[k], b.assemble())
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_fd_first_stack_equals_three_central_differences_bitwise(case, monkeypatch):
+    # the one stacked norm of fd_first sees exactly the per-call differences
+    d, x = _bitwise_cases()[case]
+    seen = []
+
+    def recording(a):
+        seen.append(np.array(a))
+        return operator_norm(a)
+
+    monkeypatch.setattr(harness, "operator_norm", recording)
+    data = ScenarioData("fd", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 1, 0)
+    report = _CHECKS["fd_first"](data, DEFAULT_TOL)
+    exact = commutator_derivative(d, x)
+    h = default_step(d)
+    per_call = np.stack(
+        [central_difference_derivative(d, x, step) - exact for step in (h, 50.0 * h, 50.0 * h / 2)]
+    )
+    stacks = [a for a in seen if a.ndim == 3]
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0], per_call)
+    for step, diff in zip((h, 50.0 * h, 50.0 * h / 2), per_call):
+        # a call at one step, as two automorphism samples
+        plus, minus = automorphism(d, x, np.array([step, -step]))
+        np.testing.assert_array_equal(diff, (plus - minus) / (2.0 * step) - exact)
+    errs = [operator_norm(m) for m in per_call]
+    assert report.residuals == [errs[0]]
+    if errs[2] > 0:
+        assert report.details["order"] == float(np.log2(errs[1] / errs[2]))
+
+
+def _lipschitz_per_sample(d, x, ts, tol=DEFAULT_TOL):
+    """The Lipschitz verdict of ``lipschitz_check``, judged one sample at a time."""
+    dx_norm = operator_norm(commutator_derivative(d, x))
+    x_norm = operator_norm(x)
+    degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
+    residuals, passed = [], True
+    for t in ts:
+        phases = np.exp(1j * (t * d.eigenvalues))
+        weights = phases[:, None] * phases.conj()[None, :] - 1.0
+        diff = operator_norm(weights * derivation.band_embed(d, x).coeffs)
+        if degenerate or t == 0:
+            residuals.append(diff)
+            passed = passed and diff <= tol.alg(x_norm)
+        else:
+            ratio = diff / (dx_norm * abs(t))
+            residuals.append(ratio)
+            excess = diff - dx_norm * abs(t)
+            passed = passed and (ratio <= 1.0 + tol.tol_alg or excess <= tol.alg(x_norm))
+    return residuals, passed, degenerate
+
+
+_LIPSCHITZ_CASES = {
+    # spectrum, x kind, factor on V* x V (a factor > 1 breaks the inequality)
+    "ratio_branch": ([0.3, 1.1, 2.5, 3.0], "random", 1.0),
+    "commuting_x": ([0.3, 1.1, 2.5, 3.0], "polynomial", 1.0),
+    "zero_x": ([1.0, 2.0], "zero", 1.0),
+    "near_degenerate": ([0.0, 1e-9], "random", 1.0),
+    "dimension_1": ([0.5], "random", 1.0),
+    "violated": ([0.3, 1.1, 2.5, 3.0], "random", 10.0),
+    # ratios above 1 + tol_alg whose excess is within the roundoff floor
+    "roundoff_excess": ([0.3, 1.1, 2.5, 3.0], "random", 1.0 + 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", _LIPSCHITZ_CASES)
+def test_lipschitz_judgement_matches_per_sample_oracle(case, monkeypatch):
+    eigenvalues, x_kind, factor = _LIPSCHITZ_CASES[case]
+    rng = np.random.default_rng(83)
+    d = _generator_with_spectrum(eigenvalues, rng)
+    x = _calculus_operand(d, x_kind, rng)
+    embed = derivation.band_embed
+
+    def scaled_embed(d, x):
+        bm = embed(d, x)
+        return dataclasses.replace(bm, coeffs=factor * bm.coeffs)
+
+    monkeypatch.setattr(derivation, "band_embed", scaled_embed)
+    ts = np.concatenate([[0.0, 1e-12, -0.5, 1.0], rng.uniform(-10, 10, size=6)])
+    report = lipschitz_check(d, x, ts)
+    residuals, passed, degenerate = _lipschitz_per_sample(d, x, ts)
+    assert report.residuals == residuals
+    assert report.passed == passed and report.details["degenerate"] == degenerate
+    assert report.details["max_ratio"] == max(residuals)
+    if case == "violated":
+        assert not report.passed
+    if case == "roundoff_excess":
+        assert report.passed and report.details["max_ratio"] > 1.0 + DEFAULT_TOL.tol_alg
+
+
+# ------------------------------------------------ identity checks, Frobenius
+
+_IDENTITY_CHECKS = ("leibniz", "binomial_eq", "band_eq", "phi_hom", "phi_conj", "ad_identity")
+
+
+@pytest.mark.parametrize("check", _IDENTITY_CHECKS)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    eigenvalues=_calculus_spectra,
+    x_kind=st.sampled_from(["random", "zero", "polynomial"]),
+    n=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(eigenvalues=[0.5], x_kind="random", n=1, seed=0)
+@example(eigenvalues=[1.0 - 1e-12, 1.0, 1.0 + 1e-12], x_kind="polynomial", n=2, seed=2)
+@example(eigenvalues=[2.0, 2.0], x_kind="zero", n=3, seed=3)
+@example(eigenvalues=[0.0, 1e-9], x_kind="random", n=0, seed=4)
+@example(eigenvalues=[-3.0, 1.0, 1.0, 3.0, 3.0], x_kind="random", n=3, seed=5)
+@example(eigenvalues=[1.6e-95], x_kind="random", n=0, seed=0)  # squares of the residual underflow
+def test_identity_residuals_bracket_the_operator_norm(check, eigenvalues, x_kind, n, seed):
+    # ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2, R the residual matrix the
+    # check used to judge by its largest singular value
+    rng = np.random.default_rng(seed)
+    d = _generator_with_spectrum(eigenvalues, rng)
+    x = _calculus_operand(d, x_kind, rng)
+    y = rng_operator(rng, d.dim)
+    data = ScenarioData("hypothesis", d, x, y, VonNeumannAlgebraSpec("full", d.dim), n, seed)
+    report = _CHECKS[check](data, DEFAULT_TOL)
+    assert report.passed, (report.residuals, report.tolerance)
+    matrices = identity_residual_matrices(check, d, x, y, n)
+    assert len(report.residuals) == len(matrices)
+    for resid, r in zip(report.residuals, matrices):
+        op = operator_norm(r)
+        assert op * (1 - 1e-12) <= resid <= math.sqrt(r.shape[-1]) * op * (1 + 1e-12)
+        assert resid == pytest.approx(frobenius_norm(r), rel=1e-12, abs=0)
+
+
+def test_identity_checks_take_no_residual_svd(monkeypatch):
+    # the six identity checks hand the SVD helper their operands and the
+    # triangular representations only: every residual is a Frobenius norm
+    seen = []
+    svd_norm = core.operator_norm
+
+    def recording(a):
+        seen.append(np.array(a))
+        return svd_norm(a)
+
+    built = []
+    build = harness.build_scenario
+
+    def building(config):
+        data = build(config)
+        built.append(data)
+        seen.clear()  # the generator's own validation guards are not the checks'
+        return data
+
+    for module in (core, derivation, triangular, harness):
+        monkeypatch.setattr(module, "operator_norm", recording)
+    monkeypatch.setattr(harness, "build_scenario", building)
+    config = ScenarioConfig.from_dict({
+        "scenario": {"kind": "random", "N": 4}, "n": 1, "seed": 3, "checks": list(_IDENTITY_CHECKS),
+    })
+    assert run_checks(config).overall_pass
+    (data,) = built
+    x, y = data.x, data.y
+    rep_x, rep_y = (triangular_representation(derivative_chain(data.generator, a, 1)).matrix for a in (x, y))
+    exp_rj = np.array([[1.0, data.generator.norm()], [0.0, 1.0]])
+    expected = [
+        x, y,  # leibniz
+        x,  # binomial_eq, the scenario's ||x||, which band_eq shares
+        rep_x, rep_y,  # phi_hom
+        exp_rj, x,  # phi_conj
+        x, y,  # ad_identity
+    ]
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        np.testing.assert_array_equal(got, want)

@@ -9,6 +9,7 @@ from opderiv.core import (
     OperatorSpace,
     Subspace,
     eig_hermitian,
+    frobenius_norm,
     nullspace_of_constraints,
     operator_norm,
 )
@@ -494,6 +495,33 @@ def test_invariant_family_residuals_small():
     fam = invariant_family(spec, d, 2)
     resid = invariance_residuals(fam, d, spec.generating_set())
     assert max(resid.values()) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, eigenvalues, n",
+    [
+        (VonNeumannAlgebraSpec("full", 1), [0.5], 2),
+        (VonNeumannAlgebraSpec("full", 2), [1.0, 1.0], 1),
+        (VonNeumannAlgebraSpec("diagonal_masa", 3), [1.0 - 1e-12, 1.0, 2.5], 2),
+        (VonNeumannAlgebraSpec("block_diagonal", 3, pattern=(2, 1)), [0.0, 1e-9, 2.0], 1),
+    ],
+)
+def test_invariance_residuals_bracket_the_operator_norm(spec, eigenvalues, n):
+    # ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2 for R = (I - P) rep(x) P, the
+    # matrix the residual was the operator norm of, and the check's tolerance holds
+    u, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((spec.ambient_dim,) * 2))
+    d = eig_hermitian((u * eigenvalues) @ u.T)
+    fam = invariant_family(spec, d, n)
+    elements = spec.generating_set()
+    resid = invariance_residuals(fam, d, elements)
+    reps = [triangular_representation(derivative_chain(d, x, n)).matrix for x in elements]
+    eye = np.eye(fam.ambient_dim)
+    for sub, label in zip(fam.subspaces, fam.labels):
+        r = [(eye - sub.projection) @ rep @ sub.projection for rep in reps]
+        op = max(operator_norm(a) for a in r)
+        assert op * (1 - 1e-12) <= resid[label] <= np.sqrt(fam.ambient_dim) * op * (1 + 1e-12)
+        assert resid[label] == pytest.approx(max(frobenius_norm(a) for a in r), rel=1e-12, abs=0)
+    assert max(resid.values()) <= DEFAULT_TOL.alg((1.0 + d.norm()) ** n)
 
 
 # -------------------------------------------------------------- alg of family

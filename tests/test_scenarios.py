@@ -151,6 +151,23 @@ def test_build_scenario_block_pattern_must_match():
         build_scenario(ScenarioConfig.from_dict(raw))  # circle N=2 has dim 5
 
 
+@pytest.mark.parametrize(
+    "pattern, dim", [("22", 4), ([2.7, 1.9], 3)], ids=["string", "non_integral"]
+)
+def test_block_pattern_must_be_a_list_of_integers(pattern, dim):
+    # read character by character or truncated, these would be the valid
+    # blocks (2, 2) on C^4 and (2, 1) on C^3
+    with pytest.raises(ValueError, match="block"):
+        VonNeumannAlgebraSpec("block_diagonal", dim, pattern=pattern)
+    raw = base_config(
+        scenario={"kind": "random", "N": dim}, algebra={"kind": "block_diagonal", "pattern": pattern}
+    )
+    with pytest.raises(ConfigError, match="algebra.pattern"):
+        build_scenario(ScenarioConfig.from_dict(raw))
+    raw["algebra"]["pattern"] = [2.0, dim - 2]  # integral sizes are accepted
+    assert build_scenario(ScenarioConfig.from_dict(raw)).algebra.pattern == (2, dim - 2)
+
+
 # Config dicts mixing valid and invalid kinds, field types and missing
 # fields; sizes stay <= 3 and every path names a file that does not exist.
 _junk = st.one_of(
