@@ -130,18 +130,13 @@ def frobenius_norm(a) -> float | np.ndarray:
 
     Same contract as ``operator_norm``: a 2-D input gives a float, a
     ``(..., M, N)`` stack an array of its leading shape.  No SVD: a sum of
-    squares per matrix, taken over the entries divided by the largest one,
-    so no square underflows (a residual of 1e-200 does not read 0) or
-    overflows.  For every R, ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2
-    (Golub & Van Loan, *Matrix Computations*, sec. 2.3), so a residual
-    that meets an operator-norm tolerance in this norm meets it in the
-    operator norm too; only the verdict is stricter, by at most
+    squares per matrix.  For every R, ||R||_2 <= ||R||_F <= sqrt(rank R)
+    ||R||_2 (Golub & Van Loan, *Matrix Computations*, sec. 2.3), so a
+    residual that meets an operator-norm tolerance in this norm meets it
+    in the operator norm too; only the verdict is stricter, by at most
     sqrt(rank R).
     """
-    mags = np.abs(np.asarray(a, dtype=complex))
-    top = mags.max(axis=(-2, -1), initial=0.0, keepdims=True)
-    unit = np.where(top > 0.0, top, 1.0)
-    norms = (unit * np.sqrt(np.sum((mags / unit) ** 2, axis=(-2, -1), keepdims=True)))[..., 0, 0]
+    norms = np.linalg.norm(np.asarray(a, dtype=complex), axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 

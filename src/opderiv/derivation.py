@@ -30,9 +30,7 @@ residual is pure roundoff; they report its Frobenius norm
 (``frobenius_norm``, no SVD), which bounds the operator norm from above,
 against tolerances that keep their operator-norm scales.  The binomial
 sums for several orders share the powers of D and the products D^a x
-(``_binomial_sums``), and band matrices of one generator reassemble as
-one stacked V C V* product (``_assemble_bands``); both are bitwise equal
-to the per-order and per-matrix forms.
+(``_binomial_sums``), bitwise equal to the per-order form.
 
 At finite dimension every operator is smooth, domains are the whole
 space, and closures are identities, so none of that bookkeeping appears
@@ -267,16 +265,6 @@ def band_derivation(bm: BandMatrix, k: int) -> BandMatrix:
         weight = math.comb(k, j) * ((-1) ** (k - j))
         acc += weight * ((lam**j)[:, None] * y * (lam ** (k - j))[None, :])
     return BandMatrix(generator=bm.generator, coeffs=(1j**k) * acc, slices=bm.slices)
-
-
-def _assemble_bands(bms) -> np.ndarray:
-    """``[bm.assemble() for bm in bms]`` as one (m, N, N) stack.
-
-    The band matrices share one generator, so V C V* is one stacked
-    product; entry k is bitwise ``bms[k].assemble()``.
-    """
-    v = bms[0].generator.eigenvectors
-    return v @ np.stack([bm.coeffs for bm in bms]) @ v.conj().T
 
 
 def default_step(d: SelfAdjointGenerator) -> float:
