@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import load_matrix_json, save_operator
+from .core import load_matrix_json, operator_norm, save_operator
 from .harness import ScenarioConfig, build_scenario, run_checks
 from .scenarios import ConfigError
 
@@ -96,8 +96,8 @@ def _cmd_show(args) -> int:
         raise ConfigError(str(exc)) from exc
     n = mat.shape[0]
     print(f"{args.path}: dim {n}" + (f", extra {extra}" if extra else ""))
-    herm = np.linalg.norm(mat - mat.conj().T, 2)
-    print(f"operator norm {np.linalg.norm(mat, 2):.6g}, ||A - A*|| = {herm:.3g}")
+    herm = operator_norm(mat - mat.conj().T)
+    print(f"operator norm {operator_norm(mat):.6g}, ||A - A*|| = {herm:.3g}")
     with np.printoptions(precision=4, suppress=True, linewidth=140):
         print(mat)
     return 0

@@ -24,12 +24,16 @@ unitarily invariant, so it works in the eigenbasis of D: one entrywise
 product of the band embedding's ``V* x V`` per sample, no matrix product,
 and judges its samples as arrays.
 
-The probes' theorems are about operator norms, so they take SVDs.  The
+The probes' theorems are about operator norms, so they take
+``operator_norm`` (one Hermitian eigensolve of each Gram matrix).  The
 Leibniz rule and the binomial and band forms are exact identities whose
 residual is pure roundoff; they report its Frobenius norm
-(``frobenius_norm``, no SVD), which bounds the operator norm from above,
-against tolerances that keep their operator-norm scales.  The binomial
-sums for several orders share the powers of D and the products D^a x
+(``frobenius_norm``), which bounds the operator norm from above, against
+tolerances that keep their operator-norm scales.  The operator norms a
+check shares with others (||x||, ||y||, ||i[D, x]||) are keyword
+arguments: a caller that holds them, such as the harness, passes them in,
+and a check called without them computes them.  The binomial sums for
+several orders share the powers of D and the products D^a x
 (``_binomial_sums``), bitwise equal to the per-order form.
 
 At finite dimension every operator is smooth, domains are the whole
@@ -296,13 +300,16 @@ def central_difference_scalar(
     xi,
     eta,
     t0: float = 0.0,
-    h: float | None = None,
-) -> complex:
+    h=None,
+) -> complex | np.ndarray:
     """n-th central difference of t -> <alpha_t(x) xi, eta> at t0.
 
     Uses the standard (n+1)-point central stencil, error O(h^2); compare
     against <alpha_t0 applied to the n-th derivative xi, eta>.  xi and eta
-    must be unit vectors.
+    must be unit vectors.  A scalar step (default ``default_step``) gives
+    a complex number; a 1-D array of H steps gives the H values, from one
+    automorphism stack of all H (n+1) stencil points, each value bitwise
+    that of a call at its one step.
     """
     if n < 1:
         raise ValueError("scalar derivative order must be >= 1")
@@ -311,24 +318,34 @@ def central_difference_scalar(
     for name, v in (("xi", xi), ("eta", eta)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"{name} must be a unit vector")
-    if h is None:
-        h = default_step(d)
-    # all n+1 stencil points as one stack; each value is still its own
-    # <alpha_t(x) xi, eta>, summed in stencil order
-    alphas = automorphism(d, x, t0 + (n / 2.0 - np.arange(n + 1)) * h)
-    total = 0.0 + 0.0j
-    for j, alpha in enumerate(alphas):
-        total += ((-1) ** j) * math.comb(n, j) * complex(np.vdot(eta, alpha @ xi))
-    return total / h**n
+    steps = np.asarray(default_step(d) if h is None else h, dtype=float)
+    # all stencil points of all steps as one stack; each value is still its
+    # own <alpha_t(x) xi, eta>, summed in stencil order
+    alphas = automorphism(d, x, t0 + (n / 2.0 - np.arange(n + 1)) * steps[..., None])
+    values = []
+    for step, stencil in zip(steps.reshape(-1), alphas.reshape(-1, *alphas.shape[-3:])):
+        total = 0.0 + 0.0j
+        for j, alpha in enumerate(stencil):
+            total += ((-1) ** j) * math.comb(n, j) * complex(np.vdot(eta, alpha @ xi))
+        values.append(total / float(step) ** n)
+    return np.array(values) if steps.ndim else values[0]
 
 
 def leibniz_check(
-    d: SelfAdjointGenerator, x, y, tol: TolerancePolicy | None = None, instance_id: str = ""
+    d: SelfAdjointGenerator,
+    x,
+    y,
+    tol: TolerancePolicy | None = None,
+    instance_id: str = "",
+    *,
+    x_norm: float | None = None,
+    y_norm: float | None = None,
 ) -> CheckReport:
     """Derivation property: i[D, xy] = i[D, x] y + x i[D, y].
 
     The residual is the Frobenius norm of the difference (``frobenius_norm``),
-    judged against the operator-norm scale tol_alg(||D||, ||x||, ||y||).
+    judged against the operator-norm scale tol_alg(||D||, ||x||, ||y||);
+    ``x_norm`` and ``y_norm``, when given, are ||x|| and ||y||.
     """
     tol = tol or DEFAULT_TOL
     x, y = as_operator(x), as_operator(y)
@@ -337,7 +354,9 @@ def leibniz_check(
     lhs = _chain(d, x @ y, 1)[1]
     rhs = _chain(d, x, 1)[1] @ y + x @ _chain(d, y, 1)[1]
     resid = frobenius_norm(lhs - rhs)
-    tolerance = tol.alg(d.norm(), operator_norm(x), operator_norm(y))
+    x_norm = operator_norm(x) if x_norm is None else x_norm
+    y_norm = operator_norm(y) if y_norm is None else y_norm
+    tolerance = tol.alg(d.norm(), x_norm, y_norm)
     return CheckReport("leibniz", instance_id, [resid], tolerance, resid <= tolerance)
 
 
@@ -347,13 +366,18 @@ def lipschitz_check(
     t_samples,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
+    *,
+    x_norm: float | None = None,
+    dx_norm: float | None = None,
 ) -> CheckReport:
     """||alpha_t(x) - x|| <= ||i[D, x]|| |t| for every sampled t.
 
-    Reports the ratios lhs / (||i[D,x]|| |t|); passes when every ratio is
-    <= 1 + tol_alg, or lhs exceeds ||i[D,x]|| |t| by no more than the
-    roundoff floor tol_alg * (1 + ||x||).  When the derivative vanishes
-    (within tolerance) the differences themselves must vanish, avoiding 0/0.
+    Reports the ratios lhs / (||i[D,x]|| |t|); a sample passes when its
+    ratio is <= 1 + tol_alg, or lhs exceeds ||i[D,x]|| |t| by no more than
+    the roundoff floor tol_alg * (1 + ||x||).  When the derivative vanishes
+    (within tolerance), and at t = 0, the residual is the difference
+    itself, avoiding 0/0, and only the roundoff-excess test applies.
+    ``x_norm`` and ``dx_norm``, when given, are ||x|| and ||i[D, x]||.
 
     The differences are taken in the eigenbasis of D: with y = V* x V and
     p_i = e^{it lambda_i}, alpha_t(x) - x = V ((p_i conj(p_j) - 1) y_ij) V*,
@@ -365,8 +389,8 @@ def lipschitz_check(
     tol = tol or DEFAULT_TOL
     x = as_operator(x)
     _check_dims(d, x)
-    dx_norm = operator_norm(_chain(d, x, 1)[1])
-    x_norm = operator_norm(x)
+    dx_norm = operator_norm(_chain(d, x, 1)[1]) if dx_norm is None else dx_norm
+    x_norm = operator_norm(x) if x_norm is None else x_norm
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
     ts = np.asarray(t_samples, dtype=float)
     phases = np.exp(1j * np.multiply.outer(ts, d.eigenvalues))
@@ -377,10 +401,9 @@ def lipschitz_check(
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch
         ratios = diffs / scale
     residuals = np.where(ratio_branch, ratios, diffs)
-    floor = tol.alg(x_norm)
-    # diff carries the absolute roundoff the degenerate branch allows, which
-    # dominates the ratio when ||i[D, x]|| |t| is that small
-    within = np.where(ratio_branch, (ratios <= 1.0 + tol.tol_alg) | (diffs - scale <= floor), diffs <= floor)
+    # diff carries absolute roundoff, which dominates the ratio when
+    # ||i[D, x]|| |t| is that small
+    within = (diffs - scale <= tol.alg(x_norm)) | (ratio_branch & (ratios <= 1.0 + tol.tol_alg))
     passed = bool(within.all())
     max_ratio = float(residuals.max(initial=0.0))
     return CheckReport(
@@ -399,12 +422,15 @@ def uniform_convergence_check(
     h_sequence=None,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
+    *,
+    x_norm: float | None = None,
 ) -> CheckReport:
     """Norm convergence of the one-sided quotient (alpha_h(x) - x)/h to i[D, x].
 
     Residuals along a decreasing step sequence must shrink with observed
     order >= 0.9 (the quotient is first-order accurate).  All-vanishing
-    residuals pass outright.
+    residuals (within tol_alg(||D||, ||x||)) pass outright; ``x_norm``,
+    when given, is ||x||.
     """
     tol = tol or DEFAULT_TOL
     x = as_operator(x)
@@ -419,7 +445,8 @@ def uniform_convergence_check(
     steps = np.array(hs)
     quotients = (automorphism(d, x, steps) - x) / steps[:, None, None]
     residuals = operator_norm(quotients - dx).tolist()
-    floor = tol.alg(d.norm(), operator_norm(x))
+    x_norm = operator_norm(x) if x_norm is None else x_norm
+    floor = tol.alg(d.norm(), x_norm)
     if all(r <= floor for r in residuals):
         return CheckReport(
             "uniform_conv", instance_id, residuals, floor, True, details={"orders": [], "degenerate": True}

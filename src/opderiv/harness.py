@@ -18,20 +18,25 @@ builds the algebra and the family once.  In the same way the checks
 share one derivative chain of x per order (``ScenarioData.chain``): the
 homomorphism, conjugation and norm-sandwich checks share the order-n
 chain and its triangular representation, and the homomorphism check and
-the norm sandwich one norm of it.  The harness-level checks take ||x||
-from ``ScenarioData.x_norm``, computed once per scenario.
+the norm sandwich one norm of it.  The scenario's operator norms ||x||,
+||y|| and ||i[D, x]|| are ``ScenarioData`` properties, each computed once
+per scenario on first use, and every check that needs one is handed it
+(leibniz, lipschitz, uniform_conv, phi_conj and ad_identity take them as
+keyword arguments), so a calculus run takes each of them once.
 
 The identity checks (leibniz, binomial_eq, band_eq, phi_hom, phi_conj,
 ad_identity, invariance) report Frobenius residuals, with no SVD, against
 tolerances that keep their operator-norm scales; since ||R||_2 <=
 ||R||_F, no verdict loosens.  binomial_eq takes its five sums from one
-set of powers of D, and fd_first takes its three central differences
-from one six-time automorphism stack and one stacked norm.
+set of powers of D, fd_first takes its three central differences from
+one six-time automorphism stack and one stacked norm, and fd_higher
+takes the three steps of each order from one automorphism stack.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -112,6 +117,16 @@ class ScenarioData:
         """||x||, computed on first use."""
         return operator_norm(self.x)
 
+    @cached_property
+    def y_norm(self) -> float:
+        """||y||, computed on first use."""
+        return operator_norm(self.y)
+
+    @cached_property
+    def dx_norm(self) -> float:
+        """||i[D, x]||, computed on first use."""
+        return operator_norm(self.chain(1).delta(1))
+
     def chain(self, order: int) -> DerivativeChain:
         """The derivative chain of x to the given order, built on first use."""
         if order not in self._chains:
@@ -137,7 +152,9 @@ def _unit_vectors(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_leibniz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return leibniz_check(data.generator, data.x, data.y, tol, instance_id=data.label)
+    return leibniz_check(
+        data.generator, data.x, data.y, tol, instance_id=data.label, x_norm=data.x_norm, y_norm=data.y_norm
+    )
 
 
 def _against_chain(data: ScenarioData, tol: TolerancePolicy, approx: np.ndarray) -> tuple[list, float, bool]:
@@ -201,15 +218,13 @@ def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     xi, eta = _unit_vectors(d.dim, data.seed + 11)
     t0 = 0.3
     h = default_step(d)
+    steps = np.array([h, 50.0 * h, 50.0 * h / 2])
     residuals, orders, passed, degenerate = [], [], True, True
     top = min(3, max(1, data.n))
     chain = data.chain(top)
     for m in range(1, top + 1):
         exact = complex(np.vdot(eta, automorphism(d, chain.delta(m), t0) @ xi))
-        err = abs(central_difference_scalar(d, x, m, xi, eta, t0, h) - exact)
-        h_big = 50.0 * h
-        e1 = abs(central_difference_scalar(d, x, m, xi, eta, t0, h_big) - exact)
-        e2 = abs(central_difference_scalar(d, x, m, xi, eta, t0, h_big / 2) - exact)
+        err, e1, e2 = (abs(complex(v) - exact) for v in central_difference_scalar(d, x, m, xi, eta, t0, steps))
         with np.errstate(divide="ignore"):  # e1 == 0 gives order -inf
             order = float(np.log2(e1 / e2)) if e2 > 0 else np.inf
         residuals.append(err)
@@ -232,11 +247,13 @@ def _check_lipschitz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     ts = np.concatenate(
         [[0.1, 1.0, 10.0], rng.uniform(-10, 10, size=47)]
     )
-    return lipschitz_check(data.generator, data.x, ts, tol, instance_id=data.label)
+    return lipschitz_check(
+        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm, dx_norm=data.dx_norm
+    )
 
 
 def _check_uniform_conv(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return uniform_convergence_check(data.generator, data.x, tol=tol, instance_id=data.label)
+    return uniform_convergence_check(data.generator, data.x, tol=tol, instance_id=data.label, x_norm=data.x_norm)
 
 
 def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
@@ -245,7 +262,9 @@ def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 
 
 def _check_phi_conj(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return conjugation_identity_check(data.generator, data.chain(data.n), tol, instance_id=data.label)
+    return conjugation_identity_check(
+        data.generator, data.chain(data.n), tol, instance_id=data.label, x_norm=data.x_norm
+    )
 
 
 def _check_norm_sandwich(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
@@ -253,7 +272,9 @@ def _check_norm_sandwich(data: ScenarioData, tol: TolerancePolicy) -> CheckRepor
 
 
 def _check_ad_identity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return ad_expansion_check(data.x, data.y, max(1, data.n), tol, instance_id=data.label)
+    return ad_expansion_check(
+        data.x, data.y, max(1, data.n), tol, instance_id=data.label, s_norm=data.x_norm, b_norm=data.y_norm
+    )
 
 
 def _check_invariance(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
@@ -384,11 +405,16 @@ class ScenarioConfig:
 
 
 def _int_field(raw: dict, key: str, default: int, lowest: int) -> int:
-    """raw[key] (default when absent) as an integer >= lowest."""
-    try:
-        value = int(raw.get(key, default))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {raw.get(key)!r}") from exc
+    """raw[key] (default when absent) as an integer >= lowest.
+
+    ConfigError unless it is an integer or an integral float, the rule of
+    block patterns: a bool, a string or 2.7 is not taken for a number.
+    """
+    value = raw.get(key, default)
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    value = int(value)
     if value < lowest:
         raise ConfigError(f"{key} must be >= {lowest}")
     return value

@@ -16,10 +16,11 @@ tolerance of the conjugation identity and of the reflexivity check.
 
 The homomorphism, conjugation and ad-expansion identities are exact, so
 their residuals are pure roundoff: each is reported as a Frobenius norm
-(``frobenius_norm``, no SVD), which bounds the operator norm from above,
-against a tolerance that keeps its operator-norm scale (the
-representations' norms, ``corner_exponential_norm``, ||s|| and ||b||).
-The norm sandwich is a statement about operator norms and keeps them.
+(``frobenius_norm``), which bounds the operator norm from above, against
+a tolerance that keeps its operator-norm scale (the representations'
+norms, ``corner_exponential_norm``, ||x||, ||s|| and ||b||; a caller that
+holds ||x||, ||s|| or ||b|| passes it in).  The norm sandwich is a
+statement about operator norms and keeps them.
 A chain's representation and its norm are stored on the chain on first
 use, so the checks that share a chain share both.
 
@@ -141,7 +142,7 @@ def _represented(chain: DerivativeChain) -> CornerOperator:
 
 def _represented_norm(chain: DerivativeChain) -> float:
     """The norm of ``_represented(chain)``, stored likewise: the
-    homomorphism check and the norm sandwich share one SVD."""
+    homomorphism check and the norm sandwich share one operator norm."""
     if "rep_norm" not in chain._memo:
         chain._memo["rep_norm"] = _represented(chain).norm()
     return chain._memo["rep_norm"]
@@ -233,11 +234,14 @@ def conjugation_identity_check(
     chain: DerivativeChain,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
+    *,
+    x_norm: float | None = None,
 ) -> CheckReport:
     """exp(S) (x amplified) exp(-S) equals the triangular representation.
 
     The residual is a Frobenius norm, judged against the operator-norm
-    scale tol_alg(||exp(S)||, ||x||, ||exp(-S)||).
+    scale tol_alg(||exp(S)||, ||x||, ||exp(-S)||); ``x_norm``, when
+    given, is ||x||.
     """
     tol = tol or DEFAULT_TOL
     n = chain.order
@@ -245,7 +249,8 @@ def conjugation_identity_check(
     lhs = fwd.matrix @ amplify(chain.x, n).matrix @ bwd.matrix
     resid = frobenius_norm(lhs - _represented(chain).matrix)
     exp_norm = corner_exponential_norm(d, n)
-    tolerance = tol.alg(exp_norm, operator_norm(chain.x), exp_norm)
+    x_norm = operator_norm(chain.x) if x_norm is None else x_norm
+    tolerance = tol.alg(exp_norm, x_norm, exp_norm)
     return CheckReport(
         "phi_conj",
         instance_id,
@@ -317,14 +322,22 @@ def norm_sandwich_check(
 
 
 def ad_expansion_check(
-    s, b, n: int, tol: TolerancePolicy | None = None, instance_id: str = ""
+    s,
+    b,
+    n: int,
+    tol: TolerancePolicy | None = None,
+    instance_id: str = "",
+    *,
+    s_norm: float | None = None,
+    b_norm: float | None = None,
 ) -> CheckReport:
     """sum_j ad(s)^j(b) s^(n-j) / ((n-j)! j!) == s^n b / n!.
 
     Holds in any associative algebra (left and right multiplication by s
     commute, so the binomial theorem collapses the sum).  The residual is a
     Frobenius norm, judged against the operator-norm scale
-    tol_alg(||s||^n, ||b||).
+    tol_alg(||s||^n, ||b||); ``s_norm`` and ``b_norm``, when given, are
+    ||s|| and ||b||.
     """
     tol = tol or DEFAULT_TOL
     s, b = as_operator(s), as_operator(b)
@@ -342,7 +355,9 @@ def ad_expansion_check(
         ad_term = s @ ad_term - ad_term @ s
     rhs = powers[n] @ b / math.factorial(n)
     resid = frobenius_norm(lhs - rhs)
-    tolerance = tol.alg(operator_norm(s) ** n, operator_norm(b))
+    s_norm = operator_norm(s) if s_norm is None else s_norm
+    b_norm = operator_norm(b) if b_norm is None else b_norm
+    tolerance = tol.alg(s_norm**n, b_norm)
     return CheckReport(
         "ad_identity",
         instance_id,

@@ -101,6 +101,38 @@ def test_eig_reconstruction_and_sorting(seed):
     assert operator_norm(a - recon) <= DEFAULT_TOL.eig(operator_norm(a))
 
 
+@pytest.mark.parametrize("guard", ["hermitian", "unitary", "reconstruction"])
+def test_generator_guards_judge_frobenius_norms(guard):
+    # an error E = delta I has ||E||_2 = delta below the guard 1e-7 (1 +
+    # max |lambda|) but ||E||_F = 3 delta above it: a Frobenius guard rejects it
+    evals = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    guard_value = 1e-7 * (1 + evals.max())
+    delta = 0.5 * guard_value
+    base, evecs = np.diag(evals).astype(complex), np.eye(9, dtype=complex)
+    ok = core.SelfAdjointGenerator(base, evals, evecs)
+    assert ok.residual == 0.0
+    if guard == "hermitian":
+        base = base + 0.5j * delta * np.eye(9)  # base - base* = i delta I
+    elif guard == "unitary":
+        evecs = evecs * np.sqrt(1 + delta)  # V V* - I = delta I
+        base = (evecs * evals) @ evecs.conj().T
+    else:
+        base = base + delta * np.eye(9)
+    error = NotHermitian if guard == "hermitian" else ValueError
+    with pytest.raises(error, match={"hermitian": "Hermitian", "unitary": "unitary"}.get(guard, "reconstruct")):
+        core.SelfAdjointGenerator(base, evals, evecs)
+
+
+def test_eig_hermitian_reports_the_generator_reconstruction_residual():
+    rng = np.random.default_rng(44)
+    a = rng_hermitian(rng, 6)
+    gen = eig_hermitian(a)
+    recon = (gen.eigenvectors * gen.eigenvalues) @ gen.eigenvectors.conj().T
+    assert gen.residual == frobenius_norm(gen.base - recon)
+    with pytest.raises(ArithmeticError, match="tol_eig"):
+        eig_hermitian(a, DEFAULT_TOL.replace(tol_eig=gen.residual / (2 * (1 + operator_norm(a)))))
+
+
 def test_generator_shifted():
     gen = eig_hermitian(np.diag([0.0, 1.0]))
     shifted = gen.shifted(2.5)
@@ -118,6 +150,12 @@ def test_operator_norm_cases():
     assert operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
 
+def _gram_bound(shape) -> float:
+    """The relative error bound of ``operator_norm``'s docstring, (M + 1)(N + 1) eps."""
+    m, n = shape[-2:]
+    return (m + 1) * (n + 1) * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("shape", [(6, 4, 4), (3, 1, 1), (2, 3, 5, 5), (4, 6, 2)])
 def test_operator_norm_stack_matches_per_matrix(shape):
     rng = np.random.default_rng(sum(shape))
@@ -125,9 +163,73 @@ def test_operator_norm_stack_matches_per_matrix(shape):
     norms = operator_norm(stack)
     assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
     oracle = np.array([operator_norm(a) for a in stack.reshape(-1, *shape[-2:])])
-    np.testing.assert_allclose(norms.ravel(), oracle, rtol=1e-13, atol=0)
-    # the same LAPACK singular values as the spectral norm of numpy
-    np.testing.assert_array_equal(norms, np.linalg.norm(stack, ord=2, axis=(-2, -1)))
+    np.testing.assert_array_equal(norms.ravel(), oracle)
+    # the largest singular value of LAPACK's SVD, within the documented bound
+    svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    np.testing.assert_allclose(norms, svd, rtol=_gram_bound(shape), atol=0)
+
+
+def _rank_one(rng, m, n):
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.outer(u, v.conj())
+
+
+_NORM_CASES = {
+    "random_stack": lambda rng: rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7)),
+    "rank_one": lambda rng: _rank_one(rng, 6, 6),
+    "zero": lambda rng: np.zeros((4, 4), dtype=complex),
+    "zero_in_stack": lambda rng: np.stack([np.zeros((3, 3)), rng.standard_normal((3, 3))]),
+    "nilpotent": lambda rng: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "tall": lambda rng: rng.standard_normal((3, 9, 4)) + 1j * rng.standard_normal((3, 9, 4)),
+    "wide": lambda rng: rng.standard_normal((3, 4, 9)) + 1j * rng.standard_normal((3, 4, 9)),
+    "tall_rank_one": lambda rng: _rank_one(rng, 8, 3),
+    "dimension_1": lambda rng: rng.standard_normal((4, 1, 1)) + 1j * rng.standard_normal((4, 1, 1)),
+    "row": lambda rng: rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6)),
+    "column": lambda rng: rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1)),
+    "empty_stack": lambda rng: np.zeros((0, 3, 3), dtype=complex),
+    "large_in_range": lambda rng: 1e140 * (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))),
+    "small_in_range": lambda rng: 1e-140 * (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))),
+    "scaled_up_1e200": lambda rng: 1e200 * (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))),
+    "scaled_down_1e-200": lambda rng: 1e-200 * (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))),
+    "mixed_scales": lambda rng: np.stack([1e-200 * np.eye(3), 1e200 * np.eye(3), np.eye(3)]),
+}
+
+
+@pytest.mark.parametrize("case", _NORM_CASES)
+def test_operator_norm_matches_svd_within_the_documented_bound(case):
+    a = _NORM_CASES[case](np.random.default_rng(17))
+    norms = operator_norm(a)
+    svd = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[..., 0]
+    if a.ndim == 2:
+        assert type(norms) is float
+    else:
+        assert isinstance(norms, np.ndarray) and norms.shape == a.shape[:-2]
+    np.testing.assert_allclose(norms, svd, rtol=_gram_bound(a.shape), atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_operator_norm_takes_the_svd_outside_the_gram_range(scale, monkeypatch):
+    # squares of entries beyond 2^+-500 overflow or underflow: the Gram
+    # matrix reads inf or 0, so such a stack takes the SVD, exactly
+    rng = np.random.default_rng(5)
+    a = scale * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        gram = a.conj().swapaxes(-1, -2) @ a
+    assert not np.all(np.isfinite(gram)) or not np.any(gram)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    norms = operator_norm(a)
+    assert not calls
+    np.testing.assert_array_equal(norms, np.linalg.svd(a, compute_uv=False)[..., 0])
+    assert operator_norm(a / scale) == pytest.approx(norms / scale, rel=_gram_bound(a.shape))
+    assert len(calls) == 1
 
 
 def test_operator_norm_empty_stack_and_matrix_type():

@@ -140,6 +140,26 @@ def test_config_validation():
         ScenarioConfig.from_dict(base_config(tolerances={"tol_alg": -1.0}))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 2.7), ("n", "3"), ("seed", 1.9), ("N", True), ("n", None), ("seed", float("inf"))],
+    ids=["N_non_integral", "n_string", "seed_non_integral", "N_bool", "n_null", "seed_inf"],
+)
+def test_config_integer_fields_are_strict(field, value):
+    # coerced with int(), these would be N = 2, order 3, seed 1 and N = 1
+    raw = base_config(scenario={"kind": "random", "N": 4})
+    (raw["scenario"] if field == "N" else raw)[field] = value
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig.from_dict(raw)
+
+
+def test_config_integer_fields_take_integral_floats():
+    raw = base_config(scenario={"kind": "random", "N": 4.0}, n=2.0, seed=np.int64(5))
+    cfg = ScenarioConfig.from_dict(raw)
+    assert (cfg.n, cfg.seed) == (2, 5) and type(cfg.n) is int and type(cfg.seed) is int
+    assert build_scenario(cfg).x.shape == (4, 4)
+
+
 def test_config_tolerance_override():
     cfg = ScenarioConfig.from_dict(base_config(tolerances={"tol_alg": 1e-7}))
     assert cfg.tol.tol_alg == 1e-7 and cfg.tol.tol_fd == 1e-4
@@ -466,7 +486,8 @@ def test_cli_gen_and_show(tmp_path, capsys):
     np.testing.assert_array_equal(d, np.diag([-2.0, -1.0, 0.0, 1.0, 2.0]))
     assert (out_dir / "x.json").exists() and (out_dir / "y.json").exists()
     assert cli_main(["show", str(out_dir / "D.json")]) == 0
-    assert "dim 5" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "dim 5" in out and "operator norm 2, ||A - A*|| = 0" in out
 
 
 def test_cli_show_bad_file_exit_2(tmp_path):

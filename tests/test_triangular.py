@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opderiv import core, derivation, triangular
 from opderiv.core import DEFAULT_TOL, DimensionMismatch, eig_hermitian, operator_norm
 from opderiv.derivation import chain_norm, derivative_chain
 from opderiv.harness import ScenarioConfig, build_scenario, run_checks
@@ -385,21 +386,22 @@ def test_norm_sandwich_sweep(seed):
 
 def test_phi_hom_and_norm_sandwich_take_one_representation_norm(monkeypatch):
     # the scenario's chain of x is built once, and the norm of its
-    # representation is one SVD shared by both checks
+    # representation is one operator_norm call shared by both checks
     config = ScenarioConfig.from_dict({
         "scenario": {"kind": "random", "N": 5}, "n": 2, "seed": 3,
         "checks": ["phi_hom", "norm_sandwich"],
     })
     data = build_scenario(config)
     rep = triangular_representation(derivative_chain(data.generator, data.x, data.n)).matrix
-    svd, seen = np.linalg.svd, []
+    norm, seen = core.operator_norm, []
 
-    def counting_svd(a, *args, **kwargs):
+    def counting(a):
         a = np.asarray(a)
-        seen.extend(np.array_equal(m, rep) for m in a.reshape((-1,) + a.shape[-2:]))
-        return svd(a, *args, **kwargs)
+        seen.extend(m.shape == rep.shape and np.array_equal(m, rep) for m in a.reshape((-1,) + a.shape[-2:]))
+        return norm(a)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for module in (core, derivation, triangular):
+        monkeypatch.setattr(module, "operator_norm", counting)
     report = run_checks(config)
     assert report.overall_pass and len(report.results) == 2
     assert sum(seen) == 1
