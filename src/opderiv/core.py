@@ -66,17 +66,18 @@ class TolerancePolicy:
     """Numerical tolerances used across the toolkit.
 
     tol_herm/tol_eig guard Hermiticity and eigendecomposition residuals,
-    tol_alg guards exact algebraic identities, tol_fd guards finite
-    difference probes, and rank_cutoff is the relative singular-value
-    threshold for rank decisions.  Residual tolerances are scaled as
-    ``tol * (1 + prod(norms of the inputs))`` so products of large-norm
-    operators are judged relatively.
+    tol_alg guards exact algebraic identities, and rank_cutoff is the
+    relative singular-value threshold for rank decisions.  Residual
+    tolerances are scaled as ``tol * (1 + prod(norms of the inputs))`` so
+    products of large-norm operators are judged relatively.  The
+    finite-difference and convergence probes take no tolerance: each is
+    judged by its Taylor remainder plus its roundoff, a bound made of
+    norms of the derivative chain (``derivation._fd_roundoff``).
     """
 
     tol_herm: float = 1e-9
     tol_eig: float = 1e-9
     tol_alg: float = 1e-9
-    tol_fd: float = 1e-4
     rank_cutoff: float = 1e-9
 
     def __post_init__(self):

@@ -11,26 +11,20 @@ malformed config raises ConfigError from ``ScenarioConfig.from_dict`` or
 ``build_scenario``.  Identical config and seed reproduce identical
 numerical report fields (timings excluded) on one platform.
 
-The invariance and reflexivity checks share one invariant family per
-scenario: ``ScenarioData.family`` builds it (with the algebra) on first
-use, so a run that selects either check or both solves the commutant and
-builds the algebra and the family once.  In the same way the checks
-share one derivative chain of x per order (``ScenarioData.chain``): the
-homomorphism, conjugation and norm-sandwich checks share the order-n
-chain and its triangular representation, and the homomorphism check and
-the norm sandwich one norm of it.  The scenario's operator norms ||x||,
-||y|| and ||i[D, x]|| are ``ScenarioData`` properties, each computed once
-per scenario on first use, and every check that needs one is handed it
-(leibniz, lipschitz, uniform_conv, phi_conj and ad_identity take them as
-keyword arguments), so a calculus run takes each of them once.
+Per scenario the checks share, each built on first use: one invariant
+family (with the algebra) for invariance and reflexivity; one derivative
+chain of x of order max(7, n), whose prefixes are ``ScenarioData.chain``;
+and its norms ||delta^j(x)||, one stacked ``operator_norm`` that also
+gives ||x|| and ||i[D, x]||.  These and ||y|| are handed to the checks
+that need them, so a calculus run takes each norm once.
 
 The identity checks (leibniz, binomial_eq, band_eq, phi_hom, phi_conj,
 ad_identity, invariance) report Frobenius residuals, with no SVD, against
 tolerances that keep their operator-norm scales; since ||R||_2 <=
-||R||_F, no verdict loosens.  binomial_eq takes its five sums from one
-set of powers of D, fd_first takes its three central differences from
-one six-time automorphism stack and one stacked norm, and fd_higher
-takes the three steps of each order from one automorphism stack.
+||R||_F, no verdict loosens.  The probes fd_first, fd_higher and
+uniform_conv take no tolerance: each residual is judged against its
+Taylor remainder (proved in the check's docstring) plus
+``derivation._fd_roundoff``; the report's tolerance is the largest bound.
 """
 
 from __future__ import annotations
@@ -49,6 +43,7 @@ from .core import DEFAULT_TOL, TolerancePolicy, frobenius_norm, load_operator, o
 from .derivation import (
     DerivativeChain,
     _binomial_sums,
+    _fd_roundoff,
     band_derivation,
     band_embed,
     central_difference_derivative,
@@ -113,24 +108,31 @@ class ScenarioData:
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
+    def _full_chain(self) -> DerivativeChain:
+        # order 7: fd_higher's remainder at order 3 is delta^7(x)
+        return derivative_chain(self.generator, self.x, max(7, self.n))
+
+    @cached_property
+    def chain_norms(self) -> np.ndarray:
+        """||delta^j(x)|| for j = 0..max(7, n), one stacked norm on first use."""
+        chain = self._full_chain
+        return operator_norm(np.stack([chain.delta(j) for j in range(chain.order + 1)]))
+
+    @property
     def x_norm(self) -> float:
-        """||x||, computed on first use."""
-        return operator_norm(self.x)
+        """||x||, from ``chain_norms``."""
+        return float(self.chain_norms[0])
 
     @cached_property
     def y_norm(self) -> float:
         """||y||, computed on first use."""
         return operator_norm(self.y)
 
-    @cached_property
-    def dx_norm(self) -> float:
-        """||i[D, x]||, computed on first use."""
-        return operator_norm(self.chain(1).delta(1))
-
     def chain(self, order: int) -> DerivativeChain:
-        """The derivative chain of x to the given order, built on first use."""
+        """The derivative chain of x to order <= max(7, n), a prefix of one chain."""
         if order not in self._chains:
-            self._chains[order] = derivative_chain(self.generator, self.x, order)
+            full = self._full_chain
+            self._chains[order] = DerivativeChain(full.x, order, full.derivatives[:order], full.generator)
         return self._chains[order]
 
     def family(self, tol: TolerancePolicy) -> InvariantFamily:
@@ -192,54 +194,49 @@ def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 
 
 def _check_fd_first(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
+    """||(alpha_h(x) - alpha_-h(x))/2h - i[D, x]|| <= h^2/6 ||delta^3(x)|| + _fd_roundoff(h, m=1).
+
+    Proof: f(t) = alpha_t(x) has f^(k)(t) = alpha_t(delta^k(x)), and Taylor's
+    theorem gives f(h) - f(-h) - 2h f'(0) = int_0^h (h - s)^2/2 (alpha_s +
+    alpha_-s)(delta^3(x)) ds, of norm <= h^3/3 ||delta^3(x)|| as alpha_s is
+    an isometry; divide by 2h.  h = ``default_step``; ``tol`` is unused.
+    """
     d, x = data.generator, data.x
-    exact = commutator_derivative(d, x)
     h = default_step(d)
-    h_big = 50.0 * h
-    # one stack of the six times +-step, one stacked norm
-    diffs = central_difference_derivative(d, x, np.array([h, h_big, h_big / 2]))
-    err_h, err_big, err_half = operator_norm(diffs - exact)
-    # x commuting with D: every error is roundoff, so no order can be observed
-    degenerate = max(err_h, err_big, err_half) <= tol.alg(d.norm(), data.x_norm)
-    order = np.log2(err_big / err_half) if err_half > 0 else np.inf
-    passed = degenerate or (err_h <= tol.tol_fd and order >= 1.9)
-    return CheckReport(
-        "fd_first",
-        data.label,
-        [err_h],
-        tol.tol_fd,
-        bool(passed),
-        details={"order": float(order), "h": h, "degenerate": bool(degenerate)},
-    )
+    err = operator_norm(central_difference_derivative(d, x, h) - commutator_derivative(d, x))
+    norms = data.chain_norms
+    bound = float(h**2 / 6 * norms[3] + _fd_roundoff(d, norms[0], h, 1, h))
+    return CheckReport("fd_first", data.label, [err], bound, err <= bound, details={"h": h})
 
 
 def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
+    """m-th central difference of g(t) = <alpha_t(x) xi, eta> at t0, m = 1..min(3, max(1, n)):
+
+        |error| <= m h^2/24 |g^(m+2)(t0)| + mu_4 h^4/24 ||delta^(m+4)(x)|| + _fd_roundoff,
+
+    mu_4 = m/80 + m(m-1)/48.  Proof: |g^(k)| <= ||delta^k(x)|| for unit xi,
+    eta.  The (m+1)-point stencil over h^m is int B_m(u) g^(m)(t0 + hu) du,
+    B_m the density of a sum of m uniform variables on [-1/2, 1/2] (the
+    centred B-spline): even, of integral 1, second moment m/12 and fourth
+    moment mu_4.  Taylor's theorem to third order with a fourth-order
+    remainder leaves m h^2/24 g^(m+2)(t0) plus at most mu_4 h^4/24
+    sup |g^(m+4)|.  ``details`` holds each bound; ``tol`` is unused.
+    """
     d, x = data.generator, data.x
     xi, eta = _unit_vectors(d.dim, data.seed + 11)
-    t0 = 0.3
-    h = default_step(d)
-    steps = np.array([h, 50.0 * h, 50.0 * h / 2])
-    residuals, orders, passed, degenerate = [], [], True, True
+    t0, h = 0.3, default_step(d)
     top = min(3, max(1, data.n))
-    chain = data.chain(top)
+    chain, norms = data.chain(top + 2), data.chain_norms
+    # g^(k)(t0) = <alpha_t0(delta^k(x)) xi, eta> for k = 1..top+2
+    at_t0 = [complex(np.vdot(eta, automorphism(d, chain.delta(k), t0) @ xi)) for k in range(1, top + 3)]
+    residuals, bounds = [], []
     for m in range(1, top + 1):
-        exact = complex(np.vdot(eta, automorphism(d, chain.delta(m), t0) @ xi))
-        err, e1, e2 = (abs(complex(v) - exact) for v in central_difference_scalar(d, x, m, xi, eta, t0, steps))
-        with np.errstate(divide="ignore"):  # e1 == 0 gives order -inf
-            order = float(np.log2(e1 / e2)) if e2 > 0 else np.inf
-        residuals.append(err)
-        orders.append(order)
-        passed = passed and err <= tol.tol_fd and order >= 1.9
-        # x commuting with D: every error is roundoff, so no order can be observed
-        degenerate = degenerate and max(err, e1, e2) <= tol.alg(d.norm() ** m, data.x_norm)
-    return CheckReport(
-        "fd_higher",
-        data.label,
-        residuals,
-        tol.tol_fd,
-        passed or degenerate,
-        details={"orders": orders, "degenerate": degenerate},
-    )
+        residuals.append(abs(central_difference_scalar(d, x, m, xi, eta, t0, h) - at_t0[m - 1]))
+        mu4 = m / 80 + m * (m - 1) / 48
+        truncation = m * h**2 / 24 * abs(at_t0[m + 1]) + mu4 * h**4 / 24 * norms[m + 4]
+        bounds.append(float(truncation + _fd_roundoff(d, norms[0], h, m, t0 + m * h / 2)))
+    passed = all(r <= b for r, b in zip(residuals, bounds))
+    return CheckReport("fd_higher", data.label, residuals, max(bounds), passed, details={"h": h, "bounds": bounds})
 
 
 def _check_lipschitz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
@@ -248,12 +245,12 @@ def _check_lipschitz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         [[0.1, 1.0, 10.0], rng.uniform(-10, 10, size=47)]
     )
     return lipschitz_check(
-        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm, dx_norm=data.dx_norm
+        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm, dx_norm=data.chain_norms[1]
     )
 
 
 def _check_uniform_conv(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return uniform_convergence_check(data.generator, data.x, tol=tol, instance_id=data.label, x_norm=data.x_norm)
+    return uniform_convergence_check(data.generator, data.x, instance_id=data.label, chain_norms=data.chain_norms)
 
 
 def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
@@ -268,7 +265,7 @@ def _check_phi_conj(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 
 
 def _check_norm_sandwich(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return norm_sandwich_check(data.chain(data.n), tol, instance_id=data.label)
+    return norm_sandwich_check(data.chain(data.n), tol, instance_id=data.label, chain_norms=data.chain_norms)
 
 
 def _check_ad_identity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:

@@ -52,7 +52,7 @@ from .core import (
     operator_norm,
     save_operator,
 )
-from .derivation import DerivativeChain, _chain, derivative_chain
+from .derivation import DerivativeChain, _chain, chain_norm, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
@@ -299,13 +299,16 @@ def norm_sandwich_check(
     chain: DerivativeChain,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
+    *,
+    chain_norms=None,
 ) -> CheckReport:
-    """||x||_n / (n+1) <= ||representation|| <= ||x||_n, with slack tol_alg."""
-    from .derivation import chain_norm
+    """||x||_n / (n+1) <= ||representation|| <= ||x||_n, with slack tol_alg.
 
+    ``chain_norms``, when given, holds ||delta^j(x)|| for j = 0..n or further.
+    """
     tol = tol or DEFAULT_TOL
     n = chain.order
-    weighted = chain_norm(chain)
+    weighted = chain_norm(chain, chain_norms)
     rep_norm = _represented_norm(chain)
     slack = tol.alg(weighted)
     lower_violation = max(0.0, weighted / (n + 1) - rep_norm)

@@ -50,7 +50,9 @@ def test_tolerance_policy_validation():
     with pytest.raises(ValueError):
         TolerancePolicy(rank_cutoff=1.5)
     t = TolerancePolicy().replace(tol_alg=1e-7)
-    assert t.tol_alg == 1e-7 and t.tol_fd == 1e-4
+    assert t.tol_alg == 1e-7 and t.tol_eig == 1e-9
+    with pytest.raises(TypeError, match="tol_fd"):
+        TolerancePolicy(tol_fd=1e-4)
     assert t.alg(2.0, 3.0) == pytest.approx(1e-7 * 7.0)
 
 

@@ -504,27 +504,10 @@ def _calculus_operand(d, x_kind, rng):
     return sum(c * np.linalg.matrix_power(d.base, p) for p, c in enumerate(rng.standard_normal(3)))
 
 
-# Known defects of the finite-difference criteria (ROADMAP, "fd checks judged
-# by their Taylor remainder"): fd_first and fd_higher compare the error with
-# the absolute tol_fd although it grows like ||D||^3 ||x|| (the [-3, 1, 1, 3, 3]
-# example: error 6.7e-4, order 1.97), and fd_higher's degenerate test omits the
-# 1/h^m roundoff of its stencil (D = 2I: every derivative is 0, yet order 3
-# gives an error of 3e-8 above the 2.5e-8 cut).  Strict, so the fix that makes
-# the property hold must remove this mark.
-_FD_CRITERIA_DEFECT = pytest.mark.xfail(
-    raises=AssertionError, strict=True, reason="fd criteria FAIL where the identity holds"
-)
-
-
-@pytest.mark.parametrize(
-    "check",
-    [
-        "lipschitz",
-        "uniform_conv",
-        pytest.param("fd_first", marks=_FD_CRITERIA_DEFECT),
-        pytest.param("fd_higher", marks=_FD_CRITERIA_DEFECT),
-    ],
-)
+# The [-3, 1, 1, 3, 3] example has an fd_first error of 6.7e-4, whose
+# h^2/6 ||delta^3(x)|| grows like ||D||^3 ||x||; with [2, 2] every derivative
+# is 0 and the order-3 stencil carries only its 2^3/h^3 roundoff.
+@pytest.mark.parametrize("check", ["lipschitz", "uniform_conv", "fd_first", "fd_higher"])
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     eigenvalues=_calculus_spectra,
@@ -594,7 +577,7 @@ def test_fd_scalar_trivial_and_first_order():
     x = rng_operator(rng, 3)
     est = central_difference_scalar(d, x, 1, xi, eta, t0=0.0)
     exact = complex(np.vdot(eta, commutator_derivative(d, x) @ xi))
-    assert abs(est - exact) <= DEFAULT_TOL.tol_fd
+    assert abs(est - exact) <= 1e-4
 
 
 def test_fd_scalar_second_order_circle():
@@ -605,7 +588,7 @@ def test_fd_scalar_second_order_circle():
     t0 = 0.4
     est = central_difference_scalar(d, s, 2, xi, xi, t0=t0)
     exact = complex(np.vdot(xi, automorphism(d, (1j) ** 2 * s, t0) @ xi))
-    assert abs(est - exact) <= DEFAULT_TOL.tol_fd
+    assert abs(est - exact) <= 1e-4
 
 
 @pytest.mark.parametrize("dim", [1, 4])
@@ -626,20 +609,6 @@ def test_fd_scalar_matches_per_point_oracle(dim, n):
     oracle = total / h**n
     est = central_difference_scalar(d, x, n, xi, eta, t0, h)
     assert est == pytest.approx(oracle, rel=1e-13, abs=0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("case", range(5))
-def test_fd_scalar_step_array_equals_per_step_calls_bitwise(case, n):
-    d, x = _bitwise_cases()[case]
-    xi, eta = harness._unit_vectors(d.dim, case)
-    h = default_step(d)
-    steps = (h, 50.0 * h, 50.0 * h / 2)
-    values = central_difference_scalar(d, x, n, xi, eta, 0.3, np.array(steps))
-    assert isinstance(values, np.ndarray) and values.shape == (3,)
-    singles = [central_difference_scalar(d, x, n, xi, eta, 0.3, step) for step in steps]
-    assert all(type(v) is complex for v in singles)
-    assert [complex(v) for v in values] == singles
 
 
 def test_fd_derivative_matches_two_scalar_calls():
@@ -720,9 +689,14 @@ def test_lipschitz_no_samples_passes_empty():
 
 
 def test_uniform_convergence_identity_degenerate():
+    # delta(I) = 0: each residual is roundoff, within the roundoff part of its bound
     d = eig_hermitian(np.diag([0.0, 1.0]))
     report = uniform_convergence_check(d, np.eye(2))
-    assert report.passed and report.details["degenerate"]
+    bounds = report.details["bounds"]
+    assert report.passed and all(r <= b for r, b in zip(report.residuals, bounds))
+    assert report.tolerance == max(bounds)
+    for h, b in zip(report.details["h"], bounds):
+        assert b == pytest.approx(_fd_roundoff_oracle(d, 1.0, h, 1, h), rel=1e-12, abs=0)
     assert all(r <= 1e-12 for r in report.residuals)
 
 
@@ -744,7 +718,11 @@ def test_uniform_convergence_random_decay():
     report = uniform_convergence_check(d, x)
     assert report.passed
     assert all(b < a for a, b in zip(report.residuals, report.residuals[1:]))
-    assert all(o >= 0.9 for o in report.details["orders"])
+    # each residual is within its own bound h/2 ||delta^2(x)|| + roundoff
+    d2_norm = operator_norm(iterated_derivative(d, x, 2))
+    for h, r, b in zip(report.details["h"], report.residuals, report.details["bounds"]):
+        assert r <= b
+        assert b == pytest.approx(h / 2 * d2_norm, rel=1e-6)
 
 
 def test_uniform_convergence_validates_sequence():
@@ -813,66 +791,112 @@ def test_binomial_sums_equal_per_order_calls_bitwise(case):
         np.testing.assert_array_equal(sums[k - 1], _binomial_per_order(d, x, k))
 
 
+def _fd_roundoff_oracle(d, x_norm, h, m, t):
+    """4 (N + 1 + |t| ||D||) eps ||x|| 2^m / h^m, the roundoff part of every fd bound."""
+    return 4.0 * (d.dim + 1 + abs(t) * d.norm()) * np.finfo(float).eps * x_norm * (2.0 / h) ** m
+
+
+def _counting_samples(monkeypatch):
+    """The number of times each call to ``derivation.automorphism`` samples."""
+    counts = []
+    sample = derivation.automorphism
+
+    def counting(d, x, t):
+        counts.append(np.size(t))
+        return sample(d, x, t)
+
+    monkeypatch.setattr(derivation, "automorphism", counting)
+    return counts
+
+
 @pytest.mark.parametrize("case", range(5))
-def test_fd_first_stack_equals_three_central_differences_bitwise(case, monkeypatch):
-    # the one stacked norm of fd_first sees exactly the per-call differences
+def test_fd_first_matches_one_step_oracle(case, monkeypatch):
+    # one step h, two automorphism samples; the residual of their central
+    # difference is judged against h^2/6 ||delta^3(x)|| + roundoff
     d, x = _bitwise_cases()[case]
-    seen = []
-
-    def recording(a):
-        seen.append(np.array(a))
-        return operator_norm(a)
-
-    monkeypatch.setattr(harness, "operator_norm", recording)
+    samples = _counting_samples(monkeypatch)
     data = ScenarioData("fd", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 1, 0)
     report = _CHECKS["fd_first"](data, DEFAULT_TOL)
-    exact = commutator_derivative(d, x)
+    assert samples == [2]
     h = default_step(d)
-    per_call = np.stack(
-        [central_difference_derivative(d, x, step) - exact for step in (h, 50.0 * h, 50.0 * h / 2)]
-    )
-    stacks = [a for a in seen if a.ndim == 3]
-    assert len(stacks) == 1
-    np.testing.assert_array_equal(stacks[0], per_call)
-    for step, diff in zip((h, 50.0 * h, 50.0 * h / 2), per_call):
-        # a call at one step, as two automorphism samples
-        plus, minus = automorphism(d, x, np.array([step, -step]))
-        np.testing.assert_array_equal(diff, (plus - minus) / (2.0 * step) - exact)
-    errs = [operator_norm(m) for m in per_call]
-    assert report.residuals == [errs[0]]
-    if errs[2] > 0:
-        assert report.details["order"] == float(np.log2(errs[1] / errs[2]))
+    plus, minus = automorphism(d, x, h), automorphism(d, x, -h)
+    err = operator_norm((plus - minus) / (2.0 * h) - commutator_derivative(d, x))
+    roundoff = _fd_roundoff_oracle(d, operator_norm(x), h, 1, h)
+    bound = h**2 / 6 * operator_norm(iterated_derivative(d, x, 3)) + roundoff
+    assert abs(report.residuals[0] - err) <= roundoff
+    assert report.tolerance == pytest.approx(bound, rel=1e-12, abs=0)
+    assert report.passed and report.details["h"] == h
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_fd_higher_takes_one_stencil_stack_per_order(case, monkeypatch):
-    # one central_difference_scalar call per order, for the steps (h, 50h,
-    # 25h), with the report of three calls at one step each
+def test_fd_higher_matches_one_step_oracle(case, monkeypatch):
+    # one step h per order m = 1..3, m + 1 stencil samples; each residual is
+    # judged against m h^2/24 |g^(m+2)(t0)| + mu_4 h^4/24 ||delta^(m+4)(x)||
+    # + roundoff, g(t) = <alpha_t(x) xi, eta>, and the tolerance is the largest
     d, x = _bitwise_cases()[case]
-    calls = []
-    scalar = harness.central_difference_scalar
-
-    def counting(*args):
-        calls.append(np.array(args[-1]))
-        return scalar(*args)
-
-    monkeypatch.setattr(harness, "central_difference_scalar", counting)
+    samples = _counting_samples(monkeypatch)
     data = ScenarioData("fd", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 3, 0)
     report = _CHECKS["fd_higher"](data, DEFAULT_TOL)
-    h = default_step(d)
-    steps = (h, 50.0 * h, 50.0 * h / 2)
-    assert len(calls) == 3 and all(c.tolist() == list(steps) for c in calls)
+    assert samples == [2, 3, 4]
+    h, t0 = default_step(d), 0.3
     xi, eta = harness._unit_vectors(d.dim, data.seed + 11)
-    chain = derivative_chain(d, x, 3)
-    residuals, orders = [], []
+
+    def value(a, t):
+        return complex(np.vdot(eta, automorphism(d, a, t) @ xi))
+
+    def g(k):
+        return value(iterated_derivative(d, x, k), t0)
+
     for m in (1, 2, 3):
-        exact = complex(np.vdot(eta, automorphism(d, chain.delta(m), 0.3) @ xi))
-        err, e1, e2 = (abs(scalar(d, x, m, xi, eta, 0.3, step) - exact) for step in steps)
-        residuals.append(err)
-        with np.errstate(divide="ignore"):
-            orders.append(float(np.log2(e1 / e2)) if e2 > 0 else np.inf)
-    assert report.residuals == residuals
-    assert report.details["orders"] == orders
+        stencil = sum((-1) ** j * math.comb(m, j) * value(x, t0 + (m / 2 - j) * h) for j in range(m + 1))
+        roundoff = _fd_roundoff_oracle(d, operator_norm(x), h, m, t0 + m * h / 2)
+        mu4 = m / 80 + m * (m - 1) / 48
+        remainder = mu4 * h**4 / 24 * operator_norm(iterated_derivative(d, x, m + 4))
+        bound = m * h**2 / 24 * abs(g(m + 2)) + remainder + roundoff
+        assert abs(report.residuals[m - 1] - abs(stencil / h**m - g(m))) <= roundoff
+        assert report.details["bounds"][m - 1] == pytest.approx(bound, rel=1e-12, abs=0)
+    assert report.tolerance == max(report.details["bounds"])
+    assert report.passed and report.details["h"] == h
+
+
+# The exact side of each probe: i[D, x] for fd_first and uniform_conv, and
+# every <alpha_t0(delta^k(x)) xi, eta> for fd_higher (its own and the one in
+# its bound).  Scaled by 1 + 1e-3, it must fail each probe on these cases.
+_MUTATION_SCENARIOS = {
+    "random_8": lambda seed: {"kind": "random", "N": 8},
+    "circle_4_symbol": lambda seed: {
+        "kind": "circle_fourier", "N": 4, "x_kind": {"kind": "random_symbol", "seed": seed, "degree": 2},
+    },
+    "hermitian_25": lambda seed: {"kind": "random", "N": 25, "x_kind": "hermitian"},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", _MUTATION_SCENARIOS)
+@pytest.mark.parametrize("probe", ["fd_first", "fd_higher", "uniform_conv"])
+def test_fd_probes_fail_when_the_exact_side_is_off(probe, scenario, seed, monkeypatch):
+    config = ScenarioConfig.from_dict({
+        "scenario": _MUTATION_SCENARIOS[scenario](seed), "n": 3, "seed": seed, "checks": [probe],
+    })
+    data = harness.build_scenario(config)
+    # builds the shared chain and its norms before the exact side is scaled
+    assert _CHECKS[probe](data, config.tol).passed
+    scale = 1.0 + 1e-3
+    if probe == "fd_first":
+        exact = harness.commutator_derivative
+        monkeypatch.setattr(harness, "commutator_derivative", lambda d, x: scale * exact(d, x))
+    elif probe == "fd_higher":
+        exact = harness.automorphism
+        monkeypatch.setattr(harness, "automorphism", lambda d, x, t: scale * exact(d, x, t))
+    else:
+        chain = derivation._chain
+
+        def scaled(d, x, n):
+            deltas = chain(d, x, n)
+            return [deltas[0], scale * deltas[1], *deltas[2:]]
+
+        monkeypatch.setattr(derivation, "_chain", scaled)
+    assert not _CHECKS[probe](data, config.tol).passed
 
 
 def _lipschitz_per_sample(d, x, ts, tol=DEFAULT_TOL):
@@ -980,9 +1004,9 @@ def test_identity_residuals_bracket_the_operator_norm(check, eigenvalues, x_kind
 
 
 def test_identity_checks_take_no_residual_svd(monkeypatch):
-    # the six identity checks hand operator_norm the scenario's operands,
-    # once each, and the triangular representations only: every residual
-    # is a Frobenius norm
+    # the six identity checks hand operator_norm the scenario's chain of x
+    # (one stack, for ||x||) and y, once each, and the triangular
+    # representations only: every residual is a Frobenius norm
     seen = []
     svd_norm = core.operator_norm
 
@@ -1010,8 +1034,9 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
     x, y = data.x, data.y
     rep_x, rep_y = (triangular_representation(derivative_chain(data.generator, a, 1)).matrix for a in (x, y))
     exp_rj = np.array([[1.0, data.generator.norm()], [0.0, 1.0]])
+    chain = derivative_chain(data.generator, x, 7)
     expected = [
-        x, y,  # the scenario's ||x|| and ||y||, first used by leibniz
+        np.stack([chain.delta(j) for j in range(8)]), y,  # ||x|| and ||y||, first used by leibniz
         rep_x, rep_y,  # phi_hom
         exp_rj,  # phi_conj
     ]
@@ -1023,7 +1048,8 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
 def test_calculus_run_takes_each_scenario_norm_once(monkeypatch):
     # building a random scenario hands operator_norm the generator's ||a||
     # alone (its guards are Frobenius norms); the eleven calculus checks
-    # then pass each of x, y and i[D, x] once, taken from the scenario
+    # then pass y and each delta^j(x), j = 0..7, once: ||x||, ||i[D, x]||,
+    # the fd remainders and the norm sandwich share one stack
     seen, at_build = [], []
     norm = core.operator_norm
 
@@ -1052,6 +1078,7 @@ def test_calculus_run_takes_each_scenario_norm_once(monkeypatch):
     (data,) = built
     assert len(at_build) == 1
     np.testing.assert_array_equal(at_build[0], data.generator.base)
-    operands = [a for a in seen if a.ndim == 2]
-    for name, op in (("x", data.x), ("y", data.y), ("dx", commutator_derivative(data.generator, data.x))):
-        assert sum(a.shape == op.shape and np.array_equal(a, op) for a in operands) == 1, name
+    matrices = [m for a in seen for m in a.reshape(-1, *a.shape[-2:])]
+    chain = derivative_chain(data.generator, data.x, 7)
+    for name, op in [("y", data.y)] + [(f"delta^{j}(x)", chain.delta(j)) for j in range(8)]:
+        assert sum(np.array_equal(m, op) for m in matrices) == 1, name

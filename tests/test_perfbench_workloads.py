@@ -4,8 +4,8 @@
 public API and judges their output.  A change that removes or renames
 something a case calls would otherwise show only when the benchmark
 runs; here the first case of each workload runs in the ordinary test run
-and its own judge must find nothing wrong.  The module is loaded by path,
-read-only.
+and its own judge must find nothing wrong, and every calculus case of one
+seed must fail no operation.  The module is loaded by path, read-only.
 """
 
 import importlib.util
@@ -36,3 +36,12 @@ def test_first_case_of_each_workload_is_judged_right(name, tmp_path):
     case = cases[0]
     failed, wrong = case.verdict(case.run(), None)
     assert not wrong, (case.label, failed, wrong)
+
+
+def test_no_calculus_operation_fails(tmp_path):
+    # every calculus check holds on every case of seed 1, the fd probes too
+    cases = workloads.WORKLOADS["calculus"].cases(np.random.default_rng(1), tmp_path)
+    assert len(cases) == 72
+    for case in cases:
+        failed, wrong = case.verdict(case.run(), None)
+        assert not failed and not wrong, (case.label, failed, wrong)

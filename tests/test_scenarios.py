@@ -162,7 +162,13 @@ def test_config_integer_fields_take_integral_floats():
 
 def test_config_tolerance_override():
     cfg = ScenarioConfig.from_dict(base_config(tolerances={"tol_alg": 1e-7}))
-    assert cfg.tol.tol_alg == 1e-7 and cfg.tol.tol_fd == 1e-4
+    assert cfg.tol.tol_alg == 1e-7 and cfg.tol.tol_eig == 1e-9
+
+
+def test_config_rejects_the_removed_tol_fd():
+    # the fd probes are judged by their Taylor remainder, with no tolerance
+    with pytest.raises(ConfigError, match="tol_fd"):
+        ScenarioConfig.from_dict(base_config(tolerances={"tol_fd": 1e-4}))
 
 
 def test_build_scenario_block_pattern_must_match():
@@ -292,9 +298,10 @@ def test_run_checks_reflexivity_reports_deciding_tolerance():
     assert max(result.residuals) <= result.tolerance
 
 
-@pytest.mark.parametrize("k,degenerate", [(0, True), (1, False)])
-def test_fd_checks_pass_when_x_commutes_with_d(k, degenerate):
-    # the shift by k = 0 is the identity: every fd error is roundoff
+@pytest.mark.parametrize("k,commutes", [(0, True), (1, False)])
+def test_fd_checks_pass_when_x_commutes_with_d(k, commutes):
+    # the shift by k = 0 is the identity: every derivative is 0 and every
+    # fd error is roundoff, within the roundoff part of its bound
     raw = base_config(
         scenario={"kind": "circle_fourier", "N": 3, "x_kind": {"kind": "shift", "k": k}},
         checks=["fd_first", "fd_higher"],
@@ -302,7 +309,8 @@ def test_fd_checks_pass_when_x_commutes_with_d(k, degenerate):
     )
     for result in run_checks(ScenarioConfig.from_dict(raw)).results:
         assert result.passed, result.check
-        assert result.details["degenerate"] is degenerate
+        assert max(result.residuals) <= result.tolerance
+        assert (max(result.residuals) <= 1e-9) == commutes
 
 
 def test_run_checks_all_random_scenario():
@@ -439,6 +447,7 @@ CONFIG_ERRORS = {
                   "x_kind": {"kind": "trig_poly", "coeffs": {"0": [float("inf"), 0.0]}}}
     ),
     "custom_non_hermitian": _custom_non_hermitian,
+    "tol_fd_removed": lambda tmp_path: base_config(tolerances={"tol_fd": 1e-4}),
 }
 
 
