@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -332,12 +333,13 @@ def _gram_deviation(rows: np.ndarray) -> float:
 class Subspace:
     """Closed subspace given by an orthonormal basis (columns).
 
-    The projection field is derived: ``basis @ basis*``.
+    ``projection``, ``basis @ basis*``, is formed on first use and stored
+    on the instance; a subspace that is only read through its basis never
+    forms it.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    projection: np.ndarray = field(init=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -345,9 +347,11 @@ class Subspace:
             raise ValueError("basis must be an (ambient_dim, k) matrix")
         if _gram_deviation(basis.T) > _GRAM_GUARD:
             raise ValueError("basis columns are not orthonormal")
-        proj = basis @ basis.conj().T
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "projection", proj)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
     @classmethod
     def from_columns(cls, columns, rank_cutoff: float = 1e-9) -> "Subspace":

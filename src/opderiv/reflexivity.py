@@ -38,10 +38,18 @@ column rank, X leaves both invariant exactly when also Y_bot = K+ A K and
 A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
-Measured on one BLAS thread under a 2 GB memory cap (one run each),
-``full`` at order 3 takes about 0.25 s and 100 MB at base dimension 16,
-1.5 s and 240 MB at 24, 7 s and 650 MB at 32, and 20 s and 1.5 GB at 40;
-at base dimension 32 and order 4 it takes 12 s and 960 MB.
+
+On a family ``invariant_family`` builds, the level below already leaves
+P_j and Q_j invariant, so those equations are roundoff.  Each level
+first tries a rank-0 certificate: sigma_max(C) <= ||C||_F for the
+constraint C, so ||C||_F <= rank_cutoff * scale (the scale the solve is
+given) puts every singular value under the solve's rank threshold, and
+the level keeps A as the solve's no-cut branch would.  The SVD is taken
+only when the certificate fails, as for a family missing a graph member.
+Measured with ``perfbench/envelope.py`` (one BLAS thread, 2 GB
+address-space cap, one run each), ``full`` at order 3 takes about
+0.10 s and 99 MB at base dimension 16, 0.46 s and 229 MB at 24, and
+2.1 s and 635 MB at 32.
 """
 
 from __future__ import annotations
@@ -67,9 +75,11 @@ from .core import (
     nullspace_of_constraints,
     operator_norm,
 )
-# triangular_representation is not called here; the benchmark tracer
-# (perfbench/tracing.py) wraps it under this module's name.
+# corner_exponential and triangular_representation are not called here;
+# the benchmark tracer (perfbench/tracing.py) wraps them under this
+# module's name.
 from .triangular import (
+    _exponential_terms,
     corner_exponential,
     corner_exponential_norm,
     triangular_representation,
@@ -339,22 +349,23 @@ def lat_family(
     )
 
 
-def graph_subspace(
-    d: SelfAdjointGenerator, n: int, shift: float = 0.0, tol: TolerancePolicy | None = None
-) -> Subspace:
+def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Subspace:
     """Range of the corner exponential applied to the last block.
 
-    The subspace { exp(S)(xi tensor e_n) : xi } of the (n+1)-block space;
+    The subspace { exp(S)(xi tensor e_n) : xi } of the (n+1)-block space:
     the graph of xi -> sum_j (i(D + shift))^j xi / j! over the earlier
     blocks.  ``shift=1`` gives the companion family used to pin down the
-    diagonal in the reflexivity argument.
+    diagonal in the reflexivity argument.  The spanning columns are the
+    last block column of exp(S), the powers (i(D + shift))^k / k! stacked
+    for k = n, ..., 0, built in closed form without exp(S).  Their last
+    block is the identity, so their smallest singular value is at least 1:
+    they have rank N, and one QR orthonormalizes them.
     """
-    tol = tol or DEFAULT_TOL
     if n < 1:
         raise ValueError("graph subspace requires order n >= 1")
-    fwd, _ = corner_exponential(d, n, shift=shift)
-    cols = fwd.matrix[:, n * d.dim : (n + 1) * d.dim]
-    return Subspace.from_columns(cols, rank_cutoff=tol.rank_cutoff)
+    cols = _exponential_terms(d, n, shift)[::-1].reshape(-1, d.dim)
+    q, _ = np.linalg.qr(cols)
+    return Subspace(d.dim * (n + 1), q)
 
 
 @dataclass(frozen=True)
@@ -414,9 +425,9 @@ def invariant_family(
         subs.append(Subspace(ambient, eye[:, : base * (j + 1)]))
         labels.append(f"H_{j}")
     for j in range(1, n + 1):
-        subs.append(graph_subspace(d, j, shift=0.0, tol=tol).embedded(ambient, 0))
+        subs.append(graph_subspace(d, j, shift=0.0).embedded(ambient, 0))
         labels.append(f"P_{j}")
-        subs.append(graph_subspace(d, j, shift=1.0, tol=tol).embedded(ambient, 0))
+        subs.append(graph_subspace(d, j, shift=1.0).embedded(ambient, 0))
         labels.append(f"Q_{j}")
     return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
 
@@ -473,6 +484,8 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
     docstring): with G read off P_j, G' off Q_j and K = G - G', the only
     solve keeps the A with Kc* A K = 0 (Kc an orthonormal basis of the
     complement of range K), and Y_bot = K+ A K, Y_top = G Y_bot - A G.
+    The solve is skipped where ``_rank_zero`` certifies that constraint
+    as roundoff, which it is on every level of a built family.
     A level with one graph member leaves Y_bot free (G' stands in for G
     when only Q_j is there), one with none all of Y.  The result is the
     ``(m, N(n+1), N(n+1))`` stack of the last level, which is not
@@ -546,9 +559,10 @@ def _corner_level(
             constraint = uak[:, base:].reshape(len(a), -1).T
             # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
             scale = s[0] * np.linalg.norm(a)
-            c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
-            if c.shape[1] < len(a):  # a cut; without one c only rotates the span
-                a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
+            if not _rank_zero(constraint, scale, tol):
+                c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
+                if c.shape[1] < len(a):  # a cut; without one c only rotates the span
+                    a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
         y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
     else:  # Y_bot free
         units = np.eye(base**2).reshape(-1, base, base)
@@ -563,6 +577,18 @@ def _corner_level(
         free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
         elems = np.concatenate([elems, free_top])
     return elems
+
+
+def _rank_zero(constraint: np.ndarray, scale: float, tol: TolerancePolicy) -> bool:
+    """Whether ``nullspace_of_constraints([constraint], ..., scale=scale)``
+    is certain to find rank 0, decided without its SVD.
+
+    The solver counts the singular values above rank_cutoff * max(s_max,
+    scale), and s_max <= ||C||_F, so ||C||_F <= rank_cutoff * scale leaves
+    none above it.  Its solution is then the whole coordinate space, which
+    the corner level would leave as it is.
+    """
+    return frobenius_norm(constraint) <= tol.rank_cutoff * scale
 
 
 @dataclass

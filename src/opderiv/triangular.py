@@ -167,6 +167,17 @@ def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) 
     return _toeplitz_blocks([delta / math.factorial(j) for j, delta in enumerate(deltas)], n)
 
 
+def _exponential_terms(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> np.ndarray:
+    """The ``(n+1, N, N)`` stack of (i(D + shift))^j / j! for j = 0..n:
+    block (i, i+j) of exp(S) in ``corner_exponential``, from the n powers
+    of one N x N matrix."""
+    gen = 1j * (d.base + float(shift) * np.eye(d.dim))
+    powers = [np.eye(d.dim, dtype=complex)]
+    for _ in range(n):
+        powers.append(powers[-1] @ gen)
+    return np.stack([p / math.factorial(j) for j, p in enumerate(powers)])
+
+
 def corner_exponential(
     d: SelfAdjointGenerator, n: int, shift: float = 0.0
 ) -> tuple[CornerOperator, CornerOperator]:
@@ -182,11 +193,7 @@ def corner_exponential(
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    gen = 1j * (d.base + float(shift) * np.eye(d.dim))
-    powers = [np.eye(d.dim, dtype=complex)]
-    for _ in range(n):
-        powers.append(powers[-1] @ gen)
-    terms = [p / math.factorial(j) for j, p in enumerate(powers)]
+    terms = _exponential_terms(d, n, shift)
     fwd = _toeplitz_blocks(terms, n)
     bwd = _toeplitz_blocks([(-1) ** j * t for j, t in enumerate(terms)], n)
     return CornerOperator(fwd, d.dim, n), CornerOperator(bwd, d.dim, n)

@@ -351,6 +351,13 @@ def test_subspace_from_columns_orthonormalizes():
     assert operator_norm(p - p.conj().T) <= 1e-12
 
 
+def test_subspace_forms_its_projection_on_first_use():
+    sub = Subspace(3, np.eye(3)[:, :2])
+    assert "projection" not in sub.__dict__
+    np.testing.assert_array_equal(sub.projection, np.diag([1.0, 1.0, 0.0]))
+    assert sub.projection is sub.__dict__["projection"]
+
+
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -116,22 +116,44 @@ def test_tracer_sees_no_automorphism_under_the_lipschitz_check():
     assert "derivation.automorphism" not in [span[0] for span in spans]
 
 
-def test_tracer_sees_the_corner_tower_solves_under_the_check():
-    # the tower solves through the wrapped solver global: at order 3, levels 2
-    # and 3 each make one core.nullspace span of the check itself, level 1 none
-    spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
-    gen, _ = random_scenario(3, 4)
+def _traced_check(spec, gen, n, **kwargs):
+    """The check's report, its spans and counts, and the index of its span."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = reflexivity.reflexivity_check(spec, gen, 3, seed=4)
+        report = reflexivity.reflexivity_check(spec, gen, n, **kwargs)
     finally:
         tracer.uninstall()
-    assert report.passed and report.dim_computed == 9
     spans, counts = tracer.passes[0]
     (check,) = [i for i, span in enumerate(spans) if span[0] == "reflexivity.check"]
+    return report, spans, counts, check
+
+
+def test_tracer_sees_the_corner_tower_solves_under_the_check():
+    # the tower solves through the wrapped solver global.  On a built family
+    # every level's constraint is certified rank 0, so the check makes no
+    # core.nullspace span of its own; without Q_1 the level 2 constraint
+    # is not roundoff, and its fallback solve is a span of the check
+    spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
+    gen, _ = random_scenario(3, 4)
+    family = reflexivity.invariant_family(spec, gen, 3, seed=4)
+    report, spans, _, check = _traced_check(spec, gen, 3, family=family)
+    assert report.passed and report.dim_computed == 9
+    assert not [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
+
+    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
+    without_q1 = reflexivity.InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        3,
+        3,
+        family.algebra,
+    )
+    report, spans, counts, check = _traced_check(
+        spec, gen, 3, family=without_q1, raise_on_fail=False
+    )
     tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
-    assert len(tower) == 2
+    assert len(tower) == 1
     assert counts["core.nullspace.rows"] > 0
 
 

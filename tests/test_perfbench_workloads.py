@@ -4,8 +4,9 @@
 public API and judges their output.  A change that removes or renames
 something a case calls would otherwise show only when the benchmark
 runs; here the first case of each workload runs in the ordinary test run
-and its own judge must find nothing wrong, and every calculus case of one
-seed must fail no operation.  The module is loaded by path, read-only.
+and its own judge must find nothing wrong, every calculus case of one
+seed must fail no operation, and every corner_solve case of one seed must
+pass at its closed-form dimension.  The module is loaded by path, read-only.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from opderiv.reflexivity import VonNeumannAlgebraSpec
 
 _WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -45,3 +48,18 @@ def test_no_calculus_operation_fails(tmp_path):
     for case in cases:
         failed, wrong = case.verdict(case.run(), None)
         assert not failed and not wrong, (case.label, failed, wrong)
+
+
+def test_every_corner_solve_case_passes(tmp_path):
+    # the nine checks the corner_solve workload times, at seed 1, each at
+    # the closed-form dimension of its algebra
+    cases = workloads.WORKLOADS["corner_solve"].cases(np.random.default_rng(1), tmp_path)
+    grid = [(kind, size, n) for kind in workloads.CORNER_KINDS for size, n in workloads.CORNER_GRID]
+    assert len(cases) == len(grid) == 9
+    for case, (kind, size, n) in zip(cases, grid):
+        pattern = (size // 2, size - size // 2) if kind == "block_diagonal" else None
+        report = case.run()
+        failed, wrong = case.verdict(report, None)
+        assert not failed and not wrong, (case.label, failed, wrong)
+        assert report.passed and report.order == n
+        assert report.dim_computed == VonNeumannAlgebraSpec(kind, size, pattern=pattern).expected_dim()

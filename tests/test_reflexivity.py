@@ -1,5 +1,7 @@
 """Tests for commutants, invariant families, and the reflexivity check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -465,6 +467,28 @@ def test_graph_subspace_is_a_graph():
         assert smin > 1e-6
 
 
+@pytest.mark.parametrize("shift", (0.0, 1.0))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_graph_subspace_matches_the_svd_of_the_corner_exponential(n, shift):
+    # the closed-form QR basis spans what the SVD of exp(S)'s last block column does
+    d = rng_generator(np.random.default_rng(54), 4, spread=2.0)
+    fwd, _ = corner_exponential(d, n, shift=shift)
+    svd_route = Subspace.from_columns(fwd.matrix[:, n * 4 :])
+    sub = graph_subspace(d, n, shift=shift)
+    assert sub.dim == 4
+    assert operator_norm(sub.projection - svd_route.projection) <= 1e-12
+
+
+def test_reflexivity_check_forms_no_projection():
+    # the tower reads every member through its basis
+    spec = VonNeumannAlgebraSpec("block_diagonal", 4, pattern=(2, 2))
+    d = rng_generator(np.random.default_rng(55), 4)
+    family = invariant_family(spec, d, 2)
+    assert reflexivity_check(spec, d, 2, family=family).passed
+    assert not [label for sub, label in zip(family.subspaces, family.labels)
+                if "projection" in sub.__dict__]
+
+
 # ------------------------------------------------------------ invariant family
 
 
@@ -697,6 +721,24 @@ def _recording_nullspace(monkeypatch):
     return calls
 
 
+def _recording_certificate(monkeypatch, solve=False):
+    """Wrap the corner level's rank-0 certificate; each decision is recorded
+    as (constraint shape, verdict), and with ``solve`` also the column count
+    of the solver's answer on the same constraint."""
+    certify, decisions = reflexivity._rank_zero, []
+
+    def recording(constraint, scale, tol):
+        out = certify(constraint, scale, tol)
+        record = (constraint.shape, out)
+        if solve:
+            record += (nullspace_of_constraints([constraint], 1, tol, scale=scale).shape[1],)
+        decisions.append(record)
+        return out
+
+    monkeypatch.setattr(reflexivity, "_rank_zero", recording)
+    return decisions
+
+
 @pytest.mark.parametrize("n", (0, 1, 2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
 def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
@@ -704,17 +746,65 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     d = rng_generator(np.random.default_rng(64), 3)
     family = invariant_family(spec, d, n)
     calls = _recording_nullspace(monkeypatch)
+    decisions = _recording_certificate(monkeypatch)
     elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
     base, alg_dim = 3, spec.expected_dim()
     assert elems.shape == (alg_dim, 3 * (n + 1), 3 * (n + 1))
-    # one solve per level j >= 2, none at level 1; needed_Q takes no solve
-    assert [dim for dim, _, _ in calls] == [base * j for j in range(2, n + 1)]
-    # its one constraint is Kc* A K = 0: (j - 1) N^2 rows over the coefficients
-    # of A on the level below, which is the algebra in that level's dimension
-    widths = [[((j - 1) * base**2, alg_dim)] for j in range(2, n + 1)]
-    assert [shapes for _, shapes, _ in calls] == widths
-    assert [out for _, _, out in calls] == [(alg_dim, alg_dim)] * max(n - 1, 0)
+    # one decision per level j >= 2, none at level 1, on its one constraint
+    # Kc* A K = 0: (j - 1) N^2 rows over the coefficients of A on the level
+    # below, which is the algebra in that level's dimension.  On a built
+    # family it is roundoff, so each is certified rank 0 and nothing is
+    # solved; needed_Q takes no solve either
+    assert decisions == [(((j - 1) * base**2, alg_dim), True) for j in range(2, n + 1)]
+    assert not calls
     assert without_q_dim == family.algebra.dim + n * base**2
+
+
+@pytest.mark.parametrize("size, n", ((3, 3), (8, 2)))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
+def test_rank_zero_certificate_agrees_with_the_solver(kind, size, n, monkeypatch):
+    # on every level of a built family the certificate holds, and the solver
+    # would keep all m coordinates: rank 0, so skipping it changes nothing
+    spec = _oracle_spec(kind, size)
+    family = invariant_family(spec, rng_generator(np.random.default_rng(66), size), n)
+    decisions = _recording_certificate(monkeypatch, solve=True)
+    elems, _ = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert len(decisions) == n - 1
+    for (rows, m), certified, kept in decisions:
+        assert certified and kept == m == len(elems) and rows > 0
+
+
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_corner_solve_is_bitwise_the_same_without_the_certificate(kind, monkeypatch):
+    # a certified level is one the solver would leave untouched
+    spec = _oracle_spec(kind, 4)
+    family = invariant_family(spec, rng_generator(np.random.default_rng(68), 4), 3)
+    certified, certified_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    monkeypatch.setattr(reflexivity, "_rank_zero", lambda constraint, scale, tol: False)
+    solved, solved_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    np.testing.assert_array_equal(certified, solved)
+    assert certified_dim == solved_dim
+
+
+@pytest.mark.parametrize("shift", (0.0, 1.0))
+def test_corner_solve_recovers_the_closed_form_graph_maps(shift, monkeypatch):
+    # G of P_j (G' of Q_j) is the stack of (i(D + c))^k / k! for k = j..1
+    base, n = 3, 3
+    d = rng_generator(np.random.default_rng(56), base)
+    family = invariant_family(VonNeumannAlgebraSpec("full", base), d, n)
+    level, graphs = reflexivity._corner_level, []
+
+    def recording(prev, level_graphs, base, tol):
+        graphs.append(level_graphs[int(shift)])
+        return level(prev, level_graphs, base, tol)
+
+    monkeypatch.setattr(reflexivity, "_corner_level", recording)
+    reflexivity._corner_solve(family, DEFAULT_TOL)
+    gen = 1j * (d.base + shift * np.eye(base))
+    for j, g in enumerate(graphs, start=1):
+        powers = [np.linalg.matrix_power(gen, k) / math.factorial(k) for k in range(j, 0, -1)]
+        want = np.vstack(powers)
+        assert np.linalg.norm(g - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
@@ -954,7 +1044,8 @@ def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
 @pytest.mark.parametrize("drop", (("Q_1",), ("P_1",), ("P_1", "Q_1")))
 def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
     # without a graph member at level 1, level 1 is larger than the algebra's
-    # representation, and the constraint Kc* A K = 0 of level 2 cuts it back
+    # representation, and the constraint Kc* A K = 0 of level 2 cuts it back:
+    # the rank-0 certificate fails there, and the solver it falls back to cuts
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
     keep = [i for i, label in enumerate(family.labels) if label not in drop]
@@ -966,9 +1057,11 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
         family.algebra,
     )
     calls = _recording_nullspace(monkeypatch)
+    decisions = _recording_certificate(monkeypatch)
     elems, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
     ((_, [(rows, cols)], (_, kept)),) = calls
     assert rows == 4 and cols == 2 + 4 * len(drop) and kept < cols  # N^2 or 2 N^2 free at level 1
+    assert decisions == [((rows, cols), False)]
     oracle = full_space_null(reduced.subspaces, 6)
     assert len(elems) == kept == oracle.shape[1]
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
