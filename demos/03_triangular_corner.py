@@ -27,28 +27,28 @@ from opderiv import (
 )
 from opderiv.scenarios import random_scenario, random_operator
 
-n = 3
-d, x = random_scenario(4, seed=12)
+n, N = 3, 4
+d, x = random_scenario(N, seed=12)
 chain = derivative_chain(d, x, n)
 rep = triangular_representation(chain)
 
-print(f"order-{n} representation of a random 4x4 operator: "
-      f"{(n + 1) * 4}x{(n + 1) * 4} corner matrix")
+print(f"order-{n} representation of a random {N}x{N} operator: "
+      f"{(n + 1) * N}x{(n + 1) * N} corner matrix")
 print("block (0, j) norms (the j-th derivative over j!):")
 for j in range(n + 1):
-    print(f"  j={j}: {operator_norm(rep.block(0, j)):.4f}")
+    print(f"  j={j}: {operator_norm(rep[:N, j * N : (j + 1) * N]):.4f}")
 print()
 
 fwd, bwd = corner_exponential(d, n)
-lhs = fwd.matrix @ amplify(x, n).matrix @ bwd.matrix
-print(f"conjugation identity residual: {operator_norm(lhs - rep.matrix):.2e}")
+lhs = fwd @ amplify(x, n) @ bwd
+print(f"conjugation identity residual: {operator_norm(lhs - rep):.2e}")
 print(f"  (checked against tolerance: {conjugation_identity_check(d, chain).passed})")
-print(f"||exp(S)|| = {fwd.norm():.12f}, ||exp(-S)|| = {bwd.norm():.12f} (dense SVDs)")
+print(f"||exp(S)|| = {operator_norm(fwd):.12f}, ||exp(-S)|| = {operator_norm(bwd):.12f} (dense)")
 print(f"closed form ||exp(r J)|| = {corner_exponential_norm(d, n):.12f}, "
       f"r = max |eigenvalue of D| = {d.norm():.4f}")
 print()
 
-y = random_operator(4, np.random.default_rng(99), "general")
+y = random_operator(N, np.random.default_rng(99), "general")
 hom = homomorphism_check(chain, derivative_chain(d, y, n))
 print(f"homomorphism residual ||rep(xy) - rep(x) rep(y)||_F: {hom.residuals[0]:.2e}")
 print()

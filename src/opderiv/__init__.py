@@ -61,7 +61,6 @@ from .scenarios import (
     random_scenario,
 )
 from .triangular import (
-    CornerOperator,
     ad_expansion_check,
     amplify,
     conjugation_identity_check,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -114,6 +115,18 @@ def as_operator(a) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator entries must be finite")
     return arr
+
+
+def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int: an integer or an integral float such as 4.0.
+
+    A bool, a string or 2.7 is not taken for a number: ``error`` is raised,
+    naming ``name``.
+    """
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # The range of the largest |entry| of a nonzero matrix in which the squares
@@ -352,20 +365,6 @@ class Subspace:
     @cached_property
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
-
-    @classmethod
-    def from_columns(cls, columns, rank_cutoff: float = 1e-9) -> "Subspace":
-        """Orthonormalize spanning columns via SVD with a relative rank cutoff."""
-        cols = np.asarray(columns, dtype=complex)
-        if cols.ndim != 2:
-            raise ValueError("columns must be 2-D")
-        d = cols.shape[0]
-        if cols.shape[1] == 0:
-            return cls(d, np.zeros((d, 0), dtype=complex))
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > rank_cutoff * smax)) if smax > 0 else 0
-        return cls(d, u[:, :rank])
 
     @property
     def dim(self) -> int:

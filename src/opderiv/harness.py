@@ -30,7 +30,6 @@ Taylor remainder (proved in the check's docstring) plus
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -39,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, TolerancePolicy, frobenius_norm, load_operator, operator_norm
+from .core import DEFAULT_TOL, TolerancePolicy, _integer, frobenius_norm, load_operator, operator_norm
 from .derivation import (
     DerivativeChain,
     _binomial_sums,
@@ -402,16 +401,9 @@ class ScenarioConfig:
 
 
 def _int_field(raw: dict, key: str, default: int, lowest: int) -> int:
-    """raw[key] (default when absent) as an integer >= lowest.
-
-    ConfigError unless it is an integer or an integral float, the rule of
-    block patterns: a bool, a string or 2.7 is not taken for a number.
-    """
-    value = raw.get(key, default)
-    integral = isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    value = int(value)
+    """raw[key] (default when absent) as an integer >= lowest; ConfigError
+    unless ``core._integer`` takes it."""
+    value = _integer(raw.get(key, default), key, ConfigError)
     if value < lowest:
         raise ConfigError(f"{key} must be >= {lowest}")
     return value

@@ -54,7 +54,6 @@ address-space cap, one run each), ``full`` at order 3 takes about
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -70,6 +69,7 @@ from .core import (
     Subspace,
     TolerancePolicy,
     _gram_deviation,
+    _integer,
     as_operator,
     frobenius_norm,
     nullspace_of_constraints,
@@ -134,16 +134,13 @@ _MAX_REDRAWS = 20
 def _block_sizes(pattern) -> tuple[int, ...]:
     """A ``block_diagonal`` pattern as a tuple of block sizes.
 
-    ValueError unless it is a nonempty list or tuple of integral numbers:
-    a string is not taken character by character, nor is 2.7 truncated.
+    ValueError unless it is a nonempty list or tuple of integers in the
+    sense of ``core._integer``: a string is not taken character by
+    character, nor is 2.7 truncated.
     """
     if not isinstance(pattern, (list, tuple)) or not pattern:
         raise ValueError(f"block_diagonal requires a list of block sizes, got {pattern!r}")
-    for k in pattern:
-        integral = isinstance(k, float) and k.is_integer()
-        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) or integral):
-            raise ValueError(f"block sizes must be integers, got {k!r} in {pattern!r}")
-    return tuple(int(k) for k in pattern)
+    return tuple(_integer(k, f"block size in {pattern!r}") for k in pattern)
 
 
 def _cyclic_shift(n: int) -> np.ndarray:

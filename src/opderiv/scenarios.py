@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     SelfAdjointGenerator,
     TolerancePolicy,
+    _integer,
     as_operator,
     eig_hermitian,
     hermitian_part,
@@ -94,14 +95,16 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
 
     ``x_kind`` is a dict: {"kind": "shift", "k": int},
     {"kind": "trig_poly", "coeffs": {k: [re, im] | complex}}, or
-    {"kind": "random_symbol", "seed": int, "degree": int}.
+    {"kind": "random_symbol", "seed": int, "degree": int}.  Each int may be
+    an integral float such as 4.0; 2.7, a bool or a string is a
+    ConfigError.  The trig_poly keys are JSON strings, parsed by ``int``.
     """
     gen = circle_generator(n_modes)
     if not isinstance(x_kind, dict) or "kind" not in x_kind:
         raise ConfigError("x_kind must be a dict with a 'kind' field")
     kind = x_kind["kind"]
     if kind == "shift":
-        x = circle_shift(n_modes, int(x_kind["k"]))
+        x = circle_shift(n_modes, _integer(x_kind["k"], "x_kind.k", ConfigError))
     elif kind == "trig_poly":
         coeffs = {}
         for k, c in dict(x_kind["coeffs"]).items():
@@ -114,10 +117,11 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
             raise ConfigError("trig_poly coefficients must be finite")
         x = toeplitz_from_symbol(n_modes, coeffs)
     elif kind == "random_symbol":
-        degree = int(x_kind["degree"])
+        degree = _integer(x_kind["degree"], "x_kind.degree", ConfigError)
         if degree > 2 * n_modes:
             raise ConfigError(f"symbol degree {degree} exceeds the truncation range")
-        x = toeplitz_from_symbol(n_modes, random_symbol_coeffs(int(x_kind["seed"]), degree))
+        seed = _integer(x_kind["seed"], "x_kind.seed", ConfigError)
+        x = toeplitz_from_symbol(n_modes, random_symbol_coeffs(seed, degree))
     else:
         raise ConfigError(f"unknown circle x_kind {kind!r}")
     return gen, x

@@ -24,20 +24,18 @@ statement about operator norms and keeps them.
 A chain's representation and its norm are stored on the chain on first
 use, so the checks that share a chain share both.
 
-Corner operators are stored as full dense matrices with block accessors;
-the block bookkeeping is a view, not a second representation.  The
-triangular representation and the corner exponentials are CornerOperator
-values.  Basis ordering is block-major: all of the base space tensored
-with the first canonical vector, then the second, and so on, which keeps
-the leading corner projections contiguous.  An infinite tower of blocks extending the
-corner would only be proof scaffolding; the toolkit works exclusively in
-the finite corner and exposes the leading corner projections instead.
+Corner operators are plain dense ``(N(n+1), N(n+1))`` arrays.  Basis
+ordering is block-major: all of the base space tensored with the first
+canonical vector, then the second, and so on, so block (i, j) is the
+slice ``[i*N:(i+1)*N, j*N:(j+1)*N]`` and the leading corner projections
+are contiguous.  An infinite tower of blocks extending the corner would
+only be proof scaffolding; the toolkit works exclusively in the finite
+corner and exposes the leading corner projections instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +46,12 @@ from .core import (
     TolerancePolicy,
     as_operator,
     frobenius_norm,
-    load_matrix_json,
     operator_norm,
-    save_operator,
 )
 from .derivation import DerivativeChain, _chain, chain_norm, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
-    "CornerOperator",
     "amplify",
     "triangular_representation",
     "triangular_representations",
@@ -66,37 +61,7 @@ __all__ = [
     "homomorphism_check",
     "norm_sandwich_check",
     "ad_expansion_check",
-    "save_corner_operator",
-    "load_corner_operator",
 ]
-
-
-@dataclass(frozen=True)
-class CornerOperator:
-    """Operator on the (order+1)-fold block space, stored dense."""
-
-    matrix: np.ndarray
-    base_dim: int
-    order: int
-
-    def __post_init__(self):
-        mat = as_operator(self.matrix)
-        expected = self.base_dim * (self.order + 1)
-        if mat.shape[0] != expected:
-            raise ValueError(
-                f"matrix dim {mat.shape[0]} != base_dim*(order+1) = {expected}"
-            )
-        object.__setattr__(self, "matrix", mat)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Block (i, j); maps block component j to block component i."""
-        n, d = self.order, self.base_dim
-        if not (0 <= i <= n and 0 <= j <= n):
-            raise IndexError(f"block index out of range for order {n}")
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
 
 
 def _toeplitz_blocks(diagonals, order: int) -> np.ndarray:
@@ -113,13 +78,12 @@ def _toeplitz_blocks(diagonals, order: int) -> np.ndarray:
     return out
 
 
-def amplify(x, order: int) -> CornerOperator:
+def amplify(x, order: int) -> np.ndarray:
     """Block-diagonal amplification of x: one copy of x per block."""
-    x = as_operator(x)
-    return CornerOperator(_toeplitz_blocks([x], order), x.shape[0], order)
+    return _toeplitz_blocks([as_operator(x)], order)
 
 
-def triangular_representation(chain: DerivativeChain) -> CornerOperator:
+def triangular_representation(chain: DerivativeChain) -> np.ndarray:
     """Embed a chain as the block upper-triangular corner operator.
 
     Block (i, j) is delta^(j-i)(x) / (j-i)! for j >= i and zero below the
@@ -129,10 +93,10 @@ def triangular_representation(chain: DerivativeChain) -> CornerOperator:
     """
     n = chain.order
     diagonals = [chain.delta(j) / math.factorial(j) for j in range(n + 1)]
-    return CornerOperator(_toeplitz_blocks(diagonals, n), chain.x.shape[0], n)
+    return _toeplitz_blocks(diagonals, n)
 
 
-def _represented(chain: DerivativeChain) -> CornerOperator:
+def _represented(chain: DerivativeChain) -> np.ndarray:
     """The triangular representation of a chain, stored on the chain on
     first use, so the checks that share a chain build it once."""
     if "rep" not in chain._memo:
@@ -144,7 +108,7 @@ def _represented_norm(chain: DerivativeChain) -> float:
     """The norm of ``_represented(chain)``, stored likewise: the
     homomorphism check and the norm sandwich share one operator norm."""
     if "rep_norm" not in chain._memo:
-        chain._memo["rep_norm"] = _represented(chain).norm()
+        chain._memo["rep_norm"] = operator_norm(_represented(chain))
     return chain._memo["rep_norm"]
 
 
@@ -152,7 +116,7 @@ def triangular_representations(d: SelfAdjointGenerator, xs: np.ndarray, n: int) 
     """The triangular representations of a stack of operators, all at once.
 
     ``xs`` is an ``(m, N, N)`` array; entry k of the ``(m, N(n+1), N(n+1))``
-    result is ``triangular_representation(derivative_chain(d, xs[k], n)).matrix``.
+    result is ``triangular_representation(derivative_chain(d, xs[k], n))``.
     The representation is linear in x, so the chain is taken once on the
     whole stack, ``i(D X - X D)`` broadcast over it, and block (i, i+j) of
     every result is the stack's delta^j / j!.
@@ -180,7 +144,7 @@ def _exponential_terms(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> n
 
 def corner_exponential(
     d: SelfAdjointGenerator, n: int, shift: float = 0.0
-) -> tuple[CornerOperator, CornerOperator]:
+) -> tuple[np.ndarray, np.ndarray]:
     """exp(S) and exp(-S) for S = kron(J, i(D + shift*I)).
 
     J is the (n+1) x (n+1) matrix with ones on the first superdiagonal.
@@ -196,7 +160,7 @@ def corner_exponential(
     terms = _exponential_terms(d, n, shift)
     fwd = _toeplitz_blocks(terms, n)
     bwd = _toeplitz_blocks([(-1) ** j * t for j, t in enumerate(terms)], n)
-    return CornerOperator(fwd, d.dim, n), CornerOperator(bwd, d.dim, n)
+    return fwd, bwd
 
 
 def corner_exponential_norm(d: SelfAdjointGenerator, n: int) -> float:
@@ -224,18 +188,6 @@ def corner_exponential_norm(d: SelfAdjointGenerator, n: int) -> float:
     return operator_norm(exp_rj)
 
 
-def save_corner_operator(path, corner: CornerOperator) -> None:
-    """Shared matrix JSON plus the block-structure fields base_dim/order."""
-    save_operator(path, corner.matrix, extra={"base_dim": corner.base_dim, "order": corner.order})
-
-
-def load_corner_operator(path) -> CornerOperator:
-    matrix, extra = load_matrix_json(path)
-    if "base_dim" not in extra or "order" not in extra:
-        raise ValueError(f"{path}: missing base_dim/order corner fields")
-    return CornerOperator(matrix, int(extra["base_dim"]), int(extra["order"]))
-
-
 def conjugation_identity_check(
     d: SelfAdjointGenerator,
     chain: DerivativeChain,
@@ -253,8 +205,8 @@ def conjugation_identity_check(
     tol = tol or DEFAULT_TOL
     n = chain.order
     fwd, bwd = corner_exponential(d, n)
-    lhs = fwd.matrix @ amplify(chain.x, n).matrix @ bwd.matrix
-    resid = frobenius_norm(lhs - _represented(chain).matrix)
+    lhs = fwd @ amplify(chain.x, n) @ bwd
+    resid = frobenius_norm(lhs - _represented(chain))
     exp_norm = corner_exponential_norm(d, n)
     x_norm = operator_norm(chain.x) if x_norm is None else x_norm
     tolerance = tol.alg(exp_norm, x_norm, exp_norm)
@@ -290,7 +242,7 @@ def homomorphism_check(
     n = chain_x.order
     prod_chain = derivative_chain(dx, chain_x.x @ chain_y.x, n)
     rep_xy = triangular_representation(prod_chain)
-    resid = frobenius_norm(rep_xy.matrix - _represented(chain_x).matrix @ _represented(chain_y).matrix)
+    resid = frobenius_norm(rep_xy - _represented(chain_x) @ _represented(chain_y))
     tolerance = tol.alg(_represented_norm(chain_x), _represented_norm(chain_y))
     return CheckReport(
         "phi_hom",

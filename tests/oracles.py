@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from opderiv.core import DimensionMismatch, OperatorSpace, operator_norm
+from opderiv.core import DimensionMismatch, OperatorSpace, Subspace, operator_norm
 from opderiv.derivation import (
     band_derivation,
     band_embed,
@@ -28,6 +28,20 @@ from opderiv.triangular import amplify, corner_exponential, triangular_represent
 def vec(x):
     """Column-major vectorization, the order of the Kronecker constraints."""
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
+
+
+def subspace_from_columns(columns, rank_cutoff=1e-9):
+    """The span of spanning columns, orthonormalized by one SVD with a
+    relative rank cutoff."""
+    cols = np.asarray(columns, dtype=complex)
+    if cols.ndim != 2:
+        raise ValueError("columns must be 2-D")
+    d = cols.shape[0]
+    if cols.shape[1] == 0:
+        return Subspace(d, np.zeros((d, 0), dtype=complex))
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = int(np.sum(s > rank_cutoff * s[0])) if s[0] > 0 else 0
+    return Subspace(d, u[:, :rank])
 
 
 def space_of_vec_columns(dim, columns):
@@ -115,12 +129,12 @@ def identity_residual_matrices(check, d, x, y, n):
             band_derivation(bm, k).assemble() - chain.delta(k) for k in range(1, 6)
         ]
     if check == "phi_hom":
-        rep = [triangular_representation(derivative_chain(d, a, n)).matrix for a in (x, y)]
-        return [triangular_representation(derivative_chain(d, x @ y, n)).matrix - rep[0] @ rep[1]]
+        rep = [triangular_representation(derivative_chain(d, a, n)) for a in (x, y)]
+        return [triangular_representation(derivative_chain(d, x @ y, n)) - rep[0] @ rep[1]]
     if check == "phi_conj":
         fwd, bwd = corner_exponential(d, n)
-        lhs = fwd.matrix @ amplify(x, n).matrix @ bwd.matrix
-        return [lhs - triangular_representation(derivative_chain(d, x, n)).matrix]
+        lhs = fwd @ amplify(x, n) @ bwd
+        return [lhs - triangular_representation(derivative_chain(d, x, n))]
     if check == "ad_identity":  # s = x, b = y at order max(1, n), as the harness calls it
         order = max(1, n)
         powers = [np.eye(len(x), dtype=complex)]

@@ -178,9 +178,9 @@ def test_criterion_06_conjugation_identity():
         seed += 1
         chain = derivative_chain(d, x, n)
         fwd, bwd = corner_exponential(d, n)
-        lhs = fwd.matrix @ amplify(x, n).matrix @ bwd.matrix
-        resid = operator_norm(lhs - triangular_representation(chain).matrix)
-        bound = 1e-8 * (1.0 + fwd.norm() * operator_norm(x) * bwd.norm())
+        lhs = fwd @ amplify(x, n) @ bwd
+        resid = operator_norm(lhs - triangular_representation(chain))
+        bound = 1e-8 * (1.0 + operator_norm(fwd) * operator_norm(x) * operator_norm(bwd))
         worst = max(worst, resid / bound)
     announce(
         6,
@@ -202,9 +202,9 @@ def test_criterion_07_homomorphism_and_banach_norm():
         cx = derivative_chain(d, x, n)
         cy = derivative_chain(d, y, n)
         cxy = derivative_chain(d, x @ y, n)
-        rep_x = triangular_representation(cx).matrix
-        rep_y = triangular_representation(cy).matrix
-        rep_xy = triangular_representation(cxy).matrix
+        rep_x = triangular_representation(cx)
+        rep_y = triangular_representation(cy)
+        rep_xy = triangular_representation(cxy)
         resid = operator_norm(rep_xy - rep_x @ rep_y)
         bound = 1e-9 * (1.0 + operator_norm(rep_x) * operator_norm(rep_y))
         worst_hom = max(worst_hom, resid / bound)
@@ -225,7 +225,7 @@ def test_criterion_08_norm_sandwich():
         d, x = random_scenario(dim, 5000 + i, "general")
         chain = derivative_chain(d, x, n)
         weighted = chain_norm(chain)
-        rep_norm = triangular_representation(chain).norm()
+        rep_norm = operator_norm(triangular_representation(chain))
         if weighted / (n + 1) > rep_norm + 1e-9 or rep_norm > weighted + 1e-9:
             violations += 1
     announce(

@@ -1,11 +1,15 @@
 """Tests for the matrix substrate: eigendecomposition, unitary group,
-band projections, subspaces, nullspace solving, JSON format."""
+band projections, subspaces, nullspace solving, JSON format, and the
+package's exported names."""
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import opderiv
 from opderiv import core
 from opderiv.core import (
     DEFAULT_TOL,
@@ -32,6 +36,7 @@ from oracles import (
     space_of_vec_columns,
     spans_equal,
     subspace_distance,
+    subspace_from_columns,
     vec,
 )
 
@@ -344,7 +349,7 @@ def test_band_partition_of_unity(seed):
 
 def test_subspace_from_columns_orthonormalizes():
     cols = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    sub = Subspace.from_columns(cols)
+    sub = subspace_from_columns(cols)
     assert sub.dim == 2
     p = sub.projection
     assert operator_norm(p @ p - p) <= 1e-12
@@ -374,7 +379,7 @@ def test_subspace_embedding():
 
 def test_subspace_distance_is_projection_based():
     a = Subspace(2, np.array([[1.0], [0.0]]))
-    b = Subspace.from_columns(np.array([[2.0], [0.0]]))  # same space, other basis
+    b = subspace_from_columns(np.array([[2.0], [0.0]]))  # same space, other basis
     assert subspace_distance(a, b) <= 1e-14
     with pytest.raises(DimensionMismatch):
         subspace_distance(a, Subspace(3, np.eye(3)[:, :1]))
@@ -566,9 +571,9 @@ def test_nullspace_tall_stack_compression():
 def _random_flag_family(rng, dim):
     """A random flag (nested subspaces) plus one unrelated random subspace."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    family = [Subspace.from_columns(z[:, :k]) for k in range(1, dim)]
+    family = [subspace_from_columns(z[:, :k]) for k in range(1, dim)]
     k = int(rng.integers(1, dim))
-    family.append(Subspace.from_columns(rng.standard_normal((dim, k))))
+    family.append(subspace_from_columns(rng.standard_normal((dim, k))))
     return family[int(rng.integers(0, 2)) :]  # sometimes drop the 1-dim member
 
 
@@ -635,7 +640,7 @@ def test_nullspace_in_other_coordinates():
 
 def test_invariance_constraint_matches_direct_evaluation():
     rng = np.random.default_rng(7)
-    sub = Subspace.from_columns(rng.standard_normal((4, 2)))
+    sub = subspace_from_columns(rng.standard_normal((4, 2)))
     c = invariance_constraint(sub.basis)
     assert c.shape == (2 * (4 - 2), 16)  # k * (d - k) rows
     q, _ = np.linalg.qr(sub.basis, mode="complete")
@@ -684,3 +689,13 @@ def test_matrix_json_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"dim": 2, "entries": [[[1, 0]]]}))
     with pytest.raises(ValueError):
         load_operator(path)
+
+
+# ------------------------------------------------------------ public surface
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(opderiv.__path__)))
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry breaks only ``from opderiv.<module> import *``
+    mod = importlib.import_module(f"opderiv.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -263,7 +263,7 @@ def test_derivative_chain_validates_its_input_once(monkeypatch):
     stack = triangular.triangular_representations(d, np.stack([s, 2 * s]), 5)
     assert len(calls) == 1
     np.testing.assert_array_equal(stack[1], 2 * stack[0])
-    np.testing.assert_array_equal(stack[0], triangular.triangular_representation(chain).matrix)
+    np.testing.assert_array_equal(stack[0], triangular.triangular_representation(chain))
 
 
 def test_calculus_checks_validate_each_operand_once(monkeypatch):
@@ -1032,7 +1032,7 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
     assert run_checks(config).overall_pass
     (data,) = built
     x, y = data.x, data.y
-    rep_x, rep_y = (triangular_representation(derivative_chain(data.generator, a, 1)).matrix for a in (x, y))
+    rep_x, rep_y = (triangular_representation(derivative_chain(data.generator, a, 1)) for a in (x, y))
     exp_rj = np.array([[1.0, data.generator.norm()], [0.0, 1.0]])
     chain = derivative_chain(data.generator, x, 7)
     expected = [

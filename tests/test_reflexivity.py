@@ -44,6 +44,7 @@ from oracles import (
     space_of_vec_columns,
     spans_equal,
     subspace_distance,
+    subspace_from_columns,
     vec,
 )
 
@@ -417,7 +418,7 @@ def test_graph_subspace_hand_n1():
     expected_cols = np.array(
         [[0.0, 0.0], [0.0, 1j], [1.0, 0.0], [0.0, 1.0]], dtype=complex
     )
-    expected = Subspace.from_columns(expected_cols)
+    expected = subspace_from_columns(expected_cols)
     assert p1.dim == 2
     assert subspace_distance(p1, expected) <= 1e-12
 
@@ -444,7 +445,7 @@ def test_graph_subspace_invariance_under_representations():
     eye = np.eye(3 * (n + 1))
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rep = triangular_representation(derivative_chain(d, x, n)).matrix
+        rep = triangular_representation(derivative_chain(d, x, n))
         assert operator_norm((eye - p) @ rep @ p) <= 1e-10 * (1 + operator_norm(rep))
 
 
@@ -473,7 +474,7 @@ def test_graph_subspace_matches_the_svd_of_the_corner_exponential(n, shift):
     # the closed-form QR basis spans what the SVD of exp(S)'s last block column does
     d = rng_generator(np.random.default_rng(54), 4, spread=2.0)
     fwd, _ = corner_exponential(d, n, shift=shift)
-    svd_route = Subspace.from_columns(fwd.matrix[:, n * 4 :])
+    svd_route = subspace_from_columns(fwd[:, n * 4 :])
     sub = graph_subspace(d, n, shift=shift)
     assert sub.dim == 4
     assert operator_norm(sub.projection - svd_route.projection) <= 1e-12
@@ -538,7 +539,7 @@ def test_invariance_residuals_bracket_the_operator_norm(spec, eigenvalues, n):
     fam = invariant_family(spec, d, n)
     elements = spec.generating_set()
     resid = invariance_residuals(fam, d, elements)
-    reps = [triangular_representation(derivative_chain(d, x, n)).matrix for x in elements]
+    reps = [triangular_representation(derivative_chain(d, x, n)) for x in elements]
     eye = np.eye(fam.ambient_dim)
     for sub, label in zip(fam.subspaces, fam.labels):
         r = [(eye - sub.projection) @ rep @ sub.projection for rep in reps]
@@ -585,7 +586,7 @@ def test_alg_of_family_corner_constrained_reconstruction():
     assert space.dim == 4
     for x in space.basis_elements:
         rep = triangular_representation(derivative_chain(d, x[:2, :2], 1))
-        assert operator_norm(x - rep.matrix) <= 1e-10
+        assert operator_norm(x - rep) <= 1e-10
 
 
 def test_alg_of_family_closure_check_runs():
@@ -866,7 +867,7 @@ def _membership(spec, d, n, elems):
     over the algebra's basis, the algebra solved as the bicommutant."""
     space = OperatorSpace.span(elems.shape[1], elems)
     return max(
-        space.membership_residual(triangular_representation(derivative_chain(d, g, n)).matrix)
+        space.membership_residual(triangular_representation(derivative_chain(d, g, n)))
         for g in bicommutant(spec).basis_elements
     )
 
@@ -880,7 +881,7 @@ def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
     spec = _oracle_spec(kind)
     d = rng_generator(np.random.default_rng(62), 3)
     report, elems = _checked_tower(spec, d, n, monkeypatch)
-    reps = [triangular_representation(derivative_chain(d, x[:3, :3], n)).matrix for x in elems]
+    reps = [triangular_representation(derivative_chain(d, x[:3, :3], n)) for x in elems]
     batched = triangular_representations(d, elems[:, :3, :3], n)
     for rep, want in zip(batched, reps):
         assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
@@ -1036,7 +1037,7 @@ def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
     # a hand-built Q_2 whose K has rank 1: the graph of G + k e_1 e_1*
     g, k = _graph_map(family, "P_2"), np.zeros((4, 2))
     k[0, 0] = 1.0
-    rank_one = Subspace.from_columns(np.vstack([g + k, np.eye(2)]))
+    rank_one = subspace_from_columns(np.vstack([g + k, np.eye(2)]))
     with pytest.raises(ValueError, match="rank below 2"):
         alg_of_family(_relabeled(family, "Q_2", rank_one))
 
@@ -1251,7 +1252,7 @@ def test_reflexivity_reports_deciding_tolerance():
     d = eig_hermitian(np.diag([0.3, 1.1, 2.7]))
     report = reflexivity_check(spec, d, 2)
     fwd, bwd = corner_exponential(d, 2)
-    assert report.tolerance == DEFAULT_TOL.alg(fwd.norm(), bwd.norm())
+    assert report.tolerance == DEFAULT_TOL.alg(operator_norm(fwd), operator_norm(bwd))
     assert report.tolerance > DEFAULT_TOL.alg()
     assert set(report.to_json()) == {
         "scenario", "n", "dim_expected", "dim_computed", "max_residual", "needed_Q", "pass"
@@ -1272,7 +1273,7 @@ def test_reflexivity_check_forms_no_corner_exponential(monkeypatch):
     report = reflexivity_check(spec, gen, 2, seed=6, family=family)
     assert report.passed
     fwd, bwd = corner_exponential(gen, 2)
-    assert report.tolerance == pytest.approx(DEFAULT_TOL.alg(fwd.norm(), bwd.norm()), rel=1e-13)
+    assert report.tolerance == pytest.approx(DEFAULT_TOL.alg(operator_norm(fwd), operator_norm(bwd)), rel=1e-13)
 
 
 def test_reflexivity_generated_algebra():

@@ -1,6 +1,7 @@
 """Tests for scenario generation, the check harness, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,32 @@ def test_config_integer_fields_take_integral_floats():
     cfg = ScenarioConfig.from_dict(raw)
     assert (cfg.n, cfg.seed) == (2, 5) and type(cfg.n) is int and type(cfg.seed) is int
     assert build_scenario(cfg).x.shape == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "x_kind, field",
+    [
+        ({"kind": "shift", "k": 2.7}, "x_kind.k"),
+        ({"kind": "shift", "k": True}, "x_kind.k"),
+        ({"kind": "shift", "k": "1"}, "x_kind.k"),
+        ({"kind": "random_symbol", "seed": 0.5, "degree": 1}, "x_kind.seed"),
+        ({"kind": "random_symbol", "seed": 0, "degree": 1.9}, "x_kind.degree"),
+    ],
+    ids=["k_non_integral", "k_bool", "k_string", "seed_non_integral", "degree_non_integral"],
+)
+def test_circle_x_kind_integers_are_strict(x_kind, field):
+    # coerced with int(), these would be the 2-shift, the 1-shift (twice),
+    # seed 0 and degree 1
+    raw = base_config(scenario={"kind": "circle_fourier", "N": 2, "x_kind": x_kind})
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        build_scenario(ScenarioConfig.from_dict(raw))
+
+
+def test_circle_x_kind_integers_take_integral_floats():
+    raw = base_config(scenario={"kind": "circle_fourier", "N": 2, "x_kind": {"kind": "shift", "k": 1.0}})
+    np.testing.assert_array_equal(build_scenario(ScenarioConfig.from_dict(raw)).x, circle_shift(2, 1))
+    _, x = circle_scenario(2, {"kind": "random_symbol", "seed": 4.0, "degree": 2.0})
+    np.testing.assert_array_equal(x, toeplitz_from_symbol(2, random_symbol_coeffs(4, 2)))
 
 
 def test_config_tolerance_override():

@@ -13,16 +13,13 @@ from opderiv.derivation import chain_norm, derivative_chain
 from opderiv.harness import ScenarioConfig, build_scenario, run_checks
 from opderiv.scenarios import circle_generator, circle_shift
 from opderiv.triangular import (
-    CornerOperator,
     ad_expansion_check,
     amplify,
     conjugation_identity_check,
     corner_exponential,
     corner_exponential_norm,
     homomorphism_check,
-    load_corner_operator,
     norm_sandwich_check,
-    save_corner_operator,
     triangular_representation,
     triangular_representations,
 )
@@ -35,6 +32,11 @@ def rng_operator(rng, n):
 def rng_generator(rng, n, spread=2.0):
     z = rng_operator(rng, n)
     return eig_hermitian((z + z.conj().T) / 2 * spread)
+
+
+def block(a, base, i, j):
+    """Block (i, j) of a block-major corner operator over C^base."""
+    return a[i * base : (i + 1) * base, j * base : (j + 1) * base]
 
 
 # ------------------------------------------------------------ nilpotent shift
@@ -69,27 +71,17 @@ def test_nilpotent_shift_index(n):
         assert operator_norm(np.linalg.matrix_power(b, n)) > 0.0
 
 
-# ------------------------------------------------------------ corner operator
-
-
-def test_corner_operator_blocks():
-    m = np.arange(16, dtype=complex).reshape(4, 4)
-    c = CornerOperator(m, base_dim=2, order=1)
-    np.testing.assert_array_equal(c.block(0, 1), m[0:2, 2:4])
-    with pytest.raises(IndexError):
-        c.block(0, 2)
-    with pytest.raises(ValueError):
-        CornerOperator(m, base_dim=3, order=1)
+# ------------------------------------------------------------ amplification
 
 
 def test_amplify_is_block_diagonal():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     amp = amplify(x, 2)
     for i in range(3):
-        np.testing.assert_array_equal(amp.block(i, i), x)
+        np.testing.assert_array_equal(block(amp, 2, i, i), x)
         for j in range(3):
             if i != j:
-                assert operator_norm(amp.block(i, j)) == 0.0
+                assert operator_norm(block(amp, 2, i, j)) == 0.0
 
 
 # --------------------------------------------------------- representation
@@ -98,17 +90,17 @@ def test_amplify_is_block_diagonal():
 def test_representation_of_identity():
     d = eig_hermitian(np.diag([0.0, 1.0]))
     rep = triangular_representation(derivative_chain(d, np.eye(2), 3))
-    np.testing.assert_allclose(rep.matrix, np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(rep, np.eye(8), atol=1e-14)
 
 
 def test_representation_blocks_hand_2x2():
     d = eig_hermitian(np.diag([0.0, 1.0]))
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     rep = triangular_representation(derivative_chain(d, x, 1))
-    np.testing.assert_allclose(rep.block(0, 0), x, atol=1e-15)
-    np.testing.assert_allclose(rep.block(1, 1), x, atol=1e-15)
-    np.testing.assert_allclose(rep.block(0, 1), [[0.0, -1j], [0.0, 0.0]], atol=1e-15)
-    assert operator_norm(rep.block(1, 0)) == 0.0
+    np.testing.assert_allclose(rep[:2, :2], x, atol=1e-15)
+    np.testing.assert_allclose(rep[2:, 2:], x, atol=1e-15)
+    np.testing.assert_allclose(rep[:2, 2:], [[0.0, -1j], [0.0, 0.0]], atol=1e-15)
+    assert operator_norm(rep[2:, :2]) == 0.0
 
 
 def test_representation_circle_diagonals():
@@ -118,7 +110,7 @@ def test_representation_circle_diagonals():
     for i in range(3):
         for j in range(i, 3):
             expected = (1j) ** (j - i) * s / math.factorial(j - i)
-            np.testing.assert_allclose(rep.block(i, j), expected, atol=1e-14)
+            np.testing.assert_allclose(block(rep, 7, i, j), expected, atol=1e-14)
 
 
 def test_representation_linear_and_injective():
@@ -126,15 +118,15 @@ def test_representation_linear_and_injective():
     d = rng_generator(rng, 3)
     x, y = rng_operator(rng, 3), rng_operator(rng, 3)
     a, b = 1.3 - 0.2j, -0.7j
-    lhs = triangular_representation(derivative_chain(d, a * x + b * y, 2)).matrix
+    lhs = triangular_representation(derivative_chain(d, a * x + b * y, 2))
     rhs = (
-        a * triangular_representation(derivative_chain(d, x, 2)).matrix
-        + b * triangular_representation(derivative_chain(d, y, 2)).matrix
+        a * triangular_representation(derivative_chain(d, x, 2))
+        + b * triangular_representation(derivative_chain(d, y, 2))
     )
     assert operator_norm(lhs - rhs) <= DEFAULT_TOL.alg(operator_norm(x), operator_norm(y))
     # block (0, 0) recovers the operator exactly
     rep = triangular_representation(derivative_chain(d, x, 2))
-    np.testing.assert_array_equal(rep.block(0, 0), x)
+    np.testing.assert_array_equal(rep[:3, :3], x)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3))
@@ -145,7 +137,7 @@ def test_stacked_representations_match_one_at_a_time(n):
     reps = triangular_representations(d, xs, n)
     assert reps.shape == (5, 3 * (n + 1), 3 * (n + 1))
     for x, rep in zip(xs, reps):
-        expected = triangular_representation(derivative_chain(d, x, n)).matrix
+        expected = triangular_representation(derivative_chain(d, x, n))
         assert operator_norm(rep - expected) <= 1e-12 * (1 + operator_norm(expected))
         np.testing.assert_array_equal(rep[:3, :3], x)
 
@@ -166,9 +158,9 @@ def test_representation_restriction_compatibility():
     rng = np.random.default_rng(21)
     d = rng_generator(rng, 3)
     x = rng_operator(rng, 3)
-    rep3 = triangular_representation(derivative_chain(d, x, 3)).matrix
+    rep3 = triangular_representation(derivative_chain(d, x, 3))
     for j in range(3):
-        repj = triangular_representation(derivative_chain(d, x, j)).matrix
+        repj = triangular_representation(derivative_chain(d, x, j))
         k = 3 * (j + 1)
         np.testing.assert_array_equal(rep3[:k, :k], repj)
 
@@ -178,8 +170,8 @@ def test_representation_shift_invariance():
     rng = np.random.default_rng(22)
     d = rng_generator(rng, 3)
     x = rng_operator(rng, 3)
-    rep = triangular_representation(derivative_chain(d, x, 2)).matrix
-    rep_shifted = triangular_representation(derivative_chain(d.shifted(-1.8), x, 2)).matrix
+    rep = triangular_representation(derivative_chain(d, x, 2))
+    rep_shifted = triangular_representation(derivative_chain(d.shifted(-1.8), x, 2))
     assert operator_norm(rep - rep_shifted) <= DEFAULT_TOL.alg(
         (1 + d.norm()) ** 2, operator_norm(x)
     )
@@ -191,8 +183,8 @@ def test_representation_shift_invariance():
 def test_corner_exponential_order_zero():
     d = eig_hermitian(np.diag([0.3, 0.9]))
     fwd, bwd = corner_exponential(d, 0)
-    np.testing.assert_array_equal(fwd.matrix, np.eye(2))
-    np.testing.assert_array_equal(bwd.matrix, np.eye(2))
+    np.testing.assert_array_equal(fwd, np.eye(2))
+    np.testing.assert_array_equal(bwd, np.eye(2))
 
 
 def test_corner_exponential_order_one_hand():
@@ -200,9 +192,9 @@ def test_corner_exponential_order_one_hand():
     fwd, bwd = corner_exponential(d, 1)
     expected = np.eye(4, dtype=complex)
     expected[0:2, 2:4] = 1j * d.base
-    np.testing.assert_allclose(fwd.matrix, expected, atol=1e-15)
+    np.testing.assert_allclose(fwd, expected, atol=1e-15)
     expected[0:2, 2:4] = -1j * d.base
-    np.testing.assert_allclose(bwd.matrix, expected, atol=1e-15)
+    np.testing.assert_allclose(bwd, expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -211,13 +203,13 @@ def test_corner_exponential_inverse(n):
     d = rng_generator(rng, 3)
     fwd, bwd = corner_exponential(d, n)
     dim = 3 * (n + 1)
-    assert operator_norm(fwd.matrix @ bwd.matrix - np.eye(dim)) <= 1e-10 * (1 + fwd.norm())
+    assert operator_norm(fwd @ bwd - np.eye(dim)) <= 1e-10 * (1 + operator_norm(fwd))
 
 
 def test_corner_exponential_shifted():
     d = eig_hermitian(np.diag([0.0, 1.0]))
     fwd, _ = corner_exponential(d, 1, shift=1.0)
-    np.testing.assert_allclose(fwd.block(0, 1), 1j * (d.base + np.eye(2)), atol=1e-15)
+    np.testing.assert_allclose(fwd[:2, 2:], 1j * (d.base + np.eye(2)), atol=1e-15)
 
 
 def _kron_corner_exponential(d, n, shift=0.0):
@@ -243,14 +235,13 @@ def test_corner_exponential_matches_kron_series_oracle(n, shift):
     fwd, bwd = corner_exponential(d, n, shift=shift)
     oracle = _kron_corner_exponential(d, n, shift)
     for got, want in zip((fwd, bwd), oracle):
-        want = CornerOperator(want, 4, n)
-        scale = np.abs(want.matrix).max()
+        scale = np.abs(want).max()
         for i in range(n + 1):
             for j in range(n + 1):
                 if j < i:
-                    assert not np.any(got.block(i, j))
+                    assert not np.any(block(got, 4, i, j))
                 else:
-                    np.testing.assert_allclose(got.block(i, j), want.block(i, j), rtol=0, atol=1e-14 * scale)
+                    np.testing.assert_allclose(block(got, 4, i, j), block(want, 4, i, j), rtol=0, atol=1e-14 * scale)
 
 
 _spectra = st.lists(
@@ -279,8 +270,8 @@ def test_corner_exponential_norm_matches_dense_norms(eigenvalues, n, shift, seed
     shifted = d.shifted(shift)
     fwd, bwd = corner_exponential(shifted, n)
     closed = corner_exponential_norm(shifted, n)
-    assert closed == pytest.approx(fwd.norm(), rel=1e-13, abs=0)
-    assert closed == pytest.approx(bwd.norm(), rel=1e-13, abs=0)
+    assert closed == pytest.approx(operator_norm(fwd), rel=1e-13, abs=0)
+    assert closed == pytest.approx(operator_norm(bwd), rel=1e-13, abs=0)
 
 
 # ------------------------------------------------------- conjugation identity
@@ -342,7 +333,7 @@ def test_homomorphism_circle_shift_product():
     rep = triangular_representation(derivative_chain(d, s3, 2))
     for j in range(3):
         np.testing.assert_allclose(
-            rep.block(0, j), (3j) ** j * s3 / math.factorial(j), atol=1e-12
+            block(rep, 2 * n_modes + 1, 0, j), (3j) ** j * s3 / math.factorial(j), atol=1e-12
         )
 
 
@@ -392,7 +383,7 @@ def test_phi_hom_and_norm_sandwich_take_one_representation_norm(monkeypatch):
         "checks": ["phi_hom", "norm_sandwich"],
     })
     data = build_scenario(config)
-    rep = triangular_representation(derivative_chain(data.generator, data.x, data.n)).matrix
+    rep = triangular_representation(derivative_chain(data.generator, data.x, data.n))
     norm, seen = core.operator_norm, []
 
     def counting(a):
@@ -425,26 +416,3 @@ def test_ad_expansion_random(n):
     report = ad_expansion_check(s, b, n)
     assert report.passed
     assert report.residuals[0] <= 1e-10 * (1 + operator_norm(s) ** n * operator_norm(b))
-
-
-# -------------------------------------------------------------- serialization
-
-
-def test_corner_operator_json_roundtrip(tmp_path):
-    import json
-
-    rng = np.random.default_rng(35)
-    d = rng_generator(rng, 2)
-    rep = triangular_representation(derivative_chain(d, rng_operator(rng, 2), 2))
-    path = tmp_path / "corner.json"
-    save_corner_operator(path, rep)
-    payload = json.loads(path.read_text())
-    assert payload["base_dim"] == 2 and payload["order"] == 2 and payload["dim"] == 6
-    loaded = load_corner_operator(path)
-    np.testing.assert_array_equal(loaded.matrix, rep.matrix)
-    assert loaded.base_dim == 2 and loaded.order == 2
-    from opderiv.core import save_operator
-
-    save_operator(tmp_path / "plain.json", np.eye(2))
-    with pytest.raises(ValueError):
-        load_corner_operator(tmp_path / "plain.json")
