@@ -523,15 +523,12 @@ def nullspace_of_constraints(
     return basis
 
 
-def save_operator(path, a, extra: dict | None = None) -> None:
+def save_operator(path, a) -> None:
     """Write a matrix as JSON: {"dim": n, "entries": [[[re, im], ...], ...]} row-major."""
     a = as_operator(a)
     n = a.shape[0]
     entries = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(n)] for i in range(n)]
-    payload: dict = {"dim": n, "entries": entries}
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2))
+    Path(path).write_text(json.dumps({"dim": n, "entries": entries}, indent=2))
 
 
 def load_matrix_json(path) -> tuple[np.ndarray, dict]:

@@ -296,14 +296,14 @@ def _check_reflexivity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         data.algebra, data.generator, data.n, tol=tol, seed=data.seed,
         raise_on_fail=False, family=data.family(tol),
     )
-    resid = max(report.max_reconstruction_residual, report.membership_bound)
+    details = report.to_json()
     return CheckReport(
         "reflexivity",
         data.label,
-        [resid],
+        [details["max_residual"]],
         report.tolerance,
         report.passed,
-        details=report.to_json(),
+        details=details,
     )
 
 

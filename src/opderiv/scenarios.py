@@ -14,6 +14,8 @@ deterministic under a seed.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .core import (
@@ -97,7 +99,8 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
     {"kind": "trig_poly", "coeffs": {k: [re, im] | complex}}, or
     {"kind": "random_symbol", "seed": int, "degree": int}.  Each int may be
     an integral float such as 4.0; 2.7, a bool or a string is a
-    ConfigError.  The trig_poly keys are JSON strings, parsed by ``int``.
+    ConfigError.  A trig_poly key is such an int, or a string that ``int``
+    reads, as a JSON key is.
     """
     gen = circle_generator(n_modes)
     if not isinstance(x_kind, dict) or "kind" not in x_kind:
@@ -110,7 +113,10 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
         for k, c in dict(x_kind["coeffs"]).items():
             if isinstance(c, (list, tuple)):
                 c = complex(c[0], c[1])
-            coeffs[int(k)] = complex(c)
+            if isinstance(k, str):  # a JSON key; one int() cannot read is left to _integer
+                with contextlib.suppress(ValueError):
+                    k = int(k)
+            coeffs[_integer(k, "x_kind.coeffs key", ConfigError)] = complex(c)
         if any(abs(k) > 2 * n_modes for k in coeffs):
             raise ConfigError("trig_poly coefficient index exceeds the truncation range")
         if not np.all(np.isfinite(list(coeffs.values()))):

@@ -667,9 +667,15 @@ def test_matrix_json_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     path = tmp_path / "a.json"
-    save_operator(path, a, extra={"base_dim": 3, "order": 0})
+    save_operator(path, a)
     b, extra = load_matrix_json(path)
     np.testing.assert_array_equal(a, b)
+    assert extra == {}
+    # fields beside dim and entries come back as the extras
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps({"dim": 1, "entries": [[[2.0, -1.0]]], "base_dim": 3, "order": 0}))
+    b, extra = load_matrix_json(tagged)
+    np.testing.assert_array_equal(b, [[2.0 - 1.0j]])
     assert extra == {"base_dim": 3, "order": 0}
 
 

@@ -4,9 +4,10 @@
 public API and judges their output.  A change that removes or renames
 something a case calls would otherwise show only when the benchmark
 runs; here the first case of each workload runs in the ordinary test run
-and its own judge must find nothing wrong, every calculus case of one
-seed must fail no operation, and every corner_solve case of one seed must
-pass at its closed-form dimension.  The module is loaded by path, read-only.
+and its own judge must find nothing wrong, every calculus and run_all case
+of one seed must fail no operation, and every corner_solve case of one seed
+must pass at its closed-form dimension.  The module is loaded by path,
+read-only.
 """
 
 import importlib.util
@@ -45,6 +46,16 @@ def test_no_calculus_operation_fails(tmp_path):
     # every calculus check holds on every case of seed 1, the fd probes too
     cases = workloads.WORKLOADS["calculus"].cases(np.random.default_rng(1), tmp_path)
     assert len(cases) == 72
+    for case in cases:
+        failed, wrong = case.verdict(case.run(), None)
+        assert not failed and not wrong, (case.label, failed, wrong)
+
+
+def test_no_run_all_operation_fails(tmp_path):
+    # the five ``opderiv run`` configs of seed 1 with every check, each
+    # reflexivity verdict at its reference dimension
+    cases = workloads.WORKLOADS["run_all"].cases(np.random.default_rng(1), tmp_path)
+    assert len(cases) == 5
     for case in cases:
         failed, wrong = case.verdict(case.run(), None)
         assert not failed and not wrong, (case.label, failed, wrong)

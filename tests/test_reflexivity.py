@@ -1069,6 +1069,31 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
 
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
+def test_reflexivity_check_passes_a_family_missing_one_lower_graph_member(kind, n):
+    # without one P_j or Q_j below the top level the solve still reaches
+    # Phi(M), with independent corners that are not orthonormal: the Weyl
+    # bound on their Gram matrix keeps the membership bound finite, and the
+    # check passes at dim M
+    pattern = (2, 2) if kind == "block_diagonal" else None
+    spec = VonNeumannAlgebraSpec(kind, 4 if pattern else 3, pattern=pattern)
+    gen, _ = random_scenario(spec.ambient_dim, 1)
+    family = invariant_family(spec, gen, n, seed=1)
+    for dropped in [f"{member}_{j}" for j in range(1, n) for member in "PQ"]:
+        keep = [i for i, label in enumerate(family.labels) if label != dropped]
+        mutant = InvariantFamily(
+            tuple(family.subspaces[i] for i in keep),
+            tuple(family.labels[i] for i in keep),
+            spec.ambient_dim,
+            n,
+            family.algebra,
+        )
+        report = reflexivity_check(spec, gen, n, family=mutant, raise_on_fail=False)
+        assert report.passed and report.dim_computed == spec.expected_dim(), dropped
+        assert np.isfinite(report.membership_bound), dropped
+
+
 @pytest.mark.parametrize("base", (3, 8))
 def test_reflexivity_check_fails_without_the_top_q_member(base):
     # dropping Q_n leaves Y_bot free on the top level: the solution is too large.
@@ -1130,9 +1155,30 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
     assert not report.passed and report.max_reconstruction_residual > 10 * report.tolerance
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("base, n", ((8, 2), (16, 3)))
+def test_reflexivity_check_fails_a_perturbed_corner(base, n, seed, monkeypatch):
+    # eps = 1e-6 complex N(0, 1) on every X_00 block, the rest of each element
+    # kept: no element is the representation of its corner any more, and the
+    # membership bound reads over 100 times the tolerance
+    noise = np.random.default_rng(seed)
+
+    def perturbed(elems):
+        elems = elems.copy()
+        shape = (len(elems), base, base)
+        elems[:, :base, :base] += 1e-6 * (noise.standard_normal(shape) + 1j * noise.standard_normal(shape))
+        return elems
+
+    spec = VonNeumannAlgebraSpec("full", base)
+    gen, _ = random_scenario(base, seed)
+    report, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
+    assert report.dim_computed == base**2
+    assert not report.passed and report.membership_bound >= 100 * report.tolerance
+
+
 def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
     # the count m is right but the elements span one dimension less: the corner
-    # Gram certificate fails, and sigma = 0 makes the membership bound infinite
+    # Gram gives sigma = 0, which makes the membership bound infinite
     spec = VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 1)
     report, _ = _checked_tower(
@@ -1296,23 +1342,22 @@ def test_reflexivity_violation_raises_with_diagnostics():
     assert report == err.value.report
 
 
-def test_reflexivity_violation_message_names_the_deciding_values():
-    # without Q_1 at order 2 the dimension is right and the reconstruction
-    # exact, and the check fails on the membership bound alone: the message
-    # shows it and the tolerance beside the reconstruction residual
+def test_reflexivity_violation_message_names_the_deciding_values(monkeypatch):
+    # a solve that repeats an element has the right count and exact
+    # reconstruction, and fails on the membership bound alone, which the
+    # dependent corners (sigma = 0) make infinite: the message shows it and
+    # the tolerance beside the reconstruction residual
+    corner_solve = reflexivity._corner_solve
+
+    def repeating(family, tol):
+        elems, without_q_dim = corner_solve(family, tol)
+        return np.concatenate([elems[:-1], elems[:1]]), without_q_dim
+
     spec = VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 1)
-    family = invariant_family(spec, gen, 2, seed=1)
-    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
-    mutant = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        3,
-        2,
-        family.algebra,
-    )
+    monkeypatch.setattr(reflexivity, "_corner_solve", repeating)
     with pytest.raises(ReflexivityViolation) as err:
-        reflexivity_check(spec, gen, 2, family=mutant)
+        reflexivity_check(spec, gen, 2, seed=1)
     report = err.value.report
     assert report.dim_computed == report.dim_expected == 9
     assert report.max_reconstruction_residual <= report.tolerance

@@ -52,6 +52,17 @@ def test_circle_scenario_trig_poly_is_toeplitz_sum():
     np.testing.assert_array_equal(x, expected)
 
 
+@pytest.mark.parametrize("coeffs", ({2.7: 1.0}, {True: 0.5}, {"2.7": 1.0}))
+def test_circle_scenario_trig_poly_rejects_keys_that_are_not_integers(coeffs):
+    with pytest.raises(ConfigError, match="x_kind.coeffs"):
+        circle_scenario(3, {"kind": "trig_poly", "coeffs": coeffs})
+
+
+def test_circle_scenario_trig_poly_reads_integral_and_json_keys():
+    _, x = circle_scenario(3, {"kind": "trig_poly", "coeffs": {0: 1.0, 2.0: 0.5, "-1": [0.0, 1.0]}})
+    np.testing.assert_array_equal(x, np.eye(7) + 0.5 * circle_shift(3, 2) + 1j * circle_shift(3, -1))
+
+
 def test_circle_scenario_out_of_range_rejected():
     with pytest.raises(ConfigError):
         circle_scenario(2, {"kind": "shift", "k": 5})
