@@ -120,7 +120,8 @@ def block_structure(
         m, _, n = s.shape
         block = slice(offset, offset + m * n)
         coeffs = np.trace(adapted[:, block, block].reshape(-1, m, n, m, n), axis1=2, axis2=4) / n
-        form[:, block, block] = np.kron(coeffs, np.eye(n))
+        kron = coeffs[:, :, None, :, None] * np.eye(n)[:, None, :]  # coeffs (x) I_n, per element
+        form[:, block, block] = kron.reshape(-1, m * n, m * n)
         offset += m * n
     checks["commutant_form"] = (
         float(np.linalg.norm(adapted - form, axis=(1, 2)).max(initial=0.0)),

@@ -346,6 +346,12 @@ def _gram_deviation(rows: np.ndarray) -> float:
 class Subspace:
     """Closed subspace given by an orthonormal basis (columns).
 
+    The constructor checks the basis against ``_GRAM_GUARD``.  Two bases
+    are orthonormal by construction and are not checked again: an
+    ``embedded`` copy, whose zero rows leave the Gram matrix of a checked
+    basis unchanged, and columns of the identity, whose Gram matrix is
+    exactly I.  Both go through ``_orthonormal``.
+
     ``projection``, ``basis @ basis*``, is formed on first use and stored
     on the instance; a subspace that is only read through its basis never
     forms it.
@@ -362,6 +368,15 @@ class Subspace:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
+        """A subspace of C^len(basis) from a complex basis that is orthonormal
+        by construction, without the constructor's Gram check."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", basis.shape[0])
+        object.__setattr__(sub, "basis", basis)
+        return sub
+
     @cached_property
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -376,7 +391,7 @@ class Subspace:
             raise ValueError("embedding does not fit in the target space")
         basis = np.zeros((ambient_dim, self.dim), dtype=complex)
         basis[offset : offset + self.ambient_dim, :] = self.basis
-        return Subspace(ambient_dim, basis)
+        return Subspace._orthonormal(basis)
 
 
 @dataclass(frozen=True)

@@ -350,13 +350,22 @@ def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Subsp
     last block column of exp(S), the powers (i(D + shift))^k / k! stacked
     for k = n, ..., 0, built in closed form without exp(S).  Their last
     block is the identity, so their smallest singular value is at least 1:
-    they have rank N, and one QR orthonormalizes them.
+    they have rank N, and one QR orthonormalizes them.  The powers of
+    order n start with those of every lower order, so ``invariant_family``
+    forms them once per shift and builds each level from its leading
+    terms, bitwise this subspace.
     """
     if n < 1:
         raise ValueError("graph subspace requires order n >= 1")
-    cols = _exponential_terms(d, n, shift)[::-1].reshape(-1, d.dim)
+    return _graph_member(_exponential_terms(d, n, shift))
+
+
+def _graph_member(terms: np.ndarray) -> Subspace:
+    """``graph_subspace`` of order len(terms) - 1 from the leading terms of
+    ``_exponential_terms``: one QR of the terms stacked in reverse order."""
+    cols = terms[::-1].reshape(-1, terms.shape[-1])
     q, _ = np.linalg.qr(cols)
-    return Subspace(d.dim * (n + 1), q)
+    return Subspace(len(cols), q)
 
 
 @dataclass(frozen=True)
@@ -397,7 +406,13 @@ def invariant_family(
     seed: int = 0,
 ) -> InvariantFamily:
     """The full invariant family: embedded lat members, corners, graphs,
-    carrying the algebra that ``lat_family`` built with its members."""
+    carrying the algebra that ``lat_family`` built with its members.
+
+    The graph members come from one power sequence per shift (see
+    ``graph_subspace``).  The lat and graph members are checked when they
+    are built, on the base and on the first j + 1 blocks; their embeddings
+    and the H_j, columns of the identity, are orthonormal by construction
+    and are not checked again (``Subspace``)."""
     tol = tol or DEFAULT_TOL
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -413,13 +428,13 @@ def invariant_family(
         labels.append(f"lat_M[{i}]")
     eye = np.eye(ambient, dtype=complex)
     for j in range(n + 1):
-        subs.append(Subspace(ambient, eye[:, : base * (j + 1)]))
+        subs.append(Subspace._orthonormal(eye[:, : base * (j + 1)]))
         labels.append(f"H_{j}")
+    terms = {kind: _exponential_terms(d, n, shift) for kind, shift in (("P", 0.0), ("Q", 1.0))}
     for j in range(1, n + 1):
-        subs.append(graph_subspace(d, j, shift=0.0).embedded(ambient, 0))
-        labels.append(f"P_{j}")
-        subs.append(graph_subspace(d, j, shift=1.0).embedded(ambient, 0))
-        labels.append(f"Q_{j}")
+        for kind in "PQ":
+            subs.append(_graph_member(terms[kind][: j + 1]).embedded(ambient, 0))
+            labels.append(f"{kind}_{j}")
     return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
 
 
@@ -472,9 +487,18 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
     which is Alg(lat_M) by ``lat_family``'s construction.
 
     Each level is closed form by the graph lemma (see the module
-    docstring): with G read off P_j, G' off Q_j and K = G - G', the only
-    solve keeps the A with Kc* A K = 0 (Kc an orthonormal basis of the
-    complement of range K), and Y_bot = K+ A K, Y_top = G Y_bot - A G.
+    docstring).  G = top bot^-1 is read off a member's block-j rows bot
+    and the rows above them, top, by one SVD bot = U Sigma V*: its rank is
+    ``matrix_rank``'s with cutoff ``rank_cutoff`` (the singular values
+    above it), and G = top V Sigma^-1 U* from the same factors, with no
+    second factorization.  One step of iterative refinement in working
+    precision, G + (top - G bot) V Sigma^-1 U* (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 12), makes G as accurate as
+    an LU solve would: without it, G is up to 50x further from its closed
+    form on built families.  With G read off P_j, G' off Q_j and
+    K = G - G', the only solve keeps the A with Kc* A K = 0 (Kc an
+    orthonormal basis of the complement of range K), and Y_bot = K+ A K,
+    Y_top = G Y_bot - A G.
     The solve is skipped where ``_rank_zero`` certifies that constraint
     as roundoff, which it is on every level of a built family.
     A level with one graph member leaves Y_bot free (G' stands in for G
@@ -485,7 +509,8 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
 
     Raises ValueError when a member has an unknown label or not the shape
     its label claims (a P_j or Q_j must be a graph over block j: dimension N, with
-    block-j rows of rank N), a level has two P_j or two Q_j, K has rank
+    block-j rows of rank N, their smallest singular value above
+    ``rank_cutoff``), a level has two P_j or two Q_j, K has rank
     below N (relative cutoff ``rank_cutoff``), or an H_j that makes X
     block upper triangular is missing.
     """
@@ -506,12 +531,17 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
                 raise ValueError(f"{label} has no level in a family of order {n}")
             if np.linalg.norm(sub.basis[base * (j + 1) :]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
+            if sub.dim != base:
+                raise ValueError(f"{label} is not a graph over block {j}")
             top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
-            if sub.dim != base or np.linalg.matrix_rank(bot, tol=tol.rank_cutoff) < base:
+            u, s, vh = np.linalg.svd(bot)
+            if s[-1] <= tol.rank_cutoff:  # rank below N, by matrix_rank's rule
                 raise ValueError(f"{label} is not a graph over block {j}")
             if label[0] in levels[j]:
                 raise ValueError(f"level {j} has two {label} members")
-            levels[j][label[0]] = np.linalg.solve(bot.T, top.T).T  # G = top bot^-1
+            inv = (vh.conj().T / s) @ u.conj().T  # bot^-1
+            g = top @ inv
+            levels[j][label[0]] = g + (top - g @ bot) @ inv  # G = top bot^-1, refined once
         else:
             raise ValueError(f"{label} is not a label of an invariant family")
     for j in range(n):
@@ -532,7 +562,8 @@ def _corner_level(
     """Level j of ``_corner_solve`` from level j - 1: the stack ``prev`` of
     operators on the first j blocks and the graph maps of the level's P_j
     and Q_j, in that order (G' alone when only Q_j is there).  Its own
-    function, so that its temporaries are freed before the next level."""
+    function, so that its temporaries are freed before the next level.
+    The stack's products with K and G are each one (m lead, lead) GEMM."""
     lead = prev.shape[1]
     j, size = lead // base, lead + base
     a = prev
@@ -542,7 +573,7 @@ def _corner_level(
         u, s, vh = np.linalg.svd(k)
         if s[-1] <= tol.rank_cutoff * s[0]:
             raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
-        uak = u.conj().T @ a @ k  # rows: range K, then its complement Kc
+        uak = u.conj().T @ _times(a, k)  # rows: range K, then its complement Kc
         if j > 1:
             constraint = uak[:, base:].reshape(len(a), -1).T
             # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
@@ -559,12 +590,19 @@ def _corner_level(
     elems = np.zeros((len(a), size, size), dtype=complex)
     elems[:, :lead, :lead] = a
     elems[:, lead:, lead:] = y_bot
-    elems[:, :lead, lead:] = g @ y_bot - a @ g
+    elems[:, :lead, lead:] = g @ y_bot - _times(a, g)
     if not graphs:  # Y_top free too
         free_top = np.zeros((lead * base, size, size), dtype=complex)
         free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
         elems = np.concatenate([elems, free_top])
     return elems
+
+
+def _times(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``stack @ right`` for an (m, p, q) stack and a (q, r) matrix, as one
+    (m p, q) GEMM in place of m small ones."""
+    m, p, q = stack.shape
+    return (stack.reshape(m * p, q) @ right).reshape(m, p, right.shape[1])
 
 
 def _rank_zero(constraint: np.ndarray, scale: float, tol: TolerancePolicy) -> bool:

@@ -100,7 +100,8 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
     {"kind": "random_symbol", "seed": int, "degree": int}.  Each int may be
     an integral float such as 4.0; 2.7, a bool or a string is a
     ConfigError.  A trig_poly key is such an int, or a string that ``int``
-    reads, as a JSON key is.
+    reads, as a JSON key is; two keys that read as the same mode (``"2"``
+    and ``"+2"``) are a ConfigError naming both.
     """
     gen = circle_generator(n_modes)
     if not isinstance(x_kind, dict) or "kind" not in x_kind:
@@ -109,14 +110,18 @@ def circle_scenario(n_modes: int, x_kind) -> tuple[SelfAdjointGenerator, np.ndar
     if kind == "shift":
         x = circle_shift(n_modes, _integer(x_kind["k"], "x_kind.k", ConfigError))
     elif kind == "trig_poly":
-        coeffs = {}
-        for k, c in dict(x_kind["coeffs"]).items():
+        coeffs, keys = {}, {}
+        for key, c in dict(x_kind["coeffs"]).items():
             if isinstance(c, (list, tuple)):
                 c = complex(c[0], c[1])
+            k = key
             if isinstance(k, str):  # a JSON key; one int() cannot read is left to _integer
                 with contextlib.suppress(ValueError):
                     k = int(k)
-            coeffs[_integer(k, "x_kind.coeffs key", ConfigError)] = complex(c)
+            k = _integer(k, "x_kind.coeffs key", ConfigError)
+            if k in keys:
+                raise ConfigError(f"trig_poly keys {keys[k]!r} and {key!r} are both mode {k}")
+            coeffs[k], keys[k] = complex(c), key
         if any(abs(k) > 2 * n_modes for k in coeffs):
             raise ConfigError("trig_poly coefficient index exceeds the truncation range")
         if not np.all(np.isfinite(list(coeffs.values()))):

@@ -184,7 +184,9 @@ def corner_exponential_norm(d: SelfAdjointGenerator, n: int) -> float:
     if n < 0:
         raise ValueError("order must be >= 0")
     r = float(np.max(np.abs(d.eigenvalues)))
-    exp_rj = sum(np.eye(n + 1, k=j) * r**j / math.factorial(j) for j in range(n + 1))
+    terms = np.array([r**j / math.factorial(j) for j in range(n + 1)] + [0.0] * n)
+    steps = np.arange(n + 1)
+    exp_rj = terms[steps[None, :] - steps[:, None]]  # r^j / j! on superdiagonal j, 0 below
     return operator_norm(exp_rj)
 
 

@@ -377,6 +377,25 @@ def test_subspace_embedding():
     np.testing.assert_allclose(emb.basis, expected)
 
 
+def test_subspace_embedding_is_the_zero_padded_basis_unchecked(monkeypatch):
+    # zero rows leave the Gram matrix of a checked basis unchanged, so the
+    # embedding is not checked again; the constructor still checks its input
+    sub = subspace_from_columns(rng_hermitian(np.random.default_rng(5), 4)[:, :2])
+    calls = []
+    gram = core._gram_deviation
+    monkeypatch.setattr(core, "_gram_deviation", lambda r: calls.append(r.shape) or gram(r))
+    emb = sub.embedded(9, offset=3)
+    assert not calls
+    padded = np.zeros((9, 2), dtype=complex)
+    padded[3:7] = sub.basis
+    np.testing.assert_array_equal(emb.basis, padded)
+    assert emb.ambient_dim == 9 and emb.dim == 2
+    Subspace(9, padded)
+    assert calls == [(2, 9)]
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(9, padded * (1 + 1e-8))
+
+
 def test_subspace_distance_is_projection_based():
     a = Subspace(2, np.array([[1.0], [0.0]]))
     b = subspace_from_columns(np.array([[2.0], [0.0]]))  # same space, other basis

@@ -1,11 +1,14 @@
 """Tests for commutants, invariant families, and the reflexivity check."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opderiv import blocks, reflexivity
+from opderiv import blocks, core, reflexivity
 from opderiv.core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -16,6 +19,7 @@ from opderiv.core import (
     operator_norm,
 )
 from opderiv.derivation import derivative_chain
+from opderiv.harness import _CHECKS, ScenarioData
 from opderiv.reflexivity import (
     InvariantFamily,
     LatGenerationFailed,
@@ -787,22 +791,75 @@ def test_corner_solve_is_bitwise_the_same_without_the_certificate(kind, monkeypa
     assert certified_dim == solved_dim
 
 
+def _recording_graph_maps(monkeypatch):
+    """Wrap the corner level; each level's graph maps are recorded."""
+    level, graphs = reflexivity._corner_level, []
+
+    def recording(prev, level_graphs, base, tol):
+        graphs.append(level_graphs)
+        return level(prev, level_graphs, base, tol)
+
+    monkeypatch.setattr(reflexivity, "_corner_level", recording)
+    return graphs
+
+
+def _counting(monkeypatch):
+    """Count the calls of the Gram check and of numpy's factorizations."""
+    counts = collections.Counter()
+    for owner, name in (
+        (core, "_gram_deviation"),
+        (np.linalg, "svd"),
+        (np.linalg, "qr"),
+        (np.linalg, "solve"),
+        (np.linalg, "matrix_rank"),
+    ):
+
+        def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "kind, lat_members, commutant_svds",
+    (("full", 1, 4), ("diagonal_masa", 8, 2), ("block_diagonal", 2, 4)),
+)
+def test_pipeline_checks_and_factors_each_basis_once(
+    kind, lat_members, commutant_svds, monkeypatch
+):
+    # the corner_solve cases at (8, 2).  invariant_family checks the commutant,
+    # the lat members, the algebra and the 2n graph members once each, and not
+    # their embeddings or the H_j; its SVDs are the commutant's, one per
+    # generator and adjoint, and its QRs one per graph member.  The check then
+    # takes one SVD per graph member, which gives both its rank and G, and one
+    # of K per level: no solve, no separate rank and no Gram check
+    n, pattern = 2, (4, 4) if kind == "block_diagonal" else None
+    spec = VonNeumannAlgebraSpec(kind, 8, pattern=pattern)
+    d, _ = random_scenario(8, 1)
+    counts = _counting(monkeypatch)
+    family = invariant_family(spec, d, n)
+    assert dict(counts) == {
+        "_gram_deviation": 2 + lat_members + 2 * n,
+        "svd": commutant_svds,
+        "qr": 2 * n,
+    }
+    counts.clear()
+    assert reflexivity_check(spec, d, n, family=family).passed
+    assert dict(counts) == {"svd": 3 * n}
+
+
 @pytest.mark.parametrize("shift", (0.0, 1.0))
 def test_corner_solve_recovers_the_closed_form_graph_maps(shift, monkeypatch):
     # G of P_j (G' of Q_j) is the stack of (i(D + c))^k / k! for k = j..1
     base, n = 3, 3
     d = rng_generator(np.random.default_rng(56), base)
     family = invariant_family(VonNeumannAlgebraSpec("full", base), d, n)
-    level, graphs = reflexivity._corner_level, []
-
-    def recording(prev, level_graphs, base, tol):
-        graphs.append(level_graphs[int(shift)])
-        return level(prev, level_graphs, base, tol)
-
-    monkeypatch.setattr(reflexivity, "_corner_level", recording)
+    graphs = _recording_graph_maps(monkeypatch)
     reflexivity._corner_solve(family, DEFAULT_TOL)
     gen = 1j * (d.base + shift * np.eye(base))
-    for j, g in enumerate(graphs, start=1):
+    for j, g in enumerate((level[int(shift)] for level in graphs), start=1):
         powers = [np.linalg.matrix_power(gen, k) / math.factorial(k) for k in range(j, 0, -1)]
         want = np.vstack(powers)
         assert np.linalg.norm(g - want) <= 1e-12 * (1 + np.linalg.norm(want))
@@ -1000,6 +1057,61 @@ def _graph_map(family, label):
     j, base = int(label[2:]), family.base_dim
     top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
     return top @ np.linalg.inv(bot)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
+def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
+    # G = top V Sigma^-1 U* from the SVD of the block-j rows, refined once, is
+    # top bot^-1; the members are bitwise graph_subspace's, from one power
+    # sequence per shift
+    spec = _oracle_spec(kind, 4)
+    d = rng_generator(np.random.default_rng(70 + n), 4, spread=3.0)
+    family = invariant_family(spec, d, n)
+    members = dict(zip(family.labels, family.subspaces))
+    for j in range(1, n + 1):
+        for member, shift in (("P", 0.0), ("Q", 1.0)):
+            want = graph_subspace(d, j, shift).embedded(family.ambient_dim)
+            np.testing.assert_array_equal(members[f"{member}_{j}"].basis, want.basis)
+    graphs = _recording_graph_maps(monkeypatch)
+    reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert len(graphs) == n
+    for j, (g, g_shifted) in enumerate(graphs, start=1):
+        for got, label in ((g, f"P_{j}"), (g_shifted, f"Q_{j}")):
+            want = _graph_map(family, label)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("above", (True, False))
+def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
+    # a hand-built P_1 whose block-1 rows have sigma_min 1% above, then 1%
+    # below rank_cutoff: accepted or rejected exactly as matrix_rank decides.
+    # The family has no Q_1, whose K would be of rank 1 against that P_1
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1)
+    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
+    family = InvariantFamily(
+        tuple(family.subspaces[i] for i in keep),
+        tuple(family.labels[i] for i in keep),
+        2,
+        1,
+        family.algebra,
+    )
+    rng = np.random.default_rng(71)
+    u, w, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+               for _ in range(3))  # random unitaries
+    cosines = np.array([0.6, DEFAULT_TOL.rank_cutoff * (1.01 if above else 0.99)])
+    bot = (u * cosines) @ v.conj().T
+    top = (w * np.sqrt(1 - cosines**2)) @ v.conj().T  # orthonormal columns with bot
+    member = Subspace(4, np.vstack([top, bot]))
+    assert np.linalg.matrix_rank(bot, tol=DEFAULT_TOL.rank_cutoff) == (2 if above else 1)
+    hand_built = _relabeled(family, "P_1", member)
+    if above:
+        elems, _ = reflexivity._corner_solve(hand_built, DEFAULT_TOL)
+        assert len(elems) == 2 + 2**2  # the algebra, and Y_bot free
+    else:
+        with pytest.raises(ValueError, match="P_1 is not a graph over block 1"):
+            reflexivity._corner_solve(hand_built, DEFAULT_TOL)
 
 
 def test_corner_solve_rejects_q_members_that_are_not_a_graph():
@@ -1260,6 +1372,65 @@ def test_reflexivity_check_represents_only_the_corners_of_the_tower(monkeypatch)
     monkeypatch.setattr(OperatorSpace, "span", classmethod(forbidden))
     assert reflexivity_check(spec, gen, 2, family=family).passed
     assert represented == [(9, 3, 3)]
+
+
+def _rotated(eigenvalues, rng):
+    """U diag(eigenvalues) U* for a random unitary U, as a generator."""
+    dim = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    base = (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+    return eig_hermitian((base + base.conj().T) / 2)
+
+
+def _degenerate_case(dim, spectrum, algebra, x_kind, n, seed):
+    """Operands of the invariance and reflexivity checks on a degenerate input."""
+    rng = np.random.default_rng(seed)
+    repeated = ([1.0] * dim + [2.0, 2.0])[-dim:]  # diag(1, ..., 1, 2, 2), or its tail
+    d = {
+        "random": lambda: rng_generator(rng, dim),
+        "repeated": lambda: _rotated(repeated, rng),
+        "zero": lambda: eig_hermitian(np.zeros((dim, dim))),
+    }[spectrum]()
+    if algebra == "block_diagonal":
+        spec = VonNeumannAlgebraSpec(algebra, dim, pattern=(dim - 1, 1) if dim > 1 else (1,))
+    elif algebra == "generated":
+        spec = VonNeumannAlgebraSpec(algebra, dim, generators=(_rotated(repeated, rng).base,))
+    else:
+        spec = VonNeumannAlgebraSpec(algebra, dim)
+    if x_kind == "random":
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    elif x_kind == "zero":
+        x = np.zeros((dim, dim), dtype=complex)
+    else:  # a polynomial in D commutes with D
+        x = sum(c * np.linalg.matrix_power(d.base, p) for p, c in enumerate(rng.standard_normal(3)))
+    return ScenarioData("degenerate", d, x, x, spec, n, seed)
+
+
+# Dimension 1, repeated eigenvalues (D = 0 among them), a zero x and an x
+# that commutes with D, N <= 4 and n <= 3: the shared power sequence of the
+# graph members and their SVD rank rule meet degenerate generators.  Each
+# check passes or raises a typed error; it never FAILs on such an input.
+@pytest.mark.parametrize("check", ["invariance", "reflexivity"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    dim=st.integers(1, 4),
+    spectrum=st.sampled_from(["random", "repeated", "zero"]),
+    algebra=st.sampled_from(["full", "diagonal_masa", "block_diagonal", "generated"]),
+    x_kind=st.sampled_from(["random", "zero", "commuting"]),
+    n=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=1, spectrum="random", algebra="full", x_kind="zero", n=3, seed=0)
+@example(dim=4, spectrum="repeated", algebra="generated", x_kind="commuting", n=3, seed=1)
+@example(dim=4, spectrum="zero", algebra="diagonal_masa", x_kind="random", n=3, seed=2)
+@example(dim=3, spectrum="repeated", algebra="block_diagonal", x_kind="zero", n=2, seed=3)
+def test_family_checks_on_degenerate_inputs(check, dim, spectrum, algebra, x_kind, n, seed):
+    data = _degenerate_case(dim, spectrum, algebra, x_kind, n, seed)
+    try:
+        report = _CHECKS[check](data, DEFAULT_TOL)
+    except (LatGenerationFailed, ArithmeticError, ValueError):
+        return
+    assert report.passed, (report.residuals, report.tolerance, report.details)
 
 
 def test_reflexivity_full_c16_n3():

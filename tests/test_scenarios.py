@@ -63,6 +63,17 @@ def test_circle_scenario_trig_poly_reads_integral_and_json_keys():
     np.testing.assert_array_equal(x, np.eye(7) + 0.5 * circle_shift(3, 2) + 1j * circle_shift(3, -1))
 
 
+@pytest.mark.parametrize(
+    "coeffs, named",
+    (({"2": 1.0, "+2": 0.5}, "'2' and '\\+2'"), ({"2": 1.0, "02": 0.5}, "'2' and '02'"),
+     ({2: 1.0, "2": 0.5}, "2 and '2'")),
+)
+def test_circle_scenario_trig_poly_rejects_two_keys_for_one_mode(coeffs, named):
+    # each key would overwrite the other's coefficient
+    with pytest.raises(ConfigError, match=f"keys {named} are both mode 2"):
+        circle_scenario(3, {"kind": "trig_poly", "coeffs": coeffs})
+
+
 def test_circle_scenario_out_of_range_rejected():
     with pytest.raises(ConfigError):
         circle_scenario(2, {"kind": "shift", "k": 5})

@@ -274,6 +274,16 @@ def test_corner_exponential_norm_matches_dense_norms(eigenvalues, n, shift, seed
     assert closed == pytest.approx(operator_norm(bwd), rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 5))
+@pytest.mark.parametrize("radius", (0.0, 0.7, 13.0))
+def test_corner_exponential_norm_is_bitwise_the_eye_sum(radius, n):
+    # exp(rJ) by superdiagonal index holds the same values as the sum of
+    # n + 1 shifted identities it replaced
+    d = eig_hermitian(np.diag([-radius, radius / 2]))
+    exp_rj = sum(np.eye(n + 1, k=j) * radius**j / math.factorial(j) for j in range(n + 1))
+    assert corner_exponential_norm(d, n) == operator_norm(exp_rj)
+
+
 # ------------------------------------------------------- conjugation identity
 
 
