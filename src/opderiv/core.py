@@ -180,10 +180,26 @@ def frobenius_norm(a) -> float | np.ndarray:
     ||R||_2 (Golub & Van Loan, *Matrix Computations*, sec. 2.3), so a
     residual that meets an operator-norm tolerance in this norm meets it
     in the operator norm too; only the verdict is stricter, by at most
-    sqrt(rank R).
+    sqrt(rank R).  The norms of the rows of a 2-D R are those of the
+    stack ``R[:, None]``.
+
+    Each norm is one dot product of the matrix's entries, read as a
+    contiguous real array (a complex matrix through its real view), with
+    itself: a stack is one stacked matmul of its flattened matrices and
+    forms no conjugated, squared or real-part temporary.  A non-contiguous
+    slice is copied once.  Like ``np.linalg.norm`` there is no rescaling:
+    a sum of squares that overflows gives inf.
     """
-    norms = np.linalg.norm(np.asarray(a, dtype=complex), axis=(-2, -1))
-    return float(norms) if norms.ndim == 0 else norms
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        real = np.ascontiguousarray(a, dtype=complex).view(float)
+    else:
+        real = np.ascontiguousarray(a, dtype=float)
+    lead = a.shape[:-2]
+    flat = real.reshape(math.prod(lead), real.shape[-2] * real.shape[-1])
+    if not lead:
+        return math.sqrt(float(flat[0] @ flat[0]))
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(lead)
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -364,7 +380,7 @@ class Subspace:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise ValueError("basis must be an (ambient_dim, k) matrix")
-        if _gram_deviation(basis.T) > _GRAM_GUARD:
+        if not _gram_deviation(basis.T) <= _GRAM_GUARD:  # NaN fails too
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -413,7 +429,7 @@ class OperatorSpace:
             elems = np.zeros((0, d, d), dtype=complex)
         if elems.ndim != 3 or elems.shape[1:] != (d, d):
             raise DimensionMismatch(f"basis of shape {elems.shape} is not an (m, {d}, {d}) stack")
-        if _gram_deviation(elems.reshape(len(elems), d * d)) > _GRAM_GUARD:
+        if not _gram_deviation(elems.reshape(len(elems), d * d)) <= _GRAM_GUARD:  # NaN fails too
             raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
 
@@ -456,7 +472,7 @@ class OperatorSpace:
         flat = ops.reshape(len(ops), d * d)
         basis = self.basis_elements.reshape(self.dim, d * d)
         resid = flat - (flat @ basis.conj().T) @ basis
-        return np.linalg.norm(resid, axis=1) / (1.0 + np.linalg.norm(flat, axis=1))
+        return frobenius_norm(resid[:, None]) / (1.0 + frobenius_norm(flat[:, None]))
 
     def product_closure_residual(self, max_pairs: int | None = None) -> float:
         """Worst membership residual among pairwise products of basis elements.
@@ -547,19 +563,32 @@ def save_operator(path, a) -> None:
 
 
 def load_matrix_json(path) -> tuple[np.ndarray, dict]:
-    """Read the shared matrix JSON format; returns (matrix, extra fields)."""
+    """Read the shared matrix JSON format; returns (matrix, extra fields).
+
+    ``entries`` is parsed in one go as an array, which must be a
+    ``(dim, dim, 2)`` array of numbers, a row-major matrix of [re, im]
+    pairs; anything else (a short, long, ragged or non-numeric cell)
+    raises ValueError naming the file.  Any JSON number is taken, also an
+    integer beyond 64 bits, which numpy parses as an object.
+    """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise ValueError(f"{path}: not a matrix JSON file (missing dim/entries)")
-    n = int(payload["dim"])
-    entries = payload["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError(f"{path}: entries do not form a {n}x{n} matrix")
-    a = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in entries], dtype=complex
-    )
+    n = _integer(payload["dim"], f"{path}: dim")
+    try:
+        cells = np.array(payload["entries"])
+        if cells.dtype == object and all(type(x) in (int, float) for x in cells.flat):
+            cells = cells.astype(float)
+    except (ValueError, OverflowError):  # ragged; an integer beyond the float range
+        cells = None
+    if cells is None or cells.shape != (n, n, 2) or cells.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: entries are not a {n}x{n} matrix of [re, im] pairs of numbers")
+    try:
+        a = as_operator(np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     extra = {k: v for k, v in payload.items() if k not in ("dim", "entries")}
-    return as_operator(a), extra
+    return a, extra
 
 
 def load_operator(path) -> np.ndarray:

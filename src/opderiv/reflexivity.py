@@ -519,17 +519,17 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
     leading = set()
     for sub, label in zip(family.subspaces, family.labels):
         if label.startswith("H_"):
-            if sub.dim % base or np.linalg.norm(sub.basis[sub.dim :]) > tol.alg():
+            if sub.dim % base or frobenius_norm(sub.basis[sub.dim :]) > tol.alg():
                 raise ValueError(f"{label} is not spanned by leading blocks of basis vectors")
             leading.add(sub.dim // base)
         elif label.startswith("lat_M"):
-            if np.linalg.norm(sub.basis[base:]) > tol.alg():
+            if frobenius_norm(sub.basis[base:]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first block")
         elif label[:2] in ("P_", "Q_"):
             j = int(label[2:])
             if j not in levels:
                 raise ValueError(f"{label} has no level in a family of order {n}")
-            if np.linalg.norm(sub.basis[base * (j + 1) :]) > tol.alg():
+            if frobenius_norm(sub.basis[base * (j + 1) :]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
             if sub.dim != base:
                 raise ValueError(f"{label} is not a graph over block {j}")
@@ -577,7 +577,7 @@ def _corner_level(
         if j > 1:
             constraint = uak[:, base:].reshape(len(a), -1).T
             # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
-            scale = s[0] * np.linalg.norm(a)
+            scale = s[0] * frobenius_norm(a.reshape(-1, lead))
             if not _rank_zero(constraint, scale, tol):
                 c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
                 if c.shape[1] < len(a):  # a cut; without one c only rotates the span
@@ -729,21 +729,21 @@ def reflexivity_check(
         )
     algebra = family.algebra
     elems, without_q_dim = _corner_solve(family, tol)
-    m, corners = len(elems), elems[:, : d.dim, : d.dim]
+    m, corners = len(elems), np.ascontiguousarray(elems[:, : d.dim, : d.dim])  # copied once
     exp_norm = corner_exponential_norm(d, n)
     scale_tol = tol.alg(exp_norm, exp_norm)
 
-    mu = algebra._residuals(corners) * (1.0 + np.linalg.norm(corners, axis=(1, 2)))
+    mu = algebra._residuals(corners) * (1.0 + frobenius_norm(corners))
     recon, step = np.zeros(m), max(1, _BATCH_ENTRIES // elems.shape[1] ** 2)
     for k in range(0, m, step):  # ||X - Phi(X_00)||_F, a batch of elements at a time
         diff = triangular_representations(d, corners[k : k + step], n) - elems[k : k + step]
-        recon[k : k + step] = np.linalg.norm(diff, axis=(1, 2))
+        recon[k : k + step] = frobenius_norm(diff)
     max_recon = float(recon.max(initial=0.0))
     flat = corners.reshape(m, d.dim**2)
     gram = flat.conj() @ flat.T  # the corner Gram G
     diag = gram.diagonal().real.copy()
     np.fill_diagonal(gram, 0.0)  # G - diag G
-    sigma = np.sqrt(max(diag.min(initial=np.inf) - np.linalg.norm(gram), 0.0))  # Weyl
+    sigma = np.sqrt(max(diag.min(initial=np.inf) - frobenius_norm(gram), 0.0))  # Weyl
     spread = np.sqrt(m) * max_recon + np.sqrt(n + 1) * exp_norm**2 * np.linalg.norm(mu)
     bound = float(spread / sigma) if sigma else np.inf
 

@@ -245,7 +245,11 @@ def test_operator_norm_empty_stack_and_matrix_type():
     assert type(operator_norm(np.ones((1, 1)))) is float
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (6, 4, 4), (2, 3, 5, 5), (4, 6, 2), (0, 3, 3)])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 3), (6, 4, 4), (2, 3, 5, 5), (4, 6, 2), (0, 3, 3),
+     (1, 1), (7, 7), (4, 24, 24), (2, 96, 96), (2, 0, 0), (3, 0)],
+)
 def test_frobenius_norm_contract_and_bracket(shape):
     # the operator_norm contract, and ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2
     rng = np.random.default_rng(sum(shape))
@@ -255,10 +259,39 @@ def test_frobenius_norm_contract_and_bracket(shape):
         assert type(norms) is float
     else:
         assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
-    np.testing.assert_allclose(norms, np.linalg.norm(stack, axis=(-2, -1)), rtol=1e-14, atol=0)
-    ops = operator_norm(stack)
+    # a sum of 2 M N real squares and a square root, in either order of summation
+    rtol = 2 * (shape[-2] * shape[-1] + 1) * np.finfo(float).eps
+    np.testing.assert_allclose(norms, np.linalg.norm(stack, axis=(-2, -1)), rtol=rtol, atol=0)
     rank = min(shape[-2:])
+    if rank == 0:
+        assert np.all(norms == 0.0)
+        return
+    ops = operator_norm(stack)
     assert np.all(ops * (1 - 1e-13) <= norms) and np.all(norms <= np.sqrt(rank) * ops * (1 + 1e-13))
+
+
+def test_frobenius_norm_of_rows_slices_and_real_input():
+    rng = np.random.default_rng(31)
+    elems = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    corners = elems[:, :3, :3]  # not contiguous
+    assert not corners.flags.c_contiguous
+    np.testing.assert_allclose(
+        frobenius_norm(corners), np.linalg.norm(corners, axis=(1, 2)), rtol=1e-14, atol=0
+    )
+    rows = elems.reshape(5, 36)
+    np.testing.assert_allclose(
+        frobenius_norm(rows[:, None]), np.linalg.norm(rows, axis=1), rtol=1e-14, atol=0
+    )
+    real = elems.real
+    assert frobenius_norm(real[0]) == pytest.approx(np.linalg.norm(real[0]), rel=1e-14, abs=0)
+    np.testing.assert_allclose(
+        frobenius_norm(real[:, ::2, 1::2]), np.linalg.norm(real[:, ::2, 1::2], axis=(1, 2)),
+        rtol=1e-14, atol=0,
+    )
+    assert frobenius_norm(np.array([[3, 0], [0, 4]])) == 5.0  # integer input
+    # empty rows: the part of a basis below its span, as the tower's support checks take it
+    sub = Subspace(3, np.eye(3, dtype=complex))
+    assert sub.basis[sub.dim :].shape == (0, 3) and frobenius_norm(sub.basis[sub.dim :]) == 0.0
 
 
 # ------------------------------------------------------------ unitary_group
@@ -366,6 +399,20 @@ def test_subspace_forms_its_projection_on_first_use():
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_subspace_and_operator_space_reject_a_non_finite_basis(bad):
+    # a NaN Gram deviation is no proof of orthonormality
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, [[bad], [0.0]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, [[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpace(1, [[[bad]]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSpace(2, [np.diag([bad, 0.0]), np.diag([0.0, 1.0])])
 
 
 def test_subspace_embedding():
@@ -713,6 +760,16 @@ def test_matrix_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "entries": [[[1, 0]]]}))
     with pytest.raises(ValueError):
+        load_operator(path)
+
+
+def test_matrix_json_takes_any_json_number(tmp_path):
+    # an integer beyond 64 bits parses to an object array; it is still a number
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[[10**20, 0], [1, 2]], [[0, 0], [3.5, 0]]]}))
+    np.testing.assert_array_equal(load_operator(path), [[1e20, 1 + 2j], [0, 3.5]])
+    path.write_text(json.dumps({"dim": 1, "entries": [[[10**400, 0]]]}))
+    with pytest.raises(ValueError, match="big.json"):
         load_operator(path)
 
 

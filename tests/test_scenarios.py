@@ -552,3 +552,39 @@ def test_cli_show_bad_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert cli_main(["show", str(bad)]) == 2
+
+
+MALFORMED_ENTRIES = {
+    "long_cell": [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "short_cell": [[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "non_numeric_cell": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "null_cell": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "short_row": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ENTRIES)
+def test_malformed_matrix_file_is_a_config_error(tmp_path, capsys, case):
+    # a cell that is not an [re, im] pair of numbers names the file, never a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": MALFORMED_ENTRIES[case]}))
+    assert cli_main(["show", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(bad) in err
+    raw = {"scenario": {"kind": "random", "N": 2}, "algebra": {"kind": "generated", "paths": [str(bad)]}}
+    with pytest.raises(ConfigError, match="bad.json"):
+        run_checks(ScenarioConfig.from_dict(raw))
+
+
+def test_cli_parser_carries_no_state_between_calls(tmp_path):
+    # the parser is built once per process; a second call sees none of the first's options
+    cfg = write_config(tmp_path, base_config(checks=["all"], n=1))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = ["run", str(cfg), "--check", "leibniz", "--check", "lipschitz", "--n", "2"]
+    assert cli_main([*argv, "--report", str(first)]) == 0
+    assert cli_main(["run", str(cfg), "--report", str(second)]) == 0
+    one, two = json.loads(first.read_text()), json.loads(second.read_text())
+    assert [r["check"] for r in one["results"]] == ["leibniz", "lipschitz"]
+    assert one["config"]["n"] == 2
+    assert [r["check"] for r in two["results"]] == list(CHECK_NAMES) and len(CHECK_NAMES) == 13
+    assert two["config"]["n"] == 1 and two["config"]["checks"] == list(CHECK_NAMES)
