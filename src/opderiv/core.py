@@ -140,7 +140,8 @@ def operator_norm(a) -> float | np.ndarray:
     A 2-D input gives a float.  A ``(..., M, N)`` stack gives an array of
     its leading shape, with one Gram product and one eigensolver call for
     the whole stack and the same value per matrix as a 2-D call; an empty
-    stack gives shape (0,).
+    stack gives shape (0,), and matrices with no entries (a zero-size
+    dimension) give zeros, as ``frobenius_norm`` does.
 
     sigma_max(A)^2 = lambda_max(A* A), so the value is the square root of
     the largest eigenvalue of the smaller Gram matrix G, A* A when M >= N
@@ -160,6 +161,8 @@ def operator_norm(a) -> float | np.ndarray:
     there.
     """
     a = np.ascontiguousarray(a, dtype=complex)
+    if a.size == 0:  # no entries: zeros of the leading shape
+        return frobenius_norm(a)
     amax = np.abs(a.view(float)).max(axis=(-2, -1))  # within sqrt(2) of the largest |entry|
     lo, hi = _GRAM_RANGE
     if np.all((amax == 0) | ((amax >= lo) & (amax <= hi))):
@@ -557,34 +560,34 @@ def nullspace_of_constraints(
 def save_operator(path, a) -> None:
     """Write a matrix as JSON: {"dim": n, "entries": [[[re, im], ...], ...]} row-major."""
     a = as_operator(a)
-    n = a.shape[0]
-    entries = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(n)] for i in range(n)]
-    Path(path).write_text(json.dumps({"dim": n, "entries": entries}, indent=2))
+    entries = np.stack([a.real, a.imag], -1).tolist()
+    Path(path).write_text(json.dumps({"dim": a.shape[0], "entries": entries}, indent=2))
 
 
 def load_matrix_json(path) -> tuple[np.ndarray, dict]:
     """Read the shared matrix JSON format; returns (matrix, extra fields).
 
-    ``entries`` is parsed in one go as an array, which must be a
-    ``(dim, dim, 2)`` array of numbers, a row-major matrix of [re, im]
-    pairs; anything else (a short, long, ragged or non-numeric cell)
-    raises ValueError naming the file.  Any JSON number is taken, also an
-    integer beyond 64 bits, which numpy parses as an object.
+    ``entries`` is parsed in one go as an object array, which must be a
+    ``(dim, dim, 2)`` array of JSON numbers, a row-major matrix of
+    [re, im] pairs; anything else (a short, long, ragged or non-numeric
+    cell, a boolean among them) raises ValueError naming the file.  Any
+    JSON number is taken, also an integer beyond 64 bits.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise ValueError(f"{path}: not a matrix JSON file (missing dim/entries)")
     n = _integer(payload["dim"], f"{path}: dim")
     try:
-        cells = np.array(payload["entries"])
-        if cells.dtype == object and all(type(x) in (int, float) for x in cells.flat):
+        cells = np.array(payload["entries"], dtype=object)
+        # a JSON number is an int or a float; a bool is an int to numpy
+        if cells.shape == (n, n, 2) and all(type(x) in (int, float) for x in cells.flat):
             cells = cells.astype(float)
     except (ValueError, OverflowError):  # ragged; an integer beyond the float range
         cells = None
-    if cells is None or cells.shape != (n, n, 2) or cells.dtype.kind not in "iuf":
+    if cells is None or cells.dtype != float:
         raise ValueError(f"{path}: entries are not a {n}x{n} matrix of [re, im] pairs of numbers")
     try:
-        a = as_operator(np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0])
+        a = as_operator(cells.view(complex)[..., 0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     extra = {k: v for k, v in payload.items() if k not in ("dim", "entries")}

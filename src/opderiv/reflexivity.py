@@ -22,8 +22,8 @@ structural checks with recorded margins certify both, with no
 bicommutant and no certification solve.  The family carries the
 algebra, so the reflexivity check solves nothing for it.  The check
 judges the tower's own elements: their corners (the (0, 0) blocks) are
-independent and lie in the algebra, and each element is the triangular
-representation of its corner.  Since that representation is injective,
+the algebra's basis, and each element is the triangular representation
+of its corner.  Since that representation is injective,
 this and the dimension count give the whole theorem; the solution is
 never orthonormalized in the (N(n+1))^2-wide vec space, and the
 representation of the algebra is never tested for membership in it.
@@ -39,13 +39,15 @@ A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
 
-On a family ``invariant_family`` builds, the level below already leaves
-P_j and Q_j invariant, so those equations are roundoff.  Each level
-first tries a rank-0 certificate: sigma_max(C) <= ||C||_F for the
-constraint C, so ||C||_F <= rank_cutoff * scale (the scale the solve is
-given) puts every singular value under the solve's rank threshold, and
-the level keeps A as the solve's no-cut branch would.  The SVD is taken
-only when the certificate fails, as for a family missing a graph member.
+The corner solve takes complete families only: H_0, ..., H_{n-1}, and
+one P_j and one Q_j at every level.  On a family ``invariant_family``
+builds, the level below already leaves P_j and Q_j invariant, so those
+equations are roundoff and each level keeps A unchanged.  A rank-0
+certificate decides that without an SVD: sigma_max(C) <= ||C||_F for the
+constraint C, so ||C||_F <= rank_cutoff * scale puts every singular value
+under the rank threshold of ``nullspace_of_constraints``.  The tower
+reports the largest ratio ||C||_F / (rank_cutoff * scale) over its
+levels, and a ratio above 1 fails the check: the tower is not solved.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class ReflexivityViolation(RuntimeError):
             f"dim {report.dim_computed} vs expected {report.dim_expected}, "
             f"reconstruction residual {report.max_reconstruction_residual:.3e}, "
             f"membership bound {report.membership_bound:.3e}, "
-            f"tolerance {report.tolerance:.3e}"
+            f"tolerance {report.tolerance:.3e}, "
+            f"certificate ratio {report.certificate_ratio:.3e}"
         )
         self.report = report
 
@@ -466,16 +469,20 @@ def alg_of_family(family: InvariantFamily, tol: TolerancePolicy | None = None) -
 
     Solved by ``_corner_solve``'s tower, which uses the family's
     structure; the tower is orthonormalized by ``OperatorSpace.span``.
-    Anything but an InvariantFamily raises TypeError.
+    Anything but an InvariantFamily raises TypeError; a family whose
+    tower is not certified (certificate ratio above 1) raises ValueError.
     """
     if not isinstance(family, InvariantFamily):
         raise TypeError(f"alg_of_family takes an InvariantFamily, not {type(family).__name__}")
     tol = tol or DEFAULT_TOL
-    return OperatorSpace.span(family.ambient_dim, _corner_solve(family, tol)[0])
+    elems, ratio = _corner_solve(family, tol)
+    if not ratio <= 1:
+        raise ValueError(f"the corner tower is not certified: certificate ratio {ratio:.3e} > 1")
+    return OperatorSpace.span(family.ambient_dim, elems)
 
 
-def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.ndarray, int]:
-    """A basis of Alg(family), and its dimension without the Q_j members.
+def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.ndarray, float]:
+    """A basis of Alg(family), and the tower's certificate ratio.
 
     Solved as a tower over the order, as in the paper's induction.  The
     H_j members make X block upper triangular, and a member that lives in
@@ -496,26 +503,28 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
     Stability of Numerical Algorithms*, ch. 12), makes G as accurate as
     an LU solve would: without it, G is up to 50x further from its closed
     form on built families.  With G read off P_j, G' off Q_j and
-    K = G - G', the only solve keeps the A with Kc* A K = 0 (Kc an
-    orthonormal basis of the complement of range K), and Y_bot = K+ A K,
-    Y_top = G Y_bot - A G.
-    The solve is skipped where ``_rank_zero`` certifies that constraint
-    as roundoff, which it is on every level of a built family.
-    A level with one graph member leaves Y_bot free (G' stands in for G
-    when only Q_j is there), one with none all of Y.  The result is the
-    ``(m, N(n+1), N(n+1))`` stack of the last level, which is not
-    orthonormal above level 0.  Without the Q_j a P_j adds N^2
-    dimensions, a level without one N^2 (j + 1): that count is returned.
+    K = G - G', level j keeps A and sets Y_bot = K+ A K and
+    Y_top = G Y_bot - A G.  That is Alg(family) when the constraint
+    Kc* A K = 0 (Kc an orthonormal basis of the complement of range K)
+    cuts nothing, which the rank-0 certificate of each level decides:
+    the ratio returned is the largest ||Kc* A K||_F / (rank_cutoff *
+    scale) over the levels, scale = ||K||_2 ||A||_F bounding the
+    constraint's norm, and the basis is Alg(family) when it is at most 1.
+    It is about 1e-7 or less on every family ``invariant_family``
+    builds.  The result is the ``(m, N(n+1), N(n+1))`` stack of the last
+    level, which is not orthonormal above level 0; its corners are
+    bitwise the algebra's basis.
 
     Raises ValueError when a member has an unknown label or not the shape
-    its label claims (a P_j or Q_j must be a graph over block j: dimension N, with
-    block-j rows of rank N, their smallest singular value above
-    ``rank_cutoff``), a level has two P_j or two Q_j, K has rank
-    below N (relative cutoff ``rank_cutoff``), or an H_j that makes X
-    block upper triangular is missing.
+    its label claims (a P_j or Q_j must be a graph over block j: dimension
+    N, with block-j rows of rank N, their smallest singular value above
+    ``rank_cutoff``), a level has two P_j or two Q_j, K has rank below N
+    (relative cutoff ``rank_cutoff``), or a member of a complete family
+    is missing: H_0, ..., H_{n-1}, which make X block upper triangular,
+    and P_j and Q_j at every level j = 1, ..., n.
     """
     base, n = family.base_dim, family.order
-    levels = {j: {} for j in range(1, n + 1)}  # level j: the graph maps G of its P_j and Q_j
+    graphs = {}  # label P_j or Q_j -> its graph map G
     leading = set()
     for sub, label in zip(family.subspaces, family.labels):
         if label.startswith("H_"):
@@ -527,7 +536,7 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
                 raise ValueError(f"{label} is not supported in the first block")
         elif label[:2] in ("P_", "Q_"):
             j = int(label[2:])
-            if j not in levels:
+            if not 1 <= j <= n:
                 raise ValueError(f"{label} has no level in a family of order {n}")
             if frobenius_norm(sub.basis[base * (j + 1) :]) > tol.alg():
                 raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
@@ -537,65 +546,52 @@ def _corner_solve(family: InvariantFamily, tol: TolerancePolicy) -> tuple[np.nda
             u, s, vh = np.linalg.svd(bot)
             if s[-1] <= tol.rank_cutoff:  # rank below N, by matrix_rank's rule
                 raise ValueError(f"{label} is not a graph over block {j}")
-            if label[0] in levels[j]:
+            if label in graphs:
                 raise ValueError(f"level {j} has two {label} members")
             inv = (vh.conj().T / s) @ u.conj().T  # bot^-1
             g = top @ inv
-            levels[j][label[0]] = g + (top - g @ bot) @ inv  # G = top bot^-1, refined once
+            graphs[label] = g + (top - g @ bot) @ inv  # G = top bot^-1, refined once
         else:
             raise ValueError(f"{label} is not a label of an invariant family")
     for j in range(n):
         if j + 1 not in leading:
             raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")
+    for label in (f"{kind}_{j}" for j in range(1, n + 1) for kind in "PQ"):
+        if label not in graphs:
+            raise ValueError(f"the corner solve needs {label}, a graph over block {label[2:]}")
 
-    elems, without_q_dim = family.algebra.basis_elements, family.algebra.dim
+    elems, ratio = family.algebra.basis_elements, 0.0
     for j in range(1, n + 1):
-        graphs = [levels[j][kind] for kind in "PQ" if kind in levels[j]]
-        elems = _corner_level(elems, graphs, base, tol)
-        without_q_dim += base**2 * (1 if "P" in levels[j] else j + 1)
-    return elems, without_q_dim
+        elems, level_ratio = _corner_level(elems, graphs[f"P_{j}"], graphs[f"Q_{j}"], base, tol)
+        ratio = max(ratio, level_ratio)
+    return elems, ratio
 
 
 def _corner_level(
-    prev: np.ndarray, graphs: list[np.ndarray], base: int, tol: TolerancePolicy
-) -> np.ndarray:
+    prev: np.ndarray, g: np.ndarray, g_shifted: np.ndarray, base: int, tol: TolerancePolicy
+) -> tuple[np.ndarray, float]:
     """Level j of ``_corner_solve`` from level j - 1: the stack ``prev`` of
-    operators on the first j blocks and the graph maps of the level's P_j
-    and Q_j, in that order (G' alone when only Q_j is there).  Its own
-    function, so that its temporaries are freed before the next level.
-    The stack's products with K and G are each one (m lead, lead) GEMM."""
+    operators on the first j blocks and the graph maps G of P_j and G' of
+    Q_j, and the level's certificate ratio (0 at level 1, which has no
+    constraint).  Its own function, so that its temporaries are freed
+    before the next level.  The stack's products with K and G are each
+    one (m lead, lead) GEMM."""
     lead = prev.shape[1]
     j, size = lead // base, lead + base
-    a = prev
-    g = graphs[0] if graphs else np.zeros((lead, base))  # G, or G' with only Q_j
-    if len(graphs) == 2:
-        k = graphs[0] - graphs[1]
-        u, s, vh = np.linalg.svd(k)
-        if s[-1] <= tol.rank_cutoff * s[0]:
-            raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
-        uak = u.conj().T @ _times(a, k)  # rows: range K, then its complement Kc
-        if j > 1:
-            constraint = uak[:, base:].reshape(len(a), -1).T
-            # ||K|| ||stack||_F bounds its norm: a constraint that is roundoff has rank 0
-            scale = s[0] * frobenius_norm(a.reshape(-1, lead))
-            if not _rank_zero(constraint, scale, tol):
-                c = nullspace_of_constraints([constraint], lead, tol, scale=scale)
-                if c.shape[1] < len(a):  # a cut; without one c only rotates the span
-                    a, uak = np.tensordot(c.T, a, axes=1), np.tensordot(c.T, uak, axes=1)
-        y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
-    else:  # Y_bot free
-        units = np.eye(base**2).reshape(-1, base, base)
-        a = np.concatenate([a, np.zeros((base**2, lead, lead))])
-        y_bot = np.concatenate([np.zeros((len(prev), base, base)), units])
-    elems = np.zeros((len(a), size, size), dtype=complex)
-    elems[:, :lead, :lead] = a
+    k = g - g_shifted
+    u, s, vh = np.linalg.svd(k)
+    if s[-1] <= tol.rank_cutoff * s[0]:
+        raise ValueError(f"K = G - G' of P_{j} and Q_{j} has rank below {base}")
+    uak = u.conj().T @ _times(prev, k)  # rows: range K, then its complement Kc
+    residual = frobenius_norm(uak[:, base:].reshape(-1, base))  # ||Kc* A K||_F over the stack
+    scale = s[0] * frobenius_norm(prev.reshape(-1, lead))  # ||K|| ||stack||_F bounds it
+    ratio = residual / (tol.rank_cutoff * scale)
+    y_bot = (vh.conj().T / s) @ uak[:, :base]  # K+ A K
+    elems = np.zeros((len(prev), size, size), dtype=complex)
+    elems[:, :lead, :lead] = prev
     elems[:, lead:, lead:] = y_bot
-    elems[:, :lead, lead:] = g @ y_bot - _times(a, g)
-    if not graphs:  # Y_top free too
-        free_top = np.zeros((lead * base, size, size), dtype=complex)
-        free_top[:, :lead, lead:] = np.eye(lead * base).reshape(-1, lead, base)
-        elems = np.concatenate([elems, free_top])
-    return elems
+    elems[:, :lead, lead:] = g @ y_bot - _times(prev, g)
+    return elems, ratio
 
 
 def _times(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -605,18 +601,6 @@ def _times(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (stack.reshape(m * p, q) @ right).reshape(m, p, right.shape[1])
 
 
-def _rank_zero(constraint: np.ndarray, scale: float, tol: TolerancePolicy) -> bool:
-    """Whether ``nullspace_of_constraints([constraint], ..., scale=scale)``
-    is certain to find rank 0, decided without its SVD.
-
-    The solver counts the singular values above rank_cutoff * max(s_max,
-    scale), and s_max <= ||C||_F, so ||C||_F <= rank_cutoff * scale leaves
-    none above it.  Its solution is then the whole coordinate space, which
-    the corner level would leave as it is.
-    """
-    return frobenius_norm(constraint) <= tol.rank_cutoff * scale
-
-
 @dataclass
 class ReflexivityReport:
     """Two-sided reflexivity diagnostics for one scenario.
@@ -624,9 +608,13 @@ class ReflexivityReport:
     ``element_residuals`` are the Frobenius reconstruction residuals
     ||X - Phi(X_00)||_F of the solved elements, and ``membership_bound``
     bounds the Frobenius distance of Phi(a) from the solution for every
-    unit a in the algebra (see ``reflexivity_check``).  ``tolerance`` is
-    the bound both were judged against, tol_alg * (1 + ||exp S|| ||exp -S||),
-    with exp(+-S) the corner exponentials.
+    unit a in the algebra: sqrt(m) times the largest residual when the
+    solved corners are the algebra's basis, infinite otherwise (see
+    ``reflexivity_check``).  ``tolerance`` is the bound both were judged
+    against, tol_alg * (1 + ||exp S|| ||exp -S||), with exp(+-S) the
+    corner exponentials.  ``certificate_ratio`` is the corner tower's
+    largest ||Kc* A K||_F / (rank_cutoff * scale) over its levels, judged
+    against 1 (see ``_corner_solve``).
     """
 
     scenario: str
@@ -638,6 +626,7 @@ class ReflexivityReport:
     needed_Q: bool
     passed: bool
     tolerance: float
+    certificate_ratio: float
     element_residuals: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -669,50 +658,43 @@ def reflexivity_check(
     the last block column, fixed by P_j and Q_j.  With C_k the corner
     (0, 0) block of X_k and Phi the triangular representation, it asserts:
 
-    1. m equals dim M and its closed form ``spec.expected_dim()`` (a
+    1. the tower's certificate ratio is at most 1, so every level keeps
+       the level below and the stack is V;
+    2. m equals dim M and its closed form ``spec.expected_dim()`` (a
        ``generated`` algebra has none);
-    2. rho = max_k ||X_k - Phi(C_k)||_F is within the tolerance, so V is
+    3. rho = max_k ||X_k - Phi(C_k)||_F is within the tolerance, so V is
        Phi of the span of the corners;
-    3. the bound below, which also carries the corners' distances
-       mu_k = ||C_k - P_M C_k||_F from M and is infinite unless the
-       corners are independent, is within the tolerance.
+    4. the bound below, which is infinite unless the corners are bitwise
+       M's basis B_k (a certified tower copies them unchanged), is within
+       the tolerance.
 
     Phi is injective (Phi(a)_00 = a), so with m = dim M these give
-    V = Phi(M).  Numerically, for a in M: the corner Gram matrix
-    G = conj(C) C^T of the (m, N^2) corner stack C has smallest
-    eigenvalue sigma_min(C)^2, and by Weyl's inequality for Hermitian
-    matrices (Golub & Van Loan, *Matrix Computations*, sec. 8.1.2)
-    lambda_min(G) >= min_k G_kk - ||G - diag G||_2, so
-    sigma^2 = max(min_k G_kk - ||G - diag G||_F, 0) bounds it from below
-    and sigma_min(C) >= sigma.  A dependent stack gives sigma = 0 and an
-    infinite bound.  A unit u = sum_k c_k C_k then has
-    ||c||_2 <= 1 / sigma and distance at most ||mu||_2 / sigma from M.
-    The span of the C_k and M both have dimension m, so that is also the
-    largest sine of their principal angles the other way: a = P a + r,
-    with P the projection onto the span of the corners, P a = sum_k c_k C_k,
-    ||c||_2 <= ||a|| / sigma and ||r|| <= ||a|| ||mu||_2 / sigma.  Then
-    Phi(a) = sum_k c_k X_k - sum_k c_k (X_k - Phi(C_k)) + Phi(r), and
-    Phi(r) = exp(S) (I (x) r) exp(-S), so
+    V = Phi(M).  Numerically, for a unit a = sum_k c_k B_k in M:
+    Phi(a) = sum_k c_k X_k - sum_k c_k (X_k - Phi(B_k)), so
 
-        dist(Phi(a), V) <= ||a|| (sqrt(m) rho
-                                  + sqrt(n + 1) ||exp S||^2 ||mu||_2) / sigma,
+        dist(Phi(a), V) <= ||c||_1 rho <= sqrt(m) ||c||_2 rho,
 
-    all norms Frobenius.  That bound for ||a|| = 1 is ``membership_bound``;
-    no algebra element is projected onto V.  The Frobenius residual is at
-    least the operator norm of X_k - Phi(C_k), and the bound at least the
-    relative residual ||Phi(a) - P_V Phi(a)|| / (1 + ||Phi(a)||) of such a
-    projection, so judging them is no looser than judging those.
+    all norms Frobenius.  B passed ``OperatorSpace``'s Gram check, so its
+    smallest singular value sigma is within 1e-8 of 1 and
+    ||c||_2 <= 1 / sigma is about 1: the bound sqrt(m) rho is
+    ``membership_bound``, and no algebra element is projected onto V.  The
+    Frobenius residual is at least the operator norm of X_k - Phi(C_k),
+    and the bound at least the relative residual
+    ||Phi(a) - P_V Phi(a)|| / (1 + ||Phi(a)||) of such a projection, so
+    judging them is no looser than judging those.
 
     needed_Q (dropping the Q_j strictly enlarges the solution) compares m
     with the graph lemma's count dim Alg(lat_M) + n N^2 (see the module
-    docstring).  For n = 0 this degenerates to the bicommutant identity
+    docstring).  With m = dim M it is n >= 1; the key stays in the report.
+    For n = 0 the check degenerates to the bicommutant identity
     Alg(lat_family) = algebra.
 
     The algebra is the one the family carries (built and certified by
     ``lat_family``); there is no bicommutant solve.  ``family`` is a
     prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
     reuse; without it the family is built here.  A family of another base
-    dimension or order raises ValueError.
+    dimension or order, or one that lacks a member (see
+    ``_corner_solve``), raises ValueError.
 
     Raises ReflexivityViolation (report attached) when any assertion
     fails, unless ``raise_on_fail`` is False.
@@ -728,27 +710,23 @@ def reflexivity_check(
             f"expected {d.dim} and {n}"
         )
     algebra = family.algebra
-    elems, without_q_dim = _corner_solve(family, tol)
+    elems, ratio = _corner_solve(family, tol)
     m, corners = len(elems), np.ascontiguousarray(elems[:, : d.dim, : d.dim])  # copied once
     exp_norm = corner_exponential_norm(d, n)
     scale_tol = tol.alg(exp_norm, exp_norm)
 
-    mu = algebra._residuals(corners) * (1.0 + frobenius_norm(corners))
     recon, step = np.zeros(m), max(1, _BATCH_ENTRIES // elems.shape[1] ** 2)
     for k in range(0, m, step):  # ||X - Phi(X_00)||_F, a batch of elements at a time
         diff = triangular_representations(d, corners[k : k + step], n) - elems[k : k + step]
         recon[k : k + step] = frobenius_norm(diff)
     max_recon = float(recon.max(initial=0.0))
-    flat = corners.reshape(m, d.dim**2)
-    gram = flat.conj() @ flat.T  # the corner Gram G
-    diag = gram.diagonal().real.copy()
-    np.fill_diagonal(gram, 0.0)  # G - diag G
-    sigma = np.sqrt(max(diag.min(initial=np.inf) - frobenius_norm(gram), 0.0))  # Weyl
-    spread = np.sqrt(m) * max_recon + np.sqrt(n + 1) * exp_norm**2 * np.linalg.norm(mu)
-    bound = float(spread / sigma) if sigma else np.inf
+    copied = np.array_equal(corners, algebra.basis_elements)
+    bound = float(np.sqrt(m) * max_recon) if copied else np.inf
 
     dim_expected = spec.expected_dim() or algebra.dim
-    passed = bool(m == dim_expected == algebra.dim and max(max_recon, bound) <= scale_tol)
+    passed = bool(
+        ratio <= 1 and m == dim_expected == algebra.dim and max(max_recon, bound) <= scale_tol
+    )
     report = ReflexivityReport(
         scenario=spec.label(),
         order=n,
@@ -756,9 +734,10 @@ def reflexivity_check(
         dim_computed=m,
         max_reconstruction_residual=max_recon,
         membership_bound=bound,
-        needed_Q=without_q_dim > m,
+        needed_Q=algebra.dim + n * d.dim**2 > m,
         passed=passed,
         tolerance=scale_tol,
+        certificate_ratio=ratio,
         element_residuals=recon.tolist(),
     )
     if not passed and raise_on_fail:

@@ -4,6 +4,7 @@ package's exported names."""
 
 import importlib
 import json
+import math
 import pkgutil
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_operator_norm_empty_stack_and_matrix_type():
 @pytest.mark.parametrize(
     "shape",
     [(3, 3), (6, 4, 4), (2, 3, 5, 5), (4, 6, 2), (0, 3, 3),
-     (1, 1), (7, 7), (4, 24, 24), (2, 96, 96), (2, 0, 0), (3, 0)],
+     (1, 1), (7, 7), (4, 24, 24), (2, 96, 96), (2, 0, 0), (3, 0), (0, 3)],
 )
 def test_frobenius_norm_contract_and_bracket(shape):
     # the operator_norm contract, and ||R||_2 <= ||R||_F <= sqrt(rank R) ||R||_2
@@ -263,10 +264,14 @@ def test_frobenius_norm_contract_and_bracket(shape):
     rtol = 2 * (shape[-2] * shape[-1] + 1) * np.finfo(float).eps
     np.testing.assert_allclose(norms, np.linalg.norm(stack, axis=(-2, -1)), rtol=rtol, atol=0)
     rank = min(shape[-2:])
-    if rank == 0:
-        assert np.all(norms == 0.0)
-        return
     ops = operator_norm(stack)
+    if len(shape) == 2:
+        assert type(ops) is float
+    else:
+        assert isinstance(ops, np.ndarray) and ops.shape == shape[:-2]
+    if rank == 0:  # matrices with no entries: zeros of the leading shape from both
+        assert np.all(norms == 0.0) and np.all(ops == 0.0)
+        return
     assert np.all(ops * (1 - 1e-13) <= norms) and np.all(norms <= np.sqrt(rank) * ops * (1 + 1e-13))
 
 
@@ -754,6 +759,22 @@ def test_matrix_json_format_is_row_major_re_im(tmp_path):
     assert payload["entries"][0][0] == [1.0, 2.0]
     assert payload["entries"][0][1] == [3.0, 0.0]
     assert payload["entries"][1][1] == [0.0, -1.0]
+
+
+def test_save_operator_output_is_unchanged(tmp_path):
+    # one tolist of the [re, im] stack writes the bytes the per-entry loop
+    # wrote, -0.0 and indent=2 included
+    a = np.array([
+        [complex(1.5, -0.0), complex(-0.0, 2.0), 3.0],
+        [0.1, complex(-1e-300, 1e300), 0.0],
+        [7, 1j, -2.5],
+    ])
+    assert math.copysign(1.0, a[0, 0].imag) == -1.0 and math.copysign(1.0, a[0, 1].real) == -1.0
+    path = tmp_path / "m.json"
+    save_operator(path, a)
+    entries = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(3)] for i in range(3)]
+    assert path.read_text() == json.dumps({"dim": 3, "entries": entries}, indent=2)
+    assert '"dim": 3,\n  "entries": [\n    [\n      [\n        1.5,\n        -0.0\n' in path.read_text()
 
 
 def test_matrix_json_rejects_malformed(tmp_path):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from opderiv import reflexivity
+from opderiv.core import eig_hermitian
 from opderiv.harness import ScenarioConfig, run_checks
 from opderiv.scenarios import random_scenario
 
@@ -130,15 +131,26 @@ def _traced_check(spec, gen, n, **kwargs):
 
 
 def test_tracer_sees_the_corner_tower_solves_under_the_check():
-    # the tower solves through the wrapped solver global.  On a built family
-    # every level's constraint is certified rank 0, so the check makes no
-    # core.nullspace span of its own; without Q_1 the level 2 constraint
-    # is not roundoff, and its fallback solve is a span of the check
+    # the tower solves nothing: on a built family every level's constraint
+    # is certified rank 0, and on one whose Q_3 is off the generator's graph
+    # the certificate fails the check without a fallback solve.  Either way
+    # the check makes no core.nullspace span of its own.  A family without
+    # Q_1 is rejected before the tower
     spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 4)
     family = reflexivity.invariant_family(spec, gen, 3, seed=4)
     report, spans, _, check = _traced_check(spec, gen, 3, family=family)
     assert report.passed and report.dim_computed == 9
+    assert not [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
+
+    perturbed = eig_hermitian(gen.base + 1e-3 * np.diag([1.0, -1.0, 0.5]))
+    q3 = reflexivity.graph_subspace(perturbed, 3, shift=1.0).embedded(family.ambient_dim)
+    members = [q3 if label == "Q_3" else s for s, label in zip(family.subspaces, family.labels)]
+    uncertified = reflexivity.InvariantFamily(tuple(members), family.labels, 3, 3, family.algebra)
+    report, spans, _, check = _traced_check(
+        spec, gen, 3, family=uncertified, raise_on_fail=False
+    )
+    assert not report.passed and report.certificate_ratio > 1
     assert not [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
 
     keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
@@ -149,12 +161,8 @@ def test_tracer_sees_the_corner_tower_solves_under_the_check():
         3,
         family.algebra,
     )
-    report, spans, counts, check = _traced_check(
-        spec, gen, 3, family=without_q1, raise_on_fail=False
-    )
-    tower = [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
-    assert len(tower) == 1
-    assert counts["core.nullspace.rows"] > 0
+    with pytest.raises(ValueError, match="needs Q_1"):
+        reflexivity.reflexivity_check(spec, gen, 3, family=without_q1, raise_on_fail=False)
 
 
 def test_tracer_sees_one_solve_and_no_certification_under_lat_family():

@@ -637,6 +637,9 @@ def test_reflexivity_needs_q_for_full_c2():
 
 
 def test_dropping_q_never_shrinks_the_solution():
+    # the family without its Q_j, solved by the full-space oracle, has the
+    # graph lemma's dimension dim M + n N^2; the corner solve takes complete
+    # families only and rejects it
     rng = np.random.default_rng(55)
     d = rng_generator(rng, 3)
     for kind in ("full", "diagonal_masa"):
@@ -644,8 +647,10 @@ def test_dropping_q_never_shrinks_the_solution():
         for n in (1, 2):
             fam = invariant_family(spec, d, n)
             full = alg_of_family(fam)
-            reduced = alg_of_family(_without_q(fam))
-            assert reduced.dim >= full.dim
+            with pytest.raises(ValueError, match="needs Q_1"):
+                alg_of_family(_without_q(fam))
+            reduced = alg_of_subspaces(_without_q(fam).subspaces, fam.ambient_dim)
+            assert reduced.dim == fam.algebra.dim + n * 3**2 >= full.dim
             # imposing the Q_j inside the reduced solution gives the full one
             dim = fam.ambient_dim
             q_members = [s for s, l in zip(fam.subspaces, fam.labels) if l.startswith("Q_")]
@@ -657,7 +662,12 @@ def test_dropping_q_never_shrinks_the_solution():
 
 def _without_q(family):
     """The family without its Q_j members."""
-    keep = [i for i, label in enumerate(family.labels) if not label.startswith("Q_")]
+    return _without(family, ("Q_",))
+
+
+def _without(family, drop):
+    """The family without the members whose labels start with one of ``drop``."""
+    keep = [i for i, label in enumerate(family.labels) if not label.startswith(drop)]
     return InvariantFamily(
         tuple(family.subspaces[i] for i in keep),
         tuple(family.labels[i] for i in keep),
@@ -690,7 +700,7 @@ def _oracle_spec(kind, base=3):
 def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     corner_solve, solves = reflexivity._corner_solve, []
 
-    def recording(family, tol):  # keeps the family and the solution of the check
+    def recording(family, tol):  # keeps the family, the solution and the certificate ratio
         out = corner_solve(family, tol)
         solves.append((family, *out))
         return out
@@ -699,13 +709,14 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     for base in (2, 3, 4):
         spec = _oracle_spec(kind, base)
         report = reflexivity_check(spec, rng_generator(np.random.default_rng(60), base), n)
-        family, elems, without_q_dim = solves.pop()
+        family, elems, ratio = solves.pop()
         dim = family.ambient_dim
         oracle = full_space_null(family.subspaces, dim)
         without_q = full_space_null(_without_q(family).subspaces, dim)
         assert len(elems) == report.dim_computed == oracle.shape[1] == report.dim_expected
+        assert report.certificate_ratio == ratio <= 1
         # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
-        assert without_q_dim == without_q.shape[1] == family.algebra.dim + n * base**2
+        assert without_q.shape[1] == family.algebra.dim + n * base**2
         assert report.needed_Q == (without_q.shape[1] > oracle.shape[1])
         q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
         assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
@@ -726,22 +737,29 @@ def _recording_nullspace(monkeypatch):
     return calls
 
 
-def _recording_certificate(monkeypatch, solve=False):
-    """Wrap the corner level's rank-0 certificate; each decision is recorded
-    as (constraint shape, verdict), and with ``solve`` also the column count
-    of the solver's answer on the same constraint."""
-    certify, decisions = reflexivity._rank_zero, []
+def _recording_levels(monkeypatch):
+    """Wrap the corner level; each level is recorded as (stack below, G of
+    P_j, G' of Q_j, certificate ratio)."""
+    level, levels = reflexivity._corner_level, []
 
-    def recording(constraint, scale, tol):
-        out = certify(constraint, scale, tol)
-        record = (constraint.shape, out)
-        if solve:
-            record += (nullspace_of_constraints([constraint], 1, tol, scale=scale).shape[1],)
-        decisions.append(record)
-        return out
+    def recording(prev, g, g_shifted, base, tol):
+        elems, ratio = level(prev, g, g_shifted, base, tol)
+        levels.append((prev, g, g_shifted, ratio))
+        return elems, ratio
 
-    monkeypatch.setattr(reflexivity, "_rank_zero", recording)
-    return decisions
+    monkeypatch.setattr(reflexivity, "_corner_level", recording)
+    return levels
+
+
+def _level_constraint(prev, g, g_shifted):
+    """The level's constraint Kc* A K = 0 on the coefficients of the stack
+    below, as a ((j - 1) N^2, m) matrix, with Kc from a complete QR of
+    K = G - G', and the scale ||K||_2 ||stack||_F it is certified against."""
+    k = g - g_shifted
+    q, _ = np.linalg.qr(k, mode="complete")
+    kc = q[:, k.shape[1] :]
+    columns = [vec(kc.conj().T @ a @ k) for a in prev]
+    return np.stack(columns, axis=1), np.linalg.norm(k, 2) * np.linalg.norm(prev)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3))
@@ -751,18 +769,18 @@ def test_corner_tower_levels_and_constraint_widths(kind, n, monkeypatch):
     d = rng_generator(np.random.default_rng(64), 3)
     family = invariant_family(spec, d, n)
     calls = _recording_nullspace(monkeypatch)
-    decisions = _recording_certificate(monkeypatch)
-    elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    levels = _recording_levels(monkeypatch)
+    elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
     base, alg_dim = 3, spec.expected_dim()
     assert elems.shape == (alg_dim, 3 * (n + 1), 3 * (n + 1))
-    # one decision per level j >= 2, none at level 1, on its one constraint
-    # Kc* A K = 0: (j - 1) N^2 rows over the coefficients of A on the level
-    # below, which is the algebra in that level's dimension.  On a built
-    # family it is roundoff, so each is certified rank 0 and nothing is
-    # solved; needed_Q takes no solve either
-    assert decisions == [(((j - 1) * base**2, alg_dim), True) for j in range(2, n + 1)]
+    # one constraint per level, Kc* A K = 0: (j - 1) N^2 rows over the
+    # coefficients of A on the level below, which is the algebra in that
+    # level's dimension, and none at level 1.  On a built family it is
+    # roundoff, so every level is certified and nothing is solved
+    widths = [_level_constraint(*level[:3])[0].shape for level in levels]
+    assert widths == [((j - 1) * base**2, alg_dim) for j in range(1, n + 1)]
+    assert ratio == max((level[3] for level in levels), default=0.0) <= 1
     assert not calls
-    assert without_q_dim == family.algebra.dim + n * base**2
 
 
 @pytest.mark.parametrize("size, n", ((3, 3), (8, 2)))
@@ -772,35 +790,38 @@ def test_rank_zero_certificate_agrees_with_the_solver(kind, size, n, monkeypatch
     # would keep all m coordinates: rank 0, so skipping it changes nothing
     spec = _oracle_spec(kind, size)
     family = invariant_family(spec, rng_generator(np.random.default_rng(66), size), n)
-    decisions = _recording_certificate(monkeypatch, solve=True)
-    elems, _ = reflexivity._corner_solve(family, DEFAULT_TOL)
-    assert len(decisions) == n - 1
-    for (rows, m), certified, kept in decisions:
-        assert certified and kept == m == len(elems) and rows > 0
+    levels = _recording_levels(monkeypatch)
+    elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert len(levels) == n and ratio <= 1
+    for prev, g, g_shifted, level_ratio in levels[1:]:
+        constraint, scale = _level_constraint(prev, g, g_shifted)
+        kept = nullspace_of_constraints([constraint], 1, DEFAULT_TOL, scale=scale).shape[1]
+        assert level_ratio <= 1 and kept == len(prev) == len(elems) and len(constraint) > 0
 
 
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_corner_solve_is_bitwise_the_same_without_the_certificate(kind, monkeypatch):
-    # a certified level is one the solver would leave untouched
+    # the certificate decides the verdict, not the tower: with every level's
+    # certificate failing, the stack is bitwise the same, its corners are the
+    # algebra's basis, and the check FAILs on the ratio alone
     spec = _oracle_spec(kind, 4)
-    family = invariant_family(spec, rng_generator(np.random.default_rng(68), 4), 3)
-    certified, certified_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
-    monkeypatch.setattr(reflexivity, "_rank_zero", lambda constraint, scale, tol: False)
-    solved, solved_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
-    np.testing.assert_array_equal(certified, solved)
-    assert certified_dim == solved_dim
-
-
-def _recording_graph_maps(monkeypatch):
-    """Wrap the corner level; each level's graph maps are recorded."""
-    level, graphs = reflexivity._corner_level, []
-
-    def recording(prev, level_graphs, base, tol):
-        graphs.append(level_graphs)
-        return level(prev, level_graphs, base, tol)
-
-    monkeypatch.setattr(reflexivity, "_corner_level", recording)
-    return graphs
+    d = rng_generator(np.random.default_rng(68), 4)
+    family = invariant_family(spec, d, 3)
+    certified, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert ratio <= 1
+    np.testing.assert_array_equal(certified[:, :4, :4], family.algebra.basis_elements)
+    level = reflexivity._corner_level
+    monkeypatch.setattr(
+        reflexivity, "_corner_level", lambda *args: (level(*args)[0], 2.0)
+    )
+    uncertified, failed_ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
+    np.testing.assert_array_equal(certified, uncertified)
+    assert failed_ratio == 2.0
+    report = reflexivity_check(spec, d, 3, family=family, raise_on_fail=False)
+    assert not report.passed and report.certificate_ratio == 2.0
+    assert max(report.max_reconstruction_residual, report.membership_bound) <= report.tolerance
+    with pytest.raises(ValueError, match="certificate ratio 2.000e"):
+        alg_of_family(family)
 
 
 def _counting(monkeypatch):
@@ -856,10 +877,10 @@ def test_corner_solve_recovers_the_closed_form_graph_maps(shift, monkeypatch):
     base, n = 3, 3
     d = rng_generator(np.random.default_rng(56), base)
     family = invariant_family(VonNeumannAlgebraSpec("full", base), d, n)
-    graphs = _recording_graph_maps(monkeypatch)
+    levels = _recording_levels(monkeypatch)
     reflexivity._corner_solve(family, DEFAULT_TOL)
     gen = 1j * (d.base + shift * np.eye(base))
-    for j, g in enumerate((level[int(shift)] for level in graphs), start=1):
+    for j, g in enumerate((level[1 + int(shift)] for level in levels), start=1):
         powers = [np.linalg.matrix_power(gen, k) / math.factorial(k) for k in range(j, 0, -1)]
         want = np.vstack(powers)
         assert np.linalg.norm(g - want) <= 1e-12 * (1 + np.linalg.norm(want))
@@ -867,22 +888,20 @@ def test_corner_solve_recovers_the_closed_form_graph_maps(shift, monkeypatch):
 
 @pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
 def test_corner_solve_without_graph_members_matches_oracle(drop):
-    # a level with no P_j (or no Q_j) member leaves its coordinates free, and
-    # without the Q_j it adds N^2 (j + 1) dimensions where a P_j adds N^2
+    # without a P_j (or a Q_j) a level leaves coordinates free, which the
+    # full-space oracle shows.  The corner solve takes complete families only:
+    # it raises ValueError naming the first missing member, and solves the
+    # complete family to the oracle's space
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
-    keep = [i for i, label in enumerate(family.labels) if not label.startswith(drop)]
-    reduced = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        2,
-        2,
-        family.algebra,
-    )
-    elems, without_q_dim = reflexivity._corner_solve(reduced, DEFAULT_TOL)
-    oracle = full_space_null(reduced.subspaces, 6)
-    assert len(elems) == oracle.shape[1] > 2
-    assert without_q_dim == full_space_null(_without_q(reduced).subspaces, 6).shape[1]
+    reduced = _without(family, drop)
+    assert full_space_null(reduced.subspaces, 6).shape[1] > 2
+    missing = next(label for label in family.labels if label.startswith(drop))
+    with pytest.raises(ValueError, match=f"needs {missing}, a graph over block {missing[2]}"):
+        reflexivity._corner_solve(reduced, DEFAULT_TOL)
+    elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
+    oracle = full_space_null(family.subspaces, 6)
+    assert len(elems) == oracle.shape[1] == 2 and ratio <= 1
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
@@ -896,9 +915,9 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
     assert spans_equal(family.algebra, algebra, tol=1e-12)
     assert spans_equal(alg_of_subspaces(lat, 3), algebra, tol=1e-10)
     calls = _recording_nullspace(monkeypatch)
-    elems, without_q_dim = reflexivity._corner_solve(family, DEFAULT_TOL)
+    elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
     assert not calls and elems is family.algebra.basis_elements
-    assert without_q_dim == len(elems) == 5
+    assert ratio == 0.0 and len(elems) == 5
     # a hand-built family states its algebra on the base space
     with pytest.raises(ValueError, match="base space"):
         InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
@@ -910,9 +929,9 @@ def _checked_tower(spec, d, n, monkeypatch, mutate=None, seed=0):
     corner_solve, judged = reflexivity._corner_solve, []
 
     def mutated(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
+        elems, ratio = corner_solve(family, tol)
         judged.append(elems if mutate is None else mutate(elems))
-        return judged[-1], without_q_dim
+        return judged[-1], ratio
 
     monkeypatch.setattr(reflexivity, "_corner_solve", mutated)
     report = reflexivity_check(spec, d, n, seed=seed, raise_on_fail=False)
@@ -958,8 +977,9 @@ def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_membership_bound_holds_for_a_perturbed_tower(kind, n, monkeypatch):
     # 1e-7 N(0, 1) on every entry moves the corners off M and off orthonormality
-    # and the elements off Phi of their corners, far above roundoff: the bound
-    # still covers the measured membership residual, and the check fails
+    # and the elements off Phi of their corners, far above roundoff: the
+    # corners are not the algebra's basis, so the bound is infinite and covers
+    # the measured membership residual, and the check fails
     spec = _oracle_spec(kind)
     d = rng_generator(np.random.default_rng(62), 3)
     rng = np.random.default_rng(69)
@@ -967,7 +987,7 @@ def test_membership_bound_holds_for_a_perturbed_tower(kind, n, monkeypatch):
         spec, d, n, monkeypatch, lambda elems: elems + 1e-7 * rng.standard_normal(elems.shape)
     )
     member = _membership(spec, d, n, elems)
-    assert 1e-9 < member <= report.membership_bound
+    assert 1e-9 < member <= report.membership_bound == np.inf
     assert not report.passed
 
 
@@ -1073,10 +1093,10 @@ def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
         for member, shift in (("P", 0.0), ("Q", 1.0)):
             want = graph_subspace(d, j, shift).embedded(family.ambient_dim)
             np.testing.assert_array_equal(members[f"{member}_{j}"].basis, want.basis)
-    graphs = _recording_graph_maps(monkeypatch)
+    levels = _recording_levels(monkeypatch)
     reflexivity._corner_solve(family, DEFAULT_TOL)
-    assert len(graphs) == n
-    for j, (g, g_shifted) in enumerate(graphs, start=1):
+    assert len(levels) == n
+    for j, (_, g, g_shifted, _) in enumerate(levels, start=1):
         for got, label in ((g, f"P_{j}"), (g_shifted, f"Q_{j}")):
             want = _graph_map(family, label)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -1086,17 +1106,11 @@ def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
 def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
     # a hand-built P_1 whose block-1 rows have sigma_min 1% above, then 1%
     # below rank_cutoff: accepted or rejected exactly as matrix_rank decides.
-    # The family has no Q_1, whose K would be of rank 1 against that P_1
+    # The family has no Q_1, whose K would be of rank 1 against that P_1, so
+    # an accepted P_1 shows as the missing Q_1, which the solve rejects once
+    # every member has been read
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1)
-    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
-    family = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        2,
-        1,
-        family.algebra,
-    )
+    family = _without(invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1), ("Q_1",))
     rng = np.random.default_rng(71)
     u, w, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
                for _ in range(3))  # random unitaries
@@ -1106,12 +1120,9 @@ def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
     member = Subspace(4, np.vstack([top, bot]))
     assert np.linalg.matrix_rank(bot, tol=DEFAULT_TOL.rank_cutoff) == (2 if above else 1)
     hand_built = _relabeled(family, "P_1", member)
-    if above:
-        elems, _ = reflexivity._corner_solve(hand_built, DEFAULT_TOL)
-        assert len(elems) == 2 + 2**2  # the algebra, and Y_bot free
-    else:
-        with pytest.raises(ValueError, match="P_1 is not a graph over block 1"):
-            reflexivity._corner_solve(hand_built, DEFAULT_TOL)
+    rejected = "needs Q_1" if above else "P_1 is not a graph over block 1"
+    with pytest.raises(ValueError, match=rejected):
+        reflexivity._corner_solve(hand_built, DEFAULT_TOL)
 
 
 def test_corner_solve_rejects_q_members_that_are_not_a_graph():
@@ -1156,27 +1167,22 @@ def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
 
 @pytest.mark.parametrize("drop", (("Q_1",), ("P_1",), ("P_1", "Q_1")))
 def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
-    # without a graph member at level 1, level 1 is larger than the algebra's
-    # representation, and the constraint Kc* A K = 0 of level 2 cuts it back:
-    # the rank-0 certificate fails there, and the solver it falls back to cuts
+    # without a graph member at level 1, level 1 would be larger than the
+    # algebra's representation, for the constraint Kc* A K = 0 of level 2 to
+    # cut back: the solve rejects such a family, naming the member, and
+    # solves nothing.  On the complete family that constraint (N^2 rows over
+    # the algebra's 2 coefficients) is certified, and the tower is the oracle's
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
-    keep = [i for i, label in enumerate(family.labels) if label not in drop]
-    reduced = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        2,
-        2,
-        family.algebra,
-    )
     calls = _recording_nullspace(monkeypatch)
-    decisions = _recording_certificate(monkeypatch)
-    elems, _ = reflexivity._corner_solve(reduced, DEFAULT_TOL)
-    ((_, [(rows, cols)], (_, kept)),) = calls
-    assert rows == 4 and cols == 2 + 4 * len(drop) and kept < cols  # N^2 or 2 N^2 free at level 1
-    assert decisions == [((rows, cols), False)]
-    oracle = full_space_null(reduced.subspaces, 6)
-    assert len(elems) == kept == oracle.shape[1]
+    with pytest.raises(ValueError, match=f"needs {drop[0]}"):
+        reflexivity._corner_solve(_without(family, drop), DEFAULT_TOL)
+    levels = _recording_levels(monkeypatch)
+    elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
+    assert not calls
+    assert _level_constraint(*levels[1][:3])[0].shape == (4, 2) and levels[1][3] == ratio <= 1
+    oracle = full_space_null(family.subspaces, 6)
+    assert len(elems) == oracle.shape[1] == 2
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
 
@@ -1184,47 +1190,63 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
 def test_reflexivity_check_passes_a_family_missing_one_lower_graph_member(kind, n):
-    # without one P_j or Q_j below the top level the solve still reaches
-    # Phi(M), with independent corners that are not orthonormal: the Weyl
-    # bound on their Gram matrix keeps the membership bound finite, and the
-    # check passes at dim M
+    # the check passes the complete family at dim M, with the membership
+    # bound sqrt(m) rho.  A family without one P_j or Q_j below the top level
+    # is not the theorem's family: the check raises ValueError naming the
+    # member (it used to solve such a family to Phi(M) and pass it)
     pattern = (2, 2) if kind == "block_diagonal" else None
     spec = VonNeumannAlgebraSpec(kind, 4 if pattern else 3, pattern=pattern)
     gen, _ = random_scenario(spec.ambient_dim, 1)
     family = invariant_family(spec, gen, n, seed=1)
+    report = reflexivity_check(spec, gen, n, family=family)
+    assert report.passed and report.dim_computed == spec.expected_dim()
+    assert report.membership_bound == np.sqrt(report.dim_computed) * report.max_reconstruction_residual
     for dropped in [f"{member}_{j}" for j in range(1, n) for member in "PQ"]:
-        keep = [i for i, label in enumerate(family.labels) if label != dropped]
-        mutant = InvariantFamily(
-            tuple(family.subspaces[i] for i in keep),
-            tuple(family.labels[i] for i in keep),
-            spec.ambient_dim,
-            n,
-            family.algebra,
-        )
-        report = reflexivity_check(spec, gen, n, family=mutant, raise_on_fail=False)
-        assert report.passed and report.dim_computed == spec.expected_dim(), dropped
-        assert np.isfinite(report.membership_bound), dropped
+        with pytest.raises(ValueError, match=f"needs {dropped}"):
+            reflexivity_check(spec, gen, n, family=_without(family, (dropped,)))
 
 
 @pytest.mark.parametrize("base", (3, 8))
 def test_reflexivity_check_fails_without_the_top_q_member(base):
-    # dropping Q_n leaves Y_bot free on the top level: the solution is too large.
-    # (Dropping a lower Q_j is no mutant: the constraint of the level above
-    # cuts the solution back to the algebra's representation.)
+    # dropping Q_n would leave Y_bot free on the top level, a solution of
+    # dimension 2 N^2 (the full-space oracle at N = 3): the check rejects the
+    # family with ValueError naming Q_2, before any solve
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, 1)
     family = invariant_family(spec, gen, 2, seed=1)
     assert reflexivity_check(spec, gen, 2, family=family).passed
-    keep = [i for i, label in enumerate(family.labels) if label != "Q_2"]
-    mutant = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        base,
-        2,
-        family.algebra,
-    )
+    mutant = _without(family, ("Q_2",))
+    if base == 3:
+        assert full_space_null(mutant.subspaces, mutant.ambient_dim).shape[1] == 2 * base**2
+    with pytest.raises(ValueError, match="needs Q_2"):
+        reflexivity_check(spec, gen, 2, family=mutant, raise_on_fail=False)
+
+
+def _perturbed_q2(family, d, eps):
+    """The family with Q_2 the shifted graph of D + eps E, for a fixed real
+    symmetric E."""
+    z = np.random.default_rng(72).standard_normal((d.dim, d.dim))
+    q2 = graph_subspace(eig_hermitian(d.base + eps * (z + z.T) / 2), 2, shift=1.0)
+    return _relabeled(family, "Q_2", q2.embedded(family.ambient_dim))
+
+
+@pytest.mark.parametrize("eps", (1e-3, 1e-6))
+@pytest.mark.parametrize("kind", ("full", "diagonal_masa"))
+def test_reflexivity_check_fails_an_uncertified_tower(kind, eps):
+    # a Q_2 from the perturbed generator D + eps E: the level-2 constraint
+    # Kc* A K is no longer roundoff, and the check FAILs on the certificate
+    # ratio (about 1e5 and 1e2 here) with the tower uncut; alg_of_family
+    # raises on the same family
+    spec = VonNeumannAlgebraSpec(kind, 4)
+    gen, _ = random_scenario(4, 1)
+    family = invariant_family(spec, gen, 2, seed=1)
+    assert reflexivity_check(spec, gen, 2, family=family).certificate_ratio <= 1
+    mutant = _perturbed_q2(family, gen, eps)
     report = reflexivity_check(spec, gen, 2, family=mutant, raise_on_fail=False)
-    assert not report.passed and report.dim_computed == 2 * base**2
+    assert not report.passed and report.certificate_ratio > 10
+    assert report.dim_computed == spec.expected_dim()
+    with pytest.raises(ValueError, match="certificate ratio"):
+        alg_of_family(mutant)
 
 
 @pytest.mark.parametrize("base", (3, 8))
@@ -1232,8 +1254,8 @@ def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkey
     corner_solve = reflexivity._corner_solve
 
     def losing(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
-        return elems[1:], without_q_dim
+        elems, ratio = corner_solve(family, tol)
+        return elems[1:], ratio
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, 1)
@@ -1250,7 +1272,7 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
     # is the representation of its (0, 0) block any more.  At full (8, 2) the
     # Frobenius reconstruction residual is over 11 times the tolerance (seeds
     # 1-10).  The same mutant at (16, 3) waits for a tolerance from a roundoff
-    # model of the tower (ROADMAP item 2): its reconstruction residual reads
+    # model of the tower (ROADMAP item 3): its reconstruction residual reads
     # about 0.1 of today's tolerance there.
     base, n, noise = 8, 2, np.random.default_rng(seed)
 
@@ -1272,7 +1294,7 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
 def test_reflexivity_check_fails_a_perturbed_corner(base, n, seed, monkeypatch):
     # eps = 1e-6 complex N(0, 1) on every X_00 block, the rest of each element
     # kept: no element is the representation of its corner any more, and the
-    # membership bound reads over 100 times the tolerance
+    # corners are not the algebra's basis, so the membership bound is infinite
     noise = np.random.default_rng(seed)
 
     def perturbed(elems):
@@ -1285,12 +1307,13 @@ def test_reflexivity_check_fails_a_perturbed_corner(base, n, seed, monkeypatch):
     gen, _ = random_scenario(base, seed)
     report, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
     assert report.dim_computed == base**2
-    assert not report.passed and report.membership_bound >= 100 * report.tolerance
+    assert not report.passed and report.membership_bound == np.inf
 
 
 def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
-    # the count m is right but the elements span one dimension less: the corner
-    # Gram gives sigma = 0, which makes the membership bound infinite
+    # the count m is right but the elements span one dimension less: the
+    # corners are not the algebra's basis, which makes the membership bound
+    # infinite
     spec = VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 1)
     report, _ = _checked_tower(
@@ -1302,9 +1325,9 @@ def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
 
 def test_reflexivity_check_fails_a_corner_outside_the_algebra(monkeypatch):
     # one element replaced by the representation of a unit corner with an
-    # off-diagonal part: orthonormal corners and exact reconstruction, but the
-    # solution holds an operator outside Phi(M), which only the corners-in-M
-    # residual in the membership bound sees
+    # off-diagonal part: exact reconstruction, but the solution holds an
+    # operator outside Phi(M), which only the comparison of the corners with
+    # the algebra's basis sees: the membership bound is infinite
     def leaking(elems):
         corner = elems[0, :3, :3].copy()
         corner[0, 1] = 1e-3
@@ -1502,27 +1525,33 @@ def test_reflexivity_generated_algebra():
 
 
 def test_reflexivity_violation_raises_with_diagnostics():
-    # without Q_1 the bottom block is free: dimension 2 N^2 = 8, not 4
+    # a Q_2 off the generator's graph fails the certificate of level 2: the
+    # violation carries the report, and its message the ratio.  A family
+    # without its Q_j is no violation but a ValueError
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
-    mutant = _without_q(invariant_family(spec, d, 1))
+    family = invariant_family(spec, d, 2)
+    mutant = _perturbed_q2(family, d, 1e-3)
     with pytest.raises(ReflexivityViolation) as err:
-        reflexivity_check(spec, d, 1, family=mutant)
-    assert err.value.report.dim_computed == 8 and not err.value.report.passed
-    report = reflexivity_check(spec, d, 1, family=mutant, raise_on_fail=False)
-    assert report == err.value.report
+        reflexivity_check(spec, d, 2, family=mutant)
+    report = err.value.report
+    assert report.certificate_ratio > 1 and report.dim_computed == 4 and not report.passed
+    assert f"certificate ratio {report.certificate_ratio:.3e}" in str(err.value)
+    assert reflexivity_check(spec, d, 2, family=mutant, raise_on_fail=False) == report
+    with pytest.raises(ValueError, match="needs Q_1"):
+        reflexivity_check(spec, d, 2, family=_without_q(family))
 
 
 def test_reflexivity_violation_message_names_the_deciding_values(monkeypatch):
-    # a solve that repeats an element has the right count and exact
-    # reconstruction, and fails on the membership bound alone, which the
-    # dependent corners (sigma = 0) make infinite: the message shows it and
-    # the tolerance beside the reconstruction residual
+    # a solve that repeats an element has the right count, exact
+    # reconstruction and a certified tower, and fails on the membership bound
+    # alone, which corners other than the algebra's basis make infinite: the
+    # message shows it and the tolerance beside the reconstruction residual
     corner_solve = reflexivity._corner_solve
 
     def repeating(family, tol):
-        elems, without_q_dim = corner_solve(family, tol)
-        return np.concatenate([elems[:-1], elems[:1]]), without_q_dim
+        elems, ratio = corner_solve(family, tol)
+        return np.concatenate([elems[:-1], elems[:1]]), ratio
 
     spec = VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 1)
@@ -1537,6 +1566,8 @@ def test_reflexivity_violation_message_names_the_deciding_values(monkeypatch):
     assert f"reconstruction residual {report.max_reconstruction_residual:.3e}" in message
     assert "membership bound inf" in message
     assert f"tolerance {report.tolerance:.3e}" in message
+    assert report.certificate_ratio <= 1
+    assert f"certificate ratio {report.certificate_ratio:.3e}" in message
 
 
 def test_reflexivity_report_json_schema():

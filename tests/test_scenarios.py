@@ -559,6 +559,7 @@ MALFORMED_ENTRIES = {
     "short_cell": [[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     "non_numeric_cell": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     "null_cell": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "bool_cell": [[[True, 1], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     "short_row": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
 }
 
