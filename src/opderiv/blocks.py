@@ -138,9 +138,14 @@ def certified(checks: dict[str, tuple[float, float]]) -> bool:
 
 def class_algebra(classes: list[np.ndarray], dim: int) -> OperatorSpace:
     """(+)_k M_{n_k} (x) I_{m_k} in the aligned basis of the classes: per
-    class, the matrix units e_pq repeated on each piece, over sqrt(m_k)."""
+    class, the matrix units e_pq repeated on each piece, over sqrt(m_k).
+
+    The basis is orthonormal by construction, given orthonormal pieces
+    (eigenvectors of h) aligned by unitary links, and is not checked again:
+    ``block_structure``'s ``unitary`` and ``commutant_form`` checks
+    certify the pieces it is built from (``OperatorSpace._orthonormal``)."""
     units = [
         np.einsum("jap,jbq->pqab", s, s.conj()).reshape(-1, dim, dim) / np.sqrt(len(s))
         for s in classes
     ]
-    return OperatorSpace(dim, np.concatenate(units))
+    return OperatorSpace._orthonormal(np.concatenate(units))

@@ -419,7 +419,8 @@ class OperatorSpace:
     trace inner product tr(A* B), as one ``(m, ambient_dim, ambient_dim)``
     stack.  The constructor takes the basis as given and checks its Gram
     matrix against the same guard as ``Subspace``; ``span`` orthonormalizes
-    linearly independent elements.
+    linearly independent elements, and ``_orthonormal`` takes a basis that
+    is orthonormal by construction without the check.
     """
 
     ambient_dim: int
@@ -435,6 +436,16 @@ class OperatorSpace:
         if not _gram_deviation(elems.reshape(len(elems), d * d)) <= _GRAM_GUARD:  # NaN fails too
             raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
+
+    @classmethod
+    def _orthonormal(cls, elems: np.ndarray) -> "OperatorSpace":
+        """The space of a contiguous complex ``(m, d, d)`` stack that is
+        orthonormal by construction, without the constructor's Gram check,
+        as ``Subspace._orthonormal`` is for subspaces."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", elems.shape[1])
+        object.__setattr__(space, "basis_elements", elems)
+        return space
 
     @classmethod
     def span(cls, dim: int, elements) -> "OperatorSpace":

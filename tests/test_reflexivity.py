@@ -1,7 +1,12 @@
 """Tests for commutants, invariant families, and the reflexivity check."""
 
 import collections
+import json
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +384,46 @@ def test_block_structure_mutants_fail_certification(mutant, failing, monkeypatch
         lat_family(_multiplicity_spec())
 
 
+def _rotated_block_spec(pattern, seed):
+    """``generated`` by U (A_1 + ... + A_k) U* with complex Gaussian blocks:
+    the direct sum of full matrix algebras, of dimension sum k_i^2."""
+    rng = np.random.default_rng(seed)
+    dim = sum(pattern)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    blocks_ = np.zeros((dim, dim), dtype=complex)
+    offset = 0
+    for k in pattern:
+        blocks_[offset : offset + k, offset : offset + k] = (
+            rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        )
+        offset += k
+    return VonNeumannAlgebraSpec("generated", dim, generators=(u @ blocks_ @ u.conj().T,))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        VonNeumannAlgebraSpec("full", 8),
+        VonNeumannAlgebraSpec("diagonal_masa", 8),
+        VonNeumannAlgebraSpec("block_diagonal", 8, pattern=(3, 5)),
+        _rotated_block_spec((4, 4, 4), 74),
+    ),
+    ids=("full", "diagonal_masa", "block_diagonal", "generated-4-4-4"),
+)
+def test_class_algebra_basis_is_orthonormal_without_the_check(spec, monkeypatch):
+    # class_algebra skips the constructor's Gram check; the basis it builds
+    # from certified pieces still passes it, with a wide margin
+    calls = []
+    gram = core._gram_deviation
+    monkeypatch.setattr(core, "_gram_deviation", lambda rows: calls.append(rows) or gram(rows))
+    _, algebra = lat_family(spec)
+    m, d = algebra.dim, spec.ambient_dim
+    # the algebra was not checked on construction
+    assert calls and not [rows for rows in calls if np.shares_memory(rows, algebra.basis_elements)]
+    assert m == (spec.expected_dim() or 48)
+    assert gram(algebra.basis_elements.reshape(m, d * d)) <= core._GRAM_GUARD
+
+
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
     # a scalar h is never generic: its one eigenspace, the whole space, is not
     # irreducible for the masa, so every draw fails
@@ -700,8 +745,8 @@ def _oracle_spec(kind, base=3):
 def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
     corner_solve, solves = reflexivity._corner_solve, []
 
-    def recording(family, tol):  # keeps the family, the solution and the certificate ratio
-        out = corner_solve(family, tol)
+    def recording(family, tol, start=None):  # keeps the family, the solution and the ratio
+        out = corner_solve(family, tol, start)
         solves.append((family, *out))
         return out
 
@@ -851,8 +896,9 @@ def test_pipeline_checks_and_factors_each_basis_once(
     kind, lat_members, commutant_svds, monkeypatch
 ):
     # the corner_solve cases at (8, 2).  invariant_family checks the commutant,
-    # the lat members, the algebra and the 2n graph members once each, and not
-    # their embeddings or the H_j; its SVDs are the commutant's, one per
+    # the lat members and the 2n graph members once each, and not their
+    # embeddings, the H_j or the algebra, which class_algebra builds
+    # orthonormal from certified pieces; its SVDs are the commutant's, one per
     # generator and adjoint, and its QRs one per graph member.  The check then
     # takes one SVD per graph member, which gives both its rank and G, and one
     # of K per level: no solve, no separate rank and no Gram check
@@ -862,7 +908,7 @@ def test_pipeline_checks_and_factors_each_basis_once(
     counts = _counting(monkeypatch)
     family = invariant_family(spec, d, n)
     assert dict(counts) == {
-        "_gram_deviation": 2 + lat_members + 2 * n,
+        "_gram_deviation": 1 + lat_members + 2 * n,
         "svd": commutant_svds,
         "qr": 2 * n,
     }
@@ -923,19 +969,45 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
         InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
 
 
-def _checked_tower(spec, d, n, monkeypatch, mutate=None, seed=0):
-    """The check's report and the tower it judged: the solved stack, or
-    ``mutate`` of it."""
-    corner_solve, judged = reflexivity._corner_solve, []
+_CORNER_SOLVE = reflexivity._corner_solve
 
-    def mutated(family, tol):
-        elems, ratio = corner_solve(family, tol)
-        judged.append(elems if mutate is None else mutate(elems))
-        return judged[-1], ratio
+
+def _mutant_of_l(monkeypatch, mutate=None):
+    """Make ``_corner_solve`` the linear map L + D, with L the tower's map
+    and D the linear map that sends M's basis element B_j to
+    mutate(L(B))_j - L(B_j), for ``mutate`` a change of the (m, d, d) stack
+    L(B); without ``mutate`` it is L.  The map acts on whatever start the
+    check passes, M's basis or Gaussian elements of M, through the
+    coefficients c_j = tr(B_j* a) of each start element a, so a mutant is
+    the same map in both modes; entries that ``mutate`` leaves alone stay
+    bitwise those of L(a).  Each call records the stack it returns and the
+    map's images of M's basis, L(B) + D(B)."""
+    judged = []
+
+    def flat(stack):
+        return stack.reshape(len(stack), -1)
+
+    def mutated(family, tol, start=None):
+        elems, ratio = _CORNER_SOLVE(family, tol, start)
+        images = tower = _CORNER_SOLVE(family, tol)[0]
+        if mutate is not None:
+            images = mutate(tower)
+            basis = family.algebra.basis_elements
+            coeffs = flat(basis if start is None else start) @ flat(basis).conj().T
+            elems = elems + (coeffs @ flat(images - tower)).reshape(elems.shape)
+        judged.append((elems, images))
+        return elems, ratio
 
     monkeypatch.setattr(reflexivity, "_corner_solve", mutated)
+    return judged
+
+
+def _checked_tower(spec, d, n, monkeypatch, mutate=None, seed=0):
+    """The check's report on the mutant L + D of ``_mutant_of_l``, the stack
+    it judged, and the mutant's images of M's basis."""
+    judged = _mutant_of_l(monkeypatch, mutate)
     report = reflexivity_check(spec, d, n, seed=seed, raise_on_fail=False)
-    return report, judged.pop()
+    return (report, *judged.pop())
 
 
 def _membership(spec, d, n, elems):
@@ -952,43 +1024,51 @@ def _membership(spec, d, n, elems):
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_batched_check_matches_per_element_path(kind, n, monkeypatch):
     # per element: one chain and one triangular representation each; the
-    # measured membership residual of the algebra in the orthonormalized tower
-    # is within the implied bound the check reports
-    spec = _oracle_spec(kind)
-    d = rng_generator(np.random.default_rng(62), 3)
-    report, elems = _checked_tower(spec, d, n, monkeypatch)
-    reps = [triangular_representation(derivative_chain(d, x[:3, :3], n)) for x in elems]
-    batched = triangular_representations(d, elems[:, :3, :3], n)
-    for rep, want in zip(batched, reps):
-        assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
-    recon = [np.linalg.norm(x - rep) for x, rep in zip(elems, reps)]
-    assert len(report.element_residuals) == len(recon) == len(elems)
-    for got, want in zip(report.element_residuals, recon):
-        assert abs(got - want) <= 1e-12 * (1 + want)
-    assert report.max_reconstruction_residual == max(report.element_residuals)
-    # measuring the residual rounds too, by about eps per dimension of C^d
-    roundoff = elems.shape[1] * np.finfo(float).eps
-    assert _membership(spec, d, n, elems) <= report.membership_bound + roundoff
-    assert report.dim_expected == bicommutant(spec).dim == len(elems)
-    assert report.passed == (max(max(recon), report.membership_bound) <= report.tolerance)
+    # measured membership residual of the algebra in the orthonormalized
+    # solution L(M) is within the bound the check reports.  On C^3 the check
+    # starts from M's basis, and for full and block_diagonal (dimensions 25
+    # and 17) on C^5 from 16 Gaussian elements of M
+    for base in (3, 5) if kind in ("full", "block_diagonal") else (3,):
+        spec = _oracle_spec(kind, base)
+        d = rng_generator(np.random.default_rng(62), base)
+        report, elems, tower = _checked_tower(spec, d, n, monkeypatch)
+        assert len(elems) == min(16, len(tower))
+        reps = [triangular_representation(derivative_chain(d, x[:base, :base], n)) for x in elems]
+        batched = triangular_representations(d, elems[:, :base, :base], n)
+        for rep, want in zip(batched, reps):
+            assert operator_norm(rep - want) <= 1e-12 * (1 + operator_norm(want))
+        recon = [np.linalg.norm(x - rep) for x, rep in zip(elems, reps)]
+        assert len(report.element_residuals) == len(recon) == len(elems)
+        for got, want in zip(report.element_residuals, recon):
+            assert abs(got - want) <= 1e-12 * (1 + want)
+        assert report.max_reconstruction_residual == max(report.element_residuals)
+        # measuring the residual rounds too, by about eps per dimension of C^d
+        roundoff = tower.shape[1] * np.finfo(float).eps
+        assert _membership(spec, d, n, tower) <= report.membership_bound + roundoff
+        assert report.dim_computed == report.dim_expected == bicommutant(spec).dim == len(tower)
+        assert report.passed == (max(max(recon), report.membership_bound) <= report.tolerance)
+        assert report.passed
 
 
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_membership_bound_holds_for_a_perturbed_tower(kind, n, monkeypatch):
-    # 1e-7 N(0, 1) on every entry moves the corners off M and off orthonormality
-    # and the elements off Phi of their corners, far above roundoff: the
-    # corners are not the algebra's basis, so the bound is infinite and covers
-    # the measured membership residual, and the check fails
-    spec = _oracle_spec(kind)
-    d = rng_generator(np.random.default_rng(62), 3)
-    rng = np.random.default_rng(69)
-    report, elems = _checked_tower(
-        spec, d, n, monkeypatch, lambda elems: elems + 1e-7 * rng.standard_normal(elems.shape)
-    )
-    member = _membership(spec, d, n, elems)
-    assert 1e-9 < member <= report.membership_bound == np.inf
-    assert not report.passed
+    # 1e-7 N(0, 1) on every entry of L(B) moves the corners off the start and
+    # the elements off Phi of their corners, far above roundoff: the corners
+    # are not the start stack, so the bound is infinite and covers the
+    # measured membership residual of the algebra in the mutant's L(M), and
+    # the check fails, on C^3 (M's basis) and for full and block_diagonal on
+    # C^5 (Gaussian elements of M)
+    for base in (3, 5) if kind in ("full", "block_diagonal") else (3,):
+        spec = _oracle_spec(kind, base)
+        d = rng_generator(np.random.default_rng(62), base)
+        rng = np.random.default_rng(69)
+        report, _, tower = _checked_tower(
+            spec, d, n, monkeypatch, lambda elems: elems + 1e-7 * rng.standard_normal(elems.shape)
+        )
+        member = _membership(spec, d, n, tower)
+        assert 1e-9 < member <= report.membership_bound == np.inf
+        assert not report.passed
 
 
 def test_reflexivity_check_with_prebuilt_family(monkeypatch):
@@ -1048,6 +1128,21 @@ def test_structured_solve_rejects_misshapen_members():
     )
     with pytest.raises(ValueError, match="R_1 is not a label"):
         alg_of_family(unknown)
+
+
+@pytest.mark.parametrize(
+    "label", ("R_1", "Q_x", "P_01", "P_+1", "P_0", "Q_", "H_01", "H_-1", "lat_M[01]", "lat_M[x]", "P_1 ")
+)
+def test_corner_solve_matches_labels_exactly(label):
+    # a label is lat_M[i], H_j, P_j or Q_j with i, j canonical integers and
+    # j >= 1 for P_j and Q_j; anything else names the member in the same
+    # ValueError, never int()'s message nor another level's member
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
+    labels = tuple(label if l == "P_1" else l for l in family.labels)
+    relabeled = InvariantFamily(family.subspaces, labels, 2, 1, family.algebra)
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} is not a label of an invariant family$"):
+        reflexivity._corner_solve(relabeled, DEFAULT_TOL)
 
 
 def test_corner_solve_rejects_p_members_that_are_not_one_graph():
@@ -1191,16 +1286,20 @@ def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal"))
 def test_reflexivity_check_passes_a_family_missing_one_lower_graph_member(kind, n):
     # the check passes the complete family at dim M, with the membership
-    # bound sqrt(m) rho.  A family without one P_j or Q_j below the top level
-    # is not the theorem's family: the check raises ValueError naming the
-    # member (it used to solve such a family to Phi(M) and pass it)
+    # bound ||L - Phi||_HS over M's basis, at most sqrt(m) rho.  A family
+    # without one P_j or Q_j below the top level is not the theorem's family:
+    # the check raises ValueError naming the member (it used to solve such a
+    # family to Phi(M) and pass it)
     pattern = (2, 2) if kind == "block_diagonal" else None
     spec = VonNeumannAlgebraSpec(kind, 4 if pattern else 3, pattern=pattern)
     gen, _ = random_scenario(spec.ambient_dim, 1)
     family = invariant_family(spec, gen, n, seed=1)
     report = reflexivity_check(spec, gen, n, family=family)
     assert report.passed and report.dim_computed == spec.expected_dim()
-    assert report.membership_bound == np.sqrt(report.dim_computed) * report.max_reconstruction_residual
+    residuals = np.array(report.element_residuals)
+    assert len(residuals) == report.dim_computed
+    assert report.membership_bound == pytest.approx(np.sqrt(residuals @ residuals), rel=1e-15)
+    assert report.membership_bound <= np.sqrt(report.dim_computed) * report.max_reconstruction_residual
     for dropped in [f"{member}_{j}" for j in range(1, n) for member in "PQ"]:
         with pytest.raises(ValueError, match=f"needs {dropped}"):
             reflexivity_check(spec, gen, n, family=_without(family, (dropped,)))
@@ -1251,29 +1350,37 @@ def test_reflexivity_check_fails_an_uncertified_tower(kind, eps):
 
 @pytest.mark.parametrize("base", (3, 8))
 def test_reflexivity_check_fails_a_solve_that_loses_a_basis_element(base, monkeypatch):
-    corner_solve = reflexivity._corner_solve
-
-    def losing(family, tol):
-        elems, ratio = corner_solve(family, tol)
-        return elems[1:], ratio
+    # the map loses the direction B_0 of M: L(a - c_0 B_0), whose corner is
+    # not a.  On C^3 the check starts from M's basis, on C^8 from Gaussian
+    # elements of M; either way the corners are not the start stack, so the
+    # membership bound is infinite and the check fails at dim M
+    def losing(elems):
+        elems = elems.copy()
+        elems[0] = 0
+        return elems
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, 1)
-    monkeypatch.setattr(reflexivity, "_corner_solve", losing)
+    judged = _mutant_of_l(monkeypatch, losing)
     report = reflexivity_check(spec, gen, 2, seed=1, raise_on_fail=False)
-    assert not report.passed and report.dim_computed == base**2 - 1
+    assert len(judged.pop()[0]) == min(16, base**2)
+    assert not report.passed and report.dim_computed == base**2
+    assert report.membership_bound == np.inf
     with pytest.raises(ReflexivityViolation):
         reflexivity_check(spec, gen, 2, seed=1)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch):
-    # eps = 1e-6 N(0, 1) on every Y_top entry of the solved elements: no element
-    # is the representation of its (0, 0) block any more.  At full (8, 2) the
-    # Frobenius reconstruction residual is over 11 times the tolerance (seeds
+    # eps = 1e-6 N(0, 1) on every Y_top entry of L(B), extended linearly to
+    # M: the corners stay the start stack, but no element is the
+    # representation of its corner any more.  At full (8, 2) the check starts
+    # from 16 Gaussian elements of M, and the largest Frobenius reconstruction
+    # residual is 104-219 times the tolerance, the membership bound 920-1770
+    # times (seeds 1-3; on M's basis the residual read over 11 times, seeds
     # 1-10).  The same mutant at (16, 3) waits for a tolerance from a roundoff
-    # model of the tower (ROADMAP item 3): its reconstruction residual reads
-    # about 0.1 of today's tolerance there.
+    # model of the tower: its reconstruction residual on M's basis read about
+    # 0.1 of today's tolerance there.
     base, n, noise = 8, 2, np.random.default_rng(seed)
 
     def perturbed(elems):
@@ -1284,17 +1391,19 @@ def test_reflexivity_check_fails_a_perturbed_top_block_column(seed, monkeypatch)
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, seed)
     assert reflexivity_check(spec, gen, n, seed=seed).passed
-    report, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
-    assert report.dim_computed == base**2
+    report, elems, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
+    assert report.dim_computed == base**2 and len(elems) == 16
+    assert report.membership_bound < np.inf
     assert not report.passed and report.max_reconstruction_residual > 10 * report.tolerance
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("base, n", ((8, 2), (16, 3)))
 def test_reflexivity_check_fails_a_perturbed_corner(base, n, seed, monkeypatch):
-    # eps = 1e-6 complex N(0, 1) on every X_00 block, the rest of each element
-    # kept: no element is the representation of its corner any more, and the
-    # corners are not the algebra's basis, so the membership bound is infinite
+    # eps = 1e-6 complex N(0, 1) on every X_00 block of L(B), the rest of each
+    # element kept, extended linearly to M: no element is the representation
+    # of its corner any more, and the corners are not the start stack (16
+    # Gaussian elements of M here), so the membership bound is infinite
     noise = np.random.default_rng(seed)
 
     def perturbed(elems):
@@ -1305,42 +1414,140 @@ def test_reflexivity_check_fails_a_perturbed_corner(base, n, seed, monkeypatch):
 
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, seed)
-    report, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
-    assert report.dim_computed == base**2
+    report, elems, _ = _checked_tower(spec, gen, n, monkeypatch, perturbed, seed=seed)
+    assert report.dim_computed == base**2 and len(elems) == 16
     assert not report.passed and report.membership_bound == np.inf
 
 
 def test_reflexivity_check_fails_a_solve_that_repeats_an_element(monkeypatch):
-    # the count m is right but the elements span one dimension less: the
-    # corners are not the algebra's basis, which makes the membership bound
-    # infinite
-    spec = VonNeumannAlgebraSpec("full", 3)
-    gen, _ = random_scenario(3, 1)
-    report, _ = _checked_tower(
-        spec, gen, 2, monkeypatch, lambda elems: np.concatenate([elems[:-1], elems[:1]]), seed=1
-    )
-    assert report.dim_computed == 9 and report.max_reconstruction_residual <= report.tolerance
-    assert not report.passed and report.membership_bound == np.inf
+    # the map sends B_(m-1) to L(B_0): the count is dim M but the image spans
+    # one dimension less, and the corners are not the start stack, which makes
+    # the membership bound infinite; on C^3 (M's basis) and C^5 (Gaussian
+    # elements of M)
+    for base in (3, 5):
+        spec = VonNeumannAlgebraSpec("full", base)
+        gen, _ = random_scenario(base, 1)
+        report, elems, _ = _checked_tower(
+            spec, gen, 2, monkeypatch, lambda elems: np.concatenate([elems[:-1], elems[:1]]), seed=1
+        )
+        assert report.dim_computed == base**2 and len(elems) == min(16, base**2)
+        assert report.max_reconstruction_residual <= report.tolerance
+        assert not report.passed and report.membership_bound == np.inf
 
 
 def test_reflexivity_check_fails_a_corner_outside_the_algebra(monkeypatch):
-    # one element replaced by the representation of a unit corner with an
+    # the map sends B_0 to the representation of a unit corner with an
     # off-diagonal part: exact reconstruction, but the solution holds an
     # operator outside Phi(M), which only the comparison of the corners with
-    # the algebra's basis sees: the membership bound is infinite
-    def leaking(elems):
-        corner = elems[0, :3, :3].copy()
-        corner[0, 1] = 1e-3
-        corner /= np.linalg.norm(corner)
+    # the start stack sees: the membership bound is infinite.  The diagonal
+    # masa on C^3 starts from M's basis, on C^17 from Gaussian elements of M
+    for base in (3, 17):
+        gen, _ = random_scenario(base, 1)
+
+        def leaking(elems, base=base, gen=gen):
+            corner = elems[0, :base, :base].copy()
+            corner[0, 1] = 1e-3
+            corner /= np.linalg.norm(corner)
+            elems = elems.copy()
+            elems[0] = triangular_representations(gen, corner[None], 2)[0]
+            return elems
+
+        spec = VonNeumannAlgebraSpec("diagonal_masa", base)
+        report, elems, _ = _checked_tower(spec, gen, 2, monkeypatch, leaking, seed=1)
+        assert report.dim_computed == base and len(elems) == min(16, base)
+        assert report.max_reconstruction_residual <= report.tolerance
+        assert not report.passed and report.membership_bound > 100 * report.tolerance
+
+
+def _recording_starts(monkeypatch):
+    """Wrap the corner solve; each call is recorded as (family, start)."""
+    starts = []
+
+    def recording(family, tol, start=None):
+        starts.append((family, start))
+        return _CORNER_SOLVE(family, tol, start)
+
+    monkeypatch.setattr(reflexivity, "_corner_solve", recording)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "spec, probing",
+    (
+        (VonNeumannAlgebraSpec("full", 4), False),  # dim M = 16
+        (VonNeumannAlgebraSpec("block_diagonal", 6, pattern=(3, 3)), True),  # dim M = 18
+    ),
+    ids=("full-4", "block_diagonal-3-3"),
+)
+def test_reflexivity_check_starts_from_the_basis_up_to_16_elements(spec, probing, monkeypatch):
+    # dim M <= 16: the tower maps M's basis, and the sum of squared residuals
+    # is ||L - Phi||_HS^2 exactly; above, it maps 16 Gaussian elements of M,
+    # and the bound is their root mean square residual over sqrt(0.01)
+    gen, _ = random_scenario(spec.ambient_dim, 1)
+    starts = _recording_starts(monkeypatch)
+    report = reflexivity_check(spec, gen, 2, seed=1)
+    ((family, start),) = starts
+    basis = family.algebra.basis_elements
+    assert report.passed and report.dim_computed == len(basis) == spec.expected_dim()
+    residuals = np.array(report.element_residuals)
+    assert len(start) == len(residuals) == 16
+    if probing:
+        assert reflexivity._PROBES == 16 and reflexivity._DELTA == 0.01
+        coeffs = start.reshape(16, -1) @ basis.reshape(len(basis), -1).conj().T
+        # the start stack lies in M and is not its basis
+        assert frobenius_norm(np.einsum("ij,jkl->ikl", coeffs, basis) - start).max() <= 1e-12
+        assert not np.array_equal(start[: len(basis)], basis)
+        hs = np.sqrt(np.mean(residuals**2) / 0.01)
+    else:
+        assert start is basis
+        hs = np.sqrt(residuals @ residuals)
+    assert report.membership_bound == pytest.approx(hs, rel=1e-14)
+
+
+def test_reflexivity_check_is_reproducible_from_its_seed():
+    # the seed fixes the Gaussian elements, so the same seed gives an equal
+    # report, with or without a prebuilt family; another seed draws other
+    # elements of M and reaches the same verdict
+    spec = VonNeumannAlgebraSpec("full", 6)
+    gen, _ = random_scenario(6, 3)
+    report = reflexivity_check(spec, gen, 2, seed=5)
+    assert reflexivity_check(spec, gen, 2, seed=5) == report
+    family = invariant_family(spec, gen, 2, seed=5)
+    assert reflexivity_check(spec, gen, 2, seed=5, family=family) == report
+    other = reflexivity_check(spec, gen, 2, seed=6, family=family)
+    assert other.passed == report.passed is True and other.dim_computed == report.dim_computed
+    assert other.element_residuals != report.element_residuals
+
+
+def test_probe_estimate_tracks_the_hilbert_schmidt_norm_of_a_linear_mutant(monkeypatch):
+    # a fixed linear mutant of L (1e-6 N(0, 1) on every Y_top entry of L(B),
+    # extended linearly to M) at full (5, 1), dimension 25: over 200 seeds,
+    # the mean of rho^2 = mean_i ||X_i - Phi(a_i)||^2 is within 10% of the
+    # exact ||E||_HS^2, E = L' - Phi summed over M's basis, and no draw falls
+    # below delta ||E||_HS^2, which the proved bound makes a 7.6e-26 event
+    base, n = 5, 1
+    spec = VonNeumannAlgebraSpec("full", base)
+    gen, _ = random_scenario(base, 4)
+    family = invariant_family(spec, gen, n, seed=0)
+    noise = 1e-6 * np.random.default_rng(73).standard_normal((base**2, base * n, base))
+
+    def perturbed(elems):
         elems = elems.copy()
-        elems[0] = triangular_representations(gen, corner[None], 2)[0]
+        elems[:, : base * n, base * n :] += noise
         return elems
 
-    spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
-    gen, _ = random_scenario(3, 1)
-    report, _ = _checked_tower(spec, gen, 2, monkeypatch, leaking, seed=1)
-    assert report.dim_computed == 3 and report.max_reconstruction_residual <= report.tolerance
-    assert not report.passed and report.membership_bound > 100 * report.tolerance
+    _mutant_of_l(monkeypatch, perturbed)
+    images, _ = reflexivity._corner_solve(family, DEFAULT_TOL)
+    basis = family.algebra.basis_elements
+    exact = np.sum(frobenius_norm(images - triangular_representations(gen, basis, n)) ** 2)
+    estimates = []
+    for seed in range(200):
+        report = reflexivity_check(spec, gen, n, seed=seed, family=family, raise_on_fail=False)
+        rho2 = np.mean(np.square(report.element_residuals))
+        assert report.membership_bound == pytest.approx(np.sqrt(rho2 / 0.01), rel=1e-14)
+        estimates.append(rho2)
+    assert abs(np.mean(estimates) - exact) <= 0.1 * exact
+    assert min(estimates) >= 0.01 * exact
 
 
 def test_reflexivity_check_counts_against_the_closed_form_dimension():
@@ -1478,6 +1685,22 @@ def test_reflexivity_full_c24_n3():
     assert report.passed and report.dim_computed == 576 and report.needed_Q
 
 
+@pytest.mark.slow
+def test_envelope_point_full_c48_n3_fits_the_memory_cap():
+    # the envelope script's own point run: one BLAS thread and a 2048 MB
+    # address-space cap that the child process sets on itself.  The check
+    # holds 16 Gaussian elements of M, not the (2304, 192, 192) tower
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "envelope.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--point", "full", "48", "3", "--seed", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    point = json.loads(result.stdout.strip().splitlines()[-1])
+    assert point["status"] == "finished" and point["passed"]
+    assert point["dim_computed"] == point["dim_expected"] == 48**2
+
+
 def test_reflexivity_full_c8_n2_seed302_generator():
     # one SVD of all constraints stacked fails to converge on this generator
     spec = VonNeumannAlgebraSpec("full", 8)
@@ -1543,31 +1766,28 @@ def test_reflexivity_violation_raises_with_diagnostics():
 
 
 def test_reflexivity_violation_message_names_the_deciding_values(monkeypatch):
-    # a solve that repeats an element has the right count, exact
+    # a map that sends B_(m-1) to L(B_0) has the right count, exact
     # reconstruction and a certified tower, and fails on the membership bound
-    # alone, which corners other than the algebra's basis make infinite: the
-    # message shows it and the tolerance beside the reconstruction residual
-    corner_solve = reflexivity._corner_solve
-
-    def repeating(family, tol):
-        elems, ratio = corner_solve(family, tol)
-        return np.concatenate([elems[:-1], elems[:1]]), ratio
-
-    spec = VonNeumannAlgebraSpec("full", 3)
-    gen, _ = random_scenario(3, 1)
-    monkeypatch.setattr(reflexivity, "_corner_solve", repeating)
-    with pytest.raises(ReflexivityViolation) as err:
-        reflexivity_check(spec, gen, 2, seed=1)
-    report = err.value.report
-    assert report.dim_computed == report.dim_expected == 9
-    assert report.max_reconstruction_residual <= report.tolerance
-    assert report.membership_bound == np.inf
-    message = str(err.value)
-    assert f"reconstruction residual {report.max_reconstruction_residual:.3e}" in message
-    assert "membership bound inf" in message
-    assert f"tolerance {report.tolerance:.3e}" in message
-    assert report.certificate_ratio <= 1
-    assert f"certificate ratio {report.certificate_ratio:.3e}" in message
+    # alone, which corners other than the start stack make infinite: the
+    # message shows it and the tolerance beside the reconstruction residual;
+    # on C^3 (M's basis) and C^5 (Gaussian elements of M)
+    _mutant_of_l(monkeypatch, lambda elems: np.concatenate([elems[:-1], elems[:1]]))
+    for base in (3, 5):
+        spec = VonNeumannAlgebraSpec("full", base)
+        gen, _ = random_scenario(base, 1)
+        with pytest.raises(ReflexivityViolation) as err:
+            reflexivity_check(spec, gen, 2, seed=1)
+        report = err.value.report
+        assert report.dim_computed == report.dim_expected == base**2
+        assert len(report.element_residuals) == min(16, base**2)
+        assert report.max_reconstruction_residual <= report.tolerance
+        assert report.membership_bound == np.inf
+        message = str(err.value)
+        assert f"reconstruction residual {report.max_reconstruction_residual:.3e}" in message
+        assert "membership bound inf" in message
+        assert f"tolerance {report.tolerance:.3e}" in message
+        assert report.certificate_ratio <= 1
+        assert f"certificate ratio {report.certificate_ratio:.3e}" in message
 
 
 def test_reflexivity_report_json_schema():
