@@ -130,7 +130,8 @@ def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
 
 
 # The range of the largest |entry| of a nonzero matrix in which the squares
-# that form ``operator_norm``'s Gram matrix neither overflow nor underflow.
+# that form ``operator_norm``'s Gram matrix neither overflow nor underflow;
+# the function reads it off the Gram matrix's diagonal.
 _GRAM_RANGE = (2.0**-500, 2.0**500)
 
 
@@ -155,19 +156,31 @@ def operator_norm(a) -> float | np.ndarray:
     the square root halves the relative error.  For c <= m + 2 the value
     is within a relative (M + 1)(N + 1) eps of sigma_max, 1.5e-13 at
     25 x 25.  That holds while the squares neither overflow nor underflow,
-    that is while the largest |entry| of every nonzero matrix lies in
-    [2^-500, 2^500]: a stack with a matrix outside that range, or with a
-    non-finite entry, takes the SVD instead, the path that stays accurate
-    there.
+    that is while the largest |entry| a of every nonzero matrix lies in
+    [2^-500, 2^500].  The range is read off G's diagonal, whose largest
+    entry g (a squared column or row norm) lies in [a^2, m a^2]: a matrix
+    is vouched for when m 2^-1000 <= g <= 2^1000, or when it is exactly
+    zero.  A stack with any other matrix (a non-finite entry, squares that
+    overflow, or a nonzero matrix whose squares underflow, down to a zero
+    diagonal) takes the SVD instead, the path that stays accurate there.
     """
     a = np.ascontiguousarray(a, dtype=complex)
     if a.size == 0:  # no entries: zeros of the leading shape
         return frobenius_norm(a)
-    amax = np.abs(a.view(float)).max(axis=(-2, -1))  # within sqrt(2) of the largest |entry|
-    lo, hi = _GRAM_RANGE
-    if np.all((amax == 0) | ((amax >= lo) & (amax <= hi))):
-        ah = a.conj().swapaxes(-1, -2)
+    ah = a.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # judged below
         gram = ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah
+    g = gram.diagonal(0, -2, -1).real.max(-1)  # in [a^2, m a^2], per matrix
+    lo, hi = _GRAM_RANGE
+    floor, ceil = max(a.shape[-2:]) * lo**2, hi**2
+    if g.ndim == 0:
+        vouched = floor <= g <= ceil  # False for NaN
+    else:
+        vouched = floor <= g.min() and g.max() <= ceil
+    if not vouched:
+        zero = g == 0  # a zero matrix, or one whose every square underflows
+        vouched = np.all(zero | ((g >= floor) & (g <= ceil))) and not np.any(a[zero])
+    if vouched:
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     else:
         norms = np.linalg.svd(a, compute_uv=False)[..., 0]
@@ -220,13 +233,15 @@ class SelfAdjointGenerator:
 
     The constructor's guards (Hermitian base, unitary eigenvectors,
     reconstruction) are Frobenius norms, each within 1e-7 (1 + max |lambda|);
-    ``residual`` is the reconstruction's, ||base - V diag(lambda) V*||_F.
+    ``residual`` is the reconstruction's, ||base - V diag(lambda) V*||_F,
+    and ``norm()`` returns ||D|| = max |lambda|, computed once here.
     """
 
     base: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float = field(init=False, repr=False, compare=False)
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = as_operator(self.base)
@@ -237,8 +252,8 @@ class SelfAdjointGenerator:
             raise ValueError("eigendata shapes inconsistent with base operator")
         if np.any(np.diff(evals) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
-        scale = 1.0 + float(np.max(np.abs(evals), initial=0.0))
-        guard = 1e-7 * scale
+        norm = float(np.max(np.abs(evals), initial=0.0))
+        guard = 1e-7 * (1.0 + norm)
         if frobenius_norm(base - base.conj().T) > guard:
             raise NotHermitian("base operator is not Hermitian")
         if frobenius_norm(evecs @ evecs.conj().T - np.eye(n)) > guard:
@@ -250,13 +265,14 @@ class SelfAdjointGenerator:
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", evecs)
         object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def dim(self) -> int:
         return self.base.shape[0]
 
     def norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+        return self._norm
 
     def shifted(self, c: float) -> "SelfAdjointGenerator":
         """Generator of D + c*I; same eigenvectors, shifted spectrum."""
@@ -282,7 +298,7 @@ def eig_hermitian(a, tol: TolerancePolicy | None = None) -> SelfAdjointGenerator
     norm_a = operator_norm(a)
     if frobenius_norm(a - a.conj().T) > tol.herm(norm_a):
         raise NotHermitian("operator is not Hermitian within tol_herm")
-    h = hermitian_part(a)
+    h = (a + a.conj().T) / 2.0  # hermitian_part of the validated a
     gen = SelfAdjointGenerator(h, *np.linalg.eigh(h))
     if gen.residual > tol.eig(norm_a):
         raise ArithmeticError("eigendecomposition residual exceeds tol_eig")

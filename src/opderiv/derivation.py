@@ -13,18 +13,30 @@ because the eigenvalues are ascending, every spectral band is a
 contiguous slice of that array, so the blockwise derivation formula is
 one array expression rather than a loop over band pairs.
 
-The probes sample the group as one (T, N, N) stack (``automorphism``
-takes an array of times) and take its norms in one stacked
-``operator_norm`` call; the Lipschitz probe works in the eigenbasis of D.
-Their theorems are about operator norms.  The finite-difference and
-convergence probes take no tolerance: d/dt alpha_t(x) = alpha_t(i[D, x])
-and alpha_t is an isometry, so Taylor's theorem bounds each error by a
-norm of a higher derivative of x, to which ``_fd_roundoff`` adds rounding.
-The Leibniz rule and the binomial and band forms are exact identities;
-they report the Frobenius norm of their roundoff residual, an upper bound
-of its operator norm, against tolerances of operator-norm scale.  Norms
-a caller already holds (||x||, ||y||, the chain norms) are keyword
-arguments; a check called without them computes them.
+The probes never form the group.  In the eigenbasis of D, with
+Y = V* x V and P_t = diag(e^{it lambda}), alpha_t(x) = V (P_t Y P_t*) V*:
+P_t Y P_t* is Y times the phase products e^{it(lambda_i - lambda_j)}
+entrywise (``_phase_products``), and V* (alpha_s(x) - x) V is Y times
+e^{is(lambda_i - lambda_j)} - 1, formed to a few eps of its own size
+(``_phase_differences``).  Operator norms are unitarily invariant, so the
+Lipschitz, convergence and first-difference probes take the norm of each
+sample there, all sampled times one (T, N, N) stack and one stacked
+``operator_norm`` call, against the exact side moved into the same
+basis.  The scalar probe reads <alpha_t(x) xi, eta> as
+(V* eta)* (P_t Y P_t*) (V* xi), O(N^2) per sample (``_matrix_elements``),
+and takes its stencil samples g(t0 + s) - g(t0) the same way
+(``_stencil_samples``).  ``automorphism`` forms alpha_t(x) itself, for
+callers that want the matrix.  Their theorems are about operator norms.
+The finite-difference and convergence probes take no tolerance: d/dt alpha_t(x) = alpha_t(i[D, x]) and alpha_t is an
+isometry, so Taylor's theorem bounds each error by a norm of a higher
+derivative of x, to which ``_fd_roundoff`` adds rounding.  The Leibniz
+rule and the binomial and band forms are exact identities; they report
+the Frobenius norm of their roundoff residual, an upper bound of its
+operator norm, against tolerances of operator-norm scale.  Norms a caller
+already holds (||x||, ||y||, the chain norms) are keyword arguments; a
+check called without them computes them.  Each public function validates
+its operands once; sample times and steps must be finite, and steps
+positive.
 
 At finite dimension every operator is smooth, domains are the whole
 space, and closures are identities, so none of that bookkeeping appears
@@ -91,6 +103,96 @@ def _check_order(k: int):
         )
 
 
+def _sample_set(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty 1-D array of finite floats; ValueError naming
+    ``name`` otherwise."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a nonempty 1-D sequence of finite numbers")
+    return arr
+
+
+def _step(h) -> float:
+    """A finite-difference step h as a float; ValueError unless it is finite
+    and positive."""
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
+    return h
+
+
+def _eigenbasis(d: SelfAdjointGenerator, a: np.ndarray) -> np.ndarray:
+    """V* a V, V the eigenvectors of D, for a validated matrix or an
+    ``(m, N, N)`` stack (one stacked product)."""
+    v = d.eigenvectors
+    return v.conj().T @ a @ v
+
+
+def _phase_products(d: SelfAdjointGenerator, t) -> np.ndarray:
+    """e^{it lambda_i} e^{-it lambda_j}, the entrywise factor of alpha_t in
+    the eigenbasis of D: P_t Y P_t* = _phase_products(d, t) * Y.  A 1-D
+    array of T times gives the (T, N, N) stack."""
+    phases = np.exp(1j * np.multiply.outer(t, d.eigenvalues))
+    return phases[..., :, None] * phases.conj()[..., None, :]
+
+
+def _phase_differences(d: SelfAdjointGenerator, s) -> np.ndarray:
+    """e^{is(lambda_i - lambda_j)} - 1, the entrywise factor of
+    alpha_s(x) - x in the eigenbasis of D: V* (alpha_s(x) - x) V is this
+    times Y = V* x V.  It is formed as -2 sin^2(theta/2) + i sin(theta),
+    theta = s (lambda_i - lambda_j), to a few eps of its own size however
+    small s is (``_phase_products`` minus 1 is off by about eps).  Its
+    value at -s is its conjugate.  A 1-D array of T steps gives the
+    (T, N, N) stack."""
+    lam = d.eigenvalues
+    theta = np.multiply.outer(s, np.subtract.outer(lam, lam))
+    half = np.sin(0.5 * theta)
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = -2.0 * half * half
+    out.imag = np.sin(theta)
+    return out
+
+
+def _matrix_elements(
+    d: SelfAdjointGenerator, z: np.ndarray, xi_c: np.ndarray, eta_c: np.ndarray, t: float
+) -> np.ndarray:
+    """<alpha_t(x) xi, eta> at one time t for z = V* x V (or an (m, N, N)
+    stack of such), xi_c = V* xi and eta_c = V* eta: eta_c* (P_t z P_t*)
+    xi_c, O(N^2) each."""
+    phases = np.exp(1j * t * d.eigenvalues)
+    return np.einsum("i,...ij,j->...", eta_c.conj() * phases, z, phases.conj() * xi_c)
+
+
+def _stencil_samples(
+    d: SelfAdjointGenerator, y: np.ndarray, xi_c: np.ndarray, eta_c: np.ndarray, t0: float, h: float, top: int
+) -> np.ndarray:
+    """g(t0 + k h/2) - g(t0) for k = -top..top (entry k + top), with
+    g(t) = <alpha_t(x) xi, eta>, y = V* x V, xi_c = V* xi, eta_c = V* eta.
+
+    y is moved to t0 once, z = P_t0 y P_t0*, and each sample is the
+    contraction eta_c* (E_s z) xi_c with E_s = ``_phase_differences`` at
+    s = k h/2, O(N^2) per sample.  Each is rounded to a few eps of its own
+    size, about |s| ||D|| times the size of g; a sample of g itself would
+    carry about eps |g|, which a stencil divides by h^n.
+    """
+    z = _phase_products(d, t0) * y
+    e = _phase_differences(d, np.arange(1, top + 1) * (0.5 * h))
+    up = np.einsum("i,kij,j->k", eta_c.conj(), e * z, xi_c)
+    down = np.einsum("i,kij,j->k", eta_c.conj(), e.conj() * z, xi_c)
+    return np.concatenate([down[::-1], [0.0], up])
+
+
+def _central_difference(samples: np.ndarray, n: int, h: float) -> complex:
+    """The n-th central difference quotient at t0 from ``_stencil_samples``
+    (top >= n): sum_j (-1)^j C(n, j) g(t0 + (n/2 - j) h) / h^n.  The weights
+    sum to 0, so samples relative to g(t0) give the same quotient."""
+    top = len(samples) // 2
+    total = 0.0 + 0.0j
+    for j in range(n + 1):
+        total += ((-1) ** j) * math.comb(n, j) * complex(samples[top + n - 2 * j])
+    return total / h**n
+
+
 def automorphism(d: SelfAdjointGenerator, x, t) -> np.ndarray:
     """exp(itD) x exp(-itD).  Norm preserving; multiplicative in x.
 
@@ -147,17 +249,21 @@ def _binomial_sums(d: SelfAdjointGenerator, x: np.ndarray, orders) -> list[np.nd
     The sums share the powers D^j and the products D^a x; each term is
     ``(D^(k-j) x) D^j``, the same floating-point operations as a sum of
     its own, so every result is bitwise that of ``binomial_derivative``.
+    All the terms are one stacked product, summed in the same order.
     """
     top = max(orders)
     powers = [np.eye(d.dim, dtype=complex)]
     for _ in range(top):
         powers.append(powers[-1] @ d.base)
-    left = [p @ x for p in powers]
+    powers = np.stack(powers)
+    left = powers @ x
+    pairs = [(k - j, j) for k in orders for j in range(k + 1)]
+    terms = iter(left[[a for a, _ in pairs]] @ powers[[j for _, j in pairs]])
     sums = []
     for k in orders:
         acc = np.zeros_like(x)
         for j in range(k + 1):
-            acc += ((-1) ** j) * math.comb(k, j) * (left[k - j] @ powers[j])
+            acc += ((-1) ** j) * math.comb(k, j) * next(terms)
         sums.append((1j**k) * acc)
     return sums
 
@@ -241,8 +347,7 @@ def band_embed(d: SelfAdjointGenerator, x) -> BandMatrix:
     x = as_operator(x)
     _check_dims(d, x)
     slices = {r: slice(idx[0], idx[-1] + 1) for r, idx in band_groups(d.eigenvalues).items()}
-    v = d.eigenvectors
-    return BandMatrix(generator=d, coeffs=v.conj().T @ x @ v, slices=slices)
+    return BandMatrix(generator=d, coeffs=_eigenbasis(d, x), slices=slices)
 
 
 def band_derivation(bm: BandMatrix, k: int) -> BandMatrix:
@@ -276,10 +381,10 @@ def central_difference_derivative(d: SelfAdjointGenerator, x, h: float) -> np.nd
 
     (alpha_h(x) - alpha_-h(x)) / 2h, from one automorphism stack of the
     two times; its error is at most h^2/6 ||delta^3(x)|| plus roundoff
-    (the fd_first check); compare against ``commutator_derivative``.
+    (the fd_first check); compare against ``commutator_derivative``.  h
+    must be finite and positive.
     """
-    if not h > 0:
-        raise ValueError("step h must be positive")
+    h = _step(h)
     plus, minus = automorphism(d, x, np.array([h, -h]))
     return (plus - minus) / (2.0 * h)
 
@@ -296,37 +401,49 @@ def central_difference_scalar(
     """n-th central difference of t -> <alpha_t(x) xi, eta> at t0.
 
     Uses the standard (n+1)-point central stencil with step h (default
-    ``default_step``), its points one automorphism stack; error O(h^2)
-    (bounded in the fd_higher check); compare against <alpha_t0 applied to
-    the n-th derivative xi, eta>.  xi and eta must be unit vectors.
+    ``default_step``), its samples ``_stencil_samples`` in the eigenbasis
+    of D; error O(h^2) (bounded in the fd_higher check); compare against
+    <alpha_t0 applied to the n-th derivative xi, eta>.  xi and eta must
+    be unit vectors, t0 finite and h finite and positive.
     """
     if n < 1:
         raise ValueError("scalar derivative order must be >= 1")
+    x = as_operator(x)
+    _check_dims(d, x)
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     for name, v in (("xi", xi), ("eta", eta)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"{name} must be a unit vector")
-    h = default_step(d) if h is None else float(h)
-    alphas = automorphism(d, x, t0 + (n / 2.0 - np.arange(n + 1)) * h)
-    total = 0.0 + 0.0j
-    for j, alpha in enumerate(alphas):
-        total += ((-1) ** j) * math.comb(n, j) * complex(np.vdot(eta, alpha @ xi))
-    return total / h**n
+    t0 = float(t0)
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    h = default_step(d) if h is None else _step(h)
+    vh = d.eigenvectors.conj().T
+    return _central_difference(_stencil_samples(d, _eigenbasis(d, x), vh @ xi, vh @ eta, t0, h, n), n, h)
 
 
 def _fd_roundoff(d: SelfAdjointGenerator, x_norm: float, h: float, m: int, t: float) -> float:
     """c (N + 1 + |t| ||D||) eps ||x|| 2^m / h^m, c = 4: the rounding of an m-th
     difference quotient of alpha_s(x) with step h and samples at |s| <= |t|.
 
-    A sample (V P V*) x (V P V*)*, P = diag(e^{is lambda}), is three products
-    with unitary factors, each off by about (N + 1) eps ||x|| (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, sec. 3.5, with errors
-    adding like random signs), and its phases by eps |s| ||D||; the stencil
-    weights sum to 2^m / h^m in absolute value.  The exact side adds about
-    one product more: c = 4.  Over 12,000 random draws (N <= 6, ||D|| up to
-    3000) the excess over the truncation reached 0.51 of this bound at c = 1
-    (1.96 for one-sided quotients; 65 without the |t| ||D|| term).
+    A sample is evaluated in the eigenbasis of D as Y = V* x V times phase
+    products.  Y is two products with a unitary factor, each off by about
+    (N + 1) eps ||x|| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.5, with errors adding like random signs); the
+    phases e^{is lambda} are off by about eps |s| ||D||, from the rounding
+    of s lambda; the stencil weights sum to 2^m / h^m in absolute value.
+    The exact side V* delta^m(x) V is two products more, off by about
+    2 (N + 1) eps (2 ||D||)^m ||x||, far below 2^m / h^m times the rest:
+    c = 4.  The probes take each sample as a difference from an unmoved
+    operand (alpha_s(x) - x, or g(t0 + s) - g(t0)) through
+    ``_phase_differences``, rounded to a few eps of its own size, so the
+    rounding of Y is shared by every sample and cancels in the quotient up
+    to a factor of about h ||D||: for them the bound is conservative.  Over
+    12,000 random draws (N <= 6, ||D|| up to 3000, half of them shifted by
+    up to 3000 I) the excess over the truncation reached 0.063 of this
+    bound at c = 1 (uniform_conv; 0.0074 for fd_first, 0.0005 for
+    fd_higher).
     """
     return 4.0 * (d.dim + 1 + abs(t) * d.norm()) * np.finfo(float).eps * x_norm * (2.0 / h) ** m
 
@@ -351,8 +468,8 @@ def leibniz_check(
     x, y = as_operator(x), as_operator(y)
     _check_dims(d, x)
     _check_dims(d, y)
-    lhs = _chain(d, x @ y, 1)[1]
-    rhs = _chain(d, x, 1)[1] @ y + x @ _chain(d, y, 1)[1]
+    lhs, dx, dy = _chain(d, np.stack([x @ y, x, y]), 1)[1]
+    rhs = dx @ y + x @ dy
     resid = frobenius_norm(lhs - rhs)
     x_norm = operator_norm(x) if x_norm is None else x_norm
     y_norm = operator_norm(y) if y_norm is None else y_norm
@@ -384,18 +501,17 @@ def lipschitz_check(
     and V is unitary, so each sample's norm is that of one entrywise
     product; all sampled times are one (T, N, N) stack and one stacked
     norm, and the samples are judged as arrays.  At t = 0 every p_i is 1,
-    so that difference is exactly 0.
+    so that difference is exactly 0.  ``t_samples`` must be a nonempty 1-D
+    sequence of finite times.
     """
     tol = tol or DEFAULT_TOL
     x = as_operator(x)
     _check_dims(d, x)
+    ts = _sample_set(t_samples, "t_samples")
     dx_norm = operator_norm(_chain(d, x, 1)[1]) if dx_norm is None else dx_norm
     x_norm = operator_norm(x) if x_norm is None else x_norm
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
-    ts = np.asarray(t_samples, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(ts, d.eigenvalues))
-    weights = phases[:, :, None] * phases.conj()[:, None, :] - 1.0
-    diffs = operator_norm(weights * band_embed(d, x).coeffs)
+    diffs = operator_norm((_phase_products(d, ts) - 1.0) * band_embed(d, x).coeffs)
     scale = dx_norm * np.abs(ts)
     ratio_branch = (ts != 0) & (not degenerate)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch
@@ -405,7 +521,7 @@ def lipschitz_check(
     # ||i[D, x]|| |t| is that small
     within = (diffs - scale <= tol.alg(x_norm)) | (ratio_branch & (ratios <= 1.0 + tol.tol_alg))
     passed = bool(within.all())
-    max_ratio = float(residuals.max(initial=0.0))
+    max_ratio = float(residuals.max())
     return CheckReport(
         "lipschitz",
         instance_id,
@@ -432,23 +548,29 @@ def uniform_convergence_check(
     theorem gives f(h) - f(0) - h f'(0) = int_0^h (h - s) alpha_s(delta^2(x)) ds,
     of norm <= h^2/2 ||delta^2(x)|| as alpha_s is an isometry; divide by h.
     ``details`` holds the steps and bounds; ``chain_norms``, when given, is
-    ||delta^j(x)|| for j = 0, 1, 2 (or further).
+    ||delta^j(x)|| for j = 0, 1, 2 (or further).  ``h_sequence`` must be a
+    nonempty 1-D sequence of finite steps.
+
+    The quotients are taken in the eigenbasis of D, against V* i[D, x] V:
+    with Y = V* x V, (P_h Y P_h* - Y)/h (``_phase_differences``) for all
+    steps is one (T, N, N) stack and one stacked norm.
     """
     x = as_operator(x)
     if h_sequence is None:
         base = 0.2 / (1.0 + d.norm())
         h_sequence = [base * 0.5**i for i in range(6)]
-    hs = [float(h) for h in h_sequence]
-    if any(h <= 0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
+    steps = _sample_set(h_sequence, "h_sequence")
+    if np.any(steps <= 0) or np.any(steps[1:] >= steps[:-1]):
         raise ValueError("h_sequence must be positive and strictly decreasing")
+    hs = steps.tolist()
     _check_dims(d, x)
-    dx = _chain(d, x, 1)[1]
+    deltas = _chain(d, x, 2 if chain_norms is None else 1)
     if chain_norms is None:
-        chain_norms = operator_norm(np.stack(_chain(d, x, 2)))
-    steps = np.array(hs)
-    quotients = (automorphism(d, x, steps) - x) / steps[:, None, None]
-    residuals = operator_norm(quotients - dx).tolist()
+        chain_norms = operator_norm(np.stack(deltas))
+    y, dy = _eigenbasis(d, np.stack(deltas[:2]))
+    quotients = _phase_differences(d, steps) * y / steps[:, None, None]
+    residuals = operator_norm(quotients - dy).tolist()
     bounds = [float(h / 2 * chain_norms[2] + _fd_roundoff(d, chain_norms[0], h, 1, h)) for h in hs]
     passed = all(r <= b for r, b in zip(residuals, bounds))
     details = {"h": hs, "bounds": bounds}
-    return CheckReport("uniform_conv", instance_id, residuals, max(bounds, default=0.0), passed, details=details)
+    return CheckReport("uniform_conv", instance_id, residuals, max(bounds), passed, details=details)

@@ -14,17 +14,22 @@ numerical report fields (timings excluded) on one platform.
 Per scenario the checks share, each built on first use: one invariant
 family (with the algebra) for invariance and reflexivity; one derivative
 chain of x of order max(7, n), whose prefixes are ``ScenarioData.chain``;
-and its norms ||delta^j(x)||, one stacked ``operator_norm`` that also
-gives ||x|| and ||i[D, x]||.  These and ||y|| are handed to the checks
-that need them, so a calculus run takes each norm once.
+its norms ||delta^j(x)||, one stacked ``operator_norm`` that also gives
+||x|| and ||i[D, x]||; and its first six members in the eigenbasis of D,
+V* delta^k(x) V (``ScenarioData.eigen_chain``, one stacked product),
+where fd_first and fd_higher sample alpha_t without forming it.  These
+and ||y|| are handed to the checks that need them, so a calculus run
+takes each norm and each change of basis once.
 
 The identity checks (leibniz, binomial_eq, band_eq, phi_hom, phi_conj,
 ad_identity, invariance) report Frobenius residuals, with no SVD, against
 tolerances that keep their operator-norm scales; since ||R||_2 <=
-||R||_F, no verdict loosens.  The probes fd_first, fd_higher and
-uniform_conv take no tolerance: each residual is judged against its
-Taylor remainder (proved in the check's docstring) plus
-``derivation._fd_roundoff``; the report's tolerance is the largest bound.
+||R||_F, no verdict loosens.  band_eq reassembles all its matrices as
+one stacked V (.) V*.  The probes fd_first, fd_higher and uniform_conv
+take no tolerance: each residual is judged against its Taylor remainder
+(proved in the check's docstring) plus ``derivation._fd_roundoff``; the
+report's tolerance is the largest bound.  Every probe works in the
+eigenbasis of D (see ``opderiv.derivation``).
 """
 
 from __future__ import annotations
@@ -39,20 +44,25 @@ import numpy as np
 
 from . import __version__
 from .core import DEFAULT_TOL, TolerancePolicy, _integer, frobenius_norm, load_operator, operator_norm
+# automorphism and commutator_derivative are not called here; the benchmark
+# tracer (perfbench/tracing.py) wraps them under this module's name.
 from .derivation import (
     DerivativeChain,
     _binomial_sums,
+    _central_difference,
+    _eigenbasis,
     _fd_roundoff,
+    _matrix_elements,
+    _phase_differences,
+    _stencil_samples,
+    automorphism,
     band_derivation,
     band_embed,
-    central_difference_derivative,
-    central_difference_scalar,
     commutator_derivative,
     default_step,
     derivative_chain,
     leibniz_check,
     lipschitz_check,
-    automorphism,
     uniform_convergence_check,
 )
 from .reflexivity import (
@@ -117,6 +127,14 @@ class ScenarioData:
         chain = self._full_chain
         return operator_norm(np.stack([chain.delta(j) for j in range(chain.order + 1)]))
 
+    @cached_property
+    def eigen_chain(self) -> np.ndarray:
+        """V* delta^k(x) V for k = 0..5, V the eigenvectors of D: the chain in
+        the eigenbasis of D, where fd_first and fd_higher sample alpha_t
+        (fd_higher reads up to delta^5(x)); one stacked product on first use."""
+        chain = self._full_chain
+        return _eigenbasis(self.generator, np.stack([chain.delta(k) for k in range(6)]))
+
     @property
     def x_norm(self) -> float:
         """||x||, from ``chain_norms``."""
@@ -177,11 +195,15 @@ def _check_binomial_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
 
 
 def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
+    # the embedding and the five derivations are reassembled as one stack
+    # V (.) V*, each matrix as ``BandMatrix.assemble`` forms it
     bm = band_embed(data.generator, data.x)
-    embed_resid = frobenius_norm(bm.assemble() - data.x)
+    coeffs = np.stack([bm.coeffs] + [band_derivation(bm, k).coeffs for k in range(1, 6)])
+    v = data.generator.eigenvectors
+    assembled = v @ coeffs @ v.conj().T
+    embed_resid = frobenius_norm(assembled[0] - data.x)
     embed_tol = tol.alg(data.x_norm)
-    assembled = np.stack([band_derivation(bm, k).assemble() for k in range(1, 6)])
-    residuals, tolerance, passed = _against_chain(data, tol, assembled)
+    residuals, tolerance, passed = _against_chain(data, tol, assembled[1:])
     return CheckReport(
         "band_eq",
         data.label,
@@ -199,10 +221,17 @@ def _check_fd_first(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     theorem gives f(h) - f(-h) - 2h f'(0) = int_0^h (h - s)^2/2 (alpha_s +
     alpha_-s)(delta^3(x)) ds, of norm <= h^3/3 ||delta^3(x)|| as alpha_s is
     an isometry; divide by 2h.  h = ``default_step``; ``tol`` is unused.
+    The quotient is taken in the eigenbasis of D, as
+    ((P_h Y P_h* - Y) - (P_-h Y P_-h* - Y))/2h against V* i[D, x] V, both
+    from ``eigen_chain``, with the differences by ``_phase_differences``
+    (its value at -h is the conjugate of that at h).
     """
-    d, x = data.generator, data.x
+    d = data.generator
     h = default_step(d)
-    err = operator_norm(central_difference_derivative(d, x, h) - commutator_derivative(d, x))
+    y, dy = data.eigen_chain[:2]
+    e = _phase_differences(d, h)
+    plus, minus = e * y, e.conj() * y
+    err = operator_norm((plus - minus) / (2.0 * h) - dy)
     norms = data.chain_norms
     bound = float(h**2 / 6 * norms[3] + _fd_roundoff(d, norms[0], h, 1, h))
     return CheckReport("fd_first", data.label, [err], bound, err <= bound, details={"h": h})
@@ -220,17 +249,23 @@ def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     moment mu_4.  Taylor's theorem to third order with a fourth-order
     remainder leaves m h^2/24 g^(m+2)(t0) plus at most mu_4 h^4/24
     sup |g^(m+4)|.  ``details`` holds each bound; ``tol`` is unused.
+    Every value of g and of its derivatives is a ``_matrix_elements``
+    contraction of ``eigen_chain``, the stencils of every order one call
+    of ``_stencil_samples``.
     """
-    d, x = data.generator, data.x
+    d = data.generator
     xi, eta = _unit_vectors(d.dim, data.seed + 11)
     t0, h = 0.3, default_step(d)
     top = min(3, max(1, data.n))
-    chain, norms = data.chain(top + 2), data.chain_norms
+    coeffs, norms = data.eigen_chain, data.chain_norms
+    vh = d.eigenvectors.conj().T
+    xi_c, eta_c = vh @ xi, vh @ eta
     # g^(k)(t0) = <alpha_t0(delta^k(x)) xi, eta> for k = 1..top+2
-    at_t0 = [complex(np.vdot(eta, automorphism(d, chain.delta(k), t0) @ xi)) for k in range(1, top + 3)]
+    at_t0 = _matrix_elements(d, coeffs[1 : top + 3], xi_c, eta_c, t0).tolist()
+    samples = _stencil_samples(d, coeffs[0], xi_c, eta_c, t0, h, top)
     residuals, bounds = [], []
     for m in range(1, top + 1):
-        residuals.append(abs(central_difference_scalar(d, x, m, xi, eta, t0, h) - at_t0[m - 1]))
+        residuals.append(abs(_central_difference(samples, m, h) - at_t0[m - 1]))
         mu4 = m / 80 + m * (m - 1) / 48
         truncation = m * h**2 / 24 * abs(at_t0[m + 1]) + mu4 * h**4 / 24 * norms[m + 4]
         bounds.append(float(truncation + _fd_roundoff(d, norms[0], h, m, t0 + m * h / 2)))

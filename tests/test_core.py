@@ -240,6 +240,70 @@ def test_operator_norm_takes_the_svd_outside_the_gram_range(scale, monkeypatch):
     assert len(calls) == 1
 
 
+_EDGE_NORM_CASES = {
+    # input, and the solver called: eigvalsh where the Gram diagonal vouches
+    # for the input, the SVD where it does not, none for no entries
+    "column_norm_2^500": (lambda: 2.0**500 * np.diag([1.0, 0.5, 0.25]), "eigvalsh"),
+    "column_norm_2^501": (lambda: 2.0**501 * np.eye(3), "svd"),
+    "entries_2^-499": (lambda: 2.0**-499 * np.eye(3), "eigvalsh"),
+    # the largest |entry| is in range, but the diagonal cannot tell
+    "entries_2^-500": (lambda: 2.0**-500 * np.eye(3), "svd"),
+    # every square underflows to a zero diagonal
+    "entries_1e-170": (lambda: np.full((3, 3), 1e-170), "svd"),
+    "1e-170_in_stack": (lambda: np.stack([np.full((3, 3), 1e-170), np.eye(3)]), "svd"),
+    "inf": (lambda: np.array([[np.inf, 1.0], [0.0, 1.0]]), "svd"),
+    "nan": (lambda: np.array([[np.nan, 1.0], [0.0, 1.0]]), "svd"),
+    "zero": (lambda: np.zeros((3, 3)), "eigvalsh"),
+    "zero_in_stack": (lambda: np.stack([np.zeros((3, 3)), np.eye(3)]), "eigvalsh"),
+    "zero_size_3x0": (lambda: np.zeros((3, 0)), None),
+    "zero_size_0x3": (lambda: np.zeros((0, 3)), None),
+    "zero_size_stack": (lambda: np.zeros((2, 0, 0)), None),
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_NORM_CASES)
+def test_operator_norm_decides_its_path_from_the_gram_diagonal(case, monkeypatch):
+    # the Gram path is taken only where the diagonal of A*A vouches that no
+    # square overflows or underflows (or the matrix is exactly zero), and its
+    # value is bitwise sqrt(lambda_max(A*A)); elsewhere the value is the
+    # SVD's, an error included, and a zero-size matrix has norm 0
+    a = np.asarray(_EDGE_NORM_CASES[case][0](), dtype=complex)
+    path = _EDGE_NORM_CASES[case][1]
+    calls = []
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    if path is None:
+        np.testing.assert_array_equal(operator_norm(a), np.zeros(a.shape[:-2]))
+        assert calls == []
+        return
+    if path == "eigvalsh":
+        gram = a.conj().swapaxes(-1, -2) @ a
+        expected = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    else:
+        try:
+            expected = np.linalg.svd(a, compute_uv=False)[..., 0]
+        except np.linalg.LinAlgError:
+            expected = None
+    calls.clear()
+    if expected is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(a)
+    else:
+        with np.errstate(all="raise"):  # no warning from the squares that overflow
+            np.testing.assert_array_equal(operator_norm(a), expected)
+    assert calls == [path]
+
+
 def test_operator_norm_empty_stack_and_matrix_type():
     assert operator_norm(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert type(operator_norm(np.eye(2))) is float

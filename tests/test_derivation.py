@@ -268,8 +268,8 @@ def test_derivative_chain_validates_its_input_once(monkeypatch):
 
 def test_calculus_checks_validate_each_operand_once(monkeypatch):
     # i[D, .] comes from the chain helper on operands already validated: the
-    # Leibniz check validates x and y, the Lipschitz and convergence checks x
-    # and the one public call they make on it (band_embed, automorphism).
+    # Leibniz check validates x and y, the convergence check x, and the
+    # Lipschitz check x and the band_embed call it reads V* x V through.
     # The Leibniz residual is the Frobenius norm of the same difference.
     calls = []
     validate = derivation.as_operator
@@ -285,9 +285,10 @@ def test_calculus_checks_validate_each_operand_once(monkeypatch):
     monkeypatch.setattr(derivation, "as_operator", counting)
     report = leibniz_check(d, x, y)
     assert len(calls) == 2 and report.residuals == [frobenius_norm(lhs - rhs)]
-    for check in (lambda: lipschitz_check(d, x, [0.5, -1.0]), lambda: uniform_convergence_check(d, x)):
+    for check, validations in ((lambda: lipschitz_check(d, x, [0.5, -1.0]), 2),
+                               (lambda: uniform_convergence_check(d, x), 1)):
         calls.clear()
-        assert check().passed and len(calls) == 2
+        assert check().passed and len(calls) == validations
     small = np.eye(3)
     for check in (
         lambda: leibniz_check(d, small, small),
@@ -602,11 +603,7 @@ def test_fd_scalar_matches_per_point_oracle(dim, n):
     eta = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eta /= np.linalg.norm(eta)
     t0, h = 0.3, 1e-2
-    total = 0.0 + 0.0j
-    for j in range(n + 1):
-        alpha = automorphism(d, x, t0 + (n / 2.0 - j) * h)
-        total += (-1) ** j * math.comb(n, j) * complex(np.vdot(eta, alpha @ xi))
-    oracle = total / h**n
+    oracle = _stencil_oracle(d, x, xi, eta, n, t0, h)
     est = central_difference_scalar(d, x, n, xi, eta, t0, h)
     assert est == pytest.approx(oracle, rel=1e-13, abs=0)
 
@@ -618,6 +615,53 @@ def test_fd_derivative_matches_two_scalar_calls():
     h = 3e-3
     oracle = (automorphism(d, x, h) - automorphism(d, x, -h)) / (2.0 * h)
     np.testing.assert_allclose(central_difference_derivative(d, x, h), oracle, rtol=1e-13, atol=0)
+
+
+# Per-sample oracles in the eigenbasis arithmetic of the probes: with
+# Y = V* x V and P_t = diag(e^{it lambda}), alpha_t(x) is P_t Y P_t* there,
+# and alpha_s(x) - x is Y times e^{is(lambda_i - lambda_j)} - 1, formed as
+# -2 sin^2(theta/2) + i sin(theta).
+
+
+def _in_eigenbasis(d, a):
+    v = d.eigenvectors
+    return v.conj().T @ np.asarray(a, dtype=complex) @ v
+
+
+def _phase_products_at(d, t):
+    p = np.exp(1j * (t * d.eigenvalues))
+    return p[:, None] * p.conj()[None, :]
+
+
+def _difference_factor(d, s):
+    """e^{is(lambda_i - lambda_j)} - 1 at one step s."""
+    theta = s * (d.eigenvalues[:, None] - d.eigenvalues[None, :])
+    return -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+
+
+def _eigenbasis_difference(d, x, s):
+    """V* (alpha_s(x) - x) V at one step s."""
+    return _difference_factor(d, s) * _in_eigenbasis(d, x)
+
+
+def _eigenbasis_value(d, x, xi, eta, t):
+    """<alpha_t(x) xi, eta> at one time, as (V* eta)* (P_t Y P_t*) (V* xi)."""
+    p = np.exp(1j * t * d.eigenvalues)
+    y = _in_eigenbasis(d, x)
+    return complex(np.einsum("i,ij,j->", (d.eigenvectors.conj().T @ eta).conj() * p, y,
+                             p.conj() * (d.eigenvectors.conj().T @ xi)))
+
+
+def _stencil_oracle(d, x, xi, eta, n, t0, h):
+    """The n-th central difference of <alpha_t(x) xi, eta> at t0, one sample
+    g(t0 + s) - g(t0) at a time: x moved to t0, then alpha_s(.) - . there."""
+    vh = d.eigenvectors.conj().T
+    moved = _phase_products_at(d, t0) * _in_eigenbasis(d, x)
+    total = 0.0 + 0.0j
+    for j in range(n + 1):
+        sample = _difference_factor(d, (n / 2.0 - j) * h) * moved
+        total += (-1) ** j * math.comb(n, j) * complex(np.einsum("i,ij,j->", (vh @ eta).conj(), sample, vh @ xi))
+    return total / h**n
 
 
 def test_fd_scalar_validates_unit_vectors():
@@ -676,16 +720,51 @@ def test_lipschitz_and_uniform_convergence_match_per_sample_oracle():
     # the eigenbasis form gives an exact 0 at t = 0, where the oracle has roundoff
     assert residuals[0] == 0.0
     np.testing.assert_allclose(residuals[1:], oracle, rtol=1e-13, atol=0)
+    # the quotients in the eigenbasis, against V* i[D, x] V
     hs = [0.05 * 0.5**i for i in range(4)]
-    dx = commutator_derivative(d, x)
-    oracle = [operator_norm((automorphism(d, x, h) - x) / h - dx) for h in hs]
+    dy = _in_eigenbasis(d, commutator_derivative(d, x))
+    oracle = [operator_norm(_eigenbasis_difference(d, x, h) / h - dy) for h in hs]
     np.testing.assert_allclose(uniform_convergence_check(d, x, hs).residuals, oracle, rtol=1e-13, atol=0)
 
 
-def test_lipschitz_no_samples_passes_empty():
+_BAD_PROBE_INPUTS = {
+    # probe, argument, value
+    "lipschitz-empty": ("lipschitz", "t_samples", []),
+    "lipschitz-nan": ("lipschitz", "t_samples", [0.5, np.nan]),
+    "lipschitz-inf": ("lipschitz", "t_samples", [np.inf]),
+    "lipschitz-2d": ("lipschitz", "t_samples", [[0.5, 1.0]]),
+    "lipschitz-scalar": ("lipschitz", "t_samples", 0.5),
+    "uniform_conv-empty": ("uniform_conv", "h_sequence", []),
+    "uniform_conv-inf": ("uniform_conv", "h_sequence", [np.inf, 0.1]),
+    "uniform_conv-nan": ("uniform_conv", "h_sequence", [0.1, np.nan]),
+    "uniform_conv-2d": ("uniform_conv", "h_sequence", [[0.1], [0.05]]),
+    "scalar-h_zero": ("scalar", "h", 0.0),
+    "scalar-h_negative": ("scalar", "h", -1e-3),
+    "scalar-h_nan": ("scalar", "h", np.nan),
+    "scalar-h_inf": ("scalar", "h", np.inf),
+    "scalar-t0_nan": ("scalar", "t0", np.nan),
+    "scalar-t0_inf": ("scalar", "t0", -np.inf),
+    "derivative-h_inf": ("derivative", "h", np.inf),
+    "derivative-h_nan": ("derivative", "h", np.nan),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_PROBE_INPUTS)
+def test_probes_reject_bad_sample_sets_and_steps(case):
+    # an empty, non-finite or non-1-D sample set, and a step that is not
+    # finite and positive, raise ValueError naming the argument
+    probe, name, value = _BAD_PROBE_INPUTS[case]
     d = eig_hermitian(np.diag([0.0, 1.0]))
-    report = lipschitz_check(d, np.array([[0.0, 1.0], [0.0, 0.0]]), [])
-    assert report.passed and report.residuals == [] and report.details["max_ratio"] == 0.0
+    x = np.array([[0.0, 1.0], [0.0, 0.0]])
+    xi = np.array([1.0, 0.0])
+    calls = {
+        "lipschitz": lambda: lipschitz_check(d, x, value),
+        "uniform_conv": lambda: uniform_convergence_check(d, x, value),
+        "scalar": lambda: central_difference_scalar(d, x, 2, xi, xi, **{name: value}),
+        "derivative": lambda: central_difference_derivative(d, x, value),
+    }
+    with pytest.raises(ValueError, match=name):
+        calls[probe]()
 
 
 def test_uniform_convergence_identity_degenerate():
@@ -811,16 +890,17 @@ def _counting_samples(monkeypatch):
 
 @pytest.mark.parametrize("case", range(5))
 def test_fd_first_matches_one_step_oracle(case, monkeypatch):
-    # one step h, two automorphism samples; the residual of their central
-    # difference is judged against h^2/6 ||delta^3(x)|| + roundoff
+    # one step h, two samples in the eigenbasis of D and no automorphism; the
+    # residual of their central difference is judged against
+    # h^2/6 ||delta^3(x)|| + roundoff
     d, x = _bitwise_cases()[case]
     samples = _counting_samples(monkeypatch)
     data = ScenarioData("fd", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 1, 0)
     report = _CHECKS["fd_first"](data, DEFAULT_TOL)
-    assert samples == [2]
+    assert samples == []
     h = default_step(d)
-    plus, minus = automorphism(d, x, h), automorphism(d, x, -h)
-    err = operator_norm((plus - minus) / (2.0 * h) - commutator_derivative(d, x))
+    plus, minus = _eigenbasis_difference(d, x, h), _eigenbasis_difference(d, x, -h)
+    err = operator_norm((plus - minus) / (2.0 * h) - _in_eigenbasis(d, commutator_derivative(d, x)))
     roundoff = _fd_roundoff_oracle(d, operator_norm(x), h, 1, h)
     bound = h**2 / 6 * operator_norm(iterated_derivative(d, x, 3)) + roundoff
     assert abs(report.residuals[0] - err) <= roundoff
@@ -830,30 +910,31 @@ def test_fd_first_matches_one_step_oracle(case, monkeypatch):
 
 @pytest.mark.parametrize("case", range(5))
 def test_fd_higher_matches_one_step_oracle(case, monkeypatch):
-    # one step h per order m = 1..3, m + 1 stencil samples; each residual is
-    # judged against m h^2/24 |g^(m+2)(t0)| + mu_4 h^4/24 ||delta^(m+4)(x)||
-    # + roundoff, g(t) = <alpha_t(x) xi, eta>, and the tolerance is the largest
+    # one step h per order m = 1..3, m + 1 stencil samples in the eigenbasis
+    # of D and no automorphism; each residual is judged against
+    # m h^2/24 |g^(m+2)(t0)| + mu_4 h^4/24 ||delta^(m+4)(x)|| + roundoff,
+    # g(t) = <alpha_t(x) xi, eta>, and the tolerance is the largest
     d, x = _bitwise_cases()[case]
     samples = _counting_samples(monkeypatch)
     data = ScenarioData("fd", d, x, x, VonNeumannAlgebraSpec("full", d.dim), 3, 0)
     report = _CHECKS["fd_higher"](data, DEFAULT_TOL)
-    assert samples == [2, 3, 4]
+    assert samples == []
     h, t0 = default_step(d), 0.3
     xi, eta = harness._unit_vectors(d.dim, data.seed + 11)
 
     def value(a, t):
-        return complex(np.vdot(eta, automorphism(d, a, t) @ xi))
+        return _eigenbasis_value(d, a, xi, eta, t)
 
     def g(k):
         return value(iterated_derivative(d, x, k), t0)
 
     for m in (1, 2, 3):
-        stencil = sum((-1) ** j * math.comb(m, j) * value(x, t0 + (m / 2 - j) * h) for j in range(m + 1))
+        stencil = _stencil_oracle(d, x, xi, eta, m, t0, h)
         roundoff = _fd_roundoff_oracle(d, operator_norm(x), h, m, t0 + m * h / 2)
         mu4 = m / 80 + m * (m - 1) / 48
         remainder = mu4 * h**4 / 24 * operator_norm(iterated_derivative(d, x, m + 4))
         bound = m * h**2 / 24 * abs(g(m + 2)) + remainder + roundoff
-        assert abs(report.residuals[m - 1] - abs(stencil / h**m - g(m))) <= roundoff
+        assert abs(report.residuals[m - 1] - abs(stencil - g(m))) <= roundoff
         assert report.details["bounds"][m - 1] == pytest.approx(bound, rel=1e-12, abs=0)
     assert report.tolerance == max(report.details["bounds"])
     assert report.passed and report.details["h"] == h
@@ -862,6 +943,8 @@ def test_fd_higher_matches_one_step_oracle(case, monkeypatch):
 # The exact side of each probe: i[D, x] for fd_first and uniform_conv, and
 # every <alpha_t0(delta^k(x)) xi, eta> for fd_higher (its own and the one in
 # its bound).  Scaled by 1 + 1e-3, it must fail each probe on these cases.
+# fd_first and fd_higher read it from the scenario's chain in the
+# eigenbasis of D, uniform_conv from the chain helper.
 _MUTATION_SCENARIOS = {
     "random_8": lambda seed: {"kind": "random", "N": 8},
     "circle_4_symbol": lambda seed: {
@@ -882,12 +965,10 @@ def test_fd_probes_fail_when_the_exact_side_is_off(probe, scenario, seed, monkey
     # builds the shared chain and its norms before the exact side is scaled
     assert _CHECKS[probe](data, config.tol).passed
     scale = 1.0 + 1e-3
-    if probe == "fd_first":
-        exact = harness.commutator_derivative
-        monkeypatch.setattr(harness, "commutator_derivative", lambda d, x: scale * exact(d, x))
-    elif probe == "fd_higher":
-        exact = harness.automorphism
-        monkeypatch.setattr(harness, "automorphism", lambda d, x, t: scale * exact(d, x, t))
+    if probe in ("fd_first", "fd_higher"):
+        # every derivative delta^k(x), k >= 1; x itself is the sampled side
+        coeffs = data.eigen_chain
+        monkeypatch.setitem(data.__dict__, "eigen_chain", np.concatenate([coeffs[:1], scale * coeffs[1:]]))
     else:
         chain = derivation._chain
 
@@ -897,6 +978,40 @@ def test_fd_probes_fail_when_the_exact_side_is_off(probe, scenario, seed, monkey
 
         monkeypatch.setattr(derivation, "_chain", scaled)
     assert not _CHECKS[probe](data, config.tol).passed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", _MUTATION_SCENARIOS)
+def test_eigenbasis_probes_agree_with_the_automorphism(scenario, seed):
+    # each residual formed in the eigenbasis of D is within the roundoff
+    # term of its bound of the same residual formed with ``automorphism``
+    config = ScenarioConfig.from_dict({"scenario": _MUTATION_SCENARIOS[scenario](seed), "n": 3, "seed": seed})
+    data = harness.build_scenario(config)
+    d, x = data.generator, data.x
+    x_norm, dx = operator_norm(x), commutator_derivative(d, x)
+    h = default_step(d)
+
+    report = _CHECKS["fd_first"](data, config.tol)
+    plus, minus = automorphism(d, x, np.array([h, -h]))
+    oracle = operator_norm((plus - minus) / (2.0 * h) - dx)
+    assert abs(report.residuals[0] - oracle) <= _fd_roundoff_oracle(d, x_norm, h, 1, h)
+
+    report = _CHECKS["fd_higher"](data, config.tol)
+    xi, eta = harness._unit_vectors(d.dim, seed + 11)
+    t0 = 0.3
+    for m in (1, 2, 3):
+        ts = t0 + (m / 2.0 - np.arange(m + 1)) * h
+        stencil = sum((-1) ** j * math.comb(m, j) * complex(np.vdot(eta, a @ xi))
+                      for j, a in enumerate(automorphism(d, x, ts)))
+        exact = complex(np.vdot(eta, automorphism(d, iterated_derivative(d, x, m), t0) @ xi))
+        oracle = abs(stencil / h**m - exact)
+        roundoff = _fd_roundoff_oracle(d, x_norm, h, m, t0 + m * h / 2)
+        assert abs(report.residuals[m - 1] - oracle) <= roundoff
+
+    report = _CHECKS["uniform_conv"](data, config.tol)
+    for step, resid in zip(report.details["h"], report.residuals):
+        oracle = operator_norm((automorphism(d, x, step) - x) / step - dx)
+        assert abs(resid - oracle) <= _fd_roundoff_oracle(d, x_norm, step, 1, step)
 
 
 def _lipschitz_per_sample(d, x, ts, tol=DEFAULT_TOL):
