@@ -8,17 +8,22 @@ Appl. Math. 27, 2010).  The eigenspaces of a generic Hermitian element h
 of M' are the irreducible pieces C^{n_k} (x) xi.  ``block_structure``
 sorts them into classes of equivalent pieces, aligned by unitary
 intertwiners, and certifies the result by structural checks, each a
-residual with its tolerance; ``class_algebra`` writes M down in the
-aligned basis.  No nullspace is solved here.
+residual with its tolerance; ``class_algebra`` carries M by those
+classes, from which its elements, its projection and its dimension
+follow without its basis.  No nullspace is solved here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+
 import numpy as np
 
-from .core import OperatorSpace, TolerancePolicy, frobenius_norm
+from .core import DimensionMismatch, OperatorSpace, TolerancePolicy, frobenius_norm
 
-__all__ = ["block_structure", "certified", "class_algebra", "links"]
+__all__ = ["ClassAlgebra", "block_structure", "certified", "class_algebra", "links"]
 
 
 def _off_scalar(stack: np.ndarray) -> float:
@@ -136,16 +141,100 @@ def certified(checks: dict[str, tuple[float, float]]) -> bool:
     return all(residual <= bound for residual, bound in checks.values())
 
 
-def class_algebra(classes: list[np.ndarray], dim: int) -> OperatorSpace:
-    """(+)_k M_{n_k} (x) I_{m_k} in the aligned basis of the classes: per
-    class, the matrix units e_pq repeated on each piece, over sqrt(m_k).
+@dataclass(frozen=True)
+class ClassAlgebra:
+    """(+)_k M_{n_k} (x) I_{m_k}, carried by the classes of
+    ``block_structure``: class k is an (m_k, N, n_k) stack of aligned pieces
+    s_1, ..., s_{m_k}, N x n_k with orthonormal columns.
 
-    The basis is orthonormal by construction, given orthonormal pieces
-    (eigenvectors of h) aligned by unitary links, and is not checked again:
-    ``block_structure``'s ``unitary`` and ``commutant_form`` checks
-    certify the pieces it is built from (``OperatorSpace._orthonormal``)."""
-    units = [
-        np.einsum("jap,jbq->pqab", s, s.conj()).reshape(-1, dim, dim) / np.sqrt(len(s))
-        for s in classes
-    ]
-    return OperatorSpace._orthonormal(np.concatenate(units))
+    M's orthonormal basis is, per class, the matrix units e_pq repeated on
+    each piece over sqrt(m_k), B = sum_j s_j e_pq s_j* / sqrt(m_k), at
+    index offset_k + p n_k + q.  It is orthonormal by construction, given
+    orthonormal pieces (eigenvectors of h) aligned by unitary links, which
+    ``block_structure``'s ``unitary`` and ``commutant_form`` checks certify,
+    and is not checked again.  It holds dim M matrices of N^2 entries (N^4
+    for the full algebra), so it is formed only on first use
+    (``basis_elements``); ``dim``, ``elements`` and ``_residuals`` read the
+    classes, in O(N^3) per operator.
+    """
+
+    ambient_dim: int
+    classes: tuple
+
+    @cached_property
+    def dim(self) -> int:
+        """sum_k n_k^2."""
+        return sum(s.shape[2] ** 2 for s in self.classes)
+
+    @cached_property
+    def basis_elements(self) -> np.ndarray:
+        """M's orthonormal basis as one (dim M, N, N) stack."""
+        dim = self.ambient_dim
+        units = [
+            np.einsum("jap,jbq->pqab", s, s.conj()).reshape(-1, dim, dim) / np.sqrt(len(s))
+            for s in self.classes
+        ]
+        return np.concatenate(units)
+
+    @cached_property
+    def _groups(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """The classes grouped by shape (m, n), so that each group is one
+        batched product.  Per shape: the indices of its K classes, the
+        classes as one (K, m, N, n) stack, and their pieces side by side as
+        one N x (K m n) matrix.  The pieces of every group side by side are
+        a unitary N x N matrix W, the basis ``block_structure`` adapts."""
+        shapes = [s.shape for s in self.classes]
+        groups = []
+        for shape in dict.fromkeys(shapes):
+            members = [k for k, other in enumerate(shapes) if other == shape]
+            stack = np.stack([self.classes[k] for k in members])
+            side = stack.transpose(2, 0, 1, 3).reshape(self.ambient_dim, -1)
+            groups.append((members, stack, side))
+        return groups
+
+    def elements(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[:, i] B_i for a (count, dim M) array, B the basis, as
+        a (count, N, N) stack, without the basis: per class,
+        sum_j s_j R_k s_j* / sqrt(m_k) with R_k[p, q] the coefficient of
+        column offset_k + p n_k + q.  Equal to ``coeffs @ basis`` to
+        roundoff, not bitwise."""
+        offsets = list(accumulate((s.shape[2] ** 2 for s in self.classes), initial=0))
+        total = 0
+        for members, stack, side in self._groups:
+            _, m, _, n = stack.shape
+            idx = np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in members])
+            r = coeffs[:, idx].reshape(len(coeffs), len(members), n, n) / np.sqrt(m)
+            total = total + _side_by_side(stack, r) @ side.conj().T
+        return total
+
+    def _residuals(self, ops: np.ndarray) -> np.ndarray:
+        """||X - P_M X||_F / (1 + ||X||_F) for each X of a (count, N, N)
+        stack, P_M the orthogonal projection onto M, class by class:
+        P_M X = sum_k sum_j s_j C_k s_j* with C_k = (1/m_k) sum_j s_j* X s_j.
+        The norm is taken as ||(X - P_M X) W||_F, W unitary (``_groups``),
+        whose column block of piece s_j is X s_j - s_j C_k, so P_M X itself
+        is not formed."""
+        dim = self.ambient_dim
+        if ops.shape[1:] != (dim, dim):
+            raise DimensionMismatch(f"operators of shape {ops.shape[1:]} in a space on C^{dim}")
+        squares = 0.0
+        for _, stack, side in self._groups:
+            xs = ops @ side
+            pieces = xs.reshape(len(ops), dim, *stack.shape[:2], -1).transpose(0, 2, 3, 1, 4)
+            c = (stack.conj().swapaxes(-1, -2) @ pieces).mean(axis=2)
+            squares = squares + frobenius_norm(xs - _side_by_side(stack, c)) ** 2
+        return np.sqrt(squares) / (1.0 + frobenius_norm(ops))
+
+
+def _side_by_side(stack: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """s_j C_k for every piece s_j of a (K, m, N, n) stack of classes and a
+    (count, K, n, n) stack of their C_k, side by side as in ``_groups``:
+    a (count, N, K m n) stack."""
+    left = stack @ blocks[:, :, None]
+    return left.transpose(0, 3, 1, 2, 4).reshape(len(blocks), stack.shape[2], -1)
+
+
+def class_algebra(classes: list[np.ndarray], dim: int) -> ClassAlgebra:
+    """(+)_k M_{n_k} (x) I_{m_k} in the aligned basis of the classes, carried
+    by the classes (``ClassAlgebra``)."""
+    return ClassAlgebra(dim, tuple(classes))

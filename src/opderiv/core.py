@@ -435,8 +435,9 @@ class OperatorSpace:
     trace inner product tr(A* B), as one ``(m, ambient_dim, ambient_dim)``
     stack.  The constructor takes the basis as given and checks its Gram
     matrix against the same guard as ``Subspace``; ``span`` orthonormalizes
-    linearly independent elements, and ``_orthonormal`` takes a basis that
-    is orthonormal by construction without the check.
+    linearly independent elements.  A von Neumann algebra built from its
+    block structure is carried by its classes instead
+    (``blocks.ClassAlgebra``).
     """
 
     ambient_dim: int
@@ -452,16 +453,6 @@ class OperatorSpace:
         if not _gram_deviation(elems.reshape(len(elems), d * d)) <= _GRAM_GUARD:  # NaN fails too
             raise ValueError("basis elements are not orthonormal")
         object.__setattr__(self, "basis_elements", elems)
-
-    @classmethod
-    def _orthonormal(cls, elems: np.ndarray) -> "OperatorSpace":
-        """The space of a contiguous complex ``(m, d, d)`` stack that is
-        orthonormal by construction, without the constructor's Gram check,
-        as ``Subspace._orthonormal`` is for subspaces."""
-        space = object.__new__(cls)
-        object.__setattr__(space, "ambient_dim", elems.shape[1])
-        object.__setattr__(space, "basis_elements", elems)
-        return space
 
     @classmethod
     def span(cls, dim: int, elements) -> "OperatorSpace":
@@ -585,10 +576,12 @@ def nullspace_of_constraints(
 
 
 def save_operator(path, a) -> None:
-    """Write a matrix as JSON: {"dim": n, "entries": [[[re, im], ...], ...]} row-major."""
+    """Write a matrix as compact JSON (no whitespace):
+    {"dim": n, "entries": [[[re, im], ...], ...]} row-major."""
     a = as_operator(a)
     entries = np.stack([a.real, a.imag], -1).tolist()
-    Path(path).write_text(json.dumps({"dim": a.shape[0], "entries": entries}, indent=2))
+    payload = {"dim": a.shape[0], "entries": entries}
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")))
 
 
 def load_matrix_json(path) -> tuple[np.ndarray, dict]:

@@ -379,14 +379,21 @@ def default_step(d: SelfAdjointGenerator) -> float:
 def central_difference_derivative(d: SelfAdjointGenerator, x, h: float) -> np.ndarray:
     """Second-order central-difference estimate of the derivative at t = 0.
 
-    (alpha_h(x) - alpha_-h(x)) / 2h, from one automorphism stack of the
-    two times; its error is at most h^2/6 ||delta^3(x)|| plus roundoff
-    (the fd_first check); compare against ``commutator_derivative``.  h
-    must be finite and positive.
+    (alpha_h(x) - alpha_-h(x)) / 2h; its error is at most
+    h^2/6 ||delta^3(x)|| plus roundoff (the fd_first check); compare
+    against ``commutator_derivative``.  h must be finite and positive.
+    The quotient is formed as fd_first forms it, in the eigenbasis of D:
+    with Y = V* x V and E_h = ``_phase_differences`` at h,
+    (E_h Y - conj(E_h) Y) / 2h, each difference alpha_(+-h)(x) - x rounded
+    to a few eps of its own size, then mapped back as V (.) V*.
     """
+    x = as_operator(x)
+    _check_dims(d, x)
     h = _step(h)
-    plus, minus = automorphism(d, x, np.array([h, -h]))
-    return (plus - minus) / (2.0 * h)
+    y = _eigenbasis(d, x)
+    e = _phase_differences(d, h)
+    v = d.eigenvectors
+    return v @ ((e * y - e.conj() * y) / (2.0 * h)) @ v.conj().T
 
 
 def central_difference_scalar(
@@ -511,7 +518,7 @@ def lipschitz_check(
     dx_norm = operator_norm(_chain(d, x, 1)[1]) if dx_norm is None else dx_norm
     x_norm = operator_norm(x) if x_norm is None else x_norm
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
-    diffs = operator_norm((_phase_products(d, ts) - 1.0) * band_embed(d, x).coeffs)
+    diffs = operator_norm((_phase_products(d, ts) - 1.0) * _eigenbasis(d, x))
     scale = dx_norm * np.abs(ts)
     ratio_branch = (ts != 0) & (not degenerate)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch

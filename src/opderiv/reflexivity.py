@@ -17,7 +17,9 @@ M_{m_k}: ``lat_family`` makes one nullspace solve, for M', reads the
 irreducible pieces C^{n_k} (x) xi off the eigenspaces of one generic
 Hermitian element of M', and links equivalent pieces by intertwiners.
 The family is the pieces and the links, sum_k (2 m_k - 1) members, and
-the algebra is built in closed form in the basis adapted to them;
+the algebra is carried by its classes of pieces (``blocks.ClassAlgebra``),
+which give its elements, its projection and its dimension in O(N^3)
+without its dim M x N^2 basis;
 structural checks with recorded margins certify both, with no
 bicommutant and no certification solve.  The family carries the
 algebra, so the reflexivity check solves nothing for it.
@@ -29,12 +31,14 @@ triangular representation, and the check judges one number, the
 Hilbert-Schmidt norm ||L - Phi||_HS.  With dim M at most ``_PROBES`` it
 pushes M's orthonormal basis through the tower and the sum over the
 basis is that norm exactly; otherwise it pushes ``_PROBES`` complex
-Gaussian elements of M and estimates the norm from them (randomized trace
-estimation: Avron and Toledo, J. ACM 58, 2011; Roosta-Khorasani and
-Ascher, Found. Comput. Math. 15, 2015), with a proved failure bound (see
-``reflexivity_check``).  So the check holds a stack of at most
-``_PROBES`` elements, never the whole (dim M, N(n+1), N(n+1)) tower; the
-solution is never orthonormalized in the (N(n+1))^2-wide vec space.
+Gaussian elements of M, formed from the classes, and estimates the norm
+from them (randomized trace estimation: Avron and Toledo, J. ACM 58,
+2011; Roosta-Khorasani and Ascher, Found. Comput. Math. 15, 2015), with
+a proved failure bound (see ``reflexivity_check``).  So the check holds
+a stack of at most ``_PROBES`` elements, never the whole
+(dim M, N(n+1), N(n+1)) tower, and forms M's basis only when it is that
+small; the solution is never orthonormalized in the (N(n+1))^2-wide vec
+space.
 
 All dimension counts are over the complex field.  The corner solve is a
 tower over the order, as in the paper's induction: it starts from the
@@ -69,7 +73,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import block_structure, certified, class_algebra
+from .blocks import ClassAlgebra, block_structure, certified, class_algebra
 from .core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -315,7 +319,7 @@ def lat_family(
     spec: VonNeumannAlgebraSpec,
     tol: TolerancePolicy | None = None,
     seed: int = 0,
-) -> tuple[list[Subspace], OperatorSpace]:
+) -> tuple[list[Subspace], ClassAlgebra]:
     """A minimal generating family of invariant subspaces for the algebra,
     and the algebra, from the block structure of its commutant.
 
@@ -329,11 +333,13 @@ def lat_family(
     plus, per class, the m_k - 1 links {T xi + xi}: sum_k (2 m_k - 1)
     members.  An operator leaving every piece invariant is block diagonal,
     and one leaving the links invariant too has equal blocks on each class,
-    so Alg(family) is the algebra, built here in closed form.
+    so Alg(family) is the algebra, returned as its classes
+    (``class_algebra``).
 
     The draw is certified by the structural checks of
     ``block_structure``, and by every generator lying in the algebra
-    (``generators``: membership residual at most ``rank_cutoff``).  A
+    (``generators``: membership residual at most ``rank_cutoff``, from the
+    class projection ``ClassAlgebra._residuals``).  A
     draw that fails (a non-generic h, whose eigenspaces are not
     irreducible) is replaced by a new one, up to ``_MAX_REDRAWS`` times;
     exhaustion raises LatGenerationFailed with the last draw's failing
@@ -407,7 +413,7 @@ class InvariantFamily:
     labels: tuple
     base_dim: int
     order: int
-    algebra: OperatorSpace
+    algebra: ClassAlgebra
 
     def __post_init__(self):
         if len(self.subspaces) != len(self.labels):
@@ -681,16 +687,17 @@ class ReflexivityReport:
         }
 
 
-def _probes(algebra: OperatorSpace, seed: int) -> np.ndarray:
+def _probes(algebra: ClassAlgebra, seed: int) -> np.ndarray:
     """``_PROBES`` complex Gaussian elements a_i = sum_j r_ij B_j of the
     algebra, B its orthonormal basis and r_ij i.i.d. CN(0, 1), drawn from
     the first child stream of ``seed``: ``lat_family`` draws from the
-    root stream, ``default_rng(seed)``, so the two never share draws."""
+    root stream, ``default_rng(seed)``, so the two never share draws.  The
+    elements are formed from the classes (``ClassAlgebra.elements``),
+    without B."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    basis = algebra.basis_elements
-    m, d = len(basis), algebra.ambient_dim
+    m = algebra.dim
     r = rng.standard_normal((_PROBES, m)) + 1j * rng.standard_normal((_PROBES, m))
-    return ((r / np.sqrt(2)) @ basis.reshape(m, d * d)).reshape(_PROBES, d, d)
+    return algebra.elements(r / np.sqrt(2))
 
 
 def reflexivity_check(
@@ -728,8 +735,9 @@ def reflexivity_check(
         ||E||_HS^2 = sum_i ||X_i - Phi(B_i)||_F^2
 
     exactly.  Otherwise it is k complex Gaussian probes a_i = sum_j r_ij B_j,
-    r_ij i.i.d. CN(0, 1), drawn from a stream that ``seed`` fixes (see
-    ``_probes``), so a verdict is reproducible; then
+    r_ij i.i.d. CN(0, 1), drawn from a stream that ``seed`` fixes and
+    formed from M's classes without B (see ``_probes``), so a verdict is
+    reproducible and B is formed only when m <= k; then
     rho^2 = (1/k) sum_i ||X_i - Phi(a_i)||_F^2 has mean ||E||_HS^2.  The
     membership bound is ||E||_HS on the basis and rho / sqrt(delta),
     delta = ``_DELTA``, on the probes; it is infinite when 3 fails.  For a
@@ -737,10 +745,10 @@ def reflexivity_check(
 
         dist(Phi(a), V) <= ||E(a)||_F <= ||E||_op <= ||E||_HS,
 
-    all norms Frobenius on operators; B passed the Gram check of
-    ``OperatorSpace`` or is orthonormal by construction (``class_algebra``),
-    to within 1e-8.  The bound is never smaller than the largest element
-    residual (on the probes, sqrt(k) rho <= rho / sqrt(delta)).  The
+    all norms Frobenius on operators; B is orthonormal by construction
+    (``ClassAlgebra``), to within 1e-8.  The bound is never smaller than
+    the largest element residual (on the probes,
+    sqrt(k) rho <= rho / sqrt(delta)).  The
     certificate ratio is judged the same way: on the basis its sums are
     exact Hilbert-Schmidt norms, and on the probes its numerator is
     inflated by 1 / sqrt(delta).

@@ -826,8 +826,9 @@ def test_matrix_json_format_is_row_major_re_im(tmp_path):
 
 
 def test_save_operator_output_is_unchanged(tmp_path):
-    # one tolist of the [re, im] stack writes the bytes the per-entry loop
-    # wrote, -0.0 and indent=2 included
+    # compact JSON, no whitespace: one tolist of the [re, im] stack, -0.0 and
+    # the +-1e300 cells written as Python's repr writes them; the file reads
+    # back bitwise, the signs of the zeros included
     a = np.array([
         [complex(1.5, -0.0), complex(-0.0, 2.0), 3.0],
         [0.1, complex(-1e-300, 1e300), 0.0],
@@ -836,9 +837,13 @@ def test_save_operator_output_is_unchanged(tmp_path):
     assert math.copysign(1.0, a[0, 0].imag) == -1.0 and math.copysign(1.0, a[0, 1].real) == -1.0
     path = tmp_path / "m.json"
     save_operator(path, a)
-    entries = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(3)] for i in range(3)]
-    assert path.read_text() == json.dumps({"dim": 3, "entries": entries}, indent=2)
-    assert '"dim": 3,\n  "entries": [\n    [\n      [\n        1.5,\n        -0.0\n' in path.read_text()
+    assert path.read_text() == (
+        '{"dim":3,"entries":[[[1.5,-0.0],[-0.0,2.0],[3.0,0.0]],'
+        '[[0.1,0.0],[-1e-300,1e+300],[0.0,0.0]],[[7.0,0.0],[0.0,1.0],[-2.5,0.0]]]}'
+    )
+    back = load_operator(path)
+    np.testing.assert_array_equal(back.view(float), a.view(float))
+    np.testing.assert_array_equal(np.signbit(back.view(float)), np.signbit(a.view(float)))
 
 
 def test_matrix_json_rejects_malformed(tmp_path):

@@ -24,7 +24,7 @@ from opderiv.core import (
     operator_norm,
 )
 from opderiv.derivation import derivative_chain
-from opderiv.harness import _CHECKS, ScenarioData
+from opderiv.harness import _CHECKS, ScenarioConfig, ScenarioData, run_checks
 from opderiv.reflexivity import (
     InvariantFamily,
     LatGenerationFailed,
@@ -411,8 +411,8 @@ def _rotated_block_spec(pattern, seed):
     ids=("full", "diagonal_masa", "block_diagonal", "generated-4-4-4"),
 )
 def test_class_algebra_basis_is_orthonormal_without_the_check(spec, monkeypatch):
-    # class_algebra skips the constructor's Gram check; the basis it builds
-    # from certified pieces still passes it, with a wide margin
+    # the class algebra's basis, formed on first use, is never Gram-checked;
+    # built from certified pieces, it still passes the check with a wide margin
     calls = []
     gram = core._gram_deviation
     monkeypatch.setattr(core, "_gram_deviation", lambda rows: calls.append(rows) or gram(rows))
@@ -422,6 +422,71 @@ def test_class_algebra_basis_is_orthonormal_without_the_check(spec, monkeypatch)
     assert calls and not [rows for rows in calls if np.shares_memory(rows, algebra.basis_elements)]
     assert m == (spec.expected_dim() or 48)
     assert gram(algebra.basis_elements.reshape(m, d * d)) <= core._GRAM_GUARD
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        VonNeumannAlgebraSpec("full", 8),
+        VonNeumannAlgebraSpec("diagonal_masa", 8),
+        VonNeumannAlgebraSpec("block_diagonal", 8, pattern=(3, 5)),
+        _rotated_block_spec((4, 4, 4), 74),
+        _multiplicity_spec(),
+        _degenerate_spec(6, 2),
+    ),
+    ids=(
+        "full", "diagonal_masa", "block_diagonal",
+        "generated-4-4-4", "generated-m2", "generated-m6-m2",
+    ),
+)
+def test_class_algebra_draws_and_projects_as_its_basis(spec):
+    # the classes give M's elements, its projection and its dimension without
+    # its basis B: sum_j s_j R_k s_j* / sqrt(m_k) is r @ B, and the class
+    # projection is the basis projection, each to roundoff (not bitwise)
+    _, algebra = lat_family(spec)
+    basis = algebra.basis_elements
+    m, d = len(basis), spec.ambient_dim
+    assert algebra.dim == m and algebra.basis_elements is basis
+    rng = np.random.default_rng(76)
+    r = rng.standard_normal((16, m)) + 1j * rng.standard_normal((16, m))
+    drawn = (r @ basis.reshape(m, d * d)).reshape(16, d, d)
+    elements = algebra.elements(r)
+    assert frobenius_norm(elements - drawn).max() <= 1e-14 * frobenius_norm(drawn).max()
+    outside = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+    ops = np.concatenate([drawn, outside])
+    projected = algebra._residuals(ops)
+    oracle = OperatorSpace(d, basis)._residuals(ops)
+    np.testing.assert_allclose(projected, oracle, rtol=0, atol=1e-14)
+    assert projected[:16].max() <= 1e-14
+    if m < d * d:  # a random operator lies outside a proper subalgebra
+        assert projected[16:].min() > 0.1
+    with pytest.raises(core.DimensionMismatch):
+        algebra._residuals(np.zeros((1, d + 1, d + 1), dtype=complex))
+
+
+def test_probe_path_never_forms_the_basis(monkeypatch):
+    # dim M > 16: the family's generators check projects class by class and
+    # the check draws its Gaussian elements from the classes, so neither
+    # reflexivity_check nor a run of every check forms M's (dim M, N, N) basis
+    def refuse(self):
+        raise AssertionError("formed the basis of the algebra")
+
+    monkeypatch.setattr(blocks.ClassAlgebra, "basis_elements", property(refuse))
+    for spec in (
+        VonNeumannAlgebraSpec("full", 6),
+        VonNeumannAlgebraSpec("block_diagonal", 6, pattern=(3, 3)),
+        _rotated_block_spec((4, 4, 4), 74),
+    ):
+        gen, _ = random_scenario(spec.ambient_dim, 1)
+        report = reflexivity_check(spec, gen, 2, seed=1)
+        assert report.passed and report.dim_computed > reflexivity._PROBES
+    raw = {
+        "scenario": {"kind": "random", "N": 6}, "algebra": "full",
+        "n": 2, "seed": 3, "checks": ["all"],
+    }
+    assert run_checks(ScenarioConfig.from_dict(raw)).overall_pass
+    with pytest.raises(AssertionError, match="formed the basis"):
+        reflexivity_check(VonNeumannAlgebraSpec("full", 4), random_scenario(4, 1)[0], 1)  # dim 16
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
@@ -1677,7 +1742,6 @@ def test_reflexivity_full_c16_n4():
     assert report.passed and report.dim_computed == 256 and report.needed_Q
 
 
-@pytest.mark.slow
 def test_reflexivity_full_c24_n3():
     spec = VonNeumannAlgebraSpec("full", 24)
     gen, _ = random_scenario(24, 1)
@@ -1686,19 +1750,21 @@ def test_reflexivity_full_c24_n3():
 
 
 @pytest.mark.slow
-def test_envelope_point_full_c48_n3_fits_the_memory_cap():
+@pytest.mark.parametrize("size", (48, 96))
+def test_envelope_point_full_n3_fits_the_memory_cap(size):
     # the envelope script's own point run: one BLAS thread and a 2048 MB
     # address-space cap that the child process sets on itself.  The check
-    # holds 16 Gaussian elements of M, not the (2304, 192, 192) tower
+    # holds 16 Gaussian elements of M, formed from its classes: neither the
+    # (N^2, 4N, 4N) tower nor M's (N^2, N, N) basis
     script = Path(__file__).resolve().parents[1] / "perfbench" / "envelope.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--point", "full", "48", "3", "--seed", "1"],
+        [sys.executable, str(script), "--point", "full", str(size), "3", "--seed", "1"],
         capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr
     point = json.loads(result.stdout.strip().splitlines()[-1])
     assert point["status"] == "finished" and point["passed"]
-    assert point["dim_computed"] == point["dim_expected"] == 48**2
+    assert point["dim_computed"] == point["dim_expected"] == size**2
 
 
 def test_reflexivity_full_c8_n2_seed302_generator():
