@@ -82,7 +82,9 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(ScenarioConfig.from_file(args.config), args)
     report = run_checks(config)
     print(report.table())
-    Path(args.report).write_text(json.dumps(report.to_json(), indent=2))
+    # compact, as ``save_operator`` writes matrices: without an indent
+    # json.dumps takes its C encoder
+    Path(args.report).write_text(json.dumps(report.to_json(), separators=(",", ":")))
     print(f"report written to {args.report}")
     return 0 if report.overall_pass else 1
 

@@ -26,7 +26,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -387,9 +386,9 @@ class Subspace:
     basis unchanged, and columns of the identity, whose Gram matrix is
     exactly I.  Both go through ``_orthonormal``.
 
-    ``projection``, ``basis @ basis*``, is formed on first use and stored
-    on the instance; a subspace that is only read through its basis never
-    forms it.
+    A subspace is read only through its basis; no d x d projection is
+    formed (``reflexivity.invariance_residuals`` takes its leak as
+    ||X B - B (B* X B)||_F).
     """
 
     ambient_dim: int
@@ -411,10 +410,6 @@ class Subspace:
         object.__setattr__(sub, "ambient_dim", basis.shape[0])
         object.__setattr__(sub, "basis", basis)
         return sub
-
-    @cached_property
-    def projection(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
     @property
     def dim(self) -> int:

@@ -33,8 +33,9 @@ derivative of x, to which ``_fd_roundoff`` adds rounding.  The Leibniz
 rule and the binomial and band forms are exact identities; they report
 the Frobenius norm of their roundoff residual, an upper bound of its
 operator norm, against tolerances of operator-norm scale.  Norms a caller
-already holds (||x||, ||y||, the chain norms) are keyword arguments; a
-check called without them computes them.  Each public function validates
+already holds (||x||, ||y||, the chain norms) and the chain in the
+eigenbasis of D, V* delta^j(x) V, are keyword arguments; a check called
+without them computes them.  Each public function validates
 its operands once; sample times and steps must be finite, and steps
 positive.
 
@@ -493,6 +494,7 @@ def lipschitz_check(
     *,
     x_norm: float | None = None,
     dx_norm: float | None = None,
+    eigen_chain=None,
 ) -> CheckReport:
     """||alpha_t(x) - x|| <= ||i[D, x]|| |t| for every sampled t.
 
@@ -501,7 +503,9 @@ def lipschitz_check(
     the roundoff floor tol_alg * (1 + ||x||).  When the derivative vanishes
     (within tolerance), and at t = 0, the residual is the difference
     itself, avoiding 0/0, and only the roundoff-excess test applies.
-    ``x_norm`` and ``dx_norm``, when given, are ||x|| and ||i[D, x]||.
+    ``x_norm`` and ``dx_norm``, when given, are ||x|| and ||i[D, x]||;
+    ``eigen_chain``, when given, is V* delta^j(x) V for j = 0, 1, ...
+    (V the eigenvectors of D), of which the check reads j = 0.
 
     The differences are taken in the eigenbasis of D: with y = V* x V and
     p_i = e^{it lambda_i}, alpha_t(x) - x = V ((p_i conj(p_j) - 1) y_ij) V*,
@@ -518,7 +522,8 @@ def lipschitz_check(
     dx_norm = operator_norm(_chain(d, x, 1)[1]) if dx_norm is None else dx_norm
     x_norm = operator_norm(x) if x_norm is None else x_norm
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
-    diffs = operator_norm((_phase_products(d, ts) - 1.0) * _eigenbasis(d, x))
+    y = _eigenbasis(d, x) if eigen_chain is None else eigen_chain[0]
+    diffs = operator_norm((_phase_products(d, ts) - 1.0) * y)
     scale = dx_norm * np.abs(ts)
     ratio_branch = (ts != 0) & (not degenerate)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch
@@ -546,6 +551,7 @@ def uniform_convergence_check(
     instance_id: str = "",
     *,
     chain_norms=None,
+    eigen_chain=None,
 ) -> CheckReport:
     """Norm convergence of the one-sided quotient (alpha_h(x) - x)/h to i[D, x].
 
@@ -555,8 +561,9 @@ def uniform_convergence_check(
     theorem gives f(h) - f(0) - h f'(0) = int_0^h (h - s) alpha_s(delta^2(x)) ds,
     of norm <= h^2/2 ||delta^2(x)|| as alpha_s is an isometry; divide by h.
     ``details`` holds the steps and bounds; ``chain_norms``, when given, is
-    ||delta^j(x)|| for j = 0, 1, 2 (or further).  ``h_sequence`` must be a
-    nonempty 1-D sequence of finite steps.
+    ||delta^j(x)|| for j = 0, 1, 2 (or further), and ``eigen_chain`` is
+    V* delta^j(x) V for j = 0, 1 (or further), V the eigenvectors of D.
+    ``h_sequence`` must be a nonempty 1-D sequence of finite steps.
 
     The quotients are taken in the eigenbasis of D, against V* i[D, x] V:
     with Y = V* x V, (P_h Y P_h* - Y)/h (``_phase_differences``) for all
@@ -571,10 +578,13 @@ def uniform_convergence_check(
         raise ValueError("h_sequence must be positive and strictly decreasing")
     hs = steps.tolist()
     _check_dims(d, x)
-    deltas = _chain(d, x, 2 if chain_norms is None else 1)
-    if chain_norms is None:
-        chain_norms = operator_norm(np.stack(deltas))
-    y, dy = _eigenbasis(d, np.stack(deltas[:2]))
+    if chain_norms is None or eigen_chain is None:
+        deltas = _chain(d, x, 2 if chain_norms is None else 1)
+        if chain_norms is None:
+            chain_norms = operator_norm(np.stack(deltas))
+        if eigen_chain is None:
+            eigen_chain = _eigenbasis(d, np.stack(deltas[:2]))
+    y, dy = eigen_chain[:2]
     quotients = _phase_differences(d, steps) * y / steps[:, None, None]
     residuals = operator_norm(quotients - dy).tolist()
     bounds = [float(h / 2 * chain_norms[2] + _fd_roundoff(d, chain_norms[0], h, 1, h)) for h in hs]

@@ -13,13 +13,15 @@ numerical report fields (timings excluded) on one platform.
 
 Per scenario the checks share, each built on first use: one invariant
 family (with the algebra) for invariance and reflexivity; one derivative
-chain of x of order max(7, n), whose prefixes are ``ScenarioData.chain``;
+chain of x of order max(n, top + 4), top = min(3, max(1, n)) the highest
+difference order of fd_higher, whose prefixes are ``ScenarioData.chain``;
 its norms ||delta^j(x)||, one stacked ``operator_norm`` that also gives
-||x|| and ||i[D, x]||; and its first six members in the eigenbasis of D,
-V* delta^k(x) V (``ScenarioData.eigen_chain``, one stacked product),
-where fd_first and fd_higher sample alpha_t without forming it.  These
-and ||y|| are handed to the checks that need them, so a calculus run
-takes each norm and each change of basis once.
+||x|| and ||i[D, x]||; and its members of order up to top + 2 in the
+eigenbasis of D, V* delta^k(x) V (``ScenarioData.eigen_chain``, one
+stacked product), where fd_first, fd_higher, lipschitz and uniform_conv
+sample alpha_t without forming it.  These and ||y|| are handed to the
+checks that need them, so a calculus run takes each norm and each change
+of basis once.
 
 The identity checks (leibniz, binomial_eq, band_eq, phi_hom, phi_conj,
 ad_identity, invariance) report Frobenius residuals, with no SVD, against
@@ -116,24 +118,33 @@ class ScenarioData:
     _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @property
+    def _fd_top(self) -> int:
+        """fd_higher's top difference order, min(3, max(1, n))."""
+        return min(3, max(1, self.n))
+
     @cached_property
     def _full_chain(self) -> DerivativeChain:
-        # order 7: fd_higher's remainder at order 3 is delta^7(x)
-        return derivative_chain(self.generator, self.x, max(7, self.n))
+        # fd_higher's remainder at its top order m is delta^(m+4)(x), at
+        # least delta^5(x), which binomial_eq and band_eq read too; the phi
+        # checks read delta^n(x)
+        return derivative_chain(self.generator, self.x, max(self.n, self._fd_top + 4))
 
     @cached_property
     def chain_norms(self) -> np.ndarray:
-        """||delta^j(x)|| for j = 0..max(7, n), one stacked norm on first use."""
+        """||delta^j(x)|| for j = 0..max(n, top + 4), top = ``_fd_top``, one
+        stacked norm on first use."""
         chain = self._full_chain
         return operator_norm(np.stack([chain.delta(j) for j in range(chain.order + 1)]))
 
     @cached_property
     def eigen_chain(self) -> np.ndarray:
-        """V* delta^k(x) V for k = 0..5, V the eigenvectors of D: the chain in
-        the eigenbasis of D, where fd_first and fd_higher sample alpha_t
-        (fd_higher reads up to delta^5(x)); one stacked product on first use."""
+        """V* delta^k(x) V for k = 0..top + 2, top = ``_fd_top``, V the
+        eigenvectors of D: the chain in the eigenbasis of D, where fd_first,
+        fd_higher, lipschitz and uniform_conv sample alpha_t (fd_higher reads
+        up to delta^(top+2)(x)); one stacked product on first use."""
         chain = self._full_chain
-        return _eigenbasis(self.generator, np.stack([chain.delta(k) for k in range(6)]))
+        return _eigenbasis(self.generator, np.stack([chain.delta(k) for k in range(self._fd_top + 3)]))
 
     @property
     def x_norm(self) -> float:
@@ -146,7 +157,7 @@ class ScenarioData:
         return operator_norm(self.y)
 
     def chain(self, order: int) -> DerivativeChain:
-        """The derivative chain of x to order <= max(7, n), a prefix of one chain."""
+        """The derivative chain of x to order <= max(n, top + 4), a prefix of one chain."""
         if order not in self._chains:
             full = self._full_chain
             self._chains[order] = DerivativeChain(full.x, order, full.derivatives[:order], full.generator)
@@ -256,7 +267,7 @@ def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     d = data.generator
     xi, eta = _unit_vectors(d.dim, data.seed + 11)
     t0, h = 0.3, default_step(d)
-    top = min(3, max(1, data.n))
+    top = data._fd_top
     coeffs, norms = data.eigen_chain, data.chain_norms
     vh = d.eigenvectors.conj().T
     xi_c, eta_c = vh @ xi, vh @ eta
@@ -279,12 +290,15 @@ def _check_lipschitz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
         [[0.1, 1.0, 10.0], rng.uniform(-10, 10, size=47)]
     )
     return lipschitz_check(
-        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm, dx_norm=data.chain_norms[1]
+        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm,
+        dx_norm=data.chain_norms[1], eigen_chain=data.eigen_chain,
     )
 
 
 def _check_uniform_conv(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return uniform_convergence_check(data.generator, data.x, instance_id=data.label, chain_norms=data.chain_norms)
+    return uniform_convergence_check(
+        data.generator, data.x, instance_id=data.label, chain_norms=data.chain_norms, eigen_chain=data.eigen_chain
+    )
 
 
 def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:

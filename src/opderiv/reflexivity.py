@@ -305,13 +305,18 @@ def _hermitian_spanning_set(space: OperatorSpace, tol: TolerancePolicy) -> list[
     """Hermitian operators spanning a *-closed operator space over R.
 
     The real and imaginary part of each basis element, in turn; a part of
-    norm at most ``rank_cutoff`` times the largest one is roundoff and is
-    dropped.
+    Frobenius norm at most ``rank_cutoff`` times the largest one is
+    roundoff and is dropped.  The Frobenius norm is a sum of squares, with
+    no eigensolver, and is within a factor sqrt(N) of the operator norm
+    (``frobenius_norm``), so the two norms drop different parts only when
+    a part lies within that factor of the cutoff.  The parts H, K of a
+    basis element b = H + iK have ||H||_F^2 + ||K||_F^2 = ||b||_F^2 = 1
+    (tr(HK) is real), so the largest part has norm between 1/sqrt(2) and 1.
     """
     b, d = space.basis_elements, space.ambient_dim
     bh = b.conj().transpose(0, 2, 1)
     herms = np.stack([(b + bh) / 2, (b - bh) / 2j], axis=1).reshape(-1, d, d)
-    norms = operator_norm(herms)
+    norms = frobenius_norm(herms)
     return list(herms[norms > tol.rank_cutoff * norms.max(initial=0.0)])
 
 
@@ -473,7 +478,18 @@ def invariance_residuals(
     d: SelfAdjointGenerator,
     elements,
 ) -> dict[str, float]:
-    """Max of ||(I - P) rep(x) P||_F per family member over the given x's.
+    """Max over the given x's of each family member's leak ||(I - P) X P||_F,
+    X = rep(x) and P the member's projection.
+
+    The leak is taken as ||X B - B (B* X B)||_F for the member's
+    orthonormal basis B: P = B B*, and ||A B||_F = ||A P||_F for every A,
+    so the two are equal, and this form costs O(d^2 k) per element for a
+    k-dimensional member of C^d and forms no d x d projection.  Only the
+    leading r rows of B can be nonzero, r one past its last nonzero row
+    (an ``embedded`` basis is exact zeros below its blocks), so X B is one
+    stacked product X[:, :r] B[:r] over the elements and B* X B reads
+    only the first r rows of it.  X is not assumed block triangular: every
+    row of X B enters the leak.
 
     Gives residuals, not a verdict: the caller judges them against its
     own tolerance.  The Frobenius norm bounds the operator norm from
@@ -483,11 +499,14 @@ def invariance_residuals(
     xs = [as_operator(x) for x in elements]
     xs = np.stack(xs) if xs else np.zeros((0, d.dim, d.dim), dtype=complex)
     reps = triangular_representations(d, xs, family.order)
-    eye = np.eye(family.ambient_dim)
     out = {}
     for sub, label in zip(family.subspaces, family.labels):
-        p = sub.projection
-        out[label] = float(frobenius_norm((eye - p) @ reps @ p).max(initial=0.0))
+        nonzero = np.flatnonzero(sub.basis.any(axis=1))
+        b = sub.basis[: nonzero[-1] + 1 if len(nonzero) else 0]
+        r = len(b)
+        leak = reps[:, :, :r] @ b
+        leak[:, :r] -= b @ (b.conj().T @ leak[:, :r])
+        out[label] = float(frobenius_norm(leak).max(initial=0.0))
     return out
 
 

@@ -30,6 +30,11 @@ def vec(x):
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
 
+def projection(sub):
+    """The orthogonal projection B B* onto a subspace with orthonormal basis B."""
+    return sub.basis @ sub.basis.conj().T
+
+
 def subspace_from_columns(columns, rank_cutoff=1e-9):
     """The span of spanning columns, orthonormalized by one SVD with a
     relative rank cutoff."""
@@ -79,7 +84,7 @@ def full_space_null(subspaces, dim):
     The rank cut is floored at the constraints' natural scale 1, as in
     ``nullspace_of_constraints(scale=1.0)``: a stack that is pure roundoff
     (every member is 0 or the whole space) has rank 0, not full rank."""
-    rows = np.vstack([np.kron(s.projection.T, np.eye(dim) - s.projection) for s in subspaces])
+    rows = np.vstack([np.kron(projection(s).T, np.eye(dim) - projection(s)) for s in subspaces])
     _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
     return vh[rank:].conj().T
@@ -105,7 +110,7 @@ def subspace_distance(a, b):
     """Operator-norm distance between the projections of two subspaces."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    return operator_norm(a.projection - b.projection)
+    return operator_norm(projection(a) - projection(b))
 
 
 def identity_residual_matrices(check, d, x, y, n):

@@ -34,6 +34,7 @@ from opderiv.core import (
 from oracles import (
     commutation_constraint,
     invariance_constraint,
+    projection,
     space_of_vec_columns,
     spans_equal,
     subspace_distance,
@@ -453,16 +454,14 @@ def test_subspace_from_columns_orthonormalizes():
     cols = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     sub = subspace_from_columns(cols)
     assert sub.dim == 2
-    p = sub.projection
+    p = projection(sub)
     assert operator_norm(p @ p - p) <= 1e-12
     assert operator_norm(p - p.conj().T) <= 1e-12
 
 
-def test_subspace_forms_its_projection_on_first_use():
+def test_projection_of_identity_columns_is_exact():
     sub = Subspace(3, np.eye(3)[:, :2])
-    assert "projection" not in sub.__dict__
-    np.testing.assert_array_equal(sub.projection, np.diag([1.0, 1.0, 0.0]))
-    assert sub.projection is sub.__dict__["projection"]
+    np.testing.assert_array_equal(projection(sub), np.diag([1.0, 1.0, 0.0]))
 
 
 def test_subspace_rejects_non_orthonormal_basis():
@@ -786,7 +785,7 @@ def test_invariance_constraint_matches_direct_evaluation():
     np.testing.assert_allclose(c @ vec(x), vec(direct), atol=1e-12)
     # orthonormal rows whose Gram is the full-space map X -> (I - P) X P
     np.testing.assert_allclose(c @ c.conj().T, np.eye(4), atol=1e-12)
-    p = sub.projection
+    p = projection(sub)
     np.testing.assert_allclose(c.conj().T @ c, np.kron(p.T, np.eye(4) - p), atol=1e-12)
 
 

@@ -976,20 +976,35 @@ def test_fd_probes_fail_when_the_exact_side_is_off(probe, scenario, seed, monkey
     data = harness.build_scenario(config)
     # builds the shared chain and its norms before the exact side is scaled
     assert _CHECKS[probe](data, config.tol).passed
-    scale = 1.0 + 1e-3
-    if probe in ("fd_first", "fd_higher"):
-        # every derivative delta^k(x), k >= 1; x itself is the sampled side
-        coeffs = data.eigen_chain
-        monkeypatch.setitem(data.__dict__, "eigen_chain", np.concatenate([coeffs[:1], scale * coeffs[1:]]))
-    else:
-        chain = derivation._chain
-
-        def scaled(d, x, n):
-            deltas = chain(d, x, n)
-            return [deltas[0], scale * deltas[1], *deltas[2:]]
-
-        monkeypatch.setattr(derivation, "_chain", scaled)
+    # every derivative delta^k(x), k >= 1, in the eigenbasis of D; x itself
+    # is the sampled side
+    coeffs = data.eigen_chain
+    monkeypatch.setitem(data.__dict__, "eigen_chain", np.concatenate([coeffs[:1], (1.0 + 1e-3) * coeffs[1:]]))
     assert not _CHECKS[probe](data, config.tol).passed
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_probes_share_one_change_of_basis_per_scenario(n, monkeypatch):
+    # fd_first, fd_higher, lipschitz and uniform_conv read V* delta^k(x) V off
+    # one stacked product, and the chain stops at what the checks read:
+    # delta^max(n, top + 4), top = min(3, max(1, n)) fd_higher's top order
+    calls, built = [], []
+    eigenbasis, build = derivation._eigenbasis, harness.build_scenario
+
+    def counting(d, a):
+        calls.append(np.shape(a))
+        return eigenbasis(d, a)
+
+    monkeypatch.setattr(derivation, "_eigenbasis", counting)
+    monkeypatch.setattr(harness, "_eigenbasis", counting)
+    monkeypatch.setattr(harness, "build_scenario", lambda config: built.append(build(config)) or built[-1])
+    checks = ["fd_first", "fd_higher", "lipschitz", "uniform_conv"]
+    config = ScenarioConfig.from_dict({"scenario": {"kind": "random", "N": 5}, "n": n, "seed": 4, "checks": checks})
+    report = harness.run_checks(config)
+    assert [r.check for r in report.results] == checks and report.overall_pass
+    top = min(3, max(1, n))
+    assert calls == [(top + 3, 5, 5)]
+    assert len(built[0].chain_norms) == max(n, top + 4) + 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1156,9 +1171,9 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
     x, y = data.x, data.y
     rep_x, rep_y = (triangular_representation(derivative_chain(data.generator, a, 1)) for a in (x, y))
     exp_rj = np.array([[1.0, data.generator.norm()], [0.0, 1.0]])
-    chain = derivative_chain(data.generator, x, 7)
+    chain = derivative_chain(data.generator, x, 5)  # max(n, top + 4), top = min(3, max(1, n)) = 1
     expected = [
-        np.stack([chain.delta(j) for j in range(8)]), y,  # ||x|| and ||y||, first used by leibniz
+        np.stack([chain.delta(j) for j in range(6)]), y,  # ||x|| and ||y||, first used by leibniz
         rep_x, rep_y,  # phi_hom
         exp_rj,  # phi_conj
     ]
@@ -1170,8 +1185,9 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
 def test_calculus_run_takes_each_scenario_norm_once(monkeypatch):
     # building a random scenario hands operator_norm the generator's ||a||
     # alone (its guards are Frobenius norms); the eleven calculus checks
-    # then pass y and each delta^j(x), j = 0..7, once: ||x||, ||i[D, x]||,
-    # the fd remainders and the norm sandwich share one stack
+    # then pass y and each delta^j(x), j = 0..6, once: ||x||, ||i[D, x]||,
+    # the fd remainders and the norm sandwich share one stack, which stops at
+    # max(n, top + 4), top = min(3, max(1, n)) = 2 fd_higher's top order
     seen, at_build = [], []
     norm = core.operator_norm
 
@@ -1201,6 +1217,7 @@ def test_calculus_run_takes_each_scenario_norm_once(monkeypatch):
     assert len(at_build) == 1
     np.testing.assert_array_equal(at_build[0], data.generator.base)
     matrices = [m for a in seen for m in a.reshape(-1, *a.shape[-2:])]
-    chain = derivative_chain(data.generator, data.x, 7)
-    for name, op in [("y", data.y)] + [(f"delta^{j}(x)", chain.delta(j)) for j in range(8)]:
+    chain = derivative_chain(data.generator, data.x, 6)
+    assert len(data.chain_norms) == 7
+    for name, op in [("y", data.y)] + [(f"delta^{j}(x)", chain.delta(j)) for j in range(7)]:
         assert sum(np.array_equal(m, op) for m in matrices) == 1, name
