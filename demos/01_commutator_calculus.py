@@ -37,6 +37,7 @@ print()
 
 chain = derivative_chain(d, s1, 2)
 print(f"weighted chain norm of S_1 at order 2: {chain_norm(chain):.6f}  (= 1 + 1 + 1/2)")
+print("(the chain keeps its norms; the Lipschitz and convergence checks below read them)")
 print()
 
 print("central differences are within their Taylor remainder h^2/6 ||d^3(x)||:")
@@ -48,13 +49,13 @@ for h in (1e-1, 5e-2, 2.5e-2, 1.25e-2):
 print()
 
 print("Lipschitz bound ||alpha_t(x) - x|| <= ||i[D,x]|| |t|:")
-report = lipschitz_check(d, s1, [0.01, 0.1, 1.0, 10.0])
+report = lipschitz_check(chain, [0.01, 0.1, 1.0, 10.0])
 for t, ratio in zip([0.01, 0.1, 1.0, 10.0], report.residuals):
     print(f"  t={t:<6g} ratio {ratio:.6f}")
 print(f"  max ratio {report.details['max_ratio']:.6f} (tends to 1 as t -> 0)")
 print()
 
 print("one-sided quotients are within h/2 ||d^2(x)|| plus roundoff:")
-report = uniform_convergence_check(d, s1)
+report = uniform_convergence_check(chain)
 for h, r, b in zip(report.details["h"], report.residuals, report.details["bounds"]):
     print(f"  h={h:<8.4g} residual {r:.3e}   bound {b:.3e}")

@@ -42,7 +42,7 @@ print()
 fwd, bwd = corner_exponential(d, n)
 lhs = fwd @ amplify(x, n) @ bwd
 print(f"conjugation identity residual: {operator_norm(lhs - rep):.2e}")
-print(f"  (checked against tolerance: {conjugation_identity_check(d, chain).passed})")
+print(f"  (checked against tolerance: {conjugation_identity_check(chain).passed})")
 print(f"||exp(S)|| = {operator_norm(fwd):.12f}, ||exp(-S)|| = {operator_norm(bwd):.12f} (dense)")
 print(f"closed form ||exp(r J)|| = {corner_exponential_norm(d, n):.12f}, "
       f"r = max |eigenvalue of D| = {d.norm():.4f}")

@@ -8,7 +8,7 @@ Appl. Math. 27, 2010).  The eigenspaces of a generic Hermitian element h
 of M' are the irreducible pieces C^{n_k} (x) xi.  ``block_structure``
 sorts them into classes of equivalent pieces, aligned by unitary
 intertwiners, and certifies the result by structural checks, each a
-residual with its tolerance; ``class_algebra`` carries M by those
+residual with its tolerance; ``ClassAlgebra`` carries M by those
 classes, from which its elements, its projection and its dimension
 follow without its basis.  No nullspace is solved here.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DimensionMismatch, OperatorSpace, TolerancePolicy, frobenius_norm
 
-__all__ = ["ClassAlgebra", "block_structure", "certified", "class_algebra", "links"]
+__all__ = ["ClassAlgebra", "block_structure", "certified", "links"]
 
 
 def _off_scalar(stack: np.ndarray) -> float:
@@ -232,9 +232,3 @@ def _side_by_side(stack: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     a (count, N, K m n) stack."""
     left = stack @ blocks[:, :, None]
     return left.transpose(0, 3, 1, 2, 4).reshape(len(blocks), stack.shape[2], -1)
-
-
-def class_algebra(classes: list[np.ndarray], dim: int) -> ClassAlgebra:
-    """(+)_k M_{n_k} (x) I_{m_k} in the aligned basis of the classes, carried
-    by the classes (``ClassAlgebra``)."""
-    return ClassAlgebra(dim, tuple(classes))

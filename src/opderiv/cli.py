@@ -3,7 +3,8 @@
 Subcommands: ``run`` executes a check suite from a JSON config, ``gen``
 emits scenario matrices to files, ``show`` pretty-prints a matrix file.
 Exit codes: 0 all checks pass, 1 some check failed, 2 configuration
-error.
+error, which includes an output path that cannot be written (one line on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ def _cmd_run(args) -> int:
     print(report.table())
     # compact, as ``save_operator`` writes matrices: without an indent
     # json.dumps takes its C encoder
-    Path(args.report).write_text(json.dumps(report.to_json(), separators=(",", ":")))
+    try:
+        Path(args.report).write_text(json.dumps(report.to_json(), separators=(",", ":")))
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {args.report}: {exc}") from exc
     print(f"report written to {args.report}")
     return 0 if report.overall_pass else 1
 
@@ -93,10 +97,13 @@ def _cmd_gen(args) -> int:
     config = ScenarioConfig.from_file(args.config)
     data = build_scenario(config)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_operator(out / "D.json", data.generator.base)
-    save_operator(out / "x.json", data.x)
-    save_operator(out / "y.json", data.y)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        save_operator(out / "D.json", data.generator.base)
+        save_operator(out / "x.json", data.x)
+        save_operator(out / "y.json", data.y)
+    except OSError as exc:
+        raise ConfigError(f"cannot write scenario matrices to {out}: {exc}") from exc
     print(f"wrote {out / 'D.json'}, {out / 'x.json'}, {out / 'y.json'} ({data.label})")
     return 0
 

@@ -32,12 +32,12 @@ isometry, so Taylor's theorem bounds each error by a norm of a higher
 derivative of x, to which ``_fd_roundoff`` adds rounding.  The Leibniz
 rule and the binomial and band forms are exact identities; they report
 the Frobenius norm of their roundoff residual, an upper bound of its
-operator norm, against tolerances of operator-norm scale.  Norms a caller
-already holds (||x||, ||y||, the chain norms) and the chain in the
-eigenbasis of D, V* delta^j(x) V, are keyword arguments; a check called
-without them computes them.  Each public function validates
-its operands once; sample times and steps must be finite, and steps
-positive.
+operator norm, against tolerances of operator-norm scale.  The checks
+take derivative chains, which validate their operand once and keep what
+is derived from it: the norms ||delta^j(x)|| and the chain in the
+eigenbasis of D, V* delta^j(x) V, each computed on first use
+(``DerivativeChain``), so checks that share a chain share both.  Sample
+times and steps must be finite, and steps positive.
 
 At finite dimension every operator is smooth, domains are the whole
 space, and closures are identities, so none of that bookkeeping appears
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -274,9 +275,12 @@ class DerivativeChain:
     """An operator together with its first n commutator derivatives.
 
     Built by ``derivative_chain``, which validates x once; the derivatives
-    are computed from it and are not validated again.  ``_memo`` holds
-    values derived from the chain by other modules, each computed on first
-    use (``triangular._represented`` and ``_represented_norm``).
+    are computed from it and are not validated again.  The chain is the one
+    home of the values derived from it, each computed on first use and
+    kept: ``norms`` and ``eigen`` here, and in ``_memo`` the triangular
+    representation and its norm (``triangular._represented`` and
+    ``_represented_norm``).  ``prefix(k)`` is the chain of order k on the
+    same arrays, whose norms are its root's leading entries.
     """
 
     x: np.ndarray
@@ -284,6 +288,7 @@ class DerivativeChain:
     derivatives: tuple
     generator: SelfAdjointGenerator
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _root: DerivativeChain | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.derivatives) != self.order:
@@ -295,6 +300,37 @@ class DerivativeChain:
             return self.x
         return self.derivatives[j - 1]
 
+    def _members(self) -> np.ndarray:
+        return np.stack([self.delta(j) for j in range(self.order + 1)])
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """||delta^j(x)|| for j = 0..order: one stacked ``operator_norm`` per
+        root chain, whose leading entries its prefixes read."""
+        if self._root is not None:
+            return self._root.norms[: self.order + 1]
+        return operator_norm(self._members())
+
+    @cached_property
+    def eigen(self) -> np.ndarray:
+        """V* delta^j(x) V for j = 0..order, V the eigenvectors of D: one
+        stacked product over this chain's own members."""
+        return _eigenbasis(self.generator, self._members())
+
+    def prefix(self, k: int) -> DerivativeChain:
+        """The chain of order k <= ``order`` on the same arrays."""
+        if not 0 <= k <= self.order:
+            raise ValueError(f"prefix order {k} is not in 0..{self.order}")
+        chain = DerivativeChain(self.x, k, self.derivatives[:k], self.generator)
+        object.__setattr__(chain, "_root", self._root or self)
+        return chain
+
+
+def _check_same_generator(chain_x: DerivativeChain, chain_y: DerivativeChain):
+    dx, dy = chain_x.generator, chain_y.generator
+    if dx.dim != dy.dim or not np.array_equal(dx.base, dy.base):
+        raise ValueError("chains must share the same generator")
+
 
 def derivative_chain(d: SelfAdjointGenerator, x, n: int) -> DerivativeChain:
     """Build the chain [i[D,x], i[D,i[D,x]], ...] up to order n >= 0."""
@@ -305,15 +341,9 @@ def derivative_chain(d: SelfAdjointGenerator, x, n: int) -> DerivativeChain:
     return DerivativeChain(x=x, order=n, derivatives=tuple(_chain(d, x, n)[1:]), generator=d)
 
 
-def chain_norm(chain: DerivativeChain, norms=None) -> float:
-    """sum_j ||delta^j(x)|| / j! over j = 0..n; a Banach-algebra norm.
-
-    ``norms``, when given, holds ||delta^j(x)|| for j = 0..n (or further).
-    """
-    n = chain.order
-    if norms is None:
-        norms = operator_norm(np.stack([chain.delta(j) for j in range(n + 1)]))
-    return float(sum(norm / math.factorial(j) for j, norm in enumerate(norms[: n + 1])))
+def chain_norm(chain: DerivativeChain) -> float:
+    """sum_j ||delta^j(x)|| / j! over j = 0..n; a Banach-algebra norm."""
+    return float(sum(norm / math.factorial(j) for j, norm in enumerate(chain.norms)))
 
 
 @dataclass(frozen=True)
@@ -457,44 +487,37 @@ def _fd_roundoff(d: SelfAdjointGenerator, x_norm: float, h: float, m: int, t: fl
 
 
 def leibniz_check(
-    d: SelfAdjointGenerator,
-    x,
-    y,
+    chain_x: DerivativeChain,
+    chain_y: DerivativeChain,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
-    *,
-    x_norm: float | None = None,
-    y_norm: float | None = None,
 ) -> CheckReport:
-    """Derivation property: i[D, xy] = i[D, x] y + x i[D, y].
+    """Derivation property: i[D, xy] = i[D, x] y + x i[D, y], for the chains'
+    operands x and y, which must share their generator D.
 
     The residual is the Frobenius norm of the difference (``frobenius_norm``),
-    judged against the operator-norm scale tol_alg(||D||, ||x||, ||y||);
-    ``x_norm`` and ``y_norm``, when given, are ||x|| and ||y||.
+    judged against the operator-norm scale tol_alg(||D||, ||x||, ||y||).
     """
     tol = tol or DEFAULT_TOL
-    x, y = as_operator(x), as_operator(y)
-    _check_dims(d, x)
-    _check_dims(d, y)
+    _check_same_generator(chain_x, chain_y)
+    d, x, y = chain_x.generator, chain_x.x, chain_y.x
     lhs, dx, dy = _chain(d, np.stack([x @ y, x, y]), 1)[1]
     rhs = dx @ y + x @ dy
     resid = frobenius_norm(lhs - rhs)
-    x_norm = operator_norm(x) if x_norm is None else x_norm
-    y_norm = operator_norm(y) if y_norm is None else y_norm
-    tolerance = tol.alg(d.norm(), x_norm, y_norm)
+    tolerance = tol.alg(d.norm(), chain_x.norms[0], chain_y.norms[0])
     return CheckReport("leibniz", instance_id, [resid], tolerance, resid <= tolerance)
 
 
+def _check_chain_order(chain: DerivativeChain, lowest: int, check: str):
+    if chain.order < lowest:
+        raise ValueError(f"{check} reads delta^{lowest}(x): the chain's order must be >= {lowest}")
+
+
 def lipschitz_check(
-    d: SelfAdjointGenerator,
-    x,
+    chain: DerivativeChain,
     t_samples,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
-    *,
-    x_norm: float | None = None,
-    dx_norm: float | None = None,
-    eigen_chain=None,
 ) -> CheckReport:
     """||alpha_t(x) - x|| <= ||i[D, x]|| |t| for every sampled t.
 
@@ -503,9 +526,8 @@ def lipschitz_check(
     the roundoff floor tol_alg * (1 + ||x||).  When the derivative vanishes
     (within tolerance), and at t = 0, the residual is the difference
     itself, avoiding 0/0, and only the roundoff-excess test applies.
-    ``x_norm`` and ``dx_norm``, when given, are ||x|| and ||i[D, x]||;
-    ``eigen_chain``, when given, is V* delta^j(x) V for j = 0, 1, ...
-    (V the eigenvectors of D), of which the check reads j = 0.
+    ``chain`` is x's derivative chain, of order >= 1; the check reads its
+    ``norms`` and the first member of its ``eigen``.
 
     The differences are taken in the eigenbasis of D: with y = V* x V and
     p_i = e^{it lambda_i}, alpha_t(x) - x = V ((p_i conj(p_j) - 1) y_ij) V*,
@@ -516,14 +538,12 @@ def lipschitz_check(
     sequence of finite times.
     """
     tol = tol or DEFAULT_TOL
-    x = as_operator(x)
-    _check_dims(d, x)
+    _check_chain_order(chain, 1, "lipschitz")
+    d = chain.generator
     ts = _sample_set(t_samples, "t_samples")
-    dx_norm = operator_norm(_chain(d, x, 1)[1]) if dx_norm is None else dx_norm
-    x_norm = operator_norm(x) if x_norm is None else x_norm
+    x_norm, dx_norm = chain.norms[:2]
     degenerate = dx_norm <= tol.alg(d.norm(), x_norm)
-    y = _eigenbasis(d, x) if eigen_chain is None else eigen_chain[0]
-    diffs = operator_norm((_phase_products(d, ts) - 1.0) * y)
+    diffs = operator_norm((_phase_products(d, ts) - 1.0) * chain.eigen[0])
     scale = dx_norm * np.abs(ts)
     ratio_branch = (ts != 0) & (not degenerate)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only off the ratio branch
@@ -545,13 +565,9 @@ def lipschitz_check(
 
 
 def uniform_convergence_check(
-    d: SelfAdjointGenerator,
-    x,
+    chain: DerivativeChain,
     h_sequence=None,
     instance_id: str = "",
-    *,
-    chain_norms=None,
-    eigen_chain=None,
 ) -> CheckReport:
     """Norm convergence of the one-sided quotient (alpha_h(x) - x)/h to i[D, x].
 
@@ -560,16 +576,17 @@ def uniform_convergence_check(
     Proof: f(t) = alpha_t(x) has f'' = alpha_t(delta^2(x)), and Taylor's
     theorem gives f(h) - f(0) - h f'(0) = int_0^h (h - s) alpha_s(delta^2(x)) ds,
     of norm <= h^2/2 ||delta^2(x)|| as alpha_s is an isometry; divide by h.
-    ``details`` holds the steps and bounds; ``chain_norms``, when given, is
-    ||delta^j(x)|| for j = 0, 1, 2 (or further), and ``eigen_chain`` is
-    V* delta^j(x) V for j = 0, 1 (or further), V the eigenvectors of D.
-    ``h_sequence`` must be a nonempty 1-D sequence of finite steps.
+    ``details`` holds the steps and bounds.  ``chain`` is x's derivative
+    chain, of order >= 2; the check reads its ``norms`` and the first two
+    members of its ``eigen``.  ``h_sequence`` must be a nonempty 1-D
+    sequence of finite steps.
 
     The quotients are taken in the eigenbasis of D, against V* i[D, x] V:
     with Y = V* x V, (P_h Y P_h* - Y)/h (``_phase_differences``) for all
     steps is one (T, N, N) stack and one stacked norm.
     """
-    x = as_operator(x)
+    _check_chain_order(chain, 2, "uniform_conv")
+    d = chain.generator
     if h_sequence is None:
         base = 0.2 / (1.0 + d.norm())
         h_sequence = [base * 0.5**i for i in range(6)]
@@ -577,17 +594,11 @@ def uniform_convergence_check(
     if np.any(steps <= 0) or np.any(steps[1:] >= steps[:-1]):
         raise ValueError("h_sequence must be positive and strictly decreasing")
     hs = steps.tolist()
-    _check_dims(d, x)
-    if chain_norms is None or eigen_chain is None:
-        deltas = _chain(d, x, 2 if chain_norms is None else 1)
-        if chain_norms is None:
-            chain_norms = operator_norm(np.stack(deltas))
-        if eigen_chain is None:
-            eigen_chain = _eigenbasis(d, np.stack(deltas[:2]))
-    y, dy = eigen_chain[:2]
+    norms = chain.norms
+    y, dy = chain.eigen[:2]
     quotients = _phase_differences(d, steps) * y / steps[:, None, None]
     residuals = operator_norm(quotients - dy).tolist()
-    bounds = [float(h / 2 * chain_norms[2] + _fd_roundoff(d, chain_norms[0], h, 1, h)) for h in hs]
+    bounds = [float(h / 2 * norms[2] + _fd_roundoff(d, norms[0], h, 1, h)) for h in hs]
     passed = all(r <= b for r, b in zip(residuals, bounds))
     details = {"h": hs, "bounds": bounds}
     return CheckReport("uniform_conv", instance_id, residuals, max(bounds), passed, details=details)

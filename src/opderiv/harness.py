@@ -1,27 +1,33 @@
 """Check orchestration: configs, the check registry, and run reports.
 
-Every check name maps one-to-one onto an operation of the calculus /
-representation / reflexivity modules; the harness only generates the
-scenario operands, invokes the operation, and collects the reports.
-Each kind of decision lives in one registry: ``_CHECKS`` maps check
-names, in report order, to their operations (``CHECK_NAMES`` is its key
-tuple); ``_SCENARIOS`` maps scenario kinds to their builders; algebra
-kinds and their field rules belong to ``VonNeumannAlgebraSpec``.  A
+Every check name maps to one operation, in report order.  Most are
+operations of the calculus / representation / reflexivity modules, which
+the harness calls on the scenario's operands; five make their judgement
+here: fd_first and fd_higher (the probes of ``opderiv.derivation`` with
+Taylor bounds), binomial_eq and band_eq (the binomial and band forms
+against the chain) and invariance (the leak residuals of
+``invariance_residuals`` against one tolerance).  Each kind of decision
+lives in one registry: ``_CHECKS`` maps check names, in report order, to
+their operations (``CHECK_NAMES`` is its key tuple); ``_SCENARIOS`` maps
+scenario kinds to their builders; algebra kinds and their field rules
+belong to ``VonNeumannAlgebraSpec``.  A
 malformed config raises ConfigError from ``ScenarioConfig.from_dict`` or
 ``build_scenario``.  Identical config and seed reproduce identical
 numerical report fields (timings excluded) on one platform.
 
 Per scenario the checks share, each built on first use: one invariant
-family (with the algebra) for invariance and reflexivity; one derivative
-chain of x of order max(n, top + 4), top = min(3, max(1, n)) the highest
-difference order of fd_higher, whose prefixes are ``ScenarioData.chain``;
-its norms ||delta^j(x)||, one stacked ``operator_norm`` that also gives
-||x|| and ||i[D, x]||; and its members of order up to top + 2 in the
-eigenbasis of D, V* delta^k(x) V (``ScenarioData.eigen_chain``, one
-stacked product), where fd_first, fd_higher, lipschitz and uniform_conv
-sample alpha_t without forming it.  These and ||y|| are handed to the
-checks that need them, so a calculus run takes each norm and each change
-of basis once.
+family (with the algebra) for invariance and reflexivity, and the
+derivative chains of x and y (``opderiv.derivation.DerivativeChain``),
+which keep what is derived from them.  ``ScenarioData.chain`` is x's
+chain of order max(n, top + 4), top = min(3, max(1, n)) the highest
+difference order of fd_higher; its norms ||delta^j(x)|| are one stacked
+``operator_norm``, which its prefixes read.  ``probes``, its prefix of
+order top + 2, holds V* delta^k(x) V in the eigenbasis of D, one stacked
+product, where fd_first, fd_higher, lipschitz and uniform_conv sample
+alpha_t without forming it.  ``rep_chain``, its prefix of order n, holds
+the triangular representation and its norm that phi_hom, phi_conj and
+norm_sandwich share.  ``y_chain`` is y's chain of order 0, for ||y||.
+So a calculus run takes each norm and each change of basis once.
 
 The identity checks (leibniz, binomial_eq, band_eq, phi_hom, phi_conj,
 ad_identity, invariance) report Frobenius residuals, with no SVD, against
@@ -52,7 +58,6 @@ from .derivation import (
     DerivativeChain,
     _binomial_sums,
     _central_difference,
-    _eigenbasis,
     _fd_roundoff,
     _matrix_elements,
     _phase_differences,
@@ -116,7 +121,6 @@ class ScenarioData:
     n: int
     seed: int
     _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def _fd_top(self) -> int:
@@ -124,44 +128,29 @@ class ScenarioData:
         return min(3, max(1, self.n))
 
     @cached_property
-    def _full_chain(self) -> DerivativeChain:
+    def chain(self) -> DerivativeChain:
+        """x's derivative chain, of order max(n, top + 4), top = ``_fd_top``."""
         # fd_higher's remainder at its top order m is delta^(m+4)(x), at
         # least delta^5(x), which binomial_eq and band_eq read too; the phi
         # checks read delta^n(x)
         return derivative_chain(self.generator, self.x, max(self.n, self._fd_top + 4))
 
     @cached_property
-    def chain_norms(self) -> np.ndarray:
-        """||delta^j(x)|| for j = 0..max(n, top + 4), top = ``_fd_top``, one
-        stacked norm on first use."""
-        chain = self._full_chain
-        return operator_norm(np.stack([chain.delta(j) for j in range(chain.order + 1)]))
+    def probes(self) -> DerivativeChain:
+        """The prefix of order top + 2 of ``chain``, whose ``eigen`` fd_first,
+        fd_higher, lipschitz and uniform_conv read (fd_higher reads up to
+        delta^(top+2)(x))."""
+        return self.chain.prefix(self._fd_top + 2)
 
     @cached_property
-    def eigen_chain(self) -> np.ndarray:
-        """V* delta^k(x) V for k = 0..top + 2, top = ``_fd_top``, V the
-        eigenvectors of D: the chain in the eigenbasis of D, where fd_first,
-        fd_higher, lipschitz and uniform_conv sample alpha_t (fd_higher reads
-        up to delta^(top+2)(x)); one stacked product on first use."""
-        chain = self._full_chain
-        return _eigenbasis(self.generator, np.stack([chain.delta(k) for k in range(self._fd_top + 3)]))
-
-    @property
-    def x_norm(self) -> float:
-        """||x||, from ``chain_norms``."""
-        return float(self.chain_norms[0])
+    def rep_chain(self) -> DerivativeChain:
+        """The prefix of order n of ``chain``, which the phi checks represent."""
+        return self.chain.prefix(self.n)
 
     @cached_property
-    def y_norm(self) -> float:
-        """||y||, computed on first use."""
-        return operator_norm(self.y)
-
-    def chain(self, order: int) -> DerivativeChain:
-        """The derivative chain of x to order <= max(n, top + 4), a prefix of one chain."""
-        if order not in self._chains:
-            full = self._full_chain
-            self._chains[order] = DerivativeChain(full.x, order, full.derivatives[:order], full.generator)
-        return self._chains[order]
+    def y_chain(self) -> DerivativeChain:
+        """y's derivative chain of order 0."""
+        return derivative_chain(self.generator, self.y, 0)
 
     def family(self, tol: TolerancePolicy) -> InvariantFamily:
         """The invariant family of the algebra at order n, built on first use."""
@@ -182,9 +171,7 @@ def _unit_vectors(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_leibniz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return leibniz_check(
-        data.generator, data.x, data.y, tol, instance_id=data.label, x_norm=data.x_norm, y_norm=data.y_norm
-    )
+    return leibniz_check(data.chain, data.y_chain, tol, instance_id=data.label)
 
 
 def _against_chain(data: ScenarioData, tol: TolerancePolicy, approx: np.ndarray) -> tuple[list, float, bool]:
@@ -192,15 +179,15 @@ def _against_chain(data: ScenarioData, tol: TolerancePolicy, approx: np.ndarray)
     largest bound tol_alg(||D||^k, ||x||), and whether each residual is within
     its bound."""
     d_norm = data.generator.norm()
-    chain = data.chain(5)
+    chain = data.chain
     resids = frobenius_norm(approx - np.stack([chain.delta(k) for k in range(1, 6)]))
-    bounds = [tol.alg(d_norm**k, data.x_norm) for k in range(1, 6)]
+    bounds = [tol.alg(d_norm**k, chain.norms[0]) for k in range(1, 6)]
     return list(resids), max(bounds), all(r <= b for r, b in zip(resids, bounds))
 
 
 def _check_binomial_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     # the chain's x is the validated operand
-    sums = np.stack(_binomial_sums(data.generator, data.chain(5).x, range(1, 6)))
+    sums = np.stack(_binomial_sums(data.generator, data.chain.x, range(1, 6)))
     residuals, tolerance, passed = _against_chain(data, tol, sums)
     return CheckReport("binomial_eq", data.label, residuals, tolerance, passed)
 
@@ -213,7 +200,7 @@ def _check_band_eq(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     v = data.generator.eigenvectors
     assembled = v @ coeffs @ v.conj().T
     embed_resid = frobenius_norm(assembled[0] - data.x)
-    embed_tol = tol.alg(data.x_norm)
+    embed_tol = tol.alg(data.chain.norms[0])
     residuals, tolerance, passed = _against_chain(data, tol, assembled[1:])
     return CheckReport(
         "band_eq",
@@ -234,16 +221,16 @@ def _check_fd_first(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     an isometry; divide by 2h.  h = ``default_step``; ``tol`` is unused.
     The quotient is taken in the eigenbasis of D, as
     ((P_h Y P_h* - Y) - (P_-h Y P_-h* - Y))/2h against V* i[D, x] V, both
-    from ``eigen_chain``, with the differences by ``_phase_differences``
+    from ``probes.eigen``, with the differences by ``_phase_differences``
     (its value at -h is the conjugate of that at h).
     """
     d = data.generator
     h = default_step(d)
-    y, dy = data.eigen_chain[:2]
+    y, dy = data.probes.eigen[:2]
     e = _phase_differences(d, h)
     plus, minus = e * y, e.conj() * y
     err = operator_norm((plus - minus) / (2.0 * h) - dy)
-    norms = data.chain_norms
+    norms = data.chain.norms
     bound = float(h**2 / 6 * norms[3] + _fd_roundoff(d, norms[0], h, 1, h))
     return CheckReport("fd_first", data.label, [err], bound, err <= bound, details={"h": h})
 
@@ -261,14 +248,14 @@ def _check_fd_higher(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     remainder leaves m h^2/24 g^(m+2)(t0) plus at most mu_4 h^4/24
     sup |g^(m+4)|.  ``details`` holds each bound; ``tol`` is unused.
     Every value of g and of its derivatives is a ``_matrix_elements``
-    contraction of ``eigen_chain``, the stencils of every order one call
+    contraction of ``probes.eigen``, the stencils of every order one call
     of ``_stencil_samples``.
     """
     d = data.generator
     xi, eta = _unit_vectors(d.dim, data.seed + 11)
     t0, h = 0.3, default_step(d)
     top = data._fd_top
-    coeffs, norms = data.eigen_chain, data.chain_norms
+    coeffs, norms = data.probes.eigen, data.chain.norms
     vh = d.eigenvectors.conj().T
     xi_c, eta_c = vh @ xi, vh @ eta
     # g^(k)(t0) = <alpha_t0(delta^k(x)) xi, eta> for k = 1..top+2
@@ -289,37 +276,28 @@ def _check_lipschitz(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     ts = np.concatenate(
         [[0.1, 1.0, 10.0], rng.uniform(-10, 10, size=47)]
     )
-    return lipschitz_check(
-        data.generator, data.x, ts, tol, instance_id=data.label, x_norm=data.x_norm,
-        dx_norm=data.chain_norms[1], eigen_chain=data.eigen_chain,
-    )
+    return lipschitz_check(data.probes, ts, tol, instance_id=data.label)
 
 
 def _check_uniform_conv(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return uniform_convergence_check(
-        data.generator, data.x, instance_id=data.label, chain_norms=data.chain_norms, eigen_chain=data.eigen_chain
-    )
+    return uniform_convergence_check(data.probes, instance_id=data.label)
 
 
 def _check_phi_hom(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
     cy = derivative_chain(data.generator, data.y, data.n)
-    return homomorphism_check(data.chain(data.n), cy, tol, instance_id=data.label)
+    return homomorphism_check(data.rep_chain, cy, tol, instance_id=data.label)
 
 
 def _check_phi_conj(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return conjugation_identity_check(
-        data.generator, data.chain(data.n), tol, instance_id=data.label, x_norm=data.x_norm
-    )
+    return conjugation_identity_check(data.rep_chain, tol, instance_id=data.label)
 
 
 def _check_norm_sandwich(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return norm_sandwich_check(data.chain(data.n), tol, instance_id=data.label, chain_norms=data.chain_norms)
+    return norm_sandwich_check(data.rep_chain, tol, instance_id=data.label)
 
 
 def _check_ad_identity(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:
-    return ad_expansion_check(
-        data.x, data.y, max(1, data.n), tol, instance_id=data.label, s_norm=data.x_norm, b_norm=data.y_norm
-    )
+    return ad_expansion_check(data.chain, data.y_chain, max(1, data.n), tol, instance_id=data.label)
 
 
 def _check_invariance(data: ScenarioData, tol: TolerancePolicy) -> CheckReport:

@@ -73,7 +73,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import ClassAlgebra, block_structure, certified, class_algebra
+from .blocks import ClassAlgebra, block_structure, certified
 from .core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -339,7 +339,7 @@ def lat_family(
     members.  An operator leaving every piece invariant is block diagonal,
     and one leaving the links invariant too has equal blocks on each class,
     so Alg(family) is the algebra, returned as its classes
-    (``class_algebra``).
+    (``ClassAlgebra``).
 
     The draw is certified by the structural checks of
     ``block_structure``, and by every generator lying in the algebra
@@ -360,7 +360,7 @@ def lat_family(
         h = np.tensordot(rng.standard_normal(len(herms)), herms, axes=1)
         classes, checks = block_structure(com, h, tol)
         if classes:
-            algebra = class_algebra(classes, dim)
+            algebra = ClassAlgebra(dim, tuple(classes))
             checks["generators"] = (float(algebra._residuals(generators).max()), tol.rank_cutoff)
             if certified(checks):
                 subspaces = []

@@ -18,11 +18,12 @@ The homomorphism, conjugation and ad-expansion identities are exact, so
 their residuals are pure roundoff: each is reported as a Frobenius norm
 (``frobenius_norm``), which bounds the operator norm from above, against
 a tolerance that keeps its operator-norm scale (the representations'
-norms, ``corner_exponential_norm``, ||x||, ||s|| and ||b||; a caller that
-holds ||x||, ||s|| or ||b|| passes it in).  The norm sandwich is a
-statement about operator norms and keeps them.
-A chain's representation and its norm are stored on the chain on first
-use, so the checks that share a chain share both.
+norms, ``corner_exponential_norm``, ||x||, ||s|| and ||b||).  The norm
+sandwich is a statement about operator norms and keeps them.  Every
+check takes derivative chains and reads the norms ||delta^j|| off them
+(``DerivativeChain.norms``); a chain's representation and its norm are
+stored on the chain on first use too, so the checks that share a chain
+share all three.
 
 Corner operators are plain dense ``(N(n+1), N(n+1))`` arrays.  Basis
 ordering is block-major: all of the base space tensored with the first
@@ -48,7 +49,7 @@ from .core import (
     frobenius_norm,
     operator_norm,
 )
-from .derivation import DerivativeChain, _chain, chain_norm, derivative_chain
+from .derivation import DerivativeChain, _chain, _check_same_generator, chain_norm, derivative_chain
 from .reports import CheckReport
 
 __all__ = [
@@ -191,27 +192,23 @@ def corner_exponential_norm(d: SelfAdjointGenerator, n: int) -> float:
 
 
 def conjugation_identity_check(
-    d: SelfAdjointGenerator,
     chain: DerivativeChain,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
-    *,
-    x_norm: float | None = None,
 ) -> CheckReport:
-    """exp(S) (x amplified) exp(-S) equals the triangular representation.
+    """exp(S) (x amplified) exp(-S) equals the triangular representation,
+    S = kron(J, iD) with D the chain's generator.
 
     The residual is a Frobenius norm, judged against the operator-norm
-    scale tol_alg(||exp(S)||, ||x||, ||exp(-S)||); ``x_norm``, when
-    given, is ||x||.
+    scale tol_alg(||exp(S)||, ||x||, ||exp(-S)||).
     """
     tol = tol or DEFAULT_TOL
-    n = chain.order
+    d, n = chain.generator, chain.order
     fwd, bwd = corner_exponential(d, n)
     lhs = fwd @ amplify(chain.x, n) @ bwd
     resid = frobenius_norm(lhs - _represented(chain))
     exp_norm = corner_exponential_norm(d, n)
-    x_norm = operator_norm(chain.x) if x_norm is None else x_norm
-    tolerance = tol.alg(exp_norm, x_norm, exp_norm)
+    tolerance = tol.alg(exp_norm, chain.norms[0], exp_norm)
     return CheckReport(
         "phi_conj",
         instance_id,
@@ -238,11 +235,9 @@ def homomorphism_check(
     tol = tol or DEFAULT_TOL
     if chain_x.order != chain_y.order:
         raise ValueError("chains must have the same order")
-    dx, dy = chain_x.generator, chain_y.generator
-    if dx.dim != dy.dim or not np.array_equal(dx.base, dy.base):
-        raise ValueError("chains must share the same generator")
+    _check_same_generator(chain_x, chain_y)
     n = chain_x.order
-    prod_chain = derivative_chain(dx, chain_x.x @ chain_y.x, n)
+    prod_chain = derivative_chain(chain_x.generator, chain_x.x @ chain_y.x, n)
     rep_xy = triangular_representation(prod_chain)
     resid = frobenius_norm(rep_xy - _represented(chain_x) @ _represented(chain_y))
     tolerance = tol.alg(_represented_norm(chain_x), _represented_norm(chain_y))
@@ -260,16 +255,11 @@ def norm_sandwich_check(
     chain: DerivativeChain,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
-    *,
-    chain_norms=None,
 ) -> CheckReport:
-    """||x||_n / (n+1) <= ||representation|| <= ||x||_n, with slack tol_alg.
-
-    ``chain_norms``, when given, holds ||delta^j(x)|| for j = 0..n or further.
-    """
+    """||x||_n / (n+1) <= ||representation|| <= ||x||_n, with slack tol_alg."""
     tol = tol or DEFAULT_TOL
     n = chain.order
-    weighted = chain_norm(chain, chain_norms)
+    weighted = chain_norm(chain)
     rep_norm = _represented_norm(chain)
     slack = tol.alg(weighted)
     lower_violation = max(0.0, weighted / (n + 1) - rep_norm)
@@ -286,25 +276,22 @@ def norm_sandwich_check(
 
 
 def ad_expansion_check(
-    s,
-    b,
+    chain_s: DerivativeChain,
+    chain_b: DerivativeChain,
     n: int,
     tol: TolerancePolicy | None = None,
     instance_id: str = "",
-    *,
-    s_norm: float | None = None,
-    b_norm: float | None = None,
 ) -> CheckReport:
-    """sum_j ad(s)^j(b) s^(n-j) / ((n-j)! j!) == s^n b / n!.
+    """sum_j ad(s)^j(b) s^(n-j) / ((n-j)! j!) == s^n b / n!, for the chains'
+    operands s and b.
 
     Holds in any associative algebra (left and right multiplication by s
-    commute, so the binomial theorem collapses the sum).  The residual is a
-    Frobenius norm, judged against the operator-norm scale
-    tol_alg(||s||^n, ||b||); ``s_norm`` and ``b_norm``, when given, are
-    ||s|| and ||b||.
+    commute, so the binomial theorem collapses the sum); only the chains'
+    operands and their norms are read.  The residual is a Frobenius norm,
+    judged against the operator-norm scale tol_alg(||s||^n, ||b||).
     """
     tol = tol or DEFAULT_TOL
-    s, b = as_operator(s), as_operator(b)
+    s, b = chain_s.x, chain_b.x
     if s.shape != b.shape:
         raise ValueError("s and b must have the same shape")
     if n < 0:
@@ -319,9 +306,7 @@ def ad_expansion_check(
         ad_term = s @ ad_term - ad_term @ s
     rhs = powers[n] @ b / math.factorial(n)
     resid = frobenius_norm(lhs - rhs)
-    s_norm = operator_norm(s) if s_norm is None else s_norm
-    b_norm = operator_norm(b) if b_norm is None else b_norm
-    tolerance = tol.alg(s_norm**n, b_norm)
+    tolerance = tol.alg(chain_s.norms[0] ** n, chain_b.norms[0])
     return CheckReport(
         "ad_identity",
         instance_id,

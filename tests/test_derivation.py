@@ -5,6 +5,8 @@ matrix-product computation shows D S_k - S_k D = k S_k, so every
 derivative of S_k has the closed form (ik)^j S_k.
 """
 
+import inspect
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from opderiv.core import (
     operator_norm,
 )
 from opderiv.derivation import (
+    DerivativeChain,
     _binomial_sums,
     automorphism,
     band_derivation,
@@ -266,10 +269,11 @@ def test_derivative_chain_validates_its_input_once(monkeypatch):
 
 
 def test_calculus_checks_validate_each_operand_once(monkeypatch):
-    # i[D, .] comes from the chain helper on operands already validated: the
-    # Leibniz check validates x and y, the convergence and Lipschitz checks
-    # x alone (the Lipschitz check reads V* x V off the validated x).
-    # The Leibniz residual is the Frobenius norm of the same difference.
+    # i[D, .] comes from the chain helper on operands already validated:
+    # building the chains of x and y validates each once, and the Leibniz,
+    # convergence and Lipschitz checks validate nothing more (the Lipschitz
+    # check reads V* x V off the chain).  The Leibniz residual is the
+    # Frobenius norm of the same difference.
     calls = []
     validate = derivation.as_operator
 
@@ -282,20 +286,24 @@ def test_calculus_checks_validate_each_operand_once(monkeypatch):
     lhs = commutator_derivative(d, x @ y)
     rhs = commutator_derivative(d, x) @ y + x @ commutator_derivative(d, y)
     monkeypatch.setattr(derivation, "as_operator", counting)
-    report = leibniz_check(d, x, y)
-    assert len(calls) == 2 and report.residuals == [frobenius_norm(lhs - rhs)]
-    for check, validations in ((lambda: lipschitz_check(d, x, [0.5, -1.0]), 1),
-                               (lambda: uniform_convergence_check(d, x), 1)):
+    cx, cy = derivative_chain(d, x, 2), derivative_chain(d, y, 0)
+    assert len(calls) == 2
+    calls.clear()
+    report = leibniz_check(cx, cy)
+    assert len(calls) == 0 and report.residuals == [frobenius_norm(lhs - rhs)]
+    for check, validations in ((lambda: lipschitz_check(cx, [0.5, -1.0]), 0),
+                               (lambda: uniform_convergence_check(cx), 0)):
         calls.clear()
         assert check().passed and len(calls) == validations
     small = np.eye(3)
+    with pytest.raises(DimensionMismatch):
+        derivative_chain(d, small, 2)
+    other = derivative_chain(eig_hermitian(np.diag([0.0, 1.0, 2.0])), small, 2)
     for check in (
-        lambda: leibniz_check(d, small, small),
-        lambda: leibniz_check(d, x, small),
-        lambda: lipschitz_check(d, small, [0.5]),
-        lambda: uniform_convergence_check(d, small),
+        lambda: leibniz_check(other, cy),
+        lambda: leibniz_check(cx, other),
     ):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="same generator"):
             check()
 
 
@@ -333,6 +341,111 @@ def test_chain_norm_submultiplicative(seed):
         cy = chain_norm(derivative_chain(d, y, n))
         cxy = chain_norm(derivative_chain(d, x @ y, n))
         assert cxy <= cx * cy + 1e-9
+
+
+def test_chain_constructor_takes_its_four_fields_only():
+    # the link from a prefix to its root is set by ``prefix``, not passed in
+    assert list(inspect.signature(DerivativeChain).parameters) == ["x", "order", "derivatives", "generator"]
+
+
+def test_prefix_shares_the_root_arrays_and_its_norms(monkeypatch):
+    rng = np.random.default_rng(61)
+    d = rng_generator(rng, 4)
+    root = derivative_chain(d, rng_operator(rng, 4), 5)
+    calls = []
+    norm = derivation.operator_norm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return norm(a)
+
+    monkeypatch.setattr(derivation, "operator_norm", counting)
+    head = root.prefix(3)
+    assert head.order == 3 and head.x is root.x
+    assert all(a is b for a, b in zip(head.derivatives, root.derivatives[:3]))
+    assert root.prefix(5).derivatives == root.derivatives
+    # the prefix's norms are the root's leading entries: one stacked norm in all
+    np.testing.assert_array_equal(head.norms, root.norms[:4])
+    np.testing.assert_array_equal(head.prefix(1).norms, root.norms[:2])
+    assert np.shares_memory(head.norms, root.norms)
+    assert calls == [(6, 4, 4)]
+    assert chain_norm(head) == chain_norm(derivative_chain(d, root.x, 3))
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match="prefix order"):
+            root.prefix(k)
+
+
+def test_prefix_eigen_covers_its_own_members(monkeypatch):
+    rng = np.random.default_rng(62)
+    d = rng_generator(rng, 4)
+    root = derivative_chain(d, rng_operator(rng, 4), 6)
+    calls = []
+    eigenbasis = derivation._eigenbasis
+
+    def counting(gen, a):
+        calls.append(np.shape(a))
+        return eigenbasis(gen, a)
+
+    monkeypatch.setattr(derivation, "_eigenbasis", counting)
+    head = root.prefix(2)
+    assert head.eigen.shape == (3, 4, 4) and head.eigen is head.eigen
+    assert calls == [(3, 4, 4)]
+    v = d.eigenvectors
+    for j in range(3):
+        np.testing.assert_allclose(head.eigen[j], v.conj().T @ root.delta(j) @ v, rtol=0, atol=1e-12)
+
+
+def test_chain_checks_reject_chains_they_cannot_read():
+    d = circle_generator(1)
+    s = circle_shift(1, 1)
+    other = derivative_chain(circle_generator(1).shifted(1.0), s, 1)
+    with pytest.raises(ValueError, match="same generator"):
+        leibniz_check(derivative_chain(d, s, 1), other)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        lipschitz_check(derivative_chain(d, s, 0), [0.5])
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            uniform_convergence_check(derivative_chain(d, s, order))
+    # what they read, they read off any chain long enough
+    assert lipschitz_check(derivative_chain(d, s, 4), [0.5]).passed
+    assert uniform_convergence_check(derivative_chain(d, s, 2)).passed
+
+
+# scenario -> the scenario block of a config
+_ONE_PATH_SCENARIOS = {
+    "random_5": {"kind": "random", "N": 5},
+    "hermitian_3": {"kind": "random", "N": 3, "x_kind": "hermitian"},
+    "circle_shift_k0": {"kind": "circle_fourier", "N": 2, "x_kind": {"kind": "shift", "k": 0}},
+    "random_1": {"kind": "random", "N": 1},
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("scenario", _ONE_PATH_SCENARIOS)
+def test_chain_checks_called_directly_match_the_run(scenario, n):
+    # every check that takes chains, called on derivative_chain(d, x, k) of
+    # the order it reads, gives the report run_checks gives on the
+    # scenario's shared chain and its prefixes: one path, bitwise
+    checks = ["leibniz", "lipschitz", "uniform_conv", "phi_hom", "phi_conj", "norm_sandwich", "ad_identity"]
+    config = ScenarioConfig.from_dict({
+        "scenario": _ONE_PATH_SCENARIOS[scenario], "n": n, "seed": 7, "checks": checks,
+    })
+    data = harness.build_scenario(config)
+    ran = {r.check: r for r in run_checks(config).results}
+    d, x, y, tol, label = data.generator, data.x, data.y, config.tol, data.label
+    ts = np.concatenate([[0.1, 1.0, 10.0], np.random.default_rng(7 + 17).uniform(-10, 10, size=47)])
+    direct = [
+        leibniz_check(derivative_chain(d, x, 0), derivative_chain(d, y, 0), tol, label),
+        lipschitz_check(derivative_chain(d, x, 1), ts, tol, label),
+        uniform_convergence_check(derivative_chain(d, x, 2), instance_id=label),
+        triangular.homomorphism_check(derivative_chain(d, x, n), derivative_chain(d, y, n), tol, label),
+        triangular.conjugation_identity_check(derivative_chain(d, x, n), tol, label),
+        triangular.norm_sandwich_check(derivative_chain(d, x, n), tol, label),
+        triangular.ad_expansion_check(derivative_chain(d, x, 0), derivative_chain(d, y, 0), max(1, n), tol, label),
+    ]
+    assert [r.check for r in direct] == checks
+    for report in direct:
+        assert json.dumps(report.to_json()) == json.dumps(ran[report.check].to_json()), report.check
 
 
 # ------------------------------------------------------------- band matrices
@@ -688,7 +801,9 @@ def test_fd_scalar_validates_unit_vectors():
 def test_leibniz_check_passes():
     rng = np.random.default_rng(13)
     d = rng_generator(rng, 4)
-    report = leibniz_check(d, rng_operator(rng, 4), rng_operator(rng, 4), instance_id="case-1")
+    report = leibniz_check(
+        derivative_chain(d, rng_operator(rng, 4), 0), derivative_chain(d, rng_operator(rng, 4), 0), instance_id="case-1"
+    )
     assert report.passed and report.check == "leibniz"
     payload = report.to_json()
     assert {"check", "instance_id", "residuals", "tolerance", "pass"} <= set(payload)
@@ -697,7 +812,7 @@ def test_leibniz_check_passes():
 
 def test_lipschitz_identity_degenerate_pass():
     d = eig_hermitian(np.diag([0.0, 3.0]))
-    report = lipschitz_check(d, np.eye(2), [0.0, 0.5, 10.0])
+    report = lipschitz_check(derivative_chain(d, np.eye(2), 1), [0.0, 0.5, 10.0])
     assert report.passed and report.details["degenerate"]
 
 
@@ -705,10 +820,10 @@ def test_lipschitz_circle_ratio_approaches_one():
     # ||alpha_t(S_1) - S_1|| = |e^{it} - 1| = 2|sin(t/2)| <= |t|
     d = circle_generator(2)
     s = circle_shift(2, 1)
-    report = lipschitz_check(d, s, [0.1, 1.0, 10.0])
+    report = lipschitz_check(derivative_chain(d, s, 1), [0.1, 1.0, 10.0])
     assert report.passed
     assert report.residuals[0] == pytest.approx(2 * np.sin(0.05) / 0.1, rel=1e-10)
-    tiny = lipschitz_check(d, s, [1e-4])
+    tiny = lipschitz_check(derivative_chain(d, s, 1), [1e-4])
     assert tiny.residuals[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -717,7 +832,7 @@ def test_lipschitz_random_sweep(seed):
     rng = np.random.default_rng(130 + seed)
     d = rng_generator(rng, 4)
     x = rng_operator(rng, 4)
-    report = lipschitz_check(d, x, rng.uniform(-10, 10, size=100))
+    report = lipschitz_check(derivative_chain(d, x, 1), rng.uniform(-10, 10, size=100))
     assert report.passed
 
 
@@ -728,7 +843,7 @@ def test_lipschitz_and_uniform_convergence_match_per_sample_oracle():
     ts = np.concatenate([[0.0], rng.uniform(-10, 10, size=7)])
     dx_norm = operator_norm(commutator_derivative(d, x))
     oracle = [operator_norm(automorphism(d, x, t) - x) / (dx_norm * abs(t)) for t in ts[1:]]
-    residuals = lipschitz_check(d, x, ts).residuals
+    residuals = lipschitz_check(derivative_chain(d, x, 1), ts).residuals
     # the eigenbasis form gives an exact 0 at t = 0, where the oracle has roundoff
     assert residuals[0] == 0.0
     np.testing.assert_allclose(residuals[1:], oracle, rtol=1e-13, atol=0)
@@ -736,7 +851,8 @@ def test_lipschitz_and_uniform_convergence_match_per_sample_oracle():
     hs = [0.05 * 0.5**i for i in range(4)]
     dy = _in_eigenbasis(d, commutator_derivative(d, x))
     oracle = [operator_norm(_eigenbasis_difference(d, x, h) / h - dy) for h in hs]
-    np.testing.assert_allclose(uniform_convergence_check(d, x, hs).residuals, oracle, rtol=1e-13, atol=0)
+    residuals = uniform_convergence_check(derivative_chain(d, x, 2), hs).residuals
+    np.testing.assert_allclose(residuals, oracle, rtol=1e-13, atol=0)
 
 
 _BAD_PROBE_INPUTS = {
@@ -770,8 +886,8 @@ def test_probes_reject_bad_sample_sets_and_steps(case):
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     xi = np.array([1.0, 0.0])
     calls = {
-        "lipschitz": lambda: lipschitz_check(d, x, value),
-        "uniform_conv": lambda: uniform_convergence_check(d, x, value),
+        "lipschitz": lambda: lipschitz_check(derivative_chain(d, x, 1), value),
+        "uniform_conv": lambda: uniform_convergence_check(derivative_chain(d, x, 2), value),
         "scalar": lambda: central_difference_scalar(d, x, 2, xi, xi, **{name: value}),
         "derivative": lambda: central_difference_derivative(d, x, value),
     }
@@ -782,7 +898,7 @@ def test_probes_reject_bad_sample_sets_and_steps(case):
 def test_uniform_convergence_identity_degenerate():
     # delta(I) = 0: each residual is roundoff, within the roundoff part of its bound
     d = eig_hermitian(np.diag([0.0, 1.0]))
-    report = uniform_convergence_check(d, np.eye(2))
+    report = uniform_convergence_check(derivative_chain(d, np.eye(2), 2))
     bounds = report.details["bounds"]
     assert report.passed and all(r <= b for r, b in zip(report.residuals, bounds))
     assert report.tolerance == max(bounds)
@@ -796,7 +912,7 @@ def test_uniform_convergence_circle_scalar_residual():
     d = circle_generator(2)
     s = circle_shift(2, 1)
     hs = [0.1 / 2**i for i in range(5)]
-    report = uniform_convergence_check(d, s, hs)
+    report = uniform_convergence_check(derivative_chain(d, s, 2), hs)
     assert report.passed
     for h, r in zip(hs, report.residuals):
         assert r == pytest.approx(abs((np.exp(1j * h) - 1.0) / h - 1j), rel=1e-8)
@@ -806,7 +922,7 @@ def test_uniform_convergence_random_decay():
     rng = np.random.default_rng(14)
     d = rng_generator(rng, 4)
     x = (lambda z: (z + z.conj().T) / 2)(rng_operator(rng, 4))
-    report = uniform_convergence_check(d, x)
+    report = uniform_convergence_check(derivative_chain(d, x, 2))
     assert report.passed
     assert all(b < a for a, b in zip(report.residuals, report.residuals[1:]))
     # each residual is within its own bound h/2 ||delta^2(x)|| + roundoff
@@ -819,7 +935,7 @@ def test_uniform_convergence_random_decay():
 def test_uniform_convergence_validates_sequence():
     d = eig_hermitian(np.eye(2))
     with pytest.raises(ValueError):
-        uniform_convergence_check(d, np.eye(2), [0.1, 0.2])
+        uniform_convergence_check(derivative_chain(d, np.eye(2), 2), [0.1, 0.2])
 
 
 # --------------------------------------------------------------- invariants
@@ -978,8 +1094,8 @@ def test_fd_probes_fail_when_the_exact_side_is_off(probe, scenario, seed, monkey
     assert _CHECKS[probe](data, config.tol).passed
     # every derivative delta^k(x), k >= 1, in the eigenbasis of D; x itself
     # is the sampled side
-    coeffs = data.eigen_chain
-    monkeypatch.setitem(data.__dict__, "eigen_chain", np.concatenate([coeffs[:1], (1.0 + 1e-3) * coeffs[1:]]))
+    coeffs = data.probes.eigen
+    monkeypatch.setitem(data.probes.__dict__, "eigen", np.concatenate([coeffs[:1], (1.0 + 1e-3) * coeffs[1:]]))
     assert not _CHECKS[probe](data, config.tol).passed
 
 
@@ -996,7 +1112,6 @@ def test_probes_share_one_change_of_basis_per_scenario(n, monkeypatch):
         return eigenbasis(d, a)
 
     monkeypatch.setattr(derivation, "_eigenbasis", counting)
-    monkeypatch.setattr(harness, "_eigenbasis", counting)
     monkeypatch.setattr(harness, "build_scenario", lambda config: built.append(build(config)) or built[-1])
     checks = ["fd_first", "fd_higher", "lipschitz", "uniform_conv"]
     config = ScenarioConfig.from_dict({"scenario": {"kind": "random", "N": 5}, "n": n, "seed": 4, "checks": checks})
@@ -1004,7 +1119,7 @@ def test_probes_share_one_change_of_basis_per_scenario(n, monkeypatch):
     assert [r.check for r in report.results] == checks and report.overall_pass
     top = min(3, max(1, n))
     assert calls == [(top + 3, 5, 5)]
-    assert len(built[0].chain_norms) == max(n, top + 4) + 1
+    assert len(built[0].chain.norms) == max(n, top + 4) + 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1086,7 +1201,7 @@ def test_lipschitz_judgement_matches_per_sample_oracle(case, monkeypatch):
     eigenbasis = derivation._eigenbasis
     monkeypatch.setattr(derivation, "_eigenbasis", lambda d, a: factor * eigenbasis(d, a))
     ts = np.concatenate([[0.0, 1e-12, -0.5, 1.0], rng.uniform(-10, 10, size=6)])
-    report = lipschitz_check(d, x, ts)
+    report = lipschitz_check(derivative_chain(d, x, 1), ts)
     residuals, passed, degenerate = _lipschitz_per_sample(d, x, ts)
     assert report.residuals == residuals
     assert report.passed == passed and report.details["degenerate"] == degenerate
@@ -1173,7 +1288,8 @@ def test_identity_checks_take_no_residual_svd(monkeypatch):
     exp_rj = np.array([[1.0, data.generator.norm()], [0.0, 1.0]])
     chain = derivative_chain(data.generator, x, 5)  # max(n, top + 4), top = min(3, max(1, n)) = 1
     expected = [
-        np.stack([chain.delta(j) for j in range(6)]), y,  # ||x|| and ||y||, first used by leibniz
+        np.stack([chain.delta(j) for j in range(6)]), y[None],  # the chains of x and of y (order 0), first
+        # normed by leibniz
         rep_x, rep_y,  # phi_hom
         exp_rj,  # phi_conj
     ]
@@ -1218,6 +1334,6 @@ def test_calculus_run_takes_each_scenario_norm_once(monkeypatch):
     np.testing.assert_array_equal(at_build[0], data.generator.base)
     matrices = [m for a in seen for m in a.reshape(-1, *a.shape[-2:])]
     chain = derivative_chain(data.generator, data.x, 6)
-    assert len(data.chain_norms) == 7
+    assert len(data.chain.norms) == 7
     for name, op in [("y", data.y)] + [(f"delta^{j}(x)", chain.delta(j)) for j in range(7)]:
         assert sum(np.array_equal(m, op) for m in matrices) == 1, name

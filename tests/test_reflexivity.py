@@ -1013,7 +1013,7 @@ def test_pipeline_checks_and_factors_each_basis_once(
 ):
     # the corner_solve cases at (8, 2).  invariant_family checks the commutant,
     # the lat members and the 2n graph members once each, and not their
-    # embeddings, the H_j or the algebra, which class_algebra builds
+    # embeddings, the H_j or the algebra, which ClassAlgebra builds
     # orthonormal from certified pieces; its SVDs are the commutant's, one per
     # generator and adjoint, and its QRs one per graph member.  The check then
     # takes one SVD per graph member, which gives both its rank and G, and one

@@ -548,6 +548,27 @@ def test_cli_gen_and_show(tmp_path, capsys):
     assert "dim 5" in out and "operator norm 2, ||A - A*|| = 0" in out
 
 
+def test_cli_run_unwritable_report_exit_2(tmp_path, capsys):
+    # every check passes, but the report's directory is missing: an I/O
+    # error is exit 2 with one stderr line, not exit 1 with a traceback
+    cfg = write_config(tmp_path, base_config(checks=["leibniz"]))
+    report_path = tmp_path / "missing" / "r.json"
+    assert cli_main(["run", str(cfg), "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write report") and err.count("\n") == 1
+    assert str(report_path) in err and not report_path.exists()
+
+
+def test_cli_gen_out_dir_on_a_file_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert cli_main(["gen", str(cfg), "--out-dir", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write scenario matrices") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def test_cli_show_bad_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -289,21 +289,21 @@ def test_corner_exponential_norm_is_bitwise_the_eye_sum(radius, n):
 
 def test_conjugation_identity_trivial():
     d = eig_hermitian(np.diag([0.0, 1.0]))
-    report = conjugation_identity_check(d, derivative_chain(d, np.eye(2), 2))
+    report = conjugation_identity_check(derivative_chain(d, np.eye(2), 2))
     assert report.passed and report.residuals[0] <= 1e-13
 
 
 def test_conjugation_identity_random_2x2():
     rng = np.random.default_rng(31)
     d = rng_generator(rng, 2)
-    report = conjugation_identity_check(d, derivative_chain(d, rng_operator(rng, 2), 1))
+    report = conjugation_identity_check(derivative_chain(d, rng_operator(rng, 2), 1))
     assert report.passed and report.residuals[0] <= 1e-10
 
 
 def test_conjugation_identity_circle_n3():
     d = circle_generator(4)  # dimension 9
     s = circle_shift(4, 1)
-    report = conjugation_identity_check(d, derivative_chain(d, s, 3))
+    report = conjugation_identity_check(derivative_chain(d, s, 3))
     assert report.passed and report.residuals[0] <= 1e-8
     # the tolerance is decided by the closed-form norm of exp(+-S), reported
     exp_norm = report.details["exp_norm"]
@@ -411,18 +411,25 @@ def test_phi_hom_and_norm_sandwich_take_one_representation_norm(monkeypatch):
 # ------------------------------------------------------------- ad expansion
 
 
+def operand_chains(*ops):
+    """Chains of order 0 of the operands, under the generator I: the ad
+    identity reads only each operand and its norm."""
+    d = eig_hermitian(np.eye(len(ops[0])))
+    return [derivative_chain(d, a, 0) for a in ops]
+
+
 def test_ad_expansion_trivial_orders():
     rng = np.random.default_rng(34)
     s, b = rng_operator(rng, 3), rng_operator(rng, 3)
-    assert ad_expansion_check(s, b, 0).residuals[0] <= 1e-14
+    assert ad_expansion_check(*operand_chains(s, b), 0).residuals[0] <= 1e-14
     # n = 1: [s, b] + b s = s b by hand
-    assert ad_expansion_check(s, b, 1).passed
+    assert ad_expansion_check(*operand_chains(s, b), 1).passed
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_ad_expansion_random(n):
     rng = np.random.default_rng(340 + n)
     s, b = rng_operator(rng, 4), rng_operator(rng, 4)
-    report = ad_expansion_check(s, b, n)
+    report = ad_expansion_check(*operand_chains(s, b), n)
     assert report.passed
     assert report.residuals[0] <= 1e-10 * (1 + operator_norm(s) ** n * operator_norm(b))
