@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -46,6 +47,7 @@ __all__ = [
     "band_groups",
     "spectral_band_projections",
     "Subspace",
+    "GraphSubspace",
     "OperatorSpace",
     "nullspace_of_constraints",
     "save_operator",
@@ -384,7 +386,10 @@ class Subspace:
     are orthonormal by construction and are not checked again: an
     ``embedded`` copy, whose zero rows leave the Gram matrix of a checked
     basis unchanged, and columns of the identity, whose Gram matrix is
-    exactly I.  Both go through ``_orthonormal``.
+    exactly I.  Both go through ``_orthonormal``.  A graph is carried by
+    its graph map instead (``GraphSubspace``): its basis is formed, and
+    checked, on first use.  A plain subspace carries no map: ``graph`` is
+    None.
 
     A subspace is read only through its basis; no d x d projection is
     formed (``reflexivity.invariance_residuals`` takes its leak as
@@ -393,6 +398,7 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
+    graph = None  # a class attribute, not a field
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -422,6 +428,46 @@ class Subspace:
         basis = np.zeros((ambient_dim, self.dim), dtype=complex)
         basis[offset : offset + self.ambient_dim, :] = self.basis
         return Subspace._orthonormal(basis)
+
+
+class GraphSubspace(Subspace):
+    """The graph {(G xi, xi) : xi in C^k} of a (p, k) map G, in the first
+    p + k coordinates of C^ambient_dim, carried by G.
+
+    ``graph`` is G as given.  The orthonormal basis is the Q factor of one
+    QR of the columns [G; I_k], zero below them; they have rank k (their
+    last k rows are the identity), so Q spans the graph.  It is formed,
+    and checked against ``_GRAM_GUARD`` as the constructor of ``Subspace``
+    checks, on the first read of ``basis`` and kept; a consumer that needs
+    only G never forms it.  ``embedded`` at offset 0 keeps the map; at
+    another offset the copy is a plain subspace of the embedded basis.
+    """
+
+    def __init__(self, ambient_dim: int, graph: np.ndarray):
+        graph = np.asarray(graph, dtype=complex)
+        if graph.ndim != 2 or sum(graph.shape) > ambient_dim:
+            raise ValueError(f"a graph map of shape {graph.shape} does not fit in C^{ambient_dim}")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "graph", graph)
+
+    @property
+    def dim(self) -> int:
+        return self.graph.shape[1]
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        p, k = self.graph.shape
+        q, _ = np.linalg.qr(np.vstack([self.graph, np.eye(k, dtype=complex)]))
+        if not _gram_deviation(q.T) <= _GRAM_GUARD:  # NaN fails too
+            raise ValueError("basis columns are not orthonormal")
+        basis = np.zeros((self.ambient_dim, k), dtype=complex)
+        basis[: p + k] = q
+        return basis
+
+    def embedded(self, ambient_dim: int, offset: int = 0) -> Subspace:
+        if offset or self.ambient_dim > ambient_dim:
+            return super().embedded(ambient_dim, offset)
+        return GraphSubspace(ambient_dim, self.graph)
 
 
 @dataclass(frozen=True)

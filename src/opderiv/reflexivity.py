@@ -44,8 +44,12 @@ All dimension counts are over the complex field.  The corner solve is a
 tower over the order, as in the paper's induction: it starts from the
 algebra, which is Alg(lat_M) by ``lat_family``'s construction, and adds
 one block column per level.  P_j is the graph of a map G from block j,
-so X = [[A, Y_top], [0, Y_bot]] leaves it invariant exactly when
-Y_top = G Y_bot - A G; with Q_j the graph of G' and K = G - G' of full
+G = [T_j; ...; T_1] with T_k = (iD)^k / k!, and the family carries it by
+G (``GraphSubspace``), so the tower reads G with no factorization; a
+member's orthonormal basis is formed, and checked, only when
+``invariance_residuals`` reads it.  X = [[A, Y_top], [0, Y_bot]] leaves
+P_j invariant exactly when Y_top = G Y_bot - A G; with Q_j the graph of
+G', built from i(D + 1) in the same way, and K = G - G' of full
 column rank, X leaves both invariant exactly when also Y_bot = K+ A K and
 A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
@@ -76,6 +80,7 @@ import numpy as np
 from .blocks import ClassAlgebra, block_structure, certified
 from .core import (
     DEFAULT_TOL,
+    GraphSubspace,
     OperatorSpace,
     SelfAdjointGenerator,
     Subspace,
@@ -375,7 +380,7 @@ def lat_family(
     )
 
 
-def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Subspace:
+def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> GraphSubspace:
     """Range of the corner exponential applied to the last block.
 
     The subspace { exp(S)(xi tensor e_n) : xi } of the (n+1)-block space:
@@ -383,24 +388,24 @@ def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Subsp
     blocks.  ``shift=1`` gives the companion family used to pin down the
     diagonal in the reflexivity argument.  The spanning columns are the
     last block column of exp(S), the powers (i(D + shift))^k / k! stacked
-    for k = n, ..., 0, built in closed form without exp(S).  Their last
-    block is the identity, so their smallest singular value is at least 1:
-    they have rank N, and one QR orthonormalizes them.  The powers of
-    order n start with those of every lower order, so ``invariant_family``
-    forms them once per shift and builds each level from its leading
-    terms, bitwise this subspace.
+    for k = n, ..., 0, built in closed form without exp(S); the last is
+    the identity, so the subspace is the graph of G, the powers k = n..1
+    stacked, and is carried by G (``GraphSubspace``), with no
+    factorization.  Its orthonormal basis is one QR of [G; I], formed and
+    checked on first use.  The powers of order n start with those of every
+    lower order, so ``invariant_family`` forms them once per shift and
+    builds each level from its leading terms, bitwise this subspace.
     """
     if n < 1:
         raise ValueError("graph subspace requires order n >= 1")
-    return _graph_member(_exponential_terms(d, n, shift))
+    return _graph_member(_exponential_terms(d, n, shift), d.dim * (n + 1))
 
 
-def _graph_member(terms: np.ndarray) -> Subspace:
-    """``graph_subspace`` of order len(terms) - 1 from the leading terms of
-    ``_exponential_terms``: one QR of the terms stacked in reverse order."""
-    cols = terms[::-1].reshape(-1, terms.shape[-1])
-    q, _ = np.linalg.qr(cols)
-    return Subspace(len(cols), q)
+def _graph_member(terms: np.ndarray, ambient_dim: int) -> GraphSubspace:
+    """``graph_subspace`` of order len(terms) - 1, in C^ambient_dim, from the
+    leading terms of ``_exponential_terms``: the graph of the terms of order
+    >= 1 stacked in reverse order, over the term of order 0, the identity."""
+    return GraphSubspace(ambient_dim, terms[:0:-1].reshape(-1, terms.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -444,10 +449,12 @@ def invariant_family(
     carrying the algebra that ``lat_family`` built with its members.
 
     The graph members come from one power sequence per shift (see
-    ``graph_subspace``).  The lat and graph members are checked when they
-    are built, on the base and on the first j + 1 blocks; their embeddings
-    and the H_j, columns of the identity, are orthonormal by construction
-    and are not checked again (``Subspace``)."""
+    ``graph_subspace``) and are carried by their graph maps: their bases
+    are formed, and checked, on first use (``invariance_residuals`` reads
+    them, the corner solve does not).  The lat members are checked when
+    they are built, on the base; their embeddings and the H_j, columns of
+    the identity, are orthonormal by construction and are not checked
+    again (``Subspace``)."""
     tol = tol or DEFAULT_TOL
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -468,7 +475,7 @@ def invariant_family(
     terms = {kind: _exponential_terms(d, n, shift) for kind, shift in (("P", 0.0), ("Q", 1.0))}
     for j in range(1, n + 1):
         for kind in "PQ":
-            subs.append(_graph_member(terms[kind][: j + 1]).embedded(ambient, 0))
+            subs.append(_graph_member(terms[kind][: j + 1], ambient))
             labels.append(f"{kind}_{j}")
     return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
 
@@ -489,7 +496,9 @@ def invariance_residuals(
     (an ``embedded`` basis is exact zeros below its blocks), so X B is one
     stacked product X[:, :r] B[:r] over the elements and B* X B reads
     only the first r rows of it.  X is not assumed block triangular: every
-    row of X B enters the leak.
+    row of X B enters the leak.  A basis whose nonzero rows are exactly
+    I_r (an H_j) spans the first r coordinates, and its leak is exactly
+    ||X[r:, :r]||_F, read off X with no product (0 for H_n).
 
     Gives residuals, not a verdict: the caller judges them against its
     own tolerance.  The Frobenius norm bounds the operator norm from
@@ -504,8 +513,11 @@ def invariance_residuals(
         nonzero = np.flatnonzero(sub.basis.any(axis=1))
         b = sub.basis[: nonzero[-1] + 1 if len(nonzero) else 0]
         r = len(b)
-        leak = reps[:, :, :r] @ b
-        leak[:, :r] -= b @ (b.conj().T @ leak[:, :r])
+        if b.shape == (r, r) and np.count_nonzero(b) == r and (b.diagonal() == 1).all():
+            leak = reps[:, r:, :r]  # B = [I_r; 0], an H_j: the leak is X[r:, :r]
+        else:
+            leak = reps[:, :, :r] @ b
+            leak[:, :r] -= b @ (b.conj().T @ leak[:, :r])
         out[label] = float(frobenius_norm(leak).max(initial=0.0))
     return out
 
@@ -544,19 +556,12 @@ def _corner_solve(
     which is Alg(lat_M) by ``lat_family``'s construction.
 
     Each level is closed form by the graph lemma (see the module
-    docstring).  G = top bot^-1 is read off a member's block-j rows bot
-    and the rows above them, top, by one SVD bot = U Sigma V*: its rank is
-    ``matrix_rank``'s with cutoff ``rank_cutoff`` (the singular values
-    above it), and G = top V Sigma^-1 U* from the same factors, with no
-    second factorization.  One step of iterative refinement in working
-    precision, G + (top - G bot) V Sigma^-1 U* (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 12), makes G as accurate as
-    an LU solve would: without it, G is up to 50x further from its closed
-    form on built families.  With G read off P_j, G' off Q_j and
-    K = G - G', level j keeps A and sets Y_bot = K+ A K and
-    Y_top = G Y_bot - A G, a linear map of A.  The tower, their
-    composition, is the linear map L from the algebra M to the operators
-    on the whole corner space, and L(a) has corner a.  L(M) is
+    docstring), with the graph maps the P_j and Q_j members carry
+    (``GraphSubspace.graph``): no member's basis is formed or factored.
+    With G the map of P_j, G' that of Q_j and K = G - G', level j keeps A
+    and sets Y_bot = K+ A K and Y_top = G Y_bot - A G, a linear map of A.
+    The tower, their composition, is the linear map L from the algebra M
+    to the operators on the whole corner space, and L(a) has corner a.  L(M) is
     Alg(family) when the constraint Kc* A K = 0 (Kc an orthonormal basis
     of the complement of range K) cuts nothing, which the rank-0
     certificate of each level decides: the ratio returned is the largest
@@ -575,10 +580,10 @@ def _corner_solve(
 
     Raises ValueError when a member's label is not ``lat_M[i]``, ``H_j``,
     ``P_j`` or ``Q_j`` (i, j canonical integers, j >= 1 for P_j and Q_j)
-    or not the shape it claims (a P_j or Q_j must be a graph over block j:
-    dimension N, with block-j rows of rank N, their smallest singular value
-    above ``rank_cutoff``), a level has two P_j or two Q_j, K has rank
-    below N (relative cutoff ``rank_cutoff``), or a member of a complete
+    or not the shape it claims (a P_j or Q_j must carry a graph map over
+    block j, of shape (jN, N): a member given only by a basis is no graph
+    member), a level has two P_j or two Q_j, K has rank below N (relative
+    cutoff ``rank_cutoff``), or a member of a complete
     family is missing: H_0, ..., H_{n-1}, which make X block upper
     triangular, and P_j and Q_j at every level j = 1, ..., n.
     """
@@ -600,19 +605,11 @@ def _corner_solve(
             j = int(match[1])
             if j > n:
                 raise ValueError(f"{label} has no level in a family of order {n}")
-            if frobenius_norm(sub.basis[base * (j + 1) :]) > tol.alg():
-                raise ValueError(f"{label} is not supported in the first {j + 1} blocks")
-            if sub.dim != base:
-                raise ValueError(f"{label} is not a graph over block {j}")
-            top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
-            u, s, vh = np.linalg.svd(bot)
-            if s[-1] <= tol.rank_cutoff:  # rank below N, by matrix_rank's rule
+            if sub.graph is None or sub.graph.shape != (base * j, base):
                 raise ValueError(f"{label} is not a graph over block {j}")
             if label in graphs:
                 raise ValueError(f"level {j} has two {label} members")
-            inv = (vh.conj().T / s) @ u.conj().T  # bot^-1
-            g = top @ inv
-            graphs[label] = g + (top - g @ bot) @ inv  # G = top bot^-1, refined once
+            graphs[label] = sub.graph
     for j in range(n):
         if j + 1 not in leading:
             raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")

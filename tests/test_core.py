@@ -15,6 +15,7 @@ from opderiv import core
 from opderiv.core import (
     DEFAULT_TOL,
     DimensionMismatch,
+    GraphSubspace,
     NotHermitian,
     OperatorSpace,
     Subspace,
@@ -509,6 +510,32 @@ def test_subspace_embedding_is_the_zero_padded_basis_unchecked(monkeypatch):
     assert calls == [(2, 9)]
     with pytest.raises(ValueError, match="orthonormal"):
         Subspace(9, padded * (1 + 1e-8))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_graph_subspace_forms_and_checks_its_basis_on_first_read(monkeypatch):
+    # the graph of G is carried by G: the constructor factors and checks
+    # nothing, and the basis is one QR of [G; I], checked once, zero below
+    g = np.array([[1.0, 2.0j], [0.0, 1.0], [3.0, 0.5]])
+    calls = []
+    gram = core._gram_deviation
+    monkeypatch.setattr(core, "_gram_deviation", lambda r: calls.append(r.shape) or gram(r))
+    sub = GraphSubspace(7, g)
+    assert sub.ambient_dim == 7 and sub.dim == 2 and not calls
+    assert sub.graph.dtype == complex
+    q, _ = np.linalg.qr(np.vstack([g, np.eye(2)]).astype(complex))
+    np.testing.assert_array_equal(sub.basis[:5], q)
+    assert not sub.basis[5:].any() and calls == [(2, 5)]
+    assert Subspace(2, np.eye(2)).graph is None  # a plain subspace carries no map
+    # the span is the graph: the columns [G xi; xi] lie in it
+    cols = np.vstack([g, np.eye(2), np.zeros((2, 2))])
+    assert operator_norm(cols - projection(sub) @ cols) <= 1e-14
+    with pytest.raises(ValueError, match="does not fit"):
+        GraphSubspace(4, g)
+    with pytest.raises(ValueError, match="does not fit"):
+        GraphSubspace(7, g[0])
+    with pytest.raises(ValueError, match="orthonormal"):
+        GraphSubspace(5, np.full((3, 2), np.nan)).basis
 
 
 def test_subspace_distance_is_projection_based():

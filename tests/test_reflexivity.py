@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from opderiv import blocks, core, reflexivity
 from opderiv.core import (
     DEFAULT_TOL,
+    GraphSubspace,
     OperatorSpace,
     Subspace,
     eig_hermitian,
@@ -41,6 +42,7 @@ from opderiv.reflexivity import (
 )
 from opderiv.scenarios import random_scenario
 from opderiv.triangular import (
+    _exponential_terms,
     corner_exponential,
     triangular_representation,
     triangular_representations,
@@ -714,6 +716,31 @@ def test_invariance_residuals_bracket_the_operator_norm(spec, eigenvalues, n, mo
     assert max(resid.values()) <= DEFAULT_TOL.alg((1.0 + d.norm()) ** n)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_leading_corner_leaks_match_the_projection_oracle(n, monkeypatch):
+    # an H_j member, basis [I_r; 0] with r = N(j + 1), leaks ||X[r:, :r]||_F,
+    # read with no product: held against ||(I - P) X P||_F on X = rep(x) plus
+    # a random strictly block-lower part, which every H_j but H_n sees
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 3)
+    d = rng_generator(np.random.default_rng(75), 3)
+    fam = invariant_family(spec, d, n)
+    elements = spec.generating_set() + [np.diag([1.0, 2.0, 3.0j])]
+    rng = np.random.default_rng(110 + n)
+    dim = fam.ambient_dim
+    lower = rng.standard_normal((len(elements), dim, dim)) + 1j * rng.standard_normal((len(elements), dim, dim))
+    lower *= np.kron(np.tri(n + 1, k=-1), np.ones((3, 3)))
+    leaky = triangular_representations(d, np.stack(elements), n) + lower
+    monkeypatch.setattr(reflexivity, "triangular_representations", lambda d, xs, n: leaky)
+    resid = invariance_residuals(fam, d, elements)
+    eye = np.eye(dim)
+    for j in range(n + 1):
+        p = projection(dict(zip(fam.labels, fam.subspaces))[f"H_{j}"])
+        want = max(frobenius_norm((eye - p) @ x @ p) for x in leaky)
+        assert resid[f"H_{j}"] == pytest.approx(want, rel=1e-15, abs=0)
+        assert (resid[f"H_{j}"] > 1) == (j < n)
+    assert resid[f"H_{n}"] == 0.0
+
+
 # -------------------------------------------------------------- alg of family
 
 
@@ -1011,26 +1038,30 @@ def _counting(monkeypatch):
 def test_pipeline_checks_and_factors_each_basis_once(
     kind, lat_members, commutant_svds, monkeypatch
 ):
-    # the corner_solve cases at (8, 2).  invariant_family checks the commutant,
-    # the lat members and the 2n graph members once each, and not their
-    # embeddings, the H_j or the algebra, which ClassAlgebra builds
-    # orthonormal from certified pieces; its SVDs are the commutant's, one per
-    # generator and adjoint, and its QRs one per graph member.  The check then
-    # takes one SVD per graph member, which gives both its rank and G, and one
-    # of K per level: no solve, no separate rank and no Gram check
+    # the corner_solve cases at (8, 2).  invariant_family checks the commutant
+    # and the lat members once each, and not their embeddings, the H_j or the
+    # algebra, which ClassAlgebra builds orthonormal from certified pieces; its
+    # SVDs are the commutant's, one per generator and adjoint.  The 2n graph
+    # members carry their maps: the build factors none of them.  The check
+    # reads each G off its member and takes one SVD, of K, per level: no QR,
+    # no solve, no separate rank and no Gram check.  A graph member's basis
+    # takes one QR and one Gram check on its first read, and none after
     n, pattern = 2, (4, 4) if kind == "block_diagonal" else None
     spec = VonNeumannAlgebraSpec(kind, 8, pattern=pattern)
     d, _ = random_scenario(8, 1)
     counts = _counting(monkeypatch)
     family = invariant_family(spec, d, n)
-    assert dict(counts) == {
-        "_gram_deviation": 1 + lat_members + 2 * n,
-        "svd": commutant_svds,
-        "qr": 2 * n,
-    }
+    assert dict(counts) == {"_gram_deviation": 1 + lat_members, "svd": commutant_svds}
     counts.clear()
     assert reflexivity_check(spec, d, n, family=family).passed
-    assert dict(counts) == {"svd": 3 * n}
+    assert dict(counts) == {"svd": n}
+    for label, member in zip(family.labels, family.subspaces):
+        if label[0] in "PQ":
+            counts.clear()
+            first = member.basis
+            assert dict(counts) == {"qr": 1, "_gram_deviation": 1}
+            counts.clear()
+            assert member.basis is first and not counts
 
 
 @pytest.mark.parametrize("shift", (0.0, 1.0))
@@ -1293,9 +1324,9 @@ def _graph_map(family, label):
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
-    # G = top V Sigma^-1 U* from the SVD of the block-j rows, refined once, is
-    # top bot^-1; the members are bitwise graph_subspace's, from one power
-    # sequence per shift
+    # the map G each graph member carries, which the tower reads, is
+    # top bot^-1 of the member's basis; the members are bitwise
+    # graph_subspace's, from one power sequence per shift
     spec = _oracle_spec(kind, 4)
     d = rng_generator(np.random.default_rng(70 + n), 4, spread=3.0)
     family = invariant_family(spec, d, n)
@@ -1313,13 +1344,56 @@ def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_graph_members_carry_the_stacked_exponential_terms():
+    # P_j (Q_j) carries G = [T_j; ...; T_1], T_k the (i(D + c))^k / k! of
+    # _exponential_terms with c = 0 (c = 1), bitwise; its basis, formed on
+    # first read, is bitwise the Q factor of one QR of [G; I], zero below the
+    # first j + 1 blocks
+    base, n = 3, 3
+    d = rng_generator(np.random.default_rng(73), base, spread=2.0)
+    family = invariant_family(VonNeumannAlgebraSpec("full", base), d, n)
+    members = dict(zip(family.labels, family.subspaces))
+    for kind, shift in (("P", 0.0), ("Q", 1.0)):
+        terms = _exponential_terms(d, n, shift)
+        for j in range(1, n + 1):
+            member = members[f"{kind}_{j}"]
+            assert isinstance(member, GraphSubspace) and member.dim == base
+            np.testing.assert_array_equal(member.graph, np.vstack(terms[j:0:-1]))
+            q, _ = np.linalg.qr(np.vstack(terms[j::-1]))
+            want = np.zeros((family.ambient_dim, base), dtype=complex)
+            want[: base * (j + 1)] = q
+            np.testing.assert_array_equal(member.basis, want)
+            standalone = graph_subspace(d, j, shift)
+            np.testing.assert_array_equal(standalone.graph, member.graph)
+            np.testing.assert_array_equal(standalone.basis, q)
+
+
+def test_embedded_graph_member_keeps_its_map():
+    # at offset 0 the embedding carries the same map, and its lazy basis is
+    # the member's padded with zero rows; at another offset the member is no
+    # graph over its leading blocks, and the copy is a plain subspace
+    d = rng_generator(np.random.default_rng(74), 2)
+    p2 = graph_subspace(d, 2)
+    wide = p2.embedded(10)
+    assert isinstance(wide, GraphSubspace) and wide.ambient_dim == 10
+    assert wide.graph is p2.graph
+    np.testing.assert_array_equal(wide.basis[:6], p2.basis)
+    assert not wide.basis[6:].any()
+    shifted = p2.embedded(10, 2)
+    assert shifted.graph is None
+    np.testing.assert_array_equal(shifted.basis[2:8], p2.basis)
+    with pytest.raises(ValueError, match="does not fit"):
+        p2.embedded(4)
+
+
 @pytest.mark.parametrize("above", (True, False))
 def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
-    # a hand-built P_1 whose block-1 rows have sigma_min 1% above, then 1%
-    # below rank_cutoff: accepted or rejected exactly as matrix_rank decides.
-    # The family has no Q_1, whose K would be of rank 1 against that P_1, so
-    # an accepted P_1 shows as the missing Q_1, which the solve rejects once
-    # every member has been read
+    # a hand-built P_1 given only as an orthonormal basis, whose block-1 rows
+    # have sigma_min 1% above, then 1% below rank_cutoff: either way it
+    # carries no graph map, so it is no graph member, whatever the rank of
+    # its basis.  The family has no Q_1, so a P_1 that were accepted would
+    # show as the missing Q_1, which the solve rejects once every member has
+    # been read
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = _without(invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1), ("Q_1",))
     rng = np.random.default_rng(71)
@@ -1330,9 +1404,9 @@ def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
     top = (w * np.sqrt(1 - cosines**2)) @ v.conj().T  # orthonormal columns with bot
     member = Subspace(4, np.vstack([top, bot]))
     assert np.linalg.matrix_rank(bot, tol=DEFAULT_TOL.rank_cutoff) == (2 if above else 1)
+    assert member.graph is None
     hand_built = _relabeled(family, "P_1", member)
-    rejected = "needs Q_1" if above else "P_1 is not a graph over block 1"
-    with pytest.raises(ValueError, match=rejected):
+    with pytest.raises(ValueError, match="P_1 is not a graph over block 1"):
         reflexivity._corner_solve(hand_built, DEFAULT_TOL)
 
 
@@ -1368,10 +1442,10 @@ def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
     (p2,) = [s for s, l in zip(family.subspaces, family.labels) if l == "P_2"]
     with pytest.raises(ValueError, match="rank below 2"):
         alg_of_family(_relabeled(family, "Q_2", p2))  # K = 0
-    # a hand-built Q_2 whose K has rank 1: the graph of G + k e_1 e_1*
-    g, k = _graph_map(family, "P_2"), np.zeros((4, 2))
+    # a Q_2 built from a map whose K has rank 1: the graph of G + k e_1 e_1*
+    g, k = p2.graph, np.zeros((4, 2))
     k[0, 0] = 1.0
-    rank_one = subspace_from_columns(np.vstack([g + k, np.eye(2)]))
+    rank_one = GraphSubspace(family.ambient_dim, g + k)
     with pytest.raises(ValueError, match="rank below 2"):
         alg_of_family(_relabeled(family, "Q_2", rank_one))
 

@@ -2,6 +2,7 @@
 
     python3 tools/compare_reports.py dump SRC OUT   # SRC: a source tree, e.g. src
     python3 tools/compare_reports.py diff A B
+    python3 tools/compare_reports.py diff A B --residuals-within F
 
 ``dump`` imports opderiv from SRC and runs every check on each config of
 a fixed grid: every scenario kind (random general and Hermitian, circle
@@ -16,13 +17,19 @@ different trees compare field by field.
 ``diff`` compares two dumps exactly, floats by their bits, and exits 1
 naming the first field that differs; 0 when every field is identical.
 Run ``dump`` on two checkouts to see that a change leaves every report
-bitwise as it was.
+bitwise as it was.  With ``--residuals-within F`` a check's residuals
+(its ``residuals`` and its ``details.max_residual``) may differ by at most
+F times the check's tolerance, and every other field, the tolerance
+included, is still compared by its bits; it prints, per check, the
+largest |delta| / tolerance and each dump's largest residual / tolerance,
+and exits 1 when a residual is further apart or another field differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -115,13 +122,58 @@ def _first_difference(a, b, path: str) -> str | None:
     return None if a == b else f"{path}: {a!r} != {b!r}"
 
 
-def diff(a: str, b: str) -> int:
-    first = _first_difference(json.loads(Path(a).read_text()), json.loads(Path(b).read_text()), "")
-    if first is None:
+def _take_residuals(dump: dict) -> dict:
+    """Take the residuals out of every check result of a dump, in place:
+    ``residuals`` is replaced by its length and ``details.max_residual`` by
+    None, so the rest compares exactly.  Returns {path: (check, residuals,
+    tolerance)}."""
+    taken = {}
+    for key, report in dump.items():
+        for i, result in enumerate(report.get("results", [])):
+            values = result.get("residuals", [])
+            result["residuals"] = len(values)
+            details = result.get("details", {})
+            if "max_residual" in details:
+                values = values + [details["max_residual"]]
+                details["max_residual"] = None
+            taken[f".{key}.results[{i}]"] = (result.get("check"), values, result.get("tolerance"))
+    return taken
+
+
+def _ratio(value: float, tolerance: float) -> float:
+    if value == 0:
+        return 0.0
+    return abs(value) / tolerance if tolerance else math.inf
+
+
+def diff(a: str, b: str, within: float | None = None) -> int:
+    left, right = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
+    if within is not None:
+        left_res, right_res = _take_residuals(left), _take_residuals(right)
+    first = _first_difference(left, right, "")
+    if first is not None:
+        print(f"differs at {first}")
+        return 1
+    if within is None:
         print("identical")
         return 0
-    print(f"differs at {first}")
-    return 1
+    worst = {}  # check -> [largest |delta| / tol, largest residual / tol in a, in b]
+    outside = None
+    for path, (check, xs, tol) in left_res.items():
+        row = worst.setdefault(check, [0.0, 0.0, 0.0])
+        for k, (x, y) in enumerate(zip(xs, right_res[path][1])):
+            delta = 0.0 if x == y else _ratio(x - y, tol)
+            row[:] = max(row[0], delta), max(row[1], _ratio(x, tol)), max(row[2], _ratio(y, tol))
+            if outside is None and not delta <= within:  # NaN is outside too
+                outside = f"{path} residual {k}: {x!r} != {y!r}, |delta| / tolerance {delta:.3e} > {within:g}"
+    print(f"{'check':<16}{'max |delta|/tol':>18}{'max resid/tol A':>18}{'max resid/tol B':>18}")
+    for check, (delta, ra, rb) in worst.items():
+        print(f"{check:<16}{delta:>18.3e}{ra:>18.3e}{rb:>18.3e}")
+    if outside is not None:
+        print(f"differs at {outside}")
+        return 1
+    print(f"every other field identical; every residual within {within:g} of its tolerance")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -133,11 +185,15 @@ def main(argv=None) -> int:
     c = sub.add_parser("diff", help="exit 1 at the first differing field of two dumps")
     c.add_argument("a")
     c.add_argument("b")
+    c.add_argument(
+        "--residuals-within", type=float, metavar="F", default=None,
+        help="let residuals differ by at most F times their check's tolerance",
+    )
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.src, args.out)
         return 0
-    return diff(args.a, args.b)
+    return diff(args.a, args.b, args.residuals_within)
 
 
 if __name__ == "__main__":
