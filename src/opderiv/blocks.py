@@ -141,7 +141,7 @@ def certified(checks: dict[str, tuple[float, float]]) -> bool:
     return all(residual <= bound for residual, bound in checks.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassAlgebra:
     """(+)_k M_{n_k} (x) I_{m_k}, carried by the classes of
     ``block_structure``: class k is an (m_k, N, n_k) stack of aligned pieces
@@ -155,7 +155,8 @@ class ClassAlgebra:
     and is not checked again.  It holds dim M matrices of N^2 entries (N^4
     for the full algebra), so it is formed only on first use
     (``basis_elements``); ``dim``, ``elements`` and ``_residuals`` read the
-    classes, in O(N^3) per operator.
+    classes, in O(N^3) per operator.  Equality is identity: two algebras
+    are not compared by their classes.
     """
 
     ambient_dim: int

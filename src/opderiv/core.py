@@ -22,7 +22,6 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -47,7 +46,6 @@ __all__ = [
     "band_groups",
     "spectral_band_projections",
     "Subspace",
-    "GraphSubspace",
     "OperatorSpace",
     "nullspace_of_constraints",
     "save_operator",
@@ -378,27 +376,20 @@ def _gram_deviation(rows: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Closed subspace given by an orthonormal basis (columns).
 
-    The constructor checks the basis against ``_GRAM_GUARD``.  Two bases
-    are orthonormal by construction and are not checked again: an
-    ``embedded`` copy, whose zero rows leave the Gram matrix of a checked
-    basis unchanged, and columns of the identity, whose Gram matrix is
-    exactly I.  Both go through ``_orthonormal``.  A graph is carried by
-    its graph map instead (``GraphSubspace``): its basis is formed, and
-    checked, on first use.  A plain subspace carries no map: ``graph`` is
-    None.
-
-    A subspace is read only through its basis; no d x d projection is
-    formed (``reflexivity.invariance_residuals`` takes its leak as
-    ||X B - B (B* X B)||_F).
+    The constructor checks the basis against ``_GRAM_GUARD``.  A graph
+    {(G xi, xi)} is built by ``from_graph``, from its map G by one QR.  A
+    subspace is read only through its basis; no d x d projection is formed
+    (``reflexivity.invariance_residuals`` takes its leak as
+    ||X B - B (B* X B)||_F).  Equality is identity: two subspaces are not
+    compared by their bases.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    graph = None  # a class attribute, not a field
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -409,65 +400,22 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
 
     @classmethod
-    def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
-        """A subspace of C^len(basis) from a complex basis that is orthonormal
-        by construction, without the constructor's Gram check."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient_dim", basis.shape[0])
-        object.__setattr__(sub, "basis", basis)
-        return sub
+    def from_graph(cls, graph) -> "Subspace":
+        """The graph {(G xi, xi) : xi in C^k} of a (p, k) map G, in C^(p + k).
+
+        The basis is the Q factor of one QR of the columns [G; I_k]; they
+        have rank k (their last k rows are the identity), so Q spans the
+        graph.  The constructor checks it, as any basis.
+        """
+        graph = np.asarray(graph, dtype=complex)
+        if graph.ndim != 2:
+            raise ValueError(f"a graph map must be a 2-D matrix, got shape {graph.shape}")
+        q, _ = np.linalg.qr(np.vstack([graph, np.eye(graph.shape[1], dtype=complex)]))
+        return cls(len(q), q)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def embedded(self, ambient_dim: int, offset: int = 0) -> "Subspace":
-        """The same subspace inside a larger space (basis rows shifted by offset)."""
-        if offset < 0 or offset + self.ambient_dim > ambient_dim:
-            raise ValueError("embedding does not fit in the target space")
-        basis = np.zeros((ambient_dim, self.dim), dtype=complex)
-        basis[offset : offset + self.ambient_dim, :] = self.basis
-        return Subspace._orthonormal(basis)
-
-
-class GraphSubspace(Subspace):
-    """The graph {(G xi, xi) : xi in C^k} of a (p, k) map G, in the first
-    p + k coordinates of C^ambient_dim, carried by G.
-
-    ``graph`` is G as given.  The orthonormal basis is the Q factor of one
-    QR of the columns [G; I_k], zero below them; they have rank k (their
-    last k rows are the identity), so Q spans the graph.  It is formed,
-    and checked against ``_GRAM_GUARD`` as the constructor of ``Subspace``
-    checks, on the first read of ``basis`` and kept; a consumer that needs
-    only G never forms it.  ``embedded`` at offset 0 keeps the map; at
-    another offset the copy is a plain subspace of the embedded basis.
-    """
-
-    def __init__(self, ambient_dim: int, graph: np.ndarray):
-        graph = np.asarray(graph, dtype=complex)
-        if graph.ndim != 2 or sum(graph.shape) > ambient_dim:
-            raise ValueError(f"a graph map of shape {graph.shape} does not fit in C^{ambient_dim}")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "graph", graph)
-
-    @property
-    def dim(self) -> int:
-        return self.graph.shape[1]
-
-    @functools.cached_property
-    def basis(self) -> np.ndarray:
-        p, k = self.graph.shape
-        q, _ = np.linalg.qr(np.vstack([self.graph, np.eye(k, dtype=complex)]))
-        if not _gram_deviation(q.T) <= _GRAM_GUARD:  # NaN fails too
-            raise ValueError("basis columns are not orthonormal")
-        basis = np.zeros((self.ambient_dim, k), dtype=complex)
-        basis[: p + k] = q
-        return basis
-
-    def embedded(self, ambient_dim: int, offset: int = 0) -> Subspace:
-        if offset or self.ambient_dim > ambient_dim:
-            return super().embedded(ambient_dim, offset)
-        return GraphSubspace(ambient_dim, self.graph)
 
 
 @dataclass(frozen=True)

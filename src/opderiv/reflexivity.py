@@ -40,28 +40,29 @@ a stack of at most ``_PROBES`` elements, never the whole
 small; the solution is never orthonormalized in the (N(n+1))^2-wide vec
 space.
 
-All dimension counts are over the complex field.  The corner solve is a
-tower over the order, as in the paper's induction: it starts from the
-algebra, which is Alg(lat_M) by ``lat_family``'s construction, and adds
-one block column per level.  P_j is the graph of a map G from block j,
-G = [T_j; ...; T_1] with T_k = (iD)^k / k!, and the family carries it by
-G (``GraphSubspace``), so the tower reads G with no factorization; a
-member's orthonormal basis is formed, and checked, only when
-``invariance_residuals`` reads it.  X = [[A, Y_top], [0, Y_bot]] leaves
-P_j invariant exactly when Y_top = G Y_bot - A G; with Q_j the graph of
-G', built from i(D + 1) in the same way, and K = G - G' of full
+All dimension counts are over the complex field.  The family carries its
+structure (``InvariantFamily``): the lat members on the base space, and
+per level j the maps whose graphs are P_j and Q_j; the leading corners
+H_j are implied by the order.  The corner solve is a tower over the
+order, as in the paper's induction: it starts from the algebra, which is
+Alg(lat_M) by ``lat_family``'s construction, and adds one block column
+per level.  P_j is the graph of a map G from block j,
+G = [T_j; ...; T_1] with T_k = (iD)^k / k!, and the tower reads G with no
+factorization; a member's orthonormal basis is formed, and checked, only
+where ``invariance_residuals`` needs it.  X = [[A, Y_top], [0, Y_bot]]
+leaves P_j invariant exactly when Y_top = G Y_bot - A G; with Q_j the
+graph of G', built from i(D + 1) in the same way, and K = G - G' of full
 column rank, X leaves both invariant exactly when also Y_bot = K+ A K and
 A K lies in the range of K.  That is (j - 1) N^2 equations on A, none at
 level 1.  Without the Q_j the dimension is dim Alg(lat_M) + n N^2, and
 ``needed_Q`` takes no solve.
 
-The corner solve takes complete families only: H_0, ..., H_{n-1}, and
-one P_j and one Q_j at every level.  On a family ``invariant_family``
-builds, the level below already leaves P_j and Q_j invariant, so those
-equations are roundoff and each level keeps A unchanged.  A rank-0
-certificate decides that without an SVD: sigma_max(C) <= ||C||_F for the
-constraint C, so ||C||_F <= rank_cutoff * scale puts every singular value
-under the rank threshold of ``nullspace_of_constraints``.  The tower
+On a family ``invariant_family`` builds, the level below already leaves
+P_j and Q_j invariant, so those equations are roundoff and each level
+keeps A unchanged.  A rank-0 certificate decides that without an SVD:
+sigma_max(C) <= ||C||_F for the constraint C, so
+||C||_F <= rank_cutoff * scale puts every singular value under the rank
+threshold of ``nullspace_of_constraints``.  The tower
 reports the largest ratio ||C||_F / (rank_cutoff * scale) over its
 levels, and a ratio above 1 fails the check: the tower is not solved.
 The certificate is judged on the stack the tower maps, so it is exact on
@@ -70,8 +71,8 @@ M's basis and estimated, like the verdict, on the Gaussian elements.
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -80,7 +81,6 @@ import numpy as np
 from .blocks import ClassAlgebra, block_structure, certified
 from .core import (
     DEFAULT_TOL,
-    GraphSubspace,
     OperatorSpace,
     SelfAdjointGenerator,
     Subspace,
@@ -152,10 +152,6 @@ _MAX_REDRAWS = 20
 # mean squared residual it divides by _DELTA (see its docstring).
 _PROBES = 16
 _DELTA = 0.01
-
-# The labels of an invariant family, matched whole: j and i are canonical
-# integers (no sign, no leading zero), and the graph levels start at 1.
-_LABEL = re.compile(r"lat_M\[(?:0|[1-9][0-9]*)\]|H_(?:0|[1-9][0-9]*)|[PQ]_([1-9][0-9]*)")
 
 
 def _block_sizes(pattern) -> tuple[int, ...]:
@@ -380,7 +376,7 @@ def lat_family(
     )
 
 
-def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> GraphSubspace:
+def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Subspace:
     """Range of the corner exponential applied to the last block.
 
     The subspace { exp(S)(xi tensor e_n) : xi } of the (n+1)-block space:
@@ -390,52 +386,84 @@ def graph_subspace(d: SelfAdjointGenerator, n: int, shift: float = 0.0) -> Graph
     last block column of exp(S), the powers (i(D + shift))^k / k! stacked
     for k = n, ..., 0, built in closed form without exp(S); the last is
     the identity, so the subspace is the graph of G, the powers k = n..1
-    stacked, and is carried by G (``GraphSubspace``), with no
-    factorization.  Its orthonormal basis is one QR of [G; I], formed and
-    checked on first use.  The powers of order n start with those of every
-    lower order, so ``invariant_family`` forms them once per shift and
-    builds each level from its leading terms, bitwise this subspace.
+    stacked (``_graph_map``), and its basis is one QR of [G; I]
+    (``Subspace.from_graph``).  The powers of order n start with those of
+    every lower order, so ``invariant_family`` forms them once per shift
+    and takes each level's map from their leading terms, bitwise this G.
     """
     if n < 1:
         raise ValueError("graph subspace requires order n >= 1")
-    return _graph_member(_exponential_terms(d, n, shift), d.dim * (n + 1))
+    return Subspace.from_graph(_graph_map(_exponential_terms(d, n, shift)))
 
 
-def _graph_member(terms: np.ndarray, ambient_dim: int) -> GraphSubspace:
-    """``graph_subspace`` of order len(terms) - 1, in C^ambient_dim, from the
-    leading terms of ``_exponential_terms``: the graph of the terms of order
-    >= 1 stacked in reverse order, over the term of order 0, the identity."""
-    return GraphSubspace(ambient_dim, terms[:0:-1].reshape(-1, terms.shape[-1]))
+def _graph_map(terms: np.ndarray) -> np.ndarray:
+    """The graph map of ``graph_subspace`` of order len(terms) - 1, from the
+    leading terms of ``_exponential_terms``: the terms of order >= 1 stacked
+    in reverse order, over the term of order 0, the identity."""
+    return terms[:0:-1].reshape(-1, terms.shape[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantFamily:
-    """Labeled family of invariant subspaces in the corner space.
+    """The invariant family in the corner space C^N (x) C^(n+1), carried by
+    its structure.
 
-    Labels: ``lat_M[i]`` for embedded algebra-invariant subspaces,
-    ``H_j`` for the leading-corner subspaces, ``P_j``/``Q_j`` for the
-    unshifted/shifted graph subspaces.  ``algebra`` is the algebra on the
-    base space, as ``lat_family`` built it with the ``lat_M`` members: it
-    is Alg(lat_M), and the corner solve starts from it.
+    ``lat`` holds the algebra's invariant subspaces of the base space C^N,
+    each embedded in the first block.  ``graphs`` holds, for each level
+    j = 1, ..., n, the pair (G_j, G'_j) of (jN, N) maps whose graphs over
+    block j are P_j and Q_j (``graph_subspace`` with shift 0 and 1).  The
+    leading-corner subspaces H_0, ..., H_n, the spans of the first j + 1
+    blocks, are implied by the order n = len(graphs).  ``algebra`` is the
+    algebra on the base space, as ``lat_family`` built it with the lat
+    members: it is Alg(lat_M), and the corner solve starts from it; N is
+    its ``ambient_dim``.
+
+    ``labels`` names the members in order: ``lat_M[i]``, ``H_0``, ...,
+    ``H_n``, then ``P_j`` and ``Q_j`` per level.  The constructor checks
+    that every lat member lies in C^N and that level j has two maps of
+    shape (jN, N).  Equality is identity.
     """
 
-    subspaces: tuple
-    labels: tuple
-    base_dim: int
-    order: int
+    lat: tuple
+    graphs: tuple
     algebra: ClassAlgebra
 
     def __post_init__(self):
-        if len(self.subspaces) != len(self.labels):
-            raise ValueError("labels and subspaces must align")
-        if self.algebra.ambient_dim != self.base_dim:
-            raise ValueError("the algebra must act on the base space")
-        object.__setattr__(self, "subspaces", tuple(self.subspaces))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        base = self.algebra.ambient_dim
+        lat = tuple(self.lat)
+        for i, sub in enumerate(lat):
+            if sub.ambient_dim != base:
+                raise ValueError(f"lat_M[{i}] lies in C^{sub.ambient_dim}, not in the base space C^{base}")
+        graphs = tuple(tuple(np.asarray(g, dtype=complex) for g in pair) for pair in self.graphs)
+        for j, pair in enumerate(graphs, start=1):
+            if [g.shape for g in pair] != [(j * base, base)] * 2:
+                raise ValueError(
+                    f"level {j} needs two graph maps of shape {(j * base, base)}, "
+                    f"got {[g.shape for g in pair]}"
+                )
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "graphs", graphs)
+
+    @property
+    def base_dim(self) -> int:
+        return self.algebra.ambient_dim
+
+    @property
+    def order(self) -> int:
+        return len(self.graphs)
 
     @property
     def ambient_dim(self) -> int:
         return self.base_dim * (self.order + 1)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        n = self.order
+        return (
+            *(f"lat_M[{i}]" for i in range(len(self.lat))),
+            *(f"H_{j}" for j in range(n + 1)),
+            *(f"{kind}_{j}" for j in range(1, n + 1) for kind in "PQ"),
+        )
 
 
 def invariant_family(
@@ -445,39 +473,23 @@ def invariant_family(
     tol: TolerancePolicy | None = None,
     seed: int = 0,
 ) -> InvariantFamily:
-    """The full invariant family: embedded lat members, corners, graphs,
-    carrying the algebra that ``lat_family`` built with its members.
+    """The full invariant family: lat members, and per level the graph maps
+    of P_j and Q_j, carrying the algebra that ``lat_family`` built with its
+    members.
 
-    The graph members come from one power sequence per shift (see
-    ``graph_subspace``) and are carried by their graph maps: their bases
-    are formed, and checked, on first use (``invariance_residuals`` reads
-    them, the corner solve does not).  The lat members are checked when
-    they are built, on the base; their embeddings and the H_j, columns of
-    the identity, are orthonormal by construction and are not checked
-    again (``Subspace``)."""
+    The maps come from one power sequence per shift (see
+    ``graph_subspace``); no basis of a graph member is formed here
+    (``invariance_residuals`` forms it, the corner solve does not).  The
+    lat members are checked when they are built, on the base space."""
     tol = tol or DEFAULT_TOL
     if n < 0:
         raise ValueError("order must be >= 0")
     if spec.ambient_dim != d.dim:
         raise ValueError("algebra and generator dimensions differ")
-    base = d.dim
-    ambient = base * (n + 1)
-    subs: list[Subspace] = []
-    labels: list[str] = []
     lat, algebra = lat_family(spec, tol=tol, seed=seed)
-    for i, f in enumerate(lat):
-        subs.append(f.embedded(ambient, 0))
-        labels.append(f"lat_M[{i}]")
-    eye = np.eye(ambient, dtype=complex)
-    for j in range(n + 1):
-        subs.append(Subspace._orthonormal(eye[:, : base * (j + 1)]))
-        labels.append(f"H_{j}")
-    terms = {kind: _exponential_terms(d, n, shift) for kind, shift in (("P", 0.0), ("Q", 1.0))}
-    for j in range(1, n + 1):
-        for kind in "PQ":
-            subs.append(_graph_member(terms[kind][: j + 1], ambient))
-            labels.append(f"{kind}_{j}")
-    return InvariantFamily(tuple(subs), tuple(labels), base, n, algebra)
+    terms = [_exponential_terms(d, n, shift) for shift in (0.0, 1.0)]
+    graphs = [[_graph_map(t[: j + 1]) for t in terms] for j in range(1, n + 1)]
+    return InvariantFamily(lat, graphs, algebra)
 
 
 def invariance_residuals(
@@ -486,19 +498,19 @@ def invariance_residuals(
     elements,
 ) -> dict[str, float]:
     """Max over the given x's of each family member's leak ||(I - P) X P||_F,
-    X = rep(x) and P the member's projection.
+    X = rep(x) and P the member's projection, keyed by ``family.labels``.
 
     The leak is taken as ||X B - B (B* X B)||_F for the member's
     orthonormal basis B: P = B B*, and ||A B||_F = ||A P||_F for every A,
     so the two are equal, and this form costs O(d^2 k) per element for a
-    k-dimensional member of C^d and forms no d x d projection.  Only the
-    leading r rows of B can be nonzero, r one past its last nonzero row
-    (an ``embedded`` basis is exact zeros below its blocks), so X B is one
-    stacked product X[:, :r] B[:r] over the elements and B* X B reads
-    only the first r rows of it.  X is not assumed block triangular: every
-    row of X B enters the leak.  A basis whose nonzero rows are exactly
-    I_r (an H_j) spans the first r coordinates, and its leak is exactly
-    ||X[r:, :r]||_F, read off X with no product (0 for H_n).
+    k-dimensional member of C^d and forms no d x d projection.  A lat
+    member lies in the first block and a graph member in the first j + 1
+    blocks, so B is given by its leading r rows (the lat member's basis,
+    the graph's ``Subspace.from_graph``), X B is one stacked product
+    X[:, :r] B over the elements and B* X B reads only the first r rows of
+    it.  X is not assumed block triangular: every row of X B enters the
+    leak.  H_j spans the first r = N(j + 1) coordinates, and its leak is
+    exactly ||X[r:, :r]||_F, read off X with no product (0 for H_n).
 
     Gives residuals, not a verdict: the caller judges them against its
     own tolerance.  The Frobenius norm bounds the operator norm from
@@ -508,18 +520,21 @@ def invariance_residuals(
     xs = [as_operator(x) for x in elements]
     xs = np.stack(xs) if xs else np.zeros((0, d.dim, d.dim), dtype=complex)
     reps = triangular_representations(d, xs, family.order)
-    out = {}
-    for sub, label in zip(family.subspaces, family.labels):
-        nonzero = np.flatnonzero(sub.basis.any(axis=1))
-        b = sub.basis[: nonzero[-1] + 1 if len(nonzero) else 0]
+
+    def leak(b):  # X B - B (B* X B) for B the leading rows of a basis
         r = len(b)
-        if b.shape == (r, r) and np.count_nonzero(b) == r and (b.diagonal() == 1).all():
-            leak = reps[:, r:, :r]  # B = [I_r; 0], an H_j: the leak is X[r:, :r]
-        else:
-            leak = reps[:, :, :r] @ b
-            leak[:, :r] -= b @ (b.conj().T @ leak[:, :r])
-        out[label] = float(frobenius_norm(leak).max(initial=0.0))
-    return out
+        out = reps[:, :, :r] @ b
+        out[:, :r] -= b @ (b.conj().T @ out[:, :r])
+        return out
+
+    leaks = itertools.chain(
+        (leak(sub.basis) for sub in family.lat),
+        (reps[:, r:, :r] for r in range(family.base_dim, family.ambient_dim + 1, family.base_dim)),
+        (leak(Subspace.from_graph(g).basis) for pair in family.graphs for g in pair),
+    )
+    return {
+        label: float(frobenius_norm(x).max(initial=0.0)) for label, x in zip(family.labels, leaks)
+    }
 
 
 def alg_of_family(family: InvariantFamily, tol: TolerancePolicy | None = None) -> OperatorSpace:
@@ -547,7 +562,7 @@ def _corner_solve(
     ratio on that stack.
 
     Solved as a tower over the order, as in the paper's induction.  The
-    H_j members make X block upper triangular, and a member that lives in
+    H_j make X block upper triangular, and a member that lives in
     the first j blocks is left invariant by X exactly when it is left
     invariant by X's leading j-block corner.  So level j, the operators on
     the first j + 1 blocks leaving the members of levels <= j invariant,
@@ -556,9 +571,8 @@ def _corner_solve(
     which is Alg(lat_M) by ``lat_family``'s construction.
 
     Each level is closed form by the graph lemma (see the module
-    docstring), with the graph maps the P_j and Q_j members carry
-    (``GraphSubspace.graph``): no member's basis is formed or factored.
-    With G the map of P_j, G' that of Q_j and K = G - G', level j keeps A
+    docstring), with the level's pair of graph maps in ``family.graphs``:
+    no member's basis is formed or factored.  With G the map of P_j, G' that of Q_j and K = G - G', level j keeps A
     and sets Y_bot = K+ A K and Y_top = G Y_bot - A G, a linear map of A.
     The tower, their composition, is the linear map L from the algebra M
     to the operators on the whole corner space, and L(a) has corner a.  L(M) is
@@ -578,48 +592,12 @@ def _corner_solve(
     level 0; its corners are bitwise ``start``.  Memory and time are
     linear in k.
 
-    Raises ValueError when a member's label is not ``lat_M[i]``, ``H_j``,
-    ``P_j`` or ``Q_j`` (i, j canonical integers, j >= 1 for P_j and Q_j)
-    or not the shape it claims (a P_j or Q_j must carry a graph map over
-    block j, of shape (jN, N): a member given only by a basis is no graph
-    member), a level has two P_j or two Q_j, K has rank below N (relative
-    cutoff ``rank_cutoff``), or a member of a complete
-    family is missing: H_0, ..., H_{n-1}, which make X block upper
-    triangular, and P_j and Q_j at every level j = 1, ..., n.
+    Raises ValueError when K has rank below N at some level (relative
+    cutoff ``rank_cutoff``).
     """
-    base, n = family.base_dim, family.order
-    graphs = {}  # label P_j or Q_j -> its graph map G
-    leading = set()
-    for sub, label in zip(family.subspaces, family.labels):
-        match = _LABEL.fullmatch(label) if isinstance(label, str) else None
-        if match is None:
-            raise ValueError(f"{label} is not a label of an invariant family")
-        if label.startswith("H_"):
-            if sub.dim % base or frobenius_norm(sub.basis[sub.dim :]) > tol.alg():
-                raise ValueError(f"{label} is not spanned by leading blocks of basis vectors")
-            leading.add(sub.dim // base)
-        elif label.startswith("lat_M"):
-            if frobenius_norm(sub.basis[base:]) > tol.alg():
-                raise ValueError(f"{label} is not supported in the first block")
-        else:
-            j = int(match[1])
-            if j > n:
-                raise ValueError(f"{label} has no level in a family of order {n}")
-            if sub.graph is None or sub.graph.shape != (base * j, base):
-                raise ValueError(f"{label} is not a graph over block {j}")
-            if label in graphs:
-                raise ValueError(f"level {j} has two {label} members")
-            graphs[label] = sub.graph
-    for j in range(n):
-        if j + 1 not in leading:
-            raise ValueError(f"the corner solve needs H_{j}, the span of the first {j + 1} blocks")
-    for label in (f"{kind}_{j}" for j in range(1, n + 1) for kind in "PQ"):
-        if label not in graphs:
-            raise ValueError(f"the corner solve needs {label}, a graph over block {label[2:]}")
-
     elems, ratio = family.algebra.basis_elements if start is None else start, 0.0
-    for j in range(1, n + 1):
-        elems, level_ratio = _corner_level(elems, graphs[f"P_{j}"], graphs[f"Q_{j}"], base, tol)
+    for g, g_shifted in family.graphs:
+        elems, level_ratio = _corner_level(elems, g, g_shifted, family.base_dim, tol)
         ratio = max(ratio, level_ratio)
     return elems, ratio
 
@@ -797,7 +775,7 @@ def reflexivity_check(
     ``lat_family``); there is no bicommutant solve.  ``family`` is a
     prebuilt ``invariant_family(spec, d, n, tol=tol, seed=seed)`` to
     reuse; without it the family is built here.  A family of another base
-    dimension or order, or one that lacks a member (see
+    dimension or order, or one whose K has rank below N at some level (see
     ``_corner_solve``), raises ValueError.
 
     Raises ReflexivityViolation (report attached) when any assertion

@@ -49,6 +49,34 @@ def subspace_from_columns(columns, rank_cutoff=1e-9):
     return Subspace(d, u[:, :rank])
 
 
+def embedded(sub, ambient_dim, offset=0):
+    """The same subspace inside a larger space, its basis rows shifted by
+    ``offset`` and zero elsewhere.  Zero rows leave the Gram matrix of a
+    checked basis unchanged, so the embedding is not checked again."""
+    if offset < 0 or offset + sub.ambient_dim > ambient_dim:
+        raise ValueError("embedding does not fit in the target space")
+    basis = np.zeros((ambient_dim, sub.dim), dtype=complex)
+    basis[offset : offset + sub.ambient_dim] = sub.basis
+    out = object.__new__(Subspace)
+    object.__setattr__(out, "ambient_dim", ambient_dim)
+    object.__setattr__(out, "basis", basis)
+    return out
+
+
+def family_members(family):
+    """Every member of an invariant family as a subspace of the corner
+    space, keyed by ``family.labels``: the lat members in the first block,
+    H_j the first j + 1 blocks, and P_j, Q_j the spans of the graph columns
+    [G; I] of their maps, orthonormalized by ``subspace_from_columns``."""
+    dim, base = family.ambient_dim, family.base_dim
+    eye = np.eye(dim, dtype=complex)
+    members = [embedded(sub, dim) for sub in family.lat]
+    members += [Subspace(dim, eye[:, : base * (j + 1)]) for j in range(family.order + 1)]
+    for pair in family.graphs:
+        members += [embedded(subspace_from_columns(np.vstack([g, np.eye(base)])), dim) for g in pair]
+    return dict(zip(family.labels, members))
+
+
 def space_of_vec_columns(dim, columns):
     """The operator space whose orthonormal basis is the columns of a
     ``(dim*dim, m)`` array of vec coordinates."""

@@ -15,7 +15,6 @@ from opderiv import core
 from opderiv.core import (
     DEFAULT_TOL,
     DimensionMismatch,
-    GraphSubspace,
     NotHermitian,
     OperatorSpace,
     Subspace,
@@ -34,6 +33,7 @@ from opderiv.core import (
 )
 from oracles import (
     commutation_constraint,
+    embedded,
     invariance_constraint,
     projection,
     space_of_vec_columns,
@@ -486,7 +486,7 @@ def test_subspace_and_operator_space_reject_a_non_finite_basis(bad):
 
 def test_subspace_embedding():
     sub = Subspace(2, np.eye(2)[:, :1])
-    emb = sub.embedded(5, offset=2)
+    emb = embedded(sub, 5, offset=2)
     assert emb.ambient_dim == 5 and emb.dim == 1
     expected = np.zeros((5, 1))
     expected[2, 0] = 1.0
@@ -500,7 +500,7 @@ def test_subspace_embedding_is_the_zero_padded_basis_unchecked(monkeypatch):
     calls = []
     gram = core._gram_deviation
     monkeypatch.setattr(core, "_gram_deviation", lambda r: calls.append(r.shape) or gram(r))
-    emb = sub.embedded(9, offset=3)
+    emb = embedded(sub, 9, offset=3)
     assert not calls
     padded = np.zeros((9, 2), dtype=complex)
     padded[3:7] = sub.basis
@@ -513,29 +513,24 @@ def test_subspace_embedding_is_the_zero_padded_basis_unchecked(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_graph_subspace_forms_and_checks_its_basis_on_first_read(monkeypatch):
-    # the graph of G is carried by G: the constructor factors and checks
-    # nothing, and the basis is one QR of [G; I], checked once, zero below
+def test_subspace_from_graph_is_one_checked_qr(monkeypatch):
+    # the graph of a (p, k) map G lies in C^(p + k): its basis is the Q factor
+    # of one QR of [G; I], checked once by the constructor
     g = np.array([[1.0, 2.0j], [0.0, 1.0], [3.0, 0.5]])
     calls = []
     gram = core._gram_deviation
     monkeypatch.setattr(core, "_gram_deviation", lambda r: calls.append(r.shape) or gram(r))
-    sub = GraphSubspace(7, g)
-    assert sub.ambient_dim == 7 and sub.dim == 2 and not calls
-    assert sub.graph.dtype == complex
+    sub = Subspace.from_graph(g)
+    assert sub.ambient_dim == 5 and sub.dim == 2 and calls == [(2, 5)]
     q, _ = np.linalg.qr(np.vstack([g, np.eye(2)]).astype(complex))
-    np.testing.assert_array_equal(sub.basis[:5], q)
-    assert not sub.basis[5:].any() and calls == [(2, 5)]
-    assert Subspace(2, np.eye(2)).graph is None  # a plain subspace carries no map
+    np.testing.assert_array_equal(sub.basis, q)
     # the span is the graph: the columns [G xi; xi] lie in it
-    cols = np.vstack([g, np.eye(2), np.zeros((2, 2))])
+    cols = np.vstack([g, np.eye(2)])
     assert operator_norm(cols - projection(sub) @ cols) <= 1e-14
-    with pytest.raises(ValueError, match="does not fit"):
-        GraphSubspace(4, g)
-    with pytest.raises(ValueError, match="does not fit"):
-        GraphSubspace(7, g[0])
+    with pytest.raises(ValueError, match="2-D"):
+        Subspace.from_graph(g[0])
     with pytest.raises(ValueError, match="orthonormal"):
-        GraphSubspace(5, np.full((3, 2), np.nan)).basis
+        Subspace.from_graph(np.full((3, 2), np.nan))
 
 
 def test_subspace_distance_is_projection_based():

@@ -18,6 +18,7 @@ from opderiv import reflexivity
 from opderiv.core import eig_hermitian
 from opderiv.harness import ScenarioConfig, run_checks
 from opderiv.scenarios import random_scenario
+from opderiv.triangular import _exponential_terms
 
 _TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -133,9 +134,11 @@ def _traced_check(spec, gen, n, **kwargs):
 def test_tracer_sees_the_corner_tower_solves_under_the_check():
     # the tower solves nothing: on a built family every level's constraint
     # is certified rank 0, and on one whose Q_3 is off the generator's graph
-    # the certificate fails the check without a fallback solve.  Either way
-    # the check makes no core.nullspace span of its own.  A family without
-    # Q_1 is rejected before the tower
+    # (level 3's pair with G' from a perturbed generator) the certificate
+    # fails the check without a fallback solve.  Either way the check makes
+    # no core.nullspace span of its own.  The tracer names alg_of_family's
+    # solve from the family's labels and order: a built family's is the
+    # main corner solve
     spec = reflexivity.VonNeumannAlgebraSpec("full", 3)
     gen, _ = random_scenario(3, 4)
     family = reflexivity.invariant_family(spec, gen, 3, seed=4)
@@ -144,25 +147,23 @@ def test_tracer_sees_the_corner_tower_solves_under_the_check():
     assert not [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
 
     perturbed = eig_hermitian(gen.base + 1e-3 * np.diag([1.0, -1.0, 0.5]))
-    q3 = reflexivity.graph_subspace(perturbed, 3, shift=1.0).embedded(family.ambient_dim)
-    members = [q3 if label == "Q_3" else s for s, label in zip(family.subspaces, family.labels)]
-    uncertified = reflexivity.InvariantFamily(tuple(members), family.labels, 3, 3, family.algebra)
+    terms = _exponential_terms(perturbed, 3, 1.0)
+    graphs = family.graphs[:2] + ((family.graphs[2][0], np.vstack(terms[3:0:-1])),)
+    uncertified = reflexivity.InvariantFamily(family.lat, graphs, family.algebra)
     report, spans, _, check = _traced_check(
         spec, gen, 3, family=uncertified, raise_on_fail=False
     )
     assert not report.passed and report.certificate_ratio > 1
     assert not [span for span in spans if span[0] == "core.nullspace" and span[3] == check]
 
-    keep = [i for i, label in enumerate(family.labels) if label != "Q_1"]
-    without_q1 = reflexivity.InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        3,
-        3,
-        family.algebra,
-    )
-    with pytest.raises(ValueError, match="needs Q_1"):
-        reflexivity.reflexivity_check(spec, gen, 3, family=without_q1, raise_on_fail=False)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reflexivity.alg_of_family(reflexivity.invariant_family(spec, gen, 3, seed=4))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.passes[0][0]]
+    assert "reflexivity.alg_solve" in names and "reflexivity.needed_q_solve" not in names
 
 
 def test_tracer_sees_one_solve_and_no_certification_under_lat_family():

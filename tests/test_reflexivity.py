@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from opderiv import blocks, core, reflexivity
 from opderiv.core import (
     DEFAULT_TOL,
-    GraphSubspace,
     OperatorSpace,
     Subspace,
     eig_hermitian,
@@ -50,6 +49,8 @@ from opderiv.triangular import (
 from oracles import (
     alg_of_subspaces,
     commutation_constraint,
+    embedded,
+    family_members,
     full_space_null,
     invariance_constraint,
     projection,
@@ -650,20 +651,33 @@ def test_invariant_family_n0_full():
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
     fam = invariant_family(spec, d, 0)
-    assert fam.ambient_dim == 2
-    assert all(s.dim == 2 for s in fam.subspaces)  # whole space only
+    assert fam.ambient_dim == 2 and fam.order == 0 and fam.graphs == ()
+    assert all(s.dim == 2 for s in family_members(fam).values())  # whole space only
 
 
 def test_invariant_family_labels_n1():
+    # the labels name the members in order: lat, leading corners, graphs per level
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
     fam = invariant_family(spec, d, 1)
-    labels = set(fam.labels)
-    assert {"H_0", "H_1", "P_1", "Q_1"} <= labels
-    assert any(l.startswith("lat_M") for l in labels)
-    without = _without_q(fam)
-    assert not any(l.startswith("Q_") for l in without.labels)
-    assert len(without.labels) == len(labels) - 1 and without.ambient_dim == fam.ambient_dim
+    assert fam.labels == ("lat_M[0]", "H_0", "H_1", "P_1", "Q_1")
+    assert (fam.base_dim, fam.order, fam.ambient_dim) == (2, 1, 4)
+    masa = invariant_family(VonNeumannAlgebraSpec("diagonal_masa", 2), d, 2)
+    assert masa.labels == ("lat_M[0]", "lat_M[1]", "H_0", "H_1", "H_2", "P_1", "Q_1", "P_2", "Q_2")
+
+
+def test_equality_is_identity_and_printing_a_family_factors_nothing(monkeypatch):
+    # a subspace, a family and an algebra hold arrays: == answers, by
+    # identity, where comparing the arrays would raise; and a family's repr
+    # reads its fields, with no QR of a graph member
+    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
+    d = eig_hermitian(np.diag([0.0, 1.0]))
+    family, twin = (invariant_family(spec, d, 2) for _ in range(2))
+    for a, b in ((family.lat[0], twin.lat[0]), (family, twin), (family.algebra, twin.algebra)):
+        assert a == a and a != b and {a: 1}[a] == 1
+    counts = _counting(monkeypatch)
+    assert repr(family).startswith("InvariantFamily(lat=(Subspace(ambient_dim=2")
+    assert not counts
 
 
 def test_invariant_family_residuals_small():
@@ -703,7 +717,7 @@ def test_invariance_residuals_bracket_the_operator_norm(spec, eigenvalues, n, mo
     monkeypatch.setattr(reflexivity, "triangular_representations", lambda d, xs, n: leaky)
     resid = invariance_residuals(fam, d, elements)
     eye = np.eye(dim)
-    for sub, label in zip(fam.subspaces, fam.labels):
+    for label, sub in family_members(fam).items():
         p = projection(sub)
         r = [(eye - p) @ x @ p for x in leaky]
         op = max(operator_norm(a) for a in r)
@@ -734,7 +748,7 @@ def test_leading_corner_leaks_match_the_projection_oracle(n, monkeypatch):
     resid = invariance_residuals(fam, d, elements)
     eye = np.eye(dim)
     for j in range(n + 1):
-        p = projection(dict(zip(fam.labels, fam.subspaces))[f"H_{j}"])
+        p = projection(family_members(fam)[f"H_{j}"])
         want = max(frobenius_norm((eye - p) @ x @ p) for x in leaky)
         assert resid[f"H_{j}"] == pytest.approx(want, rel=1e-15, abs=0)
         assert (resid[f"H_{j}"] > 1) == (j < n)
@@ -825,9 +839,9 @@ def test_reflexivity_needs_q_for_full_c2():
 
 
 def test_dropping_q_never_shrinks_the_solution():
-    # the family without its Q_j, solved by the full-space oracle, has the
-    # graph lemma's dimension dim M + n N^2; the corner solve takes complete
-    # families only and rejects it
+    # the family's members without its Q_j, solved by the full-space oracle,
+    # have the graph lemma's dimension dim M + n N^2; a family is complete by
+    # construction, and one without its Q_j maps is rejected
     rng = np.random.default_rng(55)
     d = rng_generator(rng, 3)
     for kind in ("full", "diagonal_masa"):
@@ -835,34 +849,41 @@ def test_dropping_q_never_shrinks_the_solution():
         for n in (1, 2):
             fam = invariant_family(spec, d, n)
             full = alg_of_family(fam)
-            with pytest.raises(ValueError, match="needs Q_1"):
-                alg_of_family(_without_q(fam))
-            reduced = alg_of_subspaces(_without_q(fam).subspaces, fam.ambient_dim)
+            _assert_rejected_without(fam, ("Q_",))
+            reduced = alg_of_subspaces(_members_without(fam, ("Q_",)), fam.ambient_dim)
             assert reduced.dim == fam.algebra.dim + n * 3**2 >= full.dim
             # imposing the Q_j inside the reduced solution gives the full one
-            dim = fam.ambient_dim
-            q_members = [s for s, l in zip(fam.subspaces, fam.labels) if l.startswith("Q_")]
+            dim, members = fam.ambient_dim, family_members(fam)
+            q_members = [s for label, s in members.items() if label.startswith("Q_")]
             narrowed = _narrow(q_members, dim, reduced)
             assert narrowed.dim == full.dim and spans_equal(narrowed, full, tol=1e-9)
             # so does imposing every member, unstructured, inside it
-            assert spans_equal(_narrow(fam.subspaces, dim, reduced), full, tol=1e-9)
+            assert spans_equal(_narrow(members.values(), dim, reduced), full, tol=1e-9)
 
 
-def _without_q(family):
-    """The family without its Q_j members."""
-    return _without(family, ("Q_",))
+def _members_without(family, drop):
+    """The family's members (``family_members``) but those whose labels
+    start with one of ``drop``."""
+    return [s for label, s in family_members(family).items() if not label.startswith(drop)]
 
 
-def _without(family, drop):
-    """The family without the members whose labels start with one of ``drop``."""
-    keep = [i for i, label in enumerate(family.labels) if not label.startswith(drop)]
-    return InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        family.base_dim,
-        family.order,
-        family.algebra,
-    )
+def _assert_rejected_without(family, drop):
+    """The family rebuilt without the graph maps whose labels start with one
+    of ``drop`` is rejected, naming the first level short of a map."""
+    graphs = [
+        tuple(g for g, kind in zip(pair, "PQ") if not f"{kind}_{j}".startswith(drop))
+        for j, pair in enumerate(family.graphs, start=1)
+    ]
+    j = next(j for j, pair in enumerate(graphs, start=1) if len(pair) < 2)
+    with pytest.raises(ValueError, match=f"^level {j} needs two graph maps"):
+        InvariantFamily(family.lat, graphs, family.algebra)
+
+
+def _with_level(family, j, pair):
+    """The family with level j's pair of graph maps replaced by ``pair``."""
+    graphs = list(family.graphs)
+    graphs[j - 1] = pair
+    return InvariantFamily(family.lat, graphs, family.algebra)
 
 
 def _narrow(subspaces, dim, space):
@@ -899,8 +920,8 @@ def test_structured_solve_matches_full_space_oracle(kind, n, monkeypatch):
         report = reflexivity_check(spec, rng_generator(np.random.default_rng(60), base), n)
         family, elems, ratio = solves.pop()
         dim = family.ambient_dim
-        oracle = full_space_null(family.subspaces, dim)
-        without_q = full_space_null(_without_q(family).subspaces, dim)
+        oracle = full_space_null(family_members(family).values(), dim)
+        without_q = full_space_null(_members_without(family, ("Q_",)), dim)
         assert len(elems) == report.dim_computed == oracle.shape[1] == report.dim_expected
         assert report.certificate_ratio == ratio <= 1
         # needed_Q: the P_j graph lemma gives dim Alg(lat_M) + n N^2 without a solve
@@ -1039,29 +1060,26 @@ def test_pipeline_checks_and_factors_each_basis_once(
     kind, lat_members, commutant_svds, monkeypatch
 ):
     # the corner_solve cases at (8, 2).  invariant_family checks the commutant
-    # and the lat members once each, and not their embeddings, the H_j or the
-    # algebra, which ClassAlgebra builds orthonormal from certified pieces; its
-    # SVDs are the commutant's, one per generator and adjoint.  The 2n graph
-    # members carry their maps: the build factors none of them.  The check
-    # reads each G off its member and takes one SVD, of K, per level: no QR,
-    # no solve, no separate rank and no Gram check.  A graph member's basis
-    # takes one QR and one Gram check on its first read, and none after
+    # and the lat members once each, and not the algebra, which ClassAlgebra
+    # builds orthonormal from certified pieces; its SVDs are the commutant's,
+    # one per generator and adjoint.  The family keeps the 2n graph maps: the
+    # build factors none of them.  The check takes one SVD, of K, per level:
+    # no QR, no solve, no separate rank and no Gram check.  The invariance
+    # residuals form each graph member's basis by one QR and one Gram check,
+    # and read the lat members and the H_j with neither
     n, pattern = 2, (4, 4) if kind == "block_diagonal" else None
     spec = VonNeumannAlgebraSpec(kind, 8, pattern=pattern)
     d, _ = random_scenario(8, 1)
     counts = _counting(monkeypatch)
     family = invariant_family(spec, d, n)
     assert dict(counts) == {"_gram_deviation": 1 + lat_members, "svd": commutant_svds}
+    assert len(family.lat) == lat_members
     counts.clear()
     assert reflexivity_check(spec, d, n, family=family).passed
     assert dict(counts) == {"svd": n}
-    for label, member in zip(family.labels, family.subspaces):
-        if label[0] in "PQ":
-            counts.clear()
-            first = member.basis
-            assert dict(counts) == {"qr": 1, "_gram_deviation": 1}
-            counts.clear()
-            assert member.basis is first and not counts
+    counts.clear()
+    invariance_residuals(family, d, spec.generating_set())
+    assert dict(counts) == {"qr": 2 * n, "_gram_deviation": 2 * n}
 
 
 @pytest.mark.parametrize("shift", (0.0, 1.0))
@@ -1082,18 +1100,15 @@ def test_corner_solve_recovers_the_closed_form_graph_maps(shift, monkeypatch):
 @pytest.mark.parametrize("drop", (("P_",), ("Q_",), ("P_", "Q_"), ("P_2",)))
 def test_corner_solve_without_graph_members_matches_oracle(drop):
     # without a P_j (or a Q_j) a level leaves coordinates free, which the
-    # full-space oracle shows.  The corner solve takes complete families only:
-    # it raises ValueError naming the first missing member, and solves the
-    # complete family to the oracle's space
+    # full-space oracle shows.  A family is complete by construction: one
+    # short of a map is rejected, naming the first level that lacks one, and
+    # the corner solve solves the complete family to the oracle's space
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
-    reduced = _without(family, drop)
-    assert full_space_null(reduced.subspaces, 6).shape[1] > 2
-    missing = next(label for label in family.labels if label.startswith(drop))
-    with pytest.raises(ValueError, match=f"needs {missing}, a graph over block {missing[2]}"):
-        reflexivity._corner_solve(reduced, DEFAULT_TOL)
+    assert full_space_null(_members_without(family, drop), 6).shape[1] > 2
+    _assert_rejected_without(family, drop)
     elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
-    oracle = full_space_null(family.subspaces, 6)
+    oracle = full_space_null(family_members(family).values(), 6)
     assert len(elems) == oracle.shape[1] == 2 and ratio <= 1
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
@@ -1111,9 +1126,9 @@ def test_corner_solve_starts_from_the_certified_lat_algebra(monkeypatch):
     elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
     assert not calls and elems is family.algebra.basis_elements
     assert ratio == 0.0 and len(elems) == 5
-    # a hand-built family states its algebra on the base space
-    with pytest.raises(ValueError, match="base space"):
-        InvariantFamily(family.subspaces, family.labels, 3, 0, diag_space(2))
+    # a hand-built family's lat members lie in its algebra's base space
+    with pytest.raises(ValueError, match="not in the base space C\\^2"):
+        InvariantFamily(family.lat, (), diag_space(2))
 
 
 _CORNER_SOLVE = reflexivity._corner_solve
@@ -1236,86 +1251,37 @@ def test_reflexivity_check_with_prebuilt_family(monkeypatch):
         reflexivity_check(spec, d, 2, family=other_base)
 
 
-def _relabeled(family, label, sub):
-    subs = [sub if l == label else s for s, l in zip(family.subspaces, family.labels)]
-    return InvariantFamily(
-        tuple(subs), family.labels, family.base_dim, family.order, family.algebra
-    )
-
-
 def test_structured_solve_rejects_misshapen_members():
-    spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    d = eig_hermitian(np.diag([0.0, 1.0]))
-    family = invariant_family(spec, d, 1)
-    axis = Subspace(2, np.eye(2)[:, :1])
-    # a lat member in the second block is not of the form L + 0
-    off_block = _relabeled(family, "lat_M[0]", axis.embedded(4, 2))
-    with pytest.raises(ValueError, match="first block"):
-        alg_of_family(off_block)
-    # H_0 must span the leading basis vectors
-    with pytest.raises(ValueError, match="leading"):
-        alg_of_family(_relabeled(family, "H_0", Subspace(4, np.eye(4)[:, 2:])))
-    # ... and whole blocks of them: a leading span inside the first block is no H_j
-    with pytest.raises(ValueError, match="leading"):
-        alg_of_family(_relabeled(family, "H_1", Subspace(4, np.eye(4)[:, :1])))
-    # the (0, 0)-block solve of the lat members relies on H_0
-    keep = [i for i, l in enumerate(family.labels) if l != "H_0"]
-    no_h0 = InvariantFamily(
-        tuple(family.subspaces[i] for i in keep),
-        tuple(family.labels[i] for i in keep),
-        2,
-        1,
-        family.algebra,
-    )
-    with pytest.raises(ValueError, match="H_0"):
-        alg_of_family(no_h0)
-    # every member has a label the solve knows
-    unknown = InvariantFamily(
-        family.subspaces, family.labels[:-1] + ("R_1",), 2, 1, family.algebra
-    )
-    with pytest.raises(ValueError, match="R_1 is not a label"):
-        alg_of_family(unknown)
-
-
-@pytest.mark.parametrize(
-    "label", ("R_1", "Q_x", "P_01", "P_+1", "P_0", "Q_", "H_01", "H_-1", "lat_M[01]", "lat_M[x]", "P_1 ")
-)
-def test_corner_solve_matches_labels_exactly(label):
-    # a label is lat_M[i], H_j, P_j or Q_j with i, j canonical integers and
-    # j >= 1 for P_j and Q_j; anything else names the member in the same
-    # ValueError, never int()'s message nor another level's member
+    # a family's lat members are subspaces of the base space C^N, each
+    # embedded in the first block: a member of another space is rejected
+    # when the family is built
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
-    labels = tuple(label if l == "P_1" else l for l in family.labels)
-    relabeled = InvariantFamily(family.subspaces, labels, 2, 1, family.algebra)
-    with pytest.raises(ValueError, match=f"^{re.escape(label)} is not a label of an invariant family$"):
-        reflexivity._corner_solve(relabeled, DEFAULT_TOL)
+    axis = Subspace(2, np.eye(2)[:, :1])
+    for wrong in (embedded(axis, 4, 2), embedded(axis, 4), Subspace(1, np.eye(1))):
+        with pytest.raises(ValueError, match=rf"^lat_M\[1\] lies in C\^{wrong.ambient_dim}, not in the base space C\^2$"):
+            InvariantFamily((axis, wrong), family.graphs, family.algebra)
+    rebuilt = InvariantFamily(family.lat, family.graphs, family.algebra)
+    assert rebuilt.labels == family.labels and alg_of_family(rebuilt).dim == 2
 
 
 def test_corner_solve_rejects_p_members_that_are_not_one_graph():
-    # needed_Q counts N^2 free coordinates per P_j, which holds for a graph over block j
+    # needed_Q counts N^2 free coordinates per P_j, which holds for a graph
+    # over block j, the graph of a (jN, N) map: a P_1 map of another shape,
+    # or a second P_1 map on the level, is rejected when the family is built
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    d = eig_hermitian(np.diag([0.0, 1.0]))
-    family = invariant_family(spec, d, 1)
-    eye = np.eye(4)
-    for not_graph in (Subspace(4, eye[:, :2]), Subspace(4, eye[:, [0, 2]]), Subspace(4, eye[:, 2:3])):
-        with pytest.raises(ValueError, match="not a graph over block 1"):
-            alg_of_family(_relabeled(family, "P_1", not_graph))
-    (p1,) = [s for s, l in zip(family.subspaces, family.labels) if l == "P_1"]
-    twice = InvariantFamily(
-        family.subspaces + (p1,),
-        family.labels + ("P_1",),
-        2,
-        1,
-        family.algebra,
-    )
-    with pytest.raises(ValueError, match="two P_1"):
-        alg_of_family(twice)
+    family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
+    ((g, g_shifted),) = family.graphs
+    for not_graph in (np.eye(4)[:, :2], g[:, :1], g[:1], g[0]):
+        with pytest.raises(ValueError, match=r"^level 1 needs two graph maps of shape \(2, 2\)"):
+            _with_level(family, 1, (not_graph, g_shifted))
+    with pytest.raises(ValueError, match="^level 1 needs two graph maps"):
+        _with_level(family, 1, (g, g, g_shifted))
 
 
 def _graph_map(family, label):
-    """G = top bot^-1 of the graph member with this label."""
-    (sub,) = [s for s, l in zip(family.subspaces, family.labels) if l == label]
+    """G = top bot^-1 of the basis of the graph member with this label."""
+    sub = family_members(family)[label]
     j, base = int(label[2:]), family.base_dim
     top, bot = sub.basis[: base * j], sub.basis[base * j : base * (j + 1)]
     return top @ np.linalg.inv(bot)
@@ -1324,17 +1290,15 @@ def _graph_map(family, label):
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa", "block_diagonal", "generated"))
 def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
-    # the map G each graph member carries, which the tower reads, is
-    # top bot^-1 of the member's basis; the members are bitwise
-    # graph_subspace's, from one power sequence per shift
+    # the maps the tower reads, the family's own, are top bot^-1 of a basis
+    # of their members; each map's graph is bitwise graph_subspace's, from
+    # one power sequence per shift
     spec = _oracle_spec(kind, 4)
     d = rng_generator(np.random.default_rng(70 + n), 4, spread=3.0)
     family = invariant_family(spec, d, n)
-    members = dict(zip(family.labels, family.subspaces))
-    for j in range(1, n + 1):
-        for member, shift in (("P", 0.0), ("Q", 1.0)):
-            want = graph_subspace(d, j, shift).embedded(family.ambient_dim)
-            np.testing.assert_array_equal(members[f"{member}_{j}"].basis, want.basis)
+    for j, pair in enumerate(family.graphs, start=1):
+        for g, shift in zip(pair, (0.0, 1.0)):
+            np.testing.assert_array_equal(Subspace.from_graph(g).basis, graph_subspace(d, j, shift).basis)
     levels = _recording_levels(monkeypatch)
     reflexivity._corner_solve(family, DEFAULT_TOL)
     assert len(levels) == n
@@ -1345,89 +1309,62 @@ def test_graph_maps_from_one_svd_match_the_inverse_oracle(kind, n, monkeypatch):
 
 
 def test_graph_members_carry_the_stacked_exponential_terms():
-    # P_j (Q_j) carries G = [T_j; ...; T_1], T_k the (i(D + c))^k / k! of
-    # _exponential_terms with c = 0 (c = 1), bitwise; its basis, formed on
-    # first read, is bitwise the Q factor of one QR of [G; I], zero below the
-    # first j + 1 blocks
+    # level j carries the pair (G, G'), G = [T_j; ...; T_1] with T_k the
+    # (i(D + c))^k / k! of _exponential_terms at c = 0 (c = 1 for G'),
+    # bitwise; the basis of its graph is bitwise the Q factor of one QR of
+    # [G; I], as graph_subspace gives it
     base, n = 3, 3
     d = rng_generator(np.random.default_rng(73), base, spread=2.0)
     family = invariant_family(VonNeumannAlgebraSpec("full", base), d, n)
-    members = dict(zip(family.labels, family.subspaces))
-    for kind, shift in (("P", 0.0), ("Q", 1.0)):
+    assert len(family.graphs) == n
+    for k, shift in enumerate((0.0, 1.0)):
         terms = _exponential_terms(d, n, shift)
         for j in range(1, n + 1):
-            member = members[f"{kind}_{j}"]
-            assert isinstance(member, GraphSubspace) and member.dim == base
-            np.testing.assert_array_equal(member.graph, np.vstack(terms[j:0:-1]))
+            g = family.graphs[j - 1][k]
+            np.testing.assert_array_equal(g, np.vstack(terms[j:0:-1]))
             q, _ = np.linalg.qr(np.vstack(terms[j::-1]))
-            want = np.zeros((family.ambient_dim, base), dtype=complex)
-            want[: base * (j + 1)] = q
-            np.testing.assert_array_equal(member.basis, want)
-            standalone = graph_subspace(d, j, shift)
-            np.testing.assert_array_equal(standalone.graph, member.graph)
-            np.testing.assert_array_equal(standalone.basis, q)
-
-
-def test_embedded_graph_member_keeps_its_map():
-    # at offset 0 the embedding carries the same map, and its lazy basis is
-    # the member's padded with zero rows; at another offset the member is no
-    # graph over its leading blocks, and the copy is a plain subspace
-    d = rng_generator(np.random.default_rng(74), 2)
-    p2 = graph_subspace(d, 2)
-    wide = p2.embedded(10)
-    assert isinstance(wide, GraphSubspace) and wide.ambient_dim == 10
-    assert wide.graph is p2.graph
-    np.testing.assert_array_equal(wide.basis[:6], p2.basis)
-    assert not wide.basis[6:].any()
-    shifted = p2.embedded(10, 2)
-    assert shifted.graph is None
-    np.testing.assert_array_equal(shifted.basis[2:8], p2.basis)
-    with pytest.raises(ValueError, match="does not fit"):
-        p2.embedded(4)
+            np.testing.assert_array_equal(Subspace.from_graph(g).basis, q)
+            np.testing.assert_array_equal(graph_subspace(d, j, shift).basis, q)
 
 
 @pytest.mark.parametrize("above", (True, False))
 def test_graph_member_rank_follows_matrix_rank_at_the_cutoff(above):
-    # a hand-built P_1 given only as an orthonormal basis, whose block-1 rows
-    # have sigma_min 1% above, then 1% below rank_cutoff: either way it
-    # carries no graph map, so it is no graph member, whatever the rank of
-    # its basis.  The family has no Q_1, so a P_1 that were accepted would
-    # show as the missing Q_1, which the solve rejects once every member has
-    # been read
+    # level 1's K = G - G' with sigma_min / sigma_max 1% above, then 1%
+    # below rank_cutoff: the level's rank decision is matrix_rank's at that
+    # relative cutoff.  Above it the solve goes on (level 1 has no
+    # constraint, so its ratio is 0); below it the solve raises
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
-    family = _without(invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1), ("Q_1",))
+    family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 1)
     rng = np.random.default_rng(71)
-    u, w, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-               for _ in range(3))  # random unitaries
-    cosines = np.array([0.6, DEFAULT_TOL.rank_cutoff * (1.01 if above else 0.99)])
-    bot = (u * cosines) @ v.conj().T
-    top = (w * np.sqrt(1 - cosines**2)) @ v.conj().T  # orthonormal columns with bot
-    member = Subspace(4, np.vstack([top, bot]))
-    assert np.linalg.matrix_rank(bot, tol=DEFAULT_TOL.rank_cutoff) == (2 if above else 1)
-    assert member.graph is None
-    hand_built = _relabeled(family, "P_1", member)
-    with pytest.raises(ValueError, match="P_1 is not a graph over block 1"):
-        reflexivity._corner_solve(hand_built, DEFAULT_TOL)
+    u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))  # random unitaries
+    k = (u * [1.0, DEFAULT_TOL.rank_cutoff * (1.01 if above else 0.99)]) @ v.conj().T
+    assert np.linalg.matrix_rank(k, tol=DEFAULT_TOL.rank_cutoff) == (2 if above else 1)
+    ((g, _),) = family.graphs
+    hand_built = _with_level(family, 1, (g, g - k))
+    if above:
+        elems, ratio = reflexivity._corner_solve(hand_built, DEFAULT_TOL)
+        assert len(elems) == 2 and ratio == 0.0
+    else:
+        with pytest.raises(ValueError, match="rank below 2"):
+            reflexivity._corner_solve(hand_built, DEFAULT_TOL)
 
 
 def test_corner_solve_rejects_q_members_that_are_not_a_graph():
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
-    eye = np.eye(4)
-    for not_graph in (Subspace(4, eye[:, :2]), Subspace(4, eye[:, [0, 2]]), Subspace(4, eye[:, 2:3])):
-        with pytest.raises(ValueError, match="Q_1 is not a graph over block 1"):
-            alg_of_family(_relabeled(family, "Q_1", not_graph))
+    ((g, g_shifted),) = family.graphs
+    for not_graph in (np.eye(4)[:, :2], g_shifted[:, :1], g_shifted[:1], g_shifted[0]):
+        with pytest.raises(ValueError, match=r"^level 1 needs two graph maps of shape \(2, 2\)"):
+            _with_level(family, 1, (g, not_graph))
 
 
 def test_corner_solve_rejects_two_q_members_on_a_level():
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.0, 1.0])), 1)
-    (q1,) = [s for s, l in zip(family.subspaces, family.labels) if l == "Q_1"]
-    twice = InvariantFamily(
-        family.subspaces + (q1,), family.labels + ("Q_1",), 2, 1, family.algebra
-    )
-    with pytest.raises(ValueError, match="two Q_1"):
-        alg_of_family(twice)
+    ((g, g_shifted),) = family.graphs
+    with pytest.raises(ValueError, match="^level 1 needs two graph maps"):
+        _with_level(family, 1, (g, g_shifted, g_shifted))
 
 
 def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
@@ -1439,34 +1376,33 @@ def test_corner_solve_rejects_p_and_q_members_with_a_rank_deficient_k():
         # on a built family block j - 1 of K is -iI, so sigma_min(K) >= 1
         np.testing.assert_allclose(k[2 * (j - 1) :], -1j * np.eye(2), atol=1e-12)
         assert np.linalg.svd(k, compute_uv=False)[-1] >= 1 - 1e-12
-    (p2,) = [s for s, l in zip(family.subspaces, family.labels) if l == "P_2"]
+    g, _ = family.graphs[1]
     with pytest.raises(ValueError, match="rank below 2"):
-        alg_of_family(_relabeled(family, "Q_2", p2))  # K = 0
-    # a Q_2 built from a map whose K has rank 1: the graph of G + k e_1 e_1*
-    g, k = p2.graph, np.zeros((4, 2))
+        alg_of_family(_with_level(family, 2, (g, g)))  # Q_2 = P_2: K = 0
+    # a Q_2 map whose K has rank 1: G + k e_1 e_1*
+    k = np.zeros((4, 2))
     k[0, 0] = 1.0
-    rank_one = GraphSubspace(family.ambient_dim, g + k)
     with pytest.raises(ValueError, match="rank below 2"):
-        alg_of_family(_relabeled(family, "Q_2", rank_one))
+        alg_of_family(_with_level(family, 2, (g, g + k)))
 
 
 @pytest.mark.parametrize("drop", (("Q_1",), ("P_1",), ("P_1", "Q_1")))
 def test_corner_solve_level_constraint_matches_oracle(drop, monkeypatch):
     # without a graph member at level 1, level 1 would be larger than the
     # algebra's representation, for the constraint Kc* A K = 0 of level 2 to
-    # cut back: the solve rejects such a family, naming the member, and
-    # solves nothing.  On the complete family that constraint (N^2 rows over
-    # the algebra's 2 coefficients) is certified, and the tower is the oracle's
+    # cut back: a family short of a level-1 map is rejected when built, and
+    # nothing is solved.  On the complete family that constraint (N^2 rows
+    # over the algebra's 2 coefficients) is certified, and the tower is the
+    # oracle's
     spec = VonNeumannAlgebraSpec("diagonal_masa", 2)
     family = invariant_family(spec, eig_hermitian(np.diag([0.2, 1.4])), 2)
     calls = _recording_nullspace(monkeypatch)
-    with pytest.raises(ValueError, match=f"needs {drop[0]}"):
-        reflexivity._corner_solve(_without(family, drop), DEFAULT_TOL)
+    _assert_rejected_without(family, drop)
     levels = _recording_levels(monkeypatch)
     elems, ratio = reflexivity._corner_solve(family, DEFAULT_TOL)
     assert not calls
     assert _level_constraint(*levels[1][:3])[0].shape == (4, 2) and levels[1][3] == ratio <= 1
-    oracle = full_space_null(family.subspaces, 6)
+    oracle = full_space_null(family_members(family).values(), 6)
     assert len(elems) == oracle.shape[1] == 2
     q, _ = np.linalg.qr(np.stack([vec(b) for b in elems], axis=1))
     assert operator_norm(q @ q.conj().T - oracle @ oracle.conj().T) <= 1e-10
@@ -1478,8 +1414,8 @@ def test_reflexivity_check_passes_a_family_missing_one_lower_graph_member(kind, 
     # the check passes the complete family at dim M, with the membership
     # bound ||L - Phi||_HS over M's basis, at most sqrt(m) rho.  A family
     # without one P_j or Q_j below the top level is not the theorem's family:
-    # the check raises ValueError naming the member (it used to solve such a
-    # family to Phi(M) and pass it)
+    # it is rejected when built, naming the level (the check used to solve
+    # such a family to Phi(M) and pass it)
     pattern = (2, 2) if kind == "block_diagonal" else None
     spec = VonNeumannAlgebraSpec(kind, 4 if pattern else 3, pattern=pattern)
     gen, _ = random_scenario(spec.ambient_dim, 1)
@@ -1491,32 +1427,30 @@ def test_reflexivity_check_passes_a_family_missing_one_lower_graph_member(kind, 
     assert report.membership_bound == pytest.approx(np.sqrt(residuals @ residuals), rel=1e-15)
     assert report.membership_bound <= np.sqrt(report.dim_computed) * report.max_reconstruction_residual
     for dropped in [f"{member}_{j}" for j in range(1, n) for member in "PQ"]:
-        with pytest.raises(ValueError, match=f"needs {dropped}"):
-            reflexivity_check(spec, gen, n, family=_without(family, (dropped,)))
+        _assert_rejected_without(family, (dropped,))
 
 
 @pytest.mark.parametrize("base", (3, 8))
 def test_reflexivity_check_fails_without_the_top_q_member(base):
     # dropping Q_n would leave Y_bot free on the top level, a solution of
-    # dimension 2 N^2 (the full-space oracle at N = 3): the check rejects the
-    # family with ValueError naming Q_2, before any solve
+    # dimension 2 N^2 (the full-space oracle at N = 3): a family without the
+    # Q_2 map is rejected when built, before any solve
     spec = VonNeumannAlgebraSpec("full", base)
     gen, _ = random_scenario(base, 1)
     family = invariant_family(spec, gen, 2, seed=1)
     assert reflexivity_check(spec, gen, 2, family=family).passed
-    mutant = _without(family, ("Q_2",))
     if base == 3:
-        assert full_space_null(mutant.subspaces, mutant.ambient_dim).shape[1] == 2 * base**2
-    with pytest.raises(ValueError, match="needs Q_2"):
-        reflexivity_check(spec, gen, 2, family=mutant, raise_on_fail=False)
+        without_q2 = _members_without(family, ("Q_2",))
+        assert full_space_null(without_q2, family.ambient_dim).shape[1] == 2 * base**2
+    _assert_rejected_without(family, ("Q_2",))
 
 
 def _perturbed_q2(family, d, eps):
     """The family with Q_2 the shifted graph of D + eps E, for a fixed real
-    symmetric E."""
+    symmetric E: level 2's pair with G' from the perturbed generator."""
     z = np.random.default_rng(72).standard_normal((d.dim, d.dim))
-    q2 = graph_subspace(eig_hermitian(d.base + eps * (z + z.T) / 2), 2, shift=1.0)
-    return _relabeled(family, "Q_2", q2.embedded(family.ambient_dim))
+    terms = _exponential_terms(eig_hermitian(d.base + eps * (z + z.T) / 2), 2, 1.0)
+    return _with_level(family, 2, (family.graphs[1][0], np.vstack(terms[2:0:-1])))
 
 
 @pytest.mark.parametrize("eps", (1e-3, 1e-6))
@@ -1941,7 +1875,8 @@ def test_reflexivity_generated_algebra():
 def test_reflexivity_violation_raises_with_diagnostics():
     # a Q_2 off the generator's graph fails the certificate of level 2: the
     # violation carries the report, and its message the ratio.  A family
-    # without its Q_j is no violation but a ValueError
+    # without its Q_j cannot be built, and one whose K is rank deficient is
+    # no violation but a ValueError
     spec = VonNeumannAlgebraSpec("full", 2)
     d = eig_hermitian(np.diag([0.0, 1.0]))
     family = invariant_family(spec, d, 2)
@@ -1952,8 +1887,10 @@ def test_reflexivity_violation_raises_with_diagnostics():
     assert report.certificate_ratio > 1 and report.dim_computed == 4 and not report.passed
     assert f"certificate ratio {report.certificate_ratio:.3e}" in str(err.value)
     assert reflexivity_check(spec, d, 2, family=mutant, raise_on_fail=False) == report
-    with pytest.raises(ValueError, match="needs Q_1"):
-        reflexivity_check(spec, d, 2, family=_without_q(family))
+    _assert_rejected_without(family, ("Q_",))
+    g, _ = family.graphs[1]
+    with pytest.raises(ValueError, match="rank below 2"):
+        reflexivity_check(spec, d, 2, family=_with_level(family, 2, (g, g)))
 
 
 def test_reflexivity_violation_message_names_the_deciding_values(monkeypatch):

@@ -8,10 +8,11 @@
 a fixed grid: every scenario kind (random general and Hermitian, circle
 shifts including k = 0, where x commutes with D, a circle symbol, and a
 custom scenario read from matrix files the tool writes), every algebra
-kind (``generated`` reads a generator file the tool writes), orders
-n = 0..3, dimensions down to 1, and seeds 1-3.  It writes one JSON file
-of the parsed reports without their timings; the directory of the
-written matrix files is replaced by ``<work>``, so two dumps of
+kind (``generated`` reads a generator file the tool writes), and a
+``generated`` algebra with multiplicity, whose family has link members,
+at orders n = 0..3, dimensions down to 1, and seeds 1-3.  It writes one
+JSON file of the parsed reports without their timings; the directory of
+the written matrix files is replaced by ``<work>``, so two dumps of
 different trees compare field by field.
 
 ``diff`` compares two dumps exactly, floats by their bits, and exits 1
@@ -51,19 +52,24 @@ SCENARIOS = (
 )
 
 
-def _algebras(dim: int) -> list[dict]:
+def _algebras(dim: int) -> list[tuple[str, dict]]:
+    """(tag, algebra block) pairs; the tag keys the reports."""
     pattern = [dim] if dim == 1 else [dim // 2, dim - dim // 2]
     return [
-        {"kind": "full"},
-        {"kind": "diagonal_masa"},
-        {"kind": "block_diagonal", "pattern": pattern},
-        {"kind": "generated", "paths": [f"{{work}}/g{dim}.json"]},
+        ("full", {"kind": "full"}),
+        ("diagonal_masa", {"kind": "diagonal_masa"}),
+        ("block_diagonal", {"kind": "block_diagonal", "pattern": pattern}),
+        ("generated", {"kind": "generated", "paths": [f"{{work}}/g{dim}.json"]}),
+        ("multiplicity", {"kind": "generated", "paths": [f"{{work}}/m{dim}.json"]}),
     ]
 
 
 def _write_matrices(work: Path, save_operator) -> None:
-    """The custom scenario's D and x, and one generator per dimension: the
-    Hermitian part of a Gaussian matrix, fixed by its seed."""
+    """The custom scenario's D and x, and two generators per dimension, fixed
+    by the seed: g, the Hermitian part of a Gaussian matrix, and m =
+    U diag(1, ..., 1, 2) U^T for U the orthogonal factor of a real Gaussian
+    matrix, whose algebra C (+) C (x) I_(dim - 1) has multiplicity for
+    dim >= 3, so its family links the pieces of the repeated eigenvalue."""
     rng = np.random.default_rng(20150413)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     save_operator(work / "D3.json", (z + z.conj().T) / 2)
@@ -71,6 +77,9 @@ def _write_matrices(work: Path, save_operator) -> None:
     for dim in sorted({dim for _, _, dim in SCENARIOS}):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         save_operator(work / f"g{dim}.json", (g + g.conj().T) / 2)
+    for dim in sorted({dim for _, _, dim in SCENARIOS}):
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        save_operator(work / f"m{dim}.json", (u * ([1.0] * (dim - 1) + [2.0])) @ u.T)
 
 
 def _fill(value, work: str):
@@ -92,14 +101,14 @@ def dump(src: str, out: str) -> None:
         work = Path(tmp)
         _write_matrices(work, save_operator)
         for name, scenario, dim in SCENARIOS:
-            for algebra in _algebras(dim):
+            for tag, algebra in _algebras(dim):
                 for n in ORDERS:
                     for seed in SEEDS:
                         raw = {"scenario": scenario, "algebra": algebra, "n": n, "seed": seed, "checks": ["all"]}
                         report = run_checks(ScenarioConfig.from_dict(_fill(raw, tmp))).to_json()
                         del report["timings"]
                         text = json.dumps(report).replace(tmp, "<work>")
-                        reports[f"{name}/{algebra['kind']}/n={n}/seed={seed}"] = json.loads(text)
+                        reports[f"{name}/{tag}/n={n}/seed={seed}"] = json.loads(text)
     Path(out).write_text(json.dumps(reports, indent=1))
     print(f"{len(reports)} reports written to {out}")
 
