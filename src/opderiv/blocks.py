@@ -7,10 +7,11 @@ block-diagonal decomposition of matrix *-algebras", Japan J. Indust.
 Appl. Math. 27, 2010).  The eigenspaces of a generic Hermitian element h
 of M' are the irreducible pieces C^{n_k} (x) xi.  ``block_structure``
 sorts them into classes of equivalent pieces, aligned by unitary
-intertwiners, and certifies the result by structural checks, each a
-residual with its tolerance; ``ClassAlgebra`` carries M by those
-classes, from which its elements, its projection and its dimension
-follow without its basis.  No nullspace is solved here.
+intertwiners, with two of the three checks that certify them
+(``reflexivity.lat_family`` adds the third and holds the proof);
+``ClassAlgebra`` carries M by those classes, from which its elements,
+its projection and its dimension follow without its basis.  No
+nullspace is solved here.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ import numpy as np
 
 from .core import DimensionMismatch, OperatorSpace, TolerancePolicy, frobenius_norm
 
-__all__ = ["ClassAlgebra", "block_structure", "certified", "links"]
-
-
-def _off_scalar(stack: np.ndarray) -> float:
-    """Largest Frobenius distance from C I over a stack of square blocks."""
-    n = stack.shape[-1]
-    scalar = np.trace(stack, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
-    return float(frobenius_norm(stack - scalar).max(initial=0.0))
+__all__ = ["ClassAlgebra", "block_structure", "links"]
 
 
 def links(compressed: np.ndarray, bounds: list[int], tol: TolerancePolicy) -> list[tuple]:
@@ -66,79 +60,35 @@ def block_structure(
     com: OperatorSpace, h: np.ndarray, tol: TolerancePolicy
 ) -> tuple[list[np.ndarray], dict[str, tuple[float, float]]]:
     """The classes of irreducible pieces that a Hermitian h in the commutant
-    reveals, and the structural checks that certify them.
+    reveals, and two of the three checks that certify them.
 
     The pieces are the eigenspaces of h, clustered where consecutive
     eigenvalues differ by at most ``tol.eig(||h||)``.  Class k is an
     (m_k, N, n_k) stack: the bases of its m_k equivalent pieces, aligned
     by the link intertwiners so that the commutant acts on the class as
     M_{m_k} (x) I_{n_k}.  ``checks`` maps each check to (residual,
-    tolerance), and the classes are certified iff every residual is at
-    most its tolerance.  The residuals are Frobenius norms of unit-scale
-    data (an orthonormal commutant basis, orthonormal pieces, unitary T),
-    so each is a decision between zero and order one and is judged
-    against ``rank_cutoff``, like a rank decision:
-
-    - ``cluster_spread``, ``cluster_gap``: the largest eigenvalue spread
-      inside a piece and the cut; the cut and the smallest gap between
-      pieces (both hold by construction; they record the margins);
-    - ``irreducible``: the commutant compresses to C I on every piece;
-    - ``unitary``: every link's T is unitary;
-    - ``commutant_form``: in the aligned basis every commutant basis
-      element is of the form (+)_k M_{m_k} (x) I_{n_k};
-    - ``dimension``: sum m_k^2 is the commutant's dimension.
-
-    A draw that fails any check returns no classes.
+    tolerance): ``unitary``, the largest Frobenius distance of T T* and
+    T* T from I over the links, against ``rank_cutoff``; ``dimension``,
+    |sum_k m_k^2 - dim M'|, against 0.  ``lat_family`` adds
+    ``generators``, decides, and proves that the three certify the classes.
     """
     dim = com.ambient_dim
     evals, u = np.linalg.eigh(h)
-    steps = np.diff(evals)
     cut = tol.eig(float(np.abs(evals).max()))
-    bounds = [0, *(np.flatnonzero(steps > cut) + 1).tolist(), dim]
-    checks = {
-        "cluster_spread": (float(steps[steps <= cut].max(initial=0.0)), cut),
-        "cluster_gap": (cut, float(steps[steps > cut].min(initial=np.inf))),
-    }
+    bounds = [0, *(np.flatnonzero(np.diff(evals) > cut) + 1).tolist(), dim]
     compressed = u.conj().T @ com.basis_elements @ u
     pieces = [u[:, a:b] for a, b in zip(bounds, bounds[1:])]
-    checks["irreducible"] = (
-        max(_off_scalar(compressed[:, a:b, a:b]) for a, b in zip(bounds, bounds[1:])),
-        tol.rank_cutoff,
-    )
     pairs = links(compressed, bounds, tol)
-    grams = [g for _, _, t in pairs for g in (t @ t.conj().T, t.conj().T @ t)]
-    checks["unitary"] = (
-        max((frobenius_norm(g - np.eye(len(g))) for g in grams), default=0.0),
-        tol.rank_cutoff,
-    )
     linked = {b: (r, t) for r, b, t in pairs}
     classes = [
         np.stack([v] + [pieces[b] @ t.conj().T for b, (rep, t) in linked.items() if rep == r])
         for r, v in enumerate(pieces)
         if r not in linked
     ]
-    w = np.concatenate([s.transpose(1, 0, 2).reshape(dim, -1) for s in classes], axis=1)
-    adapted = w.conj().T @ com.basis_elements @ w
-    form = np.zeros_like(adapted)
-    offset = 0
-    for s in classes:
-        m, _, n = s.shape
-        block = slice(offset, offset + m * n)
-        coeffs = np.trace(adapted[:, block, block].reshape(-1, m, n, m, n), axis1=2, axis2=4) / n
-        kron = coeffs[:, :, None, :, None] * np.eye(n)[:, None, :]  # coeffs (x) I_n, per element
-        form[:, block, block] = kron.reshape(-1, m * n, m * n)
-        offset += m * n
-    checks["commutant_form"] = (
-        float(frobenius_norm(adapted - form).max(initial=0.0)),
-        tol.rank_cutoff,
-    )
-    checks["dimension"] = (float(abs(sum(len(s) ** 2 for s in classes) - com.dim)), 0.0)
-    return (classes if certified(checks) else []), checks
-
-
-def certified(checks: dict[str, tuple[float, float]]) -> bool:
-    """Whether every check's residual is at most its tolerance."""
-    return all(residual <= bound for residual, bound in checks.values())
+    grams = [g for _, _, t in pairs for g in (t @ t.conj().T, t.conj().T @ t)]
+    unitary = max((frobenius_norm(g - np.eye(len(g))) for g in grams), default=0.0)
+    dimension = float(abs(sum(len(s) ** 2 for s in classes) - com.dim))
+    return classes, {"unitary": (unitary, tol.rank_cutoff), "dimension": (dimension, 0.0)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +100,10 @@ class ClassAlgebra:
     M's orthonormal basis is, per class, the matrix units e_pq repeated on
     each piece over sqrt(m_k), B = sum_j s_j e_pq s_j* / sqrt(m_k), at
     index offset_k + p n_k + q.  It is orthonormal by construction, given
-    orthonormal pieces (eigenvectors of h) aligned by unitary links, which
-    ``block_structure``'s ``unitary`` and ``commutant_form`` checks certify,
-    and is not checked again.  It holds dim M matrices of N^2 entries (N^4
-    for the full algebra), so it is formed only on first use
+    orthonormal pieces (eigenvectors of h) aligned by unitary links (the
+    ``unitary`` check; ``lat_family`` proves the algebra is M), and is not
+    checked again.  It holds dim M matrices of N^2 entries (N^4 for the
+    full algebra), so it is formed only on first use
     (``basis_elements``); ``dim``, ``elements`` and ``_residuals`` read the
     classes, in O(N^3) per operator.  Equality is identity: two algebras
     are not compared by their classes.

@@ -396,6 +396,9 @@ class ScenarioConfig:
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}; valid names: {list(CHECK_NAMES)}")
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"checks named more than once: {repeated}")
         tol_overrides = raw.get("tolerances", {})
         if not isinstance(tol_overrides, dict):
             raise ConfigError("tolerances must be an object")

@@ -19,10 +19,10 @@ Hermitian element of M', and links equivalent pieces by intertwiners.
 The family is the pieces and the links, sum_k (2 m_k - 1) members, and
 the algebra is carried by its classes of pieces (``blocks.ClassAlgebra``),
 which give its elements, its projection and its dimension in O(N^3)
-without its dim M x N^2 basis;
-structural checks with recorded margins certify both, with no
-bicommutant and no certification solve.  The family carries the
-algebra, so the reflexivity check solves nothing for it.
+without its dim M x N^2 basis; three checks certify both by a
+bicommutant argument (``lat_family``), with no bicommutant and no
+certification solve.  The family carries the algebra, so the
+reflexivity check solves nothing for it.
 
 On a certified family the corner tower is a linear map L on the algebra
 M, and the corner (the (0, 0) block) of L(a) is a, so L is injective and
@@ -78,7 +78,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import ClassAlgebra, block_structure, certified
+from .blocks import ClassAlgebra, block_structure
 from .core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -342,14 +342,18 @@ def lat_family(
     so Alg(family) is the algebra, returned as its classes
     (``ClassAlgebra``).
 
-    The draw is certified by the structural checks of
-    ``block_structure``, and by every generator lying in the algebra
-    (``generators``: membership residual at most ``rank_cutoff``, from the
-    class projection ``ClassAlgebra._residuals``).  A
-    draw that fails (a non-generic h, whose eigenspaces are not
-    irreducible) is replaced by a new one, up to ``_MAX_REDRAWS`` times;
-    exhaustion raises LatGenerationFailed with the last draw's failing
-    checks.
+    A draw is certified by three checks, each a residual with its
+    tolerance, which prove that the class algebra M^ is M: ``unitary``
+    (every link T is unitary) and ``dimension`` (sum_k m_k^2 = dim M')
+    from ``block_structure``, and ``generators`` (every generator lies
+    within ``rank_cutoff`` of M^, by ``ClassAlgebra._residuals``).  Proof:
+    the pieces are orthonormal eigenvectors of h that span C^N, so with
+    unitary links M^ is a von Neumann algebra with dim M^' = sum_k m_k^2.
+    By ``generators`` M is in M^, so M^' is in M'; by ``dimension``
+    M^' = M', so M^ = M^'' = M'' = M.  A draw that fails (a non-generic
+    h, whose eigenspaces are not irreducible) is replaced by a new one,
+    up to ``_MAX_REDRAWS`` times; exhaustion raises LatGenerationFailed
+    with the last draw's failing checks.
     """
     tol = tol or DEFAULT_TOL
     dim = spec.ambient_dim
@@ -360,15 +364,14 @@ def lat_family(
     for _ in range(_MAX_REDRAWS + 1):
         h = np.tensordot(rng.standard_normal(len(herms)), herms, axes=1)
         classes, checks = block_structure(com, h, tol)
-        if classes:
-            algebra = ClassAlgebra(dim, tuple(classes))
-            checks["generators"] = (float(algebra._residuals(generators).max()), tol.rank_cutoff)
-            if certified(checks):
-                subspaces = []
-                for s in classes:
-                    subspaces += [Subspace(dim, v) for v in s]
-                    subspaces += [Subspace(dim, (s[0] + v) / np.sqrt(2)) for v in s[1:]]
-                return subspaces, algebra
+        algebra = ClassAlgebra(dim, tuple(classes))
+        checks["generators"] = (float(algebra._residuals(generators).max()), tol.rank_cutoff)
+        if all(residual <= bound for residual, bound in checks.values()):
+            subspaces = []
+            for s in classes:
+                subspaces += [Subspace(dim, v) for v in s]
+                subspaces += [Subspace(dim, (s[0] + v) / np.sqrt(2)) for v in s[1:]]
+            return subspaces, algebra
     failed = ", ".join(f"{k} {r:.3e} > {b:.3e}" for k, (r, b) in checks.items() if r > b)
     raise LatGenerationFailed(
         f"could not certify the block structure of {spec.label()} "

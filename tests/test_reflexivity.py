@@ -355,37 +355,63 @@ def test_lat_family_degenerate_generator_is_minimal(low, high, members):
     ids=("masa", "multiplicity", "degenerate"),
 )
 def test_block_structure_checks_hold_with_margin(spec):
-    # a generic draw: every structural residual is far below its tolerance,
-    # the eigenvalue cut far below the smallest gap between pieces
+    # a generic draw: the unitary residual and the generators' distance from
+    # the class algebra are far below rank_cutoff, and the dimension is exact
     com = commutant(spec)
     herms = np.stack(reflexivity._hermitian_spanning_set(com, DEFAULT_TOL))
     h = np.tensordot(np.random.default_rng(0).standard_normal(len(herms)), herms, axes=1)
     classes, checks = blocks.block_structure(com, h, DEFAULT_TOL)
-    assert set(checks) == {
-        "cluster_spread", "cluster_gap", "irreducible", "unitary", "commutant_form", "dimension"
-    }
+    assert set(checks) == {"unitary", "dimension"}
+    algebra = blocks.ClassAlgebra(spec.ambient_dim, tuple(classes))
+    checks["generators"] = (
+        algebra._residuals(np.stack(spec.generating_set())).max(), DEFAULT_TOL.rank_cutoff
+    )
     for name, (residual, bound) in checks.items():
         assert residual <= 1e-3 * bound or residual == bound == 0.0, name
     assert sum(len(s) ** 2 for s in classes) == com.dim
 
 
+def _random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
 @pytest.mark.parametrize(
-    "mutant, failing",
-    (("perturbed T", "unitary"), ("dropped link", "commutant_form")),
+    "mutant, spec, failing",
+    (
+        ("perturbed T", _multiplicity_spec(), "unitary"),
+        ("dropped link", _multiplicity_spec(), "dimension"),
+        # a unitary T that is not the intertwiner: the classes give a von
+        # Neumann algebra of the right commutant dimension that is not M
+        ("wrong unitary T", _multiplicity_spec(), "generators"),
+        # a link between inequivalent pieces merges two classes
+        ("spurious link", VonNeumannAlgebraSpec("block_diagonal", 4, pattern=(2, 2)), "dimension"),
+    ),
+    ids=(
+        "perturbed T-unitary", "dropped link-dimension",
+        "wrong unitary T-generators", "spurious link-dimension",
+    ),
 )
-def test_block_structure_mutants_fail_certification(mutant, failing, monkeypatch):
+def test_block_structure_mutants_fail_certification(mutant, spec, failing, monkeypatch):
     links = blocks.links
 
     def mutated(compressed, bounds, tol):
-        (r, b, t), *rest = links(compressed, bounds, tol)  # the spec has one link
+        found = links(compressed, bounds, tol)
+        if mutant == "spurious link":
+            assert not found and len(bounds) == 3  # two inequivalent pieces
+            return [(0, 1, _random_unitary(2, 1))]
+        (r, b, t), *rest = found  # the spec has one link
         if mutant == "dropped link":
             return rest
+        if mutant == "wrong unitary T":
+            return [(r, b, _random_unitary(len(t), 2)), *rest]
         return [(r, b, t + 1e-6 * np.ones_like(t)), *rest]
 
     monkeypatch.setattr(blocks, "links", mutated)
     monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 2)
     with pytest.raises(LatGenerationFailed, match=failing):
-        lat_family(_multiplicity_spec())
+        lat_family(spec)
 
 
 def _rotated_block_spec(pattern, seed):
@@ -495,7 +521,7 @@ def test_probe_path_never_forms_the_basis(monkeypatch):
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
     # a scalar h is never generic: its one eigenspace, the whole space, is not
-    # irreducible for the masa, so every draw fails
+    # irreducible for the masa, so every draw fails on the commutant dimension
     block_structure, draws = reflexivity.block_structure, []
 
     def recording(com, h, tol):
@@ -507,7 +533,7 @@ def test_lat_family_cap_exhaustion_raises(monkeypatch):
     )
     monkeypatch.setattr(reflexivity, "block_structure", recording)
     monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 1)
-    with pytest.raises(LatGenerationFailed, match="irreducible"):
+    with pytest.raises(LatGenerationFailed, match="dimension"):
         lat_family(VonNeumannAlgebraSpec("diagonal_masa", 2))
     assert len(draws) == 2  # the first draw plus _MAX_REDRAWS redraws
 

@@ -153,6 +153,9 @@ def test_config_validation():
         ScenarioConfig.from_dict(base_config(checks=[]))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(base_config(checks=["bogus"]))
+    # a repeated check would run twice and be reported once
+    with pytest.raises(ConfigError, match=r"more than once: \['leibniz'\]"):
+        ScenarioConfig.from_dict(base_config(checks=["leibniz", "lipschitz", "leibniz"]))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(base_config(n=-1))
     with pytest.raises(ConfigError):

@@ -8,9 +8,11 @@
 a fixed grid: every scenario kind (random general and Hermitian, circle
 shifts including k = 0, where x commutes with D, a circle symbol, and a
 custom scenario read from matrix files the tool writes), every algebra
-kind (``generated`` reads a generator file the tool writes), and a
+kind (``generated`` reads a generator file the tool writes), a
 ``generated`` algebra with multiplicity, whose family has link members,
-at orders n = 0..3, dimensions down to 1, and seeds 1-3.  It writes one
+and at even dimensions a ``kron`` algebra U (A (x) I_2) U*, the grid's
+only class with n_k = m_k = 2, whose link is a 2 x 2 unitary, at orders
+n = 0..3, dimensions down to 1, and seeds 1-3.  It writes one
 JSON file of the parsed reports without their timings; the directory of
 the written matrix files is replaced by ``<work>``, so two dumps of
 different trees compare field by field.
@@ -55,21 +57,27 @@ SCENARIOS = (
 def _algebras(dim: int) -> list[tuple[str, dict]]:
     """(tag, algebra block) pairs; the tag keys the reports."""
     pattern = [dim] if dim == 1 else [dim // 2, dim - dim // 2]
-    return [
+    algebras = [
         ("full", {"kind": "full"}),
         ("diagonal_masa", {"kind": "diagonal_masa"}),
         ("block_diagonal", {"kind": "block_diagonal", "pattern": pattern}),
         ("generated", {"kind": "generated", "paths": [f"{{work}}/g{dim}.json"]}),
         ("multiplicity", {"kind": "generated", "paths": [f"{{work}}/m{dim}.json"]}),
     ]
+    if dim % 2 == 0:
+        algebras.append(("kron", {"kind": "generated", "paths": [f"{{work}}/k{dim}.json"]}))
+    return algebras
 
 
 def _write_matrices(work: Path, save_operator) -> None:
-    """The custom scenario's D and x, and two generators per dimension, fixed
-    by the seed: g, the Hermitian part of a Gaussian matrix, and m =
+    """The custom scenario's D and x, and the generators, fixed by the
+    seed: per dimension g, the Hermitian part of a Gaussian matrix, and m =
     U diag(1, ..., 1, 2) U^T for U the orthogonal factor of a real Gaussian
     matrix, whose algebra C (+) C (x) I_(dim - 1) has multiplicity for
-    dim >= 3, so its family links the pieces of the repeated eigenvalue."""
+    dim >= 3, so its family links the pieces of the repeated eigenvalue;
+    per even dimension k = U (A (x) I_2) U* for A a complex Gaussian
+    (dim / 2) x (dim / 2) matrix and U a Haar unitary, whose algebra
+    M_(dim / 2) (x) I_2 links two pieces of dimension dim / 2."""
     rng = np.random.default_rng(20150413)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     save_operator(work / "D3.json", (z + z.conj().T) / 2)
@@ -80,6 +88,11 @@ def _write_matrices(work: Path, save_operator) -> None:
     for dim in sorted({dim for _, _, dim in SCENARIOS}):
         u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         save_operator(work / f"m{dim}.json", (u * ([1.0] * (dim - 1) + [2.0])) @ u.T)
+    for dim in sorted({dim for _, _, dim in SCENARIOS if dim % 2 == 0}):
+        a = rng.standard_normal((dim // 2,) * 2) + 1j * rng.standard_normal((dim // 2,) * 2)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar: the QR's phases taken out
+        save_operator(work / f"k{dim}.json", u @ np.kron(a, np.eye(2)) @ u.conj().T)
 
 
 def _fill(value, work: str):
