@@ -4,27 +4,129 @@ A von Neumann algebra M on C^N is, in a suitable orthonormal basis,
 (+)_k M_{n_k} (x) I_{m_k}, and its commutant M' is (+)_k I_{n_k} (x)
 M_{m_k} (see Murota, Kanno, Kojima and Kojima, "A numerical algorithm for
 block-diagonal decomposition of matrix *-algebras", Japan J. Indust.
-Appl. Math. 27, 2010).  The eigenspaces of a generic Hermitian element h
-of M' are the irreducible pieces C^{n_k} (x) xi.  ``block_structure``
-sorts them into classes of equivalent pieces, aligned by unitary
-intertwiners, with two of the three checks that certify them
-(``reflexivity.lat_family`` adds the third and holds the proof);
-``ClassAlgebra`` carries M by those classes, from which its elements,
-its projection and its dimension follow without its basis.  No
-nullspace is solved here.
+Appl. Math. 27, 2010).  ``_h_components`` diagonalizes one Hermitian
+element h of M, a fixed combination of the generators.  When the
+eigenvalues of h are separated, M' is spanned by the projections onto
+the connected components of a graph on h's eigenvectors, and the pieces
+are those components, one class each.  Otherwise the eigenspaces of a
+generic Hermitian element of M' are the irreducible pieces
+C^{n_k} (x) xi, and ``block_structure`` sorts them into classes of
+equivalent pieces, aligned by unitary intertwiners, with two of the
+three checks that certify them.  ``reflexivity.lat_family`` takes the
+pieces either way, adds the last check and holds the proofs.
+``ClassAlgebra`` carries M by its classes, from which its elements, its
+projection and its dimension follow without its basis.  No nullspace is
+solved here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatch, OperatorSpace, TolerancePolicy, frobenius_norm
+from .core import DimensionMismatch, OperatorSpace, TolerancePolicy, frobenius_norm, operator_norm
 
 __all__ = ["ClassAlgebra", "block_structure", "links"]
+
+# ``_h_components`` weighs the k-th Hermitian part of the generators by
+# 1 / (1 + k phi), phi the golden ratio.
+_GOLDEN = (1.0 + 5.0**0.5) / 2.0
+
+
+class _HStructure(NamedTuple):
+    """What ``_h_components`` reads off a stack of generators.
+
+    ``w`` holds the eigenvectors of h, in ascending order of eigenvalue
+    mu.  ``images`` is the stack W* g_1 W, W* g_1* W, W* g_2 W, ...  The
+    rank rule's ``scale`` and ``units`` follow: the units are the (i, j)
+    pairs with |mu_i - mu_j| <= rank_cutoff * scale, as two index arrays.
+    When every cluster of mu is a singleton, ``components`` lists the
+    connected components as index arrays into W's columns, and
+    ``margins`` gives their two margins over the cut.  Otherwise both are
+    None.
+    """
+
+    w: np.ndarray
+    images: np.ndarray
+    scale: float
+    units: tuple[np.ndarray, np.ndarray]
+    components: list[np.ndarray] | None
+    margins: tuple[float, float] | None
+
+
+def _h_components(gens: np.ndarray, tol: TolerancePolicy) -> _HStructure:
+    """h's eigenbasis and, when h's eigenvalues are separated, the
+    connected components that span the commutant, for an (k, N, N) stack
+    of generators.
+
+    Every X commuting with the generators and their adjoints commutes
+    with the Hermitian parts (g + g*)/2 and (g - g*)/2i of each generator.
+    So X commutes with their fixed real combination h.  The weights are
+    1 / (1 + k phi), phi the golden ratio.  They are fixed, so the result
+    is deterministic, and irrational, so a degenerate h takes a
+    coincidence.  The first weight is 1, so h is the generator when there
+    is one Hermitian generator.  With h = W diag(mu) W*, scale is the
+    larger of the generators' largest norm and mu_max - mu_min, and mu
+    clusters where |mu_i - mu_j| <= rank_cutoff * scale, the rank rule of
+    ``nullspace_of_constraints``.
+
+    When every cluster is a singleton, X is diagonal in W, and X g = g X
+    reads (x_a - x_b) g_ab = 0 for g_ab the entries of W* g W.  The
+    components are those of the graph with an edge (a, b) wherever some
+    generator or adjoint has |g_ab| above the same cut
+    (``_components``).
+    """
+    dim = gens.shape[-1]
+    adjoints = gens.conj().transpose(0, 2, 1)
+    pairs = np.stack([gens, adjoints], axis=1).reshape(-1, dim, dim)  # g_1, g_1*, g_2, ...
+    parts = np.stack([(gens + adjoints) / 2, (gens - adjoints) / 2j], axis=1).reshape(-1, dim, dim)
+    weights = 1.0 / (1.0 + _GOLDEN * np.arange(len(parts)))
+    mu, w = np.linalg.eigh(np.tensordot(weights, parts, axes=1))
+    scale = max(float(operator_norm(gens).max(initial=0.0)), float(mu[-1] - mu[0]))
+    cut = tol.rank_cutoff * scale
+    rows, cols = np.nonzero(np.abs(mu[:, None] - mu[None, :]) <= cut)
+    images = w.conj().T @ pairs @ w
+    if len(rows) > dim:  # a cluster with multiplicity
+        return _HStructure(w, images, scale, (rows, cols), None, None)
+    strength = np.abs(images).max(axis=0, initial=0.0)
+    components, margins = _components(np.maximum(strength, strength.T), cut)
+    return _HStructure(w, images, scale, (rows, cols), components, margins)
+
+
+def _components(strength: np.ndarray, cut: float) -> tuple[list[np.ndarray], tuple[float, float]]:
+    """The connected components of the graph with an edge (a, b) wherever
+    the symmetric ``strength[a, b]`` is above ``cut``, and the two margins
+    of that decision over the cut.
+
+    The components are grown by Prim's algorithm for a maximum spanning
+    forest, one dense row per vertex.  The first margin is the forest's
+    smallest edge (inf when there is none): every cut below it gives the
+    same components.  The second is the largest entry between two
+    components (0 when there is one): every cut at or above it gives the
+    same components.  Each component is an ascending index array, and
+    they are ordered by their first index.
+    """
+    n = len(strength)
+    label, free = np.full(n, -1), np.ones(n, dtype=bool)
+    best = np.full(n, -np.inf)  # a free vertex's strongest edge to a labelled one
+    count, weakest = 0, math.inf
+    for _ in range(n):
+        v = int(np.argmax(best))
+        if best[v] > cut:
+            weakest = min(weakest, float(best[v]))
+        else:  # no edge above the cut leaves the component: start the next
+            v = int(np.argmax(free))
+            count += 1
+        label[v], free[v], best[v] = count - 1, False, -np.inf
+        np.maximum(best, strength[v], out=best, where=free)
+    across = float(strength[label[:, None] != label[None, :]].max(initial=0.0))
+    margins = (weakest / cut if weakest < math.inf else math.inf, across / cut if across else 0.0)
+    return [np.flatnonzero(label == k) for k in range(count)], margins
 
 
 def links(compressed: np.ndarray, bounds: list[int], tol: TolerancePolicy) -> list[tuple]:
@@ -93,17 +195,18 @@ def block_structure(
 
 @dataclass(frozen=True, eq=False)
 class ClassAlgebra:
-    """(+)_k M_{n_k} (x) I_{m_k}, carried by the classes of
-    ``block_structure``: class k is an (m_k, N, n_k) stack of aligned pieces
-    s_1, ..., s_{m_k}, N x n_k with orthonormal columns.
+    """(+)_k M_{n_k} (x) I_{m_k}, carried by its classes: class k is an
+    (m_k, N, n_k) stack of aligned pieces s_1, ..., s_{m_k}, N x n_k with
+    orthonormal columns, from ``block_structure`` or, one piece per class,
+    from the components of ``reflexivity.lat_family``.
 
     M's orthonormal basis is, per class, the matrix units e_pq repeated on
     each piece over sqrt(m_k), B = sum_j s_j e_pq s_j* / sqrt(m_k), at
     index offset_k + p n_k + q.  It is orthonormal by construction, given
-    orthonormal pieces (eigenvectors of h) aligned by unitary links (the
-    ``unitary`` check; ``lat_family`` proves the algebra is M), and is not
-    checked again.  It holds dim M matrices of N^2 entries (N^4 for the
-    full algebra), so it is formed only on first use
+    orthonormal pieces (eigenvectors of a Hermitian h) aligned by unitary
+    links (the ``unitary`` check; ``lat_family`` proves the algebra is M),
+    and is not checked again.  It holds dim M matrices of N^2 entries (N^4
+    for the full algebra), so it is formed only on first use
     (``basis_elements``); ``dim``, ``elements`` and ``_residuals`` read the
     classes, in O(N^3) per operator.  Equality is identity: two algebras
     are not compared by their classes.
@@ -133,7 +236,8 @@ class ClassAlgebra:
         batched product.  Per shape: the indices of its K classes, the
         classes as one (K, m, N, n) stack, and their pieces side by side as
         one N x (K m n) matrix.  The pieces of every group side by side are
-        a unitary N x N matrix W, the basis ``block_structure`` adapts."""
+        a unitary N x N matrix W, the eigenbasis of h up to the order of
+        its columns."""
         shapes = [s.shape for s in self.classes]
         groups = []
         for shape in dict.fromkeys(shapes):

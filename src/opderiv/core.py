@@ -9,8 +9,9 @@ of operators, and a nullspace solver for stacked linear equations C @ u = 0.
 Conventions
 -----------
 * The nullspace solver works in coordinates its caller chooses: the
-  commutant solves on the coefficients of its matrix units, a corner
-  level on the coefficients of the level below.  No operator is
+  commutant of generators with a repeated eigenvalue of h solves on the
+  coefficients of its matrix units, a corner level on the coefficients of
+  the level below.  No operator is
   vectorized into solver coordinates.  Where an operator is flattened
   (into the rows of a constraint, or for the trace inner product as a
   dot product) it is flattened row-major, numpy's order, so results are

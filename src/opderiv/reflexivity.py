@@ -5,24 +5,30 @@ the algebra of all corner operators, by a finite family of invariant
 subspaces: the algebra's own invariant subspaces embedded in the first
 block, the nested leading-corner subspaces, and two towers of graph
 subspaces (one for the generator, one for the generator shifted by the
-identity).  This module builds that family, computes commutants (in the
-eigenbasis of one Hermitian element) as nullspace problems and the
-algebra of the family by the corner tower below, and verifies that the
-corner operators leaving every family member invariant are exactly the
-triangular representations, with matching dimension.
+identity).  This module builds that family, computes commutants in the
+eigenbasis of one Hermitian element h, computes the algebra of the family
+by the corner tower below, and verifies that the corner operators
+leaving every family member invariant are exactly the triangular
+representations, with matching dimension.
 
 The algebra and its invariant subspaces come from the block structure of
 the commutant, M = (+)_k M_{n_k} (x) I_{m_k} and M' = (+)_k I_{n_k} (x)
-M_{m_k}: ``lat_family`` makes one nullspace solve, for M', reads the
-irreducible pieces C^{n_k} (x) xi off the eigenspaces of one generic
-Hermitian element of M', and links equivalent pieces by intertwiners.
-The family is the pieces and the links, sum_k (2 m_k - 1) members, and
-the algebra is carried by its classes of pieces (``blocks.ClassAlgebra``),
-which give its elements, its projection and its dimension in O(N^3)
-without its dim M x N^2 basis; three checks certify both by a
-bicommutant argument (``lat_family``), with no bicommutant and no
-certification solve.  The family carries the algebra, so the
-reflexivity check solves nothing for it.
+M_{m_k}.  h is a fixed combination of the generators' Hermitian parts.
+When its eigenvalues are separated (every preset kind, and every
+multiplicity-free ``generated`` algebra), M' is spanned by the
+projections onto the connected components of a graph on h's
+eigenvectors, and ``lat_family`` takes the pieces off those components,
+one class each, with no nullspace solve and no random draw.  When an
+eigenvalue of h is repeated, ``lat_family`` makes one nullspace solve,
+for M'.  It reads the irreducible pieces C^{n_k} (x) xi off the
+eigenspaces of one generic Hermitian element of M', and links equivalent
+pieces by intertwiners.  The family is the pieces and the links,
+sum_k (2 m_k - 1) members.  The algebra is carried by its classes of
+pieces (``blocks.ClassAlgebra``), which give its elements, its projection
+and its dimension in O(N^3) without its dim M x N^2 basis.  The checks of
+``lat_family`` certify both by a bicommutant argument, with no
+bicommutant and no certification solve.  The family carries the algebra,
+so the reflexivity check solves nothing for it.
 
 On a certified family the corner tower is a linear map L on the algebra
 M, and the corner (the (0, 0) block) of L(a) is a, so L is injective and
@@ -78,7 +84,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import ClassAlgebra, block_structure
+from .blocks import ClassAlgebra, _h_components, _HStructure, block_structure
 from .core import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -89,7 +95,6 @@ from .core import (
     as_operator,
     frobenius_norm,
     nullspace_of_constraints,
-    operator_norm,
 )
 # corner_exponential and triangular_representation are not called here;
 # the benchmark tracer (perfbench/tracing.py) wraps them under this
@@ -137,12 +142,6 @@ class ReflexivityViolation(RuntimeError):
         )
         self.report = report
 
-
-# ``commutant`` weighs the k-th Hermitian part of its generators by
-# 1 / (1 + k phi): fixed weights, so its result is deterministic, and
-# irrational ones, so a degenerate h (which costs time, not correctness)
-# takes a coincidence.
-_GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
 # ``lat_family`` replaces a draw that fails certification this many times.
 _MAX_REDRAWS = 20
@@ -247,22 +246,21 @@ class VonNeumannAlgebraSpec:
 def commutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) -> OperatorSpace:
     """All operators commuting with the generators (and their adjoints).
 
-    Accepts a VonNeumannAlgebraSpec or an iterable of operators.  Every
-    such X commutes with the Hermitian parts (g + g*)/2 and (g - g*)/2i of
-    each generator, so with their fixed real combination h (weights
-    1 / (1 + k phi), phi the golden ratio; the first is 1, so h is the
-    generator when there is one Hermitian generator).  With
-    h = W diag(mu) W*, the map X -> X h - h X has singular values
-    |mu_i - mu_j| and singular vectors the matrix units W e_ij W*, so one
-    ``eigh`` solves it: the commutant lies in the span of the units with
-    |mu_i - mu_j| <= rank_cutoff * scale, the rank rule of
-    ``nullspace_of_constraints``, where scale is the larger of the
-    generators' largest norm and mu_max - mu_min.  The generators'
-    commutation constraints, restricted to those units, are then solved by
-    one nullspace call with the same scale.  A degenerate h only leaves
-    more units free for the constraints to cut back, so the result needs
-    no redraw.  The basis is W X W* for the orthonormal null coefficients
-    X, orthonormal by construction.
+    Accepts a VonNeumannAlgebraSpec or an iterable of operators.  h and
+    its eigenbasis W come from ``blocks._h_components``.  When h's
+    eigenvalues are separated, the commutant is spanned by the
+    projections W_c W_c* / sqrt(|c|) onto the components c, W_c W's
+    columns on c.  They are orthonormal by construction, and no nullspace
+    is solved.
+
+    Otherwise the map X -> X h - h X has singular values |mu_i - mu_j|
+    and singular vectors the matrix units W e_ij W*.  So the commutant
+    lies in the span of the units of ``_h_components``.  The generators'
+    commutation constraints, restricted to those units, are solved by one
+    nullspace call with the same scale.  A degenerate h only leaves more
+    units free for the constraints to cut back, so the result needs no
+    redraw.  The basis is W X W* for the orthonormal null coefficients X,
+    orthonormal by construction.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(spec, VonNeumannAlgebraSpec):
@@ -275,21 +273,25 @@ def commutant(spec, dim: int | None = None, tol: TolerancePolicy | None = None) 
                 raise ValueError("dim is required when no generators are given")
             dim = generators[0].shape[0]
     gens = np.stack(generators) if generators else np.zeros((0, dim, dim), dtype=complex)
-    adjoints = gens.conj().transpose(0, 2, 1)
-    pairs = np.stack([gens, adjoints], axis=1).reshape(-1, dim, dim)  # g_1, g_1*, g_2, ...
-    parts = np.stack([(gens + adjoints) / 2, (gens - adjoints) / 2j], axis=1).reshape(-1, dim, dim)
-    weights = 1.0 / (1.0 + _GOLDEN * np.arange(len(parts)))
-    mu, w = np.linalg.eigh(np.tensordot(weights, parts, axes=1))
-    scale = max(float(operator_norm(gens).max(initial=0.0)), float(mu[-1] - mu[0]))
-    rows, cols = np.nonzero(np.abs(mu[:, None] - mu[None, :]) <= tol.rank_cutoff * scale)
+    return _commutant(_h_components(gens, tol), tol)
+
+
+def _commutant(structure: _HStructure, tol: TolerancePolicy) -> OperatorSpace:
+    """``commutant`` from the structure ``_h_components`` read off."""
+    w = structure.w
+    dim = len(w)
+    if structure.components is not None:
+        projections = [w[:, c] @ w[:, c].conj().T / np.sqrt(len(c)) for c in structure.components]
+        return OperatorSpace(dim, np.stack(projections))
+    rows, cols = structure.units
     units = np.arange(len(rows))
     constraints = []
-    for g in w.conj().T @ pairs @ w:
+    for g in structure.images:
         image = np.zeros((len(rows), dim, dim), dtype=complex)  # E_ij g - g E_ij per unit
         image[units, rows] = g[cols]
         image[units, :, cols] -= g[:, rows].T
         constraints.append(image.reshape(len(rows), -1).T)
-    coeffs = nullspace_of_constraints(constraints, dim, tol, scale=scale)
+    coeffs = nullspace_of_constraints(constraints, dim, tol, scale=structure.scale)
     elems = np.zeros((coeffs.shape[1], dim, dim), dtype=complex)
     elems[:, rows, cols] = coeffs.T
     return OperatorSpace(dim, w @ elems @ w.conj().T)
@@ -330,36 +332,66 @@ def lat_family(
     and the algebra, from the block structure of its commutant.
 
     The structure theorem gives M = (+)_k M_{n_k} (x) I_{m_k} and
-    M' = (+)_k I_{n_k} (x) M_{m_k}.  The commutant M' is solved (the one
-    nullspace solve), and one random Hermitian element h of it is drawn
-    from ``_hermitian_spanning_set``.  For a generic h the eigenspaces are
-    the irreducible pieces C^{n_k} (x) xi, and ``block_structure`` sorts
-    them into classes of equivalent pieces, each linked to its class
-    representative by a unitary intertwiner T.  The family is every piece
-    plus, per class, the m_k - 1 links {T xi + xi}: sum_k (2 m_k - 1)
-    members.  An operator leaving every piece invariant is block diagonal,
-    and one leaving the links invariant too has equal blocks on each class,
-    so Alg(family) is the algebra, returned as its classes
-    (``ClassAlgebra``).
+    M' = (+)_k I_{n_k} (x) M_{m_k}.  The family is every irreducible piece
+    C^{n_k} (x) xi plus, per class of equivalent pieces, m_k - 1 links
+    {T xi + xi}, T the unitary intertwiner from a piece to its class
+    representative: sum_k (2 m_k - 1) members.  An operator leaving every
+    piece invariant is block diagonal, and one leaving the links invariant
+    too has equal blocks on each class, so Alg(family) is the algebra,
+    returned as its classes (``ClassAlgebra``).
 
-    A draw is certified by three checks, each a residual with its
-    tolerance, which prove that the class algebra M^ is M: ``unitary``
+    The generating set is built once, and ``_h_components`` reads h's
+    eigenbasis W off it.  When h's eigenvalues are separated, the pieces
+    are W's columns on each component, one class each (m_k = 1, no
+    links), with no nullspace solve and no draw.  They are certified by
+    ``generators``: every generator lies within ``rank_cutoff`` of the
+    class algebra M^, by ``ClassAlgebra._residuals``.  Proof: h is in M,
+    so every X in M' commutes with h, and separated eigenvalues make X
+    diagonal in W.  On each edge (a, b) of the component graph,
+    (x_a - x_b) g_ab = 0, so X is constant on each component and
+    dim M' is the number of components; the projections onto the
+    components lie in M', so M' is their span.  Then M^' = M' by
+    construction (the ``dimension`` check holds without being taken), and
+    with one piece per class there are no links to be unitary.  By
+    ``generators`` M is in M^, so M^' is in M'; as the two are equal,
+    M^ = M^'' = M'' = M.  The structure is deterministic, so a failure
+    raises LatGenerationFailed at once: a redraw could not change it.
+
+    When a cluster of h's eigenvalues has multiplicity, the commutant M'
+    is solved (the one nullspace solve), and one random Hermitian element
+    h' of it is drawn from ``_hermitian_spanning_set``.  For a generic h'
+    the eigenspaces are the irreducible pieces, and ``block_structure``
+    sorts them into classes linked by intertwiners.  A draw is certified
+    by three checks, each a residual with its tolerance: ``unitary``
     (every link T is unitary) and ``dimension`` (sum_k m_k^2 = dim M')
-    from ``block_structure``, and ``generators`` (every generator lies
-    within ``rank_cutoff`` of M^, by ``ClassAlgebra._residuals``).  Proof:
-    the pieces are orthonormal eigenvectors of h that span C^N, so with
+    from ``block_structure``, and ``generators`` as above.  Proof: the
+    pieces are orthonormal eigenvectors of h' that span C^N, so with
     unitary links M^ is a von Neumann algebra with dim M^' = sum_k m_k^2.
     By ``generators`` M is in M^, so M^' is in M'; by ``dimension``
     M^' = M', so M^ = M^'' = M'' = M.  A draw that fails (a non-generic
-    h, whose eigenspaces are not irreducible) is replaced by a new one,
+    h', whose eigenspaces are not irreducible) is replaced by a new one,
     up to ``_MAX_REDRAWS`` times; exhaustion raises LatGenerationFailed
     with the last draw's failing checks.
     """
     tol = tol or DEFAULT_TOL
     dim = spec.ambient_dim
-    com = commutant(spec, tol=tol)
-    herms = np.stack(_hermitian_spanning_set(com, tol))
     generators = np.stack(spec.generating_set())
+    structure = _h_components(generators, tol)
+    if structure.components is not None:
+        # eigh's W is column-major: each piece is copied C-contiguous, as
+        # block_structure's are, so that the class algebra's products
+        # reshape without a copy
+        pieces = [np.ascontiguousarray(structure.w[:, c]) for c in structure.components]
+        algebra = ClassAlgebra(dim, tuple(p[None] for p in pieces))
+        residual = float(algebra._residuals(generators).max())
+        if not residual <= tol.rank_cutoff:
+            raise LatGenerationFailed(
+                f"could not certify the components of {spec.label()}: "
+                f"generators {residual:.3e} > {tol.rank_cutoff:.3e}"
+            )
+        return [Subspace(dim, p) for p in pieces], algebra
+    com = _commutant(structure, tol)
+    herms = np.stack(_hermitian_spanning_set(com, tol))
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REDRAWS + 1):
         h = np.tensordot(rng.standard_normal(len(herms)), herms, axes=1)

@@ -150,7 +150,7 @@ def _cancelling_pair():
     """A Jordan block J and c J, with c such that the weighted Hermitian parts
     of the pair cancel: ``commutant``'s h is 0, every unit is free, and only
     the adjoint constraints cut the polynomials in J down to the scalars."""
-    a1, b1, a2, b2 = 1.0 / (1.0 + reflexivity._GOLDEN * np.arange(4))
+    a1, b1, a2, b2 = 1.0 / (1.0 + blocks._GOLDEN * np.arange(4))
     # the parts of c J (c = p + iq) are p a - q b and q a + p b, for J's parts a and b
     p, q = np.linalg.solve([[a2, b2], [b2, -a2]], [-a1, -b1])
     jordan = np.diag(np.ones(2), 1)
@@ -199,29 +199,76 @@ def test_commutant_gap_at_the_cut_matches_kronecker_oracle(ratio, expected):
 
 @pytest.mark.parametrize("kind", ("full", "diagonal_masa"))
 def test_commutant_makes_no_n_squared_wide_decomposition(kind, monkeypatch):
-    # tripwire against the O(N^6) Kronecker solve: at N = 16 no SVD or eigh
-    # operand has N^2 = 256 columns, and there is one nullspace call
-    shapes, solves = [], []
+    # tripwire against the O(N^6) Kronecker solve: at N = 16 h's eigenvalues
+    # are separated, so the commutant is read off the components of h's
+    # eigenbasis, with one eigh of N columns, no SVD and no nullspace call
+    shapes = collections.defaultdict(list)
     for name in ("svd", "eigh"):
         original = getattr(np.linalg, name)
 
-        def recording(a, *args, _original=original, **kwargs):
-            shapes.append(np.shape(a))
+        def recording(a, *args, _original=original, _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
-    solve = reflexivity.nullspace_of_constraints
-
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(reflexivity, "nullspace_of_constraints", counting)
+    solves = _recording_nullspace(monkeypatch)
     spec = VonNeumannAlgebraSpec(kind, 16)
     space = commutant(spec)
     assert space.dim == {"full": 1, "diagonal_masa": 16}[kind]
-    assert shapes and max(shape[-1] for shape in shapes) < 256
-    assert len(solves) == 1
+    assert shapes["eigh"] and max(shape[-1] for shape in shapes["eigh"]) < 256
+    assert not shapes["svd"] and not solves
+
+
+@pytest.mark.parametrize(
+    "pattern", ((3, 2, 1), (2, 2), (1, 1, 1, 1), (5,)), ids=lambda p: "-".join(map(str, p))
+)
+@pytest.mark.parametrize("seed", (81, 82, 83))
+def test_commutant_of_separated_h_matches_kronecker_oracle(pattern, seed, monkeypatch):
+    # a multiplicity-free U (A_1 + ... + A_k) U*: h's eigenvalues are
+    # separated, the components are the blocks, and the commutant, one
+    # projection per block, is the oracle's without a nullspace call
+    g = _rotated_blocks(np.random.default_rng(seed), pattern)
+    structure = blocks._h_components(g[None], DEFAULT_TOL)
+    assert sorted(len(c) for c in structure.components) == sorted(pattern)
+    solves = _recording_nullspace(monkeypatch)
+    space = commutant([g])
+    assert not solves
+    assert space.dim == len(pattern)
+    assert spans_equal(space, _kron_commutant([g], sum(pattern)))
+
+
+@pytest.mark.parametrize(
+    "spec, components",
+    (
+        (VonNeumannAlgebraSpec("full", 8), 1),
+        (VonNeumannAlgebraSpec("diagonal_masa", 8), 8),
+        (VonNeumannAlgebraSpec("block_diagonal", 8, pattern=(3, 5)), 2),
+        (VonNeumannAlgebraSpec("full", 64), 1),
+    ),
+    ids=("full-8", "diagonal_masa-8", "block_diagonal-8", "full-64"),
+)
+def test_components_decided_with_wide_margins(spec, components):
+    # over the cut, the weakest edge of the maximum spanning forest (inf
+    # without an edge) is far above 1 and the largest entry between two
+    # components (0 with one component) far below it
+    structure = blocks._h_components(np.stack(spec.generating_set()), DEFAULT_TOL)
+    weakest, across = structure.margins
+    assert len(structure.components) == components
+    assert weakest >= 1e6 and across <= 1e-6
+    assert (weakest == math.inf) == (components == spec.ambient_dim)
+
+
+def test_components_split_and_merge_on_the_cut():
+    # the components of a path a - b - c with edges 2 and 3 and a weak
+    # entry 0.5 between a and c: the forest is the two edges, and each cut
+    # between the margins gives the same components
+    strength = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 3.0], [0.5, 3.0, 0.0]])
+    components, margins = blocks._components(strength, 1.0)
+    assert [c.tolist() for c in components] == [[0, 1, 2]] and margins == (2.0, 0.0)
+    components, margins = blocks._components(strength, 2.0)
+    assert [c.tolist() for c in components] == [[0], [1, 2]] and margins == (1.5, 1.0)
+    components, margins = blocks._components(strength, 4.0)
+    assert [c.tolist() for c in components] == [[0], [1], [2]] and margins == (math.inf, 0.75)
 
 
 # ---------------------------------------------------------------- bicommutant
@@ -297,6 +344,21 @@ def test_lat_family_is_algebra_invariant():
         p = projection(sub)
         for g in algebra.basis_elements:
             assert operator_norm((np.eye(4) - p) @ g @ p) <= 1e-9
+
+
+def _twin_blocks_spec():
+    """A (+) (A + (i - w) Y) on C^4, A a random 2 x 2 matrix, Y a random
+    Hermitian one and w the weight of the second Hermitian part of h: the
+    algebra M_2 (+) M_2, whose blocks are inequivalent.  The weighted
+    Hermitian parts of (i - w) Y cancel, so every eigenvalue of h is
+    repeated and ``lat_family`` draws from the commutant C (+) C, which
+    has two inequivalent pieces."""
+    rng = np.random.default_rng(71)
+    a, y = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    w = 1.0 / (1.0 + blocks._GOLDEN)
+    g = np.zeros((4, 4), dtype=complex)
+    g[:2, :2], g[2:, 2:] = a, a + (1j - w) * (y + y.conj().T) / 2
+    return VonNeumannAlgebraSpec("generated", 4, generators=(g,))
 
 
 def _multiplicity_spec():
@@ -386,7 +448,7 @@ def _random_unitary(n, seed):
         # Neumann algebra of the right commutant dimension that is not M
         ("wrong unitary T", _multiplicity_spec(), "generators"),
         # a link between inequivalent pieces merges two classes
-        ("spurious link", VonNeumannAlgebraSpec("block_diagonal", 4, pattern=(2, 2)), "dimension"),
+        ("spurious link", _twin_blocks_spec(), "dimension"),
     ),
     ids=(
         "perturbed T-unitary", "dropped link-dimension",
@@ -412,6 +474,46 @@ def test_block_structure_mutants_fail_certification(mutant, spec, failing, monke
     monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 2)
     with pytest.raises(LatGenerationFailed, match=failing):
         lat_family(spec)
+
+
+def _patched_components(monkeypatch, change):
+    """Replace the components ``_h_components`` finds by ``change`` of them."""
+    h_components = reflexivity._h_components
+
+    def patched(gens, tol):
+        structure = h_components(gens, tol)
+        return structure._replace(components=change(structure.components))
+
+    monkeypatch.setattr(reflexivity, "_h_components", patched)
+
+
+def test_merged_components_fail_the_reflexivity_check(monkeypatch):
+    # merging the two components of block_diagonal (2, 2) gives the class
+    # algebra M_4, which holds every generator: lat_family certifies it, and
+    # the check fails on its dimension, 16 against 8
+    def merge(components):
+        assert len(components) == 2
+        return [np.concatenate(components)]
+
+    _patched_components(monkeypatch, merge)
+    spec = VonNeumannAlgebraSpec("block_diagonal", 4, pattern=(2, 2))
+    d = rng_generator(np.random.default_rng(72), 4)
+    report = reflexivity_check(spec, d, 1, raise_on_fail=False)
+    assert not report.passed
+    assert (report.dim_computed, report.dim_expected) == (16, 8)
+
+
+def test_split_component_fails_certification(monkeypatch):
+    # splitting the one component of full N = 4 gives a block diagonal class
+    # algebra that the cyclic shift does not lie in: lat_family raises at
+    # once, naming the generators check, with no redraw
+    def split(components):
+        (c,) = components
+        return [c[:2], c[2:]]
+
+    _patched_components(monkeypatch, split)
+    with pytest.raises(LatGenerationFailed, match="generators"):
+        lat_family(VonNeumannAlgebraSpec("full", 4))
 
 
 def _rotated_block_spec(pattern, seed):
@@ -520,8 +622,10 @@ def test_probe_path_never_forms_the_basis(monkeypatch):
 
 
 def test_lat_family_cap_exhaustion_raises(monkeypatch):
-    # a scalar h is never generic: its one eigenspace, the whole space, is not
-    # irreducible for the masa, so every draw fails on the commutant dimension
+    # a scalar h' is never generic: its one eigenspace, the whole space, is
+    # not irreducible for U diag(1, 1, 2) U^T (whose h has a repeated
+    # eigenvalue, so lat_family draws), and every draw fails on the commutant
+    # dimension
     block_structure, draws = reflexivity.block_structure, []
 
     def recording(com, h, tol):
@@ -534,7 +638,7 @@ def test_lat_family_cap_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(reflexivity, "block_structure", recording)
     monkeypatch.setattr(reflexivity, "_MAX_REDRAWS", 1)
     with pytest.raises(LatGenerationFailed, match="dimension"):
-        lat_family(VonNeumannAlgebraSpec("diagonal_masa", 2))
+        lat_family(_degenerate_spec(2, 1))
     assert len(draws) == 2  # the first draw plus _MAX_REDRAWS redraws
 
 
@@ -1079,18 +1183,15 @@ def _counting(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, lat_members, commutant_svds",
-    (("full", 1, 4), ("diagonal_masa", 8, 2), ("block_diagonal", 2, 4)),
+    "kind, lat_members", (("full", 1), ("diagonal_masa", 8), ("block_diagonal", 2))
 )
-def test_pipeline_checks_and_factors_each_basis_once(
-    kind, lat_members, commutant_svds, monkeypatch
-):
-    # the corner_solve cases at (8, 2).  invariant_family checks the commutant
-    # and the lat members once each, and not the algebra, which ClassAlgebra
-    # builds orthonormal from certified pieces; its SVDs are the commutant's,
-    # one per generator and adjoint.  The family keeps the 2n graph maps: the
-    # build factors none of them.  The check takes one SVD, of K, per level:
-    # no QR, no solve, no separate rank and no Gram check.  The invariance
+def test_pipeline_checks_and_factors_each_basis_once(kind, lat_members, monkeypatch):
+    # the corner_solve cases at (8, 2).  h's eigenvalues are separated, so
+    # invariant_family solves no commutant and takes no SVD: it checks the
+    # lat members once each, and not the algebra, which ClassAlgebra builds
+    # orthonormal from certified pieces.  The family keeps the 2n graph
+    # maps: the build factors none of them.  The check takes one SVD, of K,
+    # per level: no QR, no solve, no separate rank and no Gram check.  The invariance
     # residuals form each graph member's basis by one QR and one Gram check,
     # and read the lat members and the H_j with neither
     n, pattern = 2, (4, 4) if kind == "block_diagonal" else None
@@ -1098,7 +1199,7 @@ def test_pipeline_checks_and_factors_each_basis_once(
     d, _ = random_scenario(8, 1)
     counts = _counting(monkeypatch)
     family = invariant_family(spec, d, n)
-    assert dict(counts) == {"_gram_deviation": 1 + lat_members, "svd": commutant_svds}
+    assert dict(counts) == {"_gram_deviation": lat_members}
     assert len(family.lat) == lat_members
     counts.clear()
     assert reflexivity_check(spec, d, n, family=family).passed

@@ -378,8 +378,9 @@ def test_run_checks_all_random_scenario():
     "checks", (["invariance", "reflexivity"], ["reflexivity", "invariance"], ["reflexivity"])
 )
 def test_one_invariant_family_per_scenario(checks, monkeypatch):
-    # the family (and with it the commutant and the algebra) is solved once
-    counts = {"invariant_family": 0, "commutant": 0}
+    # the family (and with it h's components and the algebra) is built once;
+    # h's eigenvalues are separated, so no commutant is solved
+    counts = {"invariant_family": 0, "commutant": 0, "_h_components": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -393,11 +394,12 @@ def test_one_invariant_family_per_scenario(checks, monkeypatch):
     counting(harness, "invariant_family")
     counting(reflexivity, "invariant_family")
     counting(reflexivity, "commutant")
+    counting(reflexivity, "_h_components")
     raw = base_config(scenario={"kind": "random", "N": 3, "x_kind": "general"}, checks=checks, n=1)
     report = run_checks(ScenarioConfig.from_dict(raw))
     assert report.overall_pass and len(report.results) == len(checks)
-    # one commutant solve, of the spec: the algebra comes from its block structure
-    assert counts == {"invariant_family": 1, "commutant": 1}
+    # the algebra comes from the components, one per class
+    assert counts == {"invariant_family": 1, "commutant": 0, "_h_components": 1}
 
 
 def test_run_checks_reports_reproducible():
